@@ -67,16 +67,33 @@ cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig12.json
 echo "==> fig12 trace smoke + trace lint"
 # Reduced scale again: records every run's event stream + epoch stats,
 # then validates span nesting and timestamp monotonicity. The stdout
-# tables must be identical to an untraced run (byte-identity guarantee).
-rm -f results/fig12.trace.json
+# tables must be identical to an untraced run, and the traced run's own
+# metrics JSON must match the golden (byte-identity guarantee).
+rm -f results/fig12.trace.json results/fig12.traced.json
 cargo run --release -p sam-bench --bin fig12 -- \
-  --rows 2048 --tb-rows 8192 --jobs 2 --trace --epoch-len 10000 > /tmp/fig12.traced.out
+  --rows 2048 --tb-rows 8192 --jobs 2 --trace --epoch-len 10000 \
+  --out results/fig12.traced.json > /tmp/fig12.traced.out
 cargo run --release -p sam-bench --bin fig12 -- \
   --rows 2048 --tb-rows 8192 --jobs 2 > /tmp/fig12.untraced.out
 cmp /tmp/fig12.traced.out /tmp/fig12.untraced.out \
   || { echo "--trace changed fig12 stdout"; exit 1; }
+cmp results/fig12.traced.json tests/golden/fig12.json \
+  || { echo "--trace changed the fig12 metrics JSON"; exit 1; }
 [ -f results/fig12.trace.json ] || { echo "results/fig12.trace.json was not written"; exit 1; }
 cargo run --release -p sam-bench --bin sam-check -- lint-trace results/fig12.trace.json
+
+echo "==> fig16 trace smoke + trace lint"
+# The hybrid figure's traced path at golden scale: stdout and the metrics
+# JSON must match the goldens, and the trace document must lint.
+rm -f results/fig16.trace.json results/fig16.traced.json
+./target/release/fig16 --rows 2048 --tb-rows 8192 --jobs 2 --trace \
+  --out results/fig16.traced.json > /tmp/fig16.traced.out
+cmp /tmp/fig16.traced.out tests/golden/fig16.out \
+  || { echo "--trace changed fig16 stdout"; exit 1; }
+cmp results/fig16.traced.json tests/golden/fig16.json \
+  || { echo "--trace changed the fig16 metrics JSON"; exit 1; }
+[ -f results/fig16.trace.json ] || { echo "results/fig16.trace.json was not written"; exit 1; }
+cargo run --release -p sam-bench --bin sam-check -- lint-trace results/fig16.trace.json
 
 echo "==> golden byte-identity gate (fig12 + table2)"
 # The decomposed datapath and the provenance plumbing are behavior-

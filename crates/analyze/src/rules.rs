@@ -350,8 +350,9 @@ fn extract_flags(text: &str) -> Vec<String> {
 }
 
 /// Flags that may appear in the docs without being bench CLI flags: cargo
-/// and rustup invocations quoted in README/DESIGN.
-const DOC_FLAG_ALLOW: [&str; 12] = [
+/// and rustup invocations quoted in README/DESIGN, and the flags of the
+/// `sam-perf` benchmark, which lives in its own workspace under `perf/`.
+const DOC_FLAG_ALLOW: [&str; 14] = [
     "--release",
     "--bin",
     "--workspace",
@@ -364,6 +365,8 @@ const DOC_FLAG_ALLOW: [&str; 12] = [
     "--package",
     "--quiet",
     "--cheked", // DESIGN.md's deliberate misspelling example for the strict CLI
+    "--workload",
+    "--seconds",
 ];
 
 /// **flag-doc**: every `--flag` string in bench binaries' sources must be

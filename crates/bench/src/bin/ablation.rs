@@ -10,12 +10,6 @@
 //! cargo run --release -p sam-bench --bin ablation [-- --rows N --jobs N --shard K/N]
 //! ```
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("ablation").expect("ablation is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::ablation::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

@@ -10,12 +10,6 @@
 //! `results/fig13.shard-K-of-N.json` envelope; `sam-check merge-shards`
 //! reassembles the full tables and JSON byte-identically.
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("fig13").expect("fig13 is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::fig13::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

@@ -9,12 +9,6 @@
 //! simulations and writes a `results/fig14.shard-K-of-N.json` envelope;
 //! `sam-check merge-shards` reassembles the panels byte-identically.
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("fig14").expect("fig14 is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::fig14::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

@@ -16,12 +16,6 @@
 //! `--per-core`, `--profile`, and `--shard K/N` compose exactly as for
 //! `fig12` (`sam-check merge-shards` reassembles shards byte-identically).
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("fig16").expect("fig16 is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::fig16::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

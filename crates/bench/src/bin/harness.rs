@@ -1,41 +1,50 @@
-//! One-shot harness: regenerates every table and figure into a results
-//! directory.
+//! One-shot harness: regenerates every registered experiment into a
+//! results directory.
 //!
 //! ```text
-//! cargo run --release -p sam-bench --bin harness [-- --out results --rows N]
+//! cargo run --release -p sam-bench --bin harness [-- --out DIR --rows N --tb-rows N --seed N --jobs N]
 //! ```
 //!
-//! Each experiment's output is both printed and written to
-//! `<out>/<name>.txt`, matching the files EXPERIMENTS.md references.
+//! Every experiment in `sam_bench::bins::EXPERIMENTS` runs as its own
+//! binary; its stdout is both printed and written to `<out>/<name>.txt`,
+//! matching the files EXPERIMENTS.md references. `--rows`, `--ta-rows`,
+//! `--tb-rows`, `--seed` and `--jobs` pass through to every experiment;
+//! any other argument is an error (exit 2 with usage).
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
+const PASSTHROUGH: [&str; 5] = ["--rows", "--ta-rows", "--tb-rows", "--seed", "--jobs"];
+
+const USAGE: &str =
+    "usage: harness [--out DIR] [--rows N] [--ta-rows N] [--tb-rows N] [--seed N] [--jobs N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results".to_string());
-    let passthrough: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            matches!(
-                a.as_str(),
-                "--rows" | "--ta-rows" | "--tb-rows" | "--seed" | "--jobs"
-            ) || args.get(i.wrapping_sub(1)).is_some_and(|p| {
-                matches!(
-                    p.as_str(),
-                    "--rows" | "--ta-rows" | "--tb-rows" | "--seed" | "--jobs"
-                )
-            })
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
+    let mut out = "results".to_string();
+    let mut passthrough = Vec::new();
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        if flag == "--help" || flag == "-h" {
+            println!("{USAGE}");
+            return;
+        }
+        let known = flag == "--out" || PASSTHROUGH.contains(&flag.as_str());
+        let Some(value) = argv.next().filter(|_| known) else {
+            let what = if known {
+                "flag requires a value:"
+            } else {
+                "unknown argument"
+            };
+            eprintln!("harness: {what} '{flag}'\n{USAGE}");
+            std::process::exit(2);
+        };
+        if flag == "--out" {
+            out = value;
+        } else {
+            passthrough.extend([flag, value]);
+        }
+    }
 
     fs::create_dir_all(&out).expect("create output directory");
     let exe_dir = std::env::current_exe()
@@ -43,20 +52,8 @@ fn main() {
         .parent()
         .expect("bin dir")
         .to_path_buf();
-
-    let experiments = [
-        "table1",
-        "table2",
-        "table3",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "reliability",
-        "motivation",
-        "ablation",
-    ];
-    for name in experiments {
+    for exp in sam_bench::bins::EXPERIMENTS {
+        let name = exp.name();
         let bin: PathBuf = exe_dir.join(name);
         print!("running {name}... ");
         let output = Command::new(&bin)

@@ -10,12 +10,6 @@
 //! `results/reliability.json` report carries zero runs — it exists so
 //! `sam-check lint-json` can gate every binary uniformly.
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("reliability").expect("reliability is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::reliability::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

@@ -132,7 +132,7 @@ fn merge_shards(paths: &[String]) -> i32 {
             return 1;
         }
     };
-    let Some(spec) = sam_bench::shard::spec_for(&merged.bin) else {
+    let Some(exp) = sam_bench::bins::find(&merged.bin) else {
         eprintln!(
             "sam-check: merge-shards: no sweep-driven binary named '{}'",
             merged.bin
@@ -140,7 +140,7 @@ fn merge_shards(paths: &[String]) -> i32 {
         return 1;
     };
     let args = match sam_bench::cli::try_parse_args(
-        &spec,
+        &exp.spec,
         sam_imdb::plan::PlanConfig::default_scale(),
         &merged.argv,
     ) {
@@ -150,11 +150,13 @@ fn merge_shards(paths: &[String]) -> i32 {
             return 1;
         }
     };
-    if let Err(e) = sam_bench::bins::replay(&merged.bin, &args, &merged.runs) {
-        eprintln!("sam-check: merge-shards: {e}");
-        return 1;
+    match sam_bench::experiment::drive(exp, &args, Some(&merged.runs)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("sam-check: merge-shards: {e}");
+            1
+        }
     }
-    0
 }
 
 /// The CI bench step: folds a caller-measured wall clock over the fig12

@@ -30,12 +30,6 @@
 //! only through the validation-bypassing test hook) and verifies the
 //! written repro fits a screenful and replays to the same violation.
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("stress").expect("stress is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::stress::run(&args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

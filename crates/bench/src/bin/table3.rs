@@ -9,12 +9,6 @@
 //! `sam-check lint-json` can gate every binary uniformly, and `--shard`
 //! emits a zero-run envelope for the same reason.
 
-use sam_bench::cli::parse_args;
-use sam_bench::shard::spec_for;
-use sam_imdb::plan::PlanConfig;
-
 fn main() {
-    let spec = spec_for("table3").expect("table3 is registered");
-    let args = parse_args(&spec, PlanConfig::default_scale());
-    sam_bench::bins::tables::run("table3", &args, None);
+    sam_bench::bins::main(env!("CARGO_BIN_NAME"));
 }

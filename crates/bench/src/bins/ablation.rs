@@ -5,91 +5,76 @@
 use sam::designs::{commodity, sam_en, sam_en_no_2d, sam_en_no_fga, sam_io};
 use sam::layout::Store;
 use sam::system::SystemConfig;
-use sam_imdb::exec::{run_query, QueryRun, Workload};
+use sam_imdb::exec::Workload;
 use sam_imdb::query::Query;
 use sam_power::{breakdown, ActivityCounts, PowerParams};
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::metrics::{MetricsReport, RunMetrics};
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::SweepTask;
+use crate::experiment::{Ctx, Rendered, Results, Run};
+use crate::metrics::RunMetrics;
 
 const MLPS: [usize; 4] = [4, 8, 16, 32];
 const PREFETCH_DEGREES: [u32; 3] = [0, 2, 4];
 
-/// Runs the three ablation studies: executes (or replays) the flat
-/// 19-run sweep and renders the sections plus `results/ablation.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("ablation", args);
-    let plan = args.plan;
-    let sys = SystemConfig::default();
-    let gather = sys.granularity.gather() as u64;
-    let weight = Query::Q3.cost_hint(&plan);
+fn option_designs() -> [sam::design::Design; 4] {
+    [sam_io(), sam_en_no_fga(), sam_en_no_2d(), sam_en()]
+}
 
-    // All three studies' simulations are independent, so they go out as
-    // one flat sweep; the sections below slice the results back out in
-    // submission order.
-    let mut tasks: Vec<(u64, SweepTask<QueryRun>)> = Vec::new();
+/// All three studies' 19 runs as one flat plan; the render slices them
+/// back out in plan order. The studies run on the Table 2 system, not the
+/// command line's scheduler knobs.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let plan = ctx.args.plan;
+    let sys = SystemConfig::default();
     let w = Workload::new(Query::Q3, plan).with_system(sys);
-    let option_designs = [sam_io(), sam_en_no_fga(), sam_en_no_2d(), sam_en()];
-    tasks.push((
-        weight,
-        SweepTask::new("Q3/commodity/Row", move || {
-            run_query(&w, &commodity(), Store::Row)
-        }),
-    ));
-    for d in option_designs.clone() {
-        tasks.push((
-            weight,
-            SweepTask::new(format!("Q3/{}/Row", d.name), move || {
-                run_query(&w, &d, Store::Row)
-            }),
-        ));
+    let mut runs = vec![Run::query("Q3/commodity/Row", w, commodity(), Store::Row)];
+    for d in option_designs() {
+        runs.push(Run::query(format!("Q3/{}/Row", d.name), w, d, Store::Row));
     }
     for mlp in MLPS {
-        let mut s = sys;
-        s.mlp = mlp;
-        let w = Workload::new(Query::Q3, plan).with_system(s);
-        tasks.push((
-            weight,
-            SweepTask::new(format!("Q3/commodity mlp={mlp}"), move || {
-                run_query(&w, &commodity(), Store::Row)
-            }),
+        let w = Workload::new(Query::Q3, plan).with_system(SystemConfig { mlp, ..sys });
+        runs.push(Run::query(
+            format!("Q3/commodity mlp={mlp}"),
+            w,
+            commodity(),
+            Store::Row,
         ));
-        tasks.push((
-            weight,
-            SweepTask::new(format!("Q3/SAM-en mlp={mlp}"), move || {
-                run_query(&w, &sam_en(), Store::Row)
-            }),
+        runs.push(Run::query(
+            format!("Q3/SAM-en mlp={mlp}"),
+            w,
+            sam_en(),
+            Store::Row,
         ));
     }
-    let qs3_weight = Query::Qs3.cost_hint(&plan);
     for degree in PREFETCH_DEGREES {
-        let mut s = sys;
-        s.mlp = 2;
-        s.prefetch_degree = degree;
+        let s = SystemConfig {
+            mlp: 2,
+            prefetch_degree: degree,
+            ..sys
+        };
         let w = Workload::new(Query::Qs3, plan).with_system(s);
-        tasks.push((
-            qs3_weight,
-            SweepTask::new(format!("Qs3/commodity pf={degree}"), move || {
-                run_query(&w, &commodity(), Store::Row)
-            }),
+        runs.push(Run::query(
+            format!("Qs3/commodity pf={degree}"),
+            w,
+            commodity(),
+            Store::Row,
         ));
-        tasks.push((
-            qs3_weight,
-            SweepTask::new(format!("Qs3/SAM-en pf={degree}"), move || {
-                run_query(&w, &sam_en(), Store::Row)
-            }),
+        runs.push(Run::query(
+            format!("Qs3/SAM-en pf={degree}"),
+            w,
+            sam_en(),
+            Store::Row,
         ));
     }
-    let Some(runs) = resolve_sweep("ablation", args, tasks, replay) else {
-        obs.finish();
-        return;
-    };
-    let mut report = MetricsReport::new("ablation", plan, args.jobs, false);
+    runs
+}
+
+/// The three ablation sections plus `results/ablation.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let gather = SystemConfig::default().granularity.gather() as u64;
+    let runs = results.into_queries();
+    let option_designs = option_designs();
+    let mut report = ctx.report();
 
     println!("Ablation 1: SAM-en option decomposition on Q3 (Section 4.3)\n");
     let base = &runs[0];
@@ -203,6 +188,5 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
     println!("stride-aware prefetcher would be needed. At Table 2's MLP both scans");
     println!("are bandwidth-bound anyway, which is why the main configuration");
     println!("leaves prefetching off.");
-    report.write_or_die(&args.out);
-    obs.finish();
+    report.into()
 }

@@ -1,18 +1,11 @@
 //! Figure 12: speedup (normalized to the row-store commodity baseline)
 //! of every design on the Q and Qs query sets, with geometric means.
 
-use sam::system::SystemConfig;
-use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::traced::{TraceCollector, TraceOptions};
-use crate::{assemble_grid_chunk, figure12_designs, gmean, grid_chunk_len, grid_tasks, SpeedupRow};
+use crate::experiment::{Ctx, Rendered, Results, Run};
+use crate::{assemble_grid_chunk, figure12_designs, gmean, grid_chunk_len, grid_runs, SpeedupRow};
 
 fn groups() -> [(&'static str, Vec<Query>); 2] {
     [
@@ -21,115 +14,49 @@ fn groups() -> [(&'static str, Vec<Query>); 2] {
     ]
 }
 
-/// Runs the figure: executes (or replays) the 162-run grid and renders
-/// the two speedup tables plus `results/fig12.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("fig12", args);
-    let plan = args.plan;
-    let system = SystemConfig {
-        starvation_cap: args.starvation_cap,
-        drain_hi: args.drain_hi,
-        drain_lo: args.drain_lo,
-        debug_cores: args.has_flag("--debug-cores"),
-        ..SystemConfig::default()
-    };
-    if args.checked && !cfg!(feature = "check") {
-        eprintln!(
-            "fig12: --checked requires the `check` feature \
-             (on by default; rebuild without --no-default-features)"
-        );
-        std::process::exit(2);
-    }
-    if args.checked && args.trace.is_some() {
-        // The oracle and the lane tracer both want the run's command
-        // stream; keep the two audit modes separate runs.
-        eprintln!("fig12: --trace cannot be combined with --checked");
-        std::process::exit(2);
-    }
+/// The 162-run grid: per query, the baseline, every design, and the
+/// column-store run behind the ideal reference.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let designs = figure12_designs();
+    groups()
+        .into_iter()
+        .flat_map(|(_, queries)| queries)
+        .flat_map(|q| grid_runs(q, ctx.args.plan, ctx.system, &designs))
+        .collect()
+}
 
-    let mut report = MetricsReport::new("fig12", plan, args.jobs, args.checked)
-        .with_per_core(args.has_flag("--per-core"));
-    let mut audit = Audit::default();
-    let mut tracer = args
-        .trace
-        .as_deref()
-        .map(|_| TraceCollector::new("fig12", TraceOptions::new(args.epoch_len)));
-
-    let mut rendered: Vec<(&'static str, Vec<SpeedupRow>)> = Vec::new();
-    if args.checked || tracer.is_some() {
-        // The audit modes need live access to each run's command stream,
-        // so they bypass the shardable resolver (the CLI rejects
-        // `--shard` with `--checked`/`--trace`).
-        for (label, queries) in groups() {
-            let rows: Vec<SpeedupRow> = if args.checked {
-                audit.checked_rows(&queries, plan, system, args.jobs, &mut report)
-            } else {
-                tracer
-                    .as_mut()
-                    .expect("audit path implies a tracer")
-                    .grid_rows(&queries, plan, system, &figure12_designs(), args.jobs)
-                    .into_iter()
-                    .map(|(row, metrics)| {
-                        report.runs.extend(metrics);
-                        row
-                    })
-                    .collect()
-            };
-            rendered.push((label, rows));
-        }
-    } else {
-        let designs = figure12_designs();
-        let mut tasks = Vec::new();
-        for (_, queries) in groups() {
-            for q in queries {
-                let weight = q.cost_hint(&plan);
-                for task in grid_tasks(q, plan, system, &designs) {
-                    tasks.push((weight, task));
-                }
-            }
-        }
-        let Some(runs) = resolve_sweep("fig12", args, tasks, replay) else {
-            obs.finish();
-            return;
-        };
-        let chunk = grid_chunk_len(&designs);
-        let gather = system.granularity.gather() as u64;
-        let mut offset = 0;
-        for (label, queries) in groups() {
-            let count = queries.len() * chunk;
-            let rows = runs[offset..offset + count]
-                .chunks(chunk)
-                .map(|c| {
-                    let (row, metrics) = assemble_grid_chunk(c, &designs, gather);
-                    report.runs.extend(metrics);
-                    row
-                })
-                .collect();
-            offset += count;
-            rendered.push((label, rows));
-        }
-    }
-
+/// The two speedup tables plus `results/fig12.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let plan = ctx.args.plan;
     println!(
         "Figure 12: speedup vs row-store baseline (Ta rows = {}, Tb rows = {}, SSC-DSD 4-bit granularity){}\n",
         plan.ta_records,
         plan.tb_records,
-        if args.checked { " [checked]" } else { "" }
+        if ctx.args.checked { " [checked]" } else { "" }
     );
-    for (label, rows) in rendered {
+    let designs = figure12_designs();
+    let chunk = grid_chunk_len(&designs);
+    let mut report = ctx.report();
+    let violations = results.violations.clone();
+    let runs = results.into_queries();
+    let mut offset = 0;
+    for (label, queries) in groups() {
+        let count = queries.len() * chunk;
+        let rows = runs[offset..offset + count]
+            .chunks(chunk)
+            .map(|c| {
+                let (row, metrics) = assemble_grid_chunk(c, &designs, ctx.gather());
+                report.runs.extend(metrics);
+                row
+            })
+            .collect();
+        offset += count;
         print_group(label, rows);
     }
-    report.write_or_die(&args.out);
-    if report.per_core {
-        report.write_rollup_or_die(&args.out);
+    for (metrics, v) in report.runs.iter_mut().zip(violations) {
+        metrics.check_violations = v;
     }
-    if let Some(tracer) = &tracer {
-        tracer.write_or_die(args.trace.as_deref().expect("tracer implies a path"));
-    }
-    obs.finish();
-    if args.checked {
-        audit.summarize_and_exit();
-    }
+    report.into()
 }
 
 fn print_group(label: &str, rows: Vec<SpeedupRow>) {
@@ -157,70 +84,4 @@ fn print_group(label: &str, rows: Vec<SpeedupRow>) {
     let gmeans: Vec<f64> = columns.iter().map(|c| gmean(c)).collect();
     table.row_f64("Gmean", &gmeans, 2);
     println!("{label}\n{table}");
-}
-
-/// Accumulates per-run check reports across the whole figure.
-#[derive(Default)]
-struct Audit {
-    #[cfg(feature = "check")]
-    reports: Vec<crate::checked::CheckReport>,
-}
-
-#[cfg(feature = "check")]
-impl Audit {
-    fn checked_rows(
-        &mut self,
-        queries: &[Query],
-        plan: PlanConfig,
-        system: SystemConfig,
-        jobs: usize,
-        report: &mut MetricsReport,
-    ) -> Vec<SpeedupRow> {
-        crate::checked::grid_rows_checked(queries, plan, system, jobs)
-            .into_iter()
-            .map(|q| {
-                report.runs.extend(q.metrics);
-                self.reports.extend(q.reports);
-                q.row
-            })
-            .collect()
-    }
-
-    fn summarize_and_exit(self) {
-        let runs = self.reports.len();
-        let commands: usize = self.reports.iter().map(|r| r.commands).sum();
-        let dirty: Vec<_> = self.reports.iter().filter(|r| !r.clean()).collect();
-        println!(
-            "Verification: {runs} runs, {commands} DRAM commands shadowed, {} dirty",
-            dirty.len()
-        );
-        for report in &dirty {
-            println!("  {} ({:?}):", report.design, report.store);
-            for v in report.violations.iter().take(10) {
-                println!("    protocol: {v}");
-            }
-            for v in report.cache_violations.iter().take(10) {
-                println!("    cache: {v}");
-            }
-        }
-        if !dirty.is_empty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-#[cfg(not(feature = "check"))]
-impl Audit {
-    fn checked_rows(
-        &mut self,
-        _queries: &[Query],
-        _plan: PlanConfig,
-        _system: SystemConfig,
-        _jobs: usize,
-        _report: &mut MetricsReport,
-    ) -> Vec<SpeedupRow> {
-        unreachable!("--checked exits early without the `check` feature")
-    }
-
-    fn summarize_and_exit(self) {}
 }

@@ -4,20 +4,14 @@
 use sam::design::Design;
 use sam::designs::commodity;
 use sam::layout::Store;
-use sam::system::SystemConfig;
-use sam_imdb::exec::{run_query, QueryRun, Workload};
+use sam_imdb::exec::Workload;
 use sam_imdb::query::Query;
 use sam_power::{breakdown, energy_uj, ActivityCounts, PowerParams};
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
+use crate::experiment::{Ctx, Rendered, Results, Run};
 use crate::figure12_designs;
-use crate::metrics::{MetricsReport, RunMetrics};
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::run_sweep_weighted_strict;
-use crate::traced::{TraceCollector, TraceOptions};
+use crate::metrics::RunMetrics;
 
 fn groups() -> [(&'static str, Vec<Query>); 4] {
     [
@@ -45,83 +39,44 @@ fn groups() -> [(&'static str, Vec<Query>); 4] {
     ]
 }
 
-/// Runs the figure: executes (or replays) the flat (group × design ×
-/// query) sweep and renders the power/efficiency tables plus
-/// `results/fig13.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("fig13", args);
-    let plan = args.plan;
-    let system = SystemConfig {
-        starvation_cap: args.starvation_cap,
-        drain_hi: args.drain_hi,
-        drain_lo: args.drain_lo,
-        debug_cores: args.has_flag("--debug-cores"),
-        ..SystemConfig::default()
-    };
-    let gather = system.granularity.gather() as u64;
-    let groups = groups();
-
+fn designs() -> Vec<Design> {
     let mut designs = vec![commodity()];
     designs.extend(figure12_designs());
+    designs
+}
 
-    // One flat sweep over every (group, design, query) simulation,
-    // executed heaviest-first ([`Query::cost_hint`]): the per-query costs
-    // are very uneven — Q1-Q10 (and the joins in particular) dominate —
-    // so cost-ranked execution keeps a heavy pair from landing last on
-    // one worker and gating the whole sweep. Results still come back in
-    // submission order, so the per-group/per-design aggregation below
-    // (and the output bytes) are independent of the weights.
-    let mut cases: Vec<(u64, String, Workload, Design)> = Vec::new();
-    for (_, queries) in &groups {
-        for design in &designs {
-            for q in queries {
-                cases.push((
-                    q.cost_hint(&plan),
-                    format!("{}/{}/Row", q.name(), design.name),
-                    Workload::new(*q, plan).with_system(system),
-                    design.clone(),
-                ));
+/// One run per (group, design, query), the commodity baseline first in
+/// each group. Per-query costs are very uneven — Q1-Q10 (and the joins in
+/// particular) dominate — so the cost-hint weights keep a heavy pair from
+/// landing last on one worker and gating the whole sweep.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for (_, queries) in groups() {
+        for design in designs() {
+            for q in &queries {
+                let label = format!("{}/{}/Row", q.name(), design.name);
+                let workload = Workload::new(*q, ctx.args.plan).with_system(ctx.system);
+                runs.push(Run::query(label, workload, design.clone(), Store::Row));
             }
         }
     }
-    let mut tracer = args
-        .trace
-        .as_deref()
-        .map(|_| TraceCollector::new("fig13", TraceOptions::new(args.epoch_len)));
-    let runs: Vec<QueryRun> = if let Some(tracer) = &mut tracer {
-        // The lane tracer needs live access to each run's command stream,
-        // so it bypasses the shardable resolver (the CLI rejects `--shard`
-        // with `--trace`).
-        let tasks = cases
-            .into_iter()
-            .map(|(cost, label, w, d)| (cost, tracer.task(label, w, d, Store::Row)))
-            .collect();
-        tracer.absorb(run_sweep_weighted_strict(args.jobs, tasks))
-    } else {
-        let tasks = cases
-            .into_iter()
-            .map(|(cost, label, w, d)| {
-                let task =
-                    crate::sweep::SweepTask::new(label, move || run_query(&w, &d, Store::Row));
-                (cost, task)
-            })
-            .collect();
-        let Some(runs) = resolve_sweep("fig13", args, tasks, replay) else {
-            obs.finish();
-            return;
-        };
-        runs
-    };
+    runs
+}
 
+/// The power/efficiency tables plus `results/fig13.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let plan = ctx.args.plan;
+    let gather = ctx.gather();
+    let designs = designs();
+    let runs = results.into_queries();
     println!(
         "Figure 13: average power (mW) by component and normalized energy efficiency\n\
          (Ta rows = {}, Tb rows = {})\n",
         plan.ta_records, plan.tb_records
     );
-    let mut report = MetricsReport::new("fig13", plan, args.jobs, false)
-        .with_per_core(args.has_flag("--per-core"));
+    let mut report = ctx.report();
     let mut next = 0usize;
-    for (label, queries) in &groups {
+    for (label, queries) in &groups() {
         // The commodity baseline is the first design, so its runs lead
         // the group's block — remember them for speedup metrics.
         let group_runs = &runs[next..next + designs.len() * queries.len()];
@@ -169,12 +124,5 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
         println!("{label}: power breakdown (mW)\n{power_table}");
         println!("{label}: energy efficiency (baseline energy / design energy)\n{eff_table}");
     }
-    report.write_or_die(&args.out);
-    if report.per_core {
-        report.write_rollup_or_die(&args.out);
-    }
-    if let Some(tracer) = &tracer {
-        tracer.write_or_die(args.trace.as_deref().expect("tracer implies a path"));
-    }
-    obs.finish();
+    report.into()
 }

@@ -6,17 +6,12 @@ use sam::designs::{gs_dram_ecc, rc_nvm_wd, sam_en, sam_io, sam_sub};
 use sam::system::SystemConfig;
 use sam_dram::timing::Substrate;
 use sam_imdb::exec::QueryRun;
-use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
+use crate::experiment::{Ctx, Rendered, Results, Run};
 use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::traced::{TraceCollector, TraceOptions};
-use crate::{assemble_grid_chunk, gmean, grid_chunk_len, grid_tasks};
+use crate::{assemble_grid_chunk, gmean, grid_chunk_len, grid_runs};
 
 fn all_queries() -> Vec<Query> {
     let mut qs = Query::q_set().to_vec();
@@ -107,165 +102,61 @@ fn panel_c() {
     println!("{table}");
 }
 
-fn panel_a_traced(
-    plan: PlanConfig,
-    system: SystemConfig,
-    jobs: usize,
-    report: &mut MetricsReport,
-    tracer: &mut TraceCollector,
-) {
-    println!("Figure 14(a): all-query gmean speedup under each substrate\n");
-    let mut table = TextTable::new(vec!["design", "NVM", "DRAM"]);
-    table.numeric();
-    for base in panel_a_rows() {
-        let mut row = Vec::new();
-        for substrate in [Substrate::Rram, Substrate::Dram] {
-            let design = base.clone().with_substrate(substrate);
-            let designs = std::slice::from_ref(&design);
-            let mut speedups = Vec::new();
-            for (r, metrics) in tracer.grid_rows(&all_queries(), plan, system, designs, jobs) {
-                speedups.push(r.speedups[0].1);
-                report.runs.extend(metrics);
-            }
-            row.push(gmean(&speedups));
+/// Every simulated cell of the selected panels, in panel order.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for cell in ctx.panels().iter().flat_map(|p| panel_cells(p, ctx.system)) {
+        for q in &cell.queries {
+            let one = std::slice::from_ref(&cell.design);
+            runs.extend(grid_runs(*q, ctx.args.plan, cell.system, one));
         }
-        table.row_f64(base.name, &row, 2);
     }
-    println!("{table}");
+    runs
 }
 
-fn panel_b_traced(
-    plan: PlanConfig,
-    system: SystemConfig,
-    jobs: usize,
-    report: &mut MetricsReport,
-    tracer: &mut TraceCollector,
-) {
-    println!("Figure 14(b): Q-query gmean speedup vs strided granularity\n");
-    let mut table = TextTable::new(vec!["design", "16-bit", "8-bit", "4-bit"]);
-    table.numeric();
-    for design in panel_b_rows() {
-        let mut row = Vec::new();
-        for gran in [Granularity::Bits16, Granularity::Bits8, Granularity::Bits4] {
-            let mut sys = system;
-            sys.granularity = gran;
-            let one = std::slice::from_ref(&design);
-            let mut speedups = Vec::new();
-            for (r, metrics) in tracer.grid_rows(&Query::q_set(), plan, sys, one, jobs) {
-                speedups.push(r.speedups[0].1);
-                report.runs.extend(metrics);
-            }
-            row.push(gmean(&speedups));
-        }
-        table.row_f64(design.name, &row, 2);
-    }
-    println!("{table}");
-}
-
-fn selected_panels(args: &BenchArgs) -> Vec<String> {
-    if args.panels.is_empty() {
-        vec!["a".into(), "b".into(), "c".into()]
-    } else {
-        args.panels.clone()
-    }
-}
-
-/// Runs the figure: executes (or replays) the flattened panel cells and
-/// renders the three panels plus `results/fig14.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("fig14", args);
-    let panels = selected_panels(args);
-    let plan = args.plan;
-    let system = SystemConfig {
-        starvation_cap: args.starvation_cap,
-        drain_hi: args.drain_hi,
-        drain_lo: args.drain_lo,
-        debug_cores: args.has_flag("--debug-cores"),
-        ..SystemConfig::default()
+/// The selected panels plus `results/fig14.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let panels = ctx.panels();
+    let runs = results.into_queries();
+    let mut report = ctx.report();
+    let mut cells = panels.iter().flat_map(|p| panel_cells(p, ctx.system));
+    let mut offset = 0usize;
+    let mut next_gmean = |report: &mut MetricsReport| {
+        let cell = cells.next().expect("cell list covers every panel table");
+        let count = cell.run_count();
+        let g = cell_gmean(&cell, &runs[offset..offset + count], report);
+        offset += count;
+        g
     };
-    let mut report = MetricsReport::new("fig14", plan, args.jobs, false)
-        .with_per_core(args.has_flag("--per-core"));
-    let mut tracer = args
-        .trace
-        .as_deref()
-        .map(|_| TraceCollector::new("fig14", TraceOptions::new(args.epoch_len)));
-
-    if let Some(tracer) = &mut tracer {
-        // The lane tracer needs live access to each run's command stream,
-        // so it bypasses the shardable resolver (the CLI rejects `--shard`
-        // with `--trace`).
-        for p in &panels {
-            match p.as_str() {
-                "a" => panel_a_traced(plan, system, args.jobs, &mut report, tracer),
-                "b" => panel_b_traced(plan, system, args.jobs, &mut report, tracer),
-                "c" => panel_c(),
-                _ => unreachable!(),
-            }
-        }
-    } else {
-        let cells: Vec<Cell> = panels.iter().flat_map(|p| panel_cells(p, system)).collect();
-        let mut tasks = Vec::new();
-        for cell in &cells {
-            for q in &cell.queries {
-                let weight = q.cost_hint(&plan);
-                let one = std::slice::from_ref(&cell.design);
-                for task in grid_tasks(*q, plan, cell.system, one) {
-                    tasks.push((weight, task));
+    for p in &panels {
+        match *p {
+            "a" => {
+                println!("Figure 14(a): all-query gmean speedup under each substrate\n");
+                let mut table = TextTable::new(vec!["design", "NVM", "DRAM"]);
+                table.numeric();
+                for base in panel_a_rows() {
+                    let row = [next_gmean(&mut report), next_gmean(&mut report)];
+                    table.row_f64(base.name, &row, 2);
                 }
+                println!("{table}");
             }
-        }
-        let Some(runs) = resolve_sweep("fig14", args, tasks, replay) else {
-            obs.finish();
-            return;
-        };
-
-        let mut cells = cells.into_iter();
-        let mut offset = 0usize;
-        let mut next_gmean = |report: &mut MetricsReport| {
-            let cell = cells.next().expect("cell list covers every panel table");
-            let count = cell.run_count();
-            let g = cell_gmean(&cell, &runs[offset..offset + count], report);
-            offset += count;
-            g
-        };
-        for p in &panels {
-            match p.as_str() {
-                "a" => {
-                    println!("Figure 14(a): all-query gmean speedup under each substrate\n");
-                    let mut table = TextTable::new(vec!["design", "NVM", "DRAM"]);
-                    table.numeric();
-                    for base in panel_a_rows() {
-                        let row = [next_gmean(&mut report), next_gmean(&mut report)];
-                        table.row_f64(base.name, &row, 2);
-                    }
-                    println!("{table}");
+            "b" => {
+                println!("Figure 14(b): Q-query gmean speedup vs strided granularity\n");
+                let mut table = TextTable::new(vec!["design", "16-bit", "8-bit", "4-bit"]);
+                table.numeric();
+                for design in panel_b_rows() {
+                    let row = [
+                        next_gmean(&mut report),
+                        next_gmean(&mut report),
+                        next_gmean(&mut report),
+                    ];
+                    table.row_f64(design.name, &row, 2);
                 }
-                "b" => {
-                    println!("Figure 14(b): Q-query gmean speedup vs strided granularity\n");
-                    let mut table = TextTable::new(vec!["design", "16-bit", "8-bit", "4-bit"]);
-                    table.numeric();
-                    for design in panel_b_rows() {
-                        let row = [
-                            next_gmean(&mut report),
-                            next_gmean(&mut report),
-                            next_gmean(&mut report),
-                        ];
-                        table.row_f64(design.name, &row, 2);
-                    }
-                    println!("{table}");
-                }
-                "c" => panel_c(),
-                _ => unreachable!(),
+                println!("{table}");
             }
+            "c" => panel_c(),
+            _ => unreachable!(),
         }
     }
-
-    report.write_or_die(&args.out);
-    if report.per_core {
-        report.write_rollup_or_die(&args.out);
-    }
-    if let Some(tracer) = &tracer {
-        tracer.write_or_die(args.trace.as_deref().expect("tracer implies a path"));
-    }
-    obs.finish();
+    report.into()
 }

@@ -4,18 +4,13 @@
 
 use sam::design::Design;
 use sam::designs::{gs_dram_ecc, rc_nvm_wd, sam_en};
-use sam::system::SystemConfig;
 use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
+use crate::experiment::{Ctx, Rendered, Results, Run};
 use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::traced::{TraceCollector, TraceOptions};
-use crate::{assemble_grid_chunk, grid_chunk_len, grid_tasks};
+use crate::{assemble_grid_chunk, grid_chunk_len, grid_runs, GridRow};
 
 fn designs() -> Vec<Design> {
     vec![rc_nvm_wd(), gs_dram_ecc(), sam_en()]
@@ -23,8 +18,6 @@ fn designs() -> Vec<Design> {
 
 const SELECTIVITIES: [f64; 7] = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
 const PROJECTIVITIES: [u32; 7] = [4, 8, 16, 32, 64, 96, 128];
-
-const ALL_PANELS: [&str; 9] = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
 
 /// One panel's rendering plan: the heading, the table's first column
 /// header, and one (label, query, plan) row per swept point.
@@ -136,85 +129,45 @@ fn build_panel(p: &str, plan: PlanConfig) -> Panel {
     }
 }
 
-/// Runs the figure: executes (or replays) the selected panels' parametric
-/// sweeps and renders each panel's table plus `results/fig15.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("fig15", args);
-    let panels: Vec<&str> = if args.panels.is_empty() {
-        ALL_PANELS.to_vec()
-    } else {
-        args.panels.iter().map(String::as_str).collect()
-    };
-    let plan = args.plan;
-    let system = SystemConfig {
-        starvation_cap: args.starvation_cap,
-        drain_hi: args.drain_hi,
-        drain_lo: args.drain_lo,
-        debug_cores: args.has_flag("--debug-cores"),
-        ..SystemConfig::default()
-    };
-    let mut report = MetricsReport::new("fig15", plan, args.jobs, false)
-        .with_per_core(args.has_flag("--per-core"));
-    let mut tracer = args
-        .trace
-        .as_deref()
-        .map(|_| TraceCollector::new("fig15", TraceOptions::new(args.epoch_len)));
+fn panels(ctx: &Ctx) -> Vec<Panel> {
+    ctx.panels()
+        .into_iter()
+        .map(|p| build_panel(p, ctx.args.plan))
+        .collect()
+}
+
+/// Every selected panel's parametric sweep points, in panel order.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for panel in panels(ctx) {
+        for (q, p) in panel.cases {
+            runs.extend(grid_runs(q, p, ctx.system, &designs()));
+        }
+    }
+    runs
+}
+
+/// Each selected panel's table plus `results/fig15.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
     let ds = designs();
-    let built: Vec<Panel> = panels.iter().map(|p| build_panel(p, plan)).collect();
-
-    if let Some(tracer) = &mut tracer {
-        // The lane tracer needs live access to each run's command stream,
-        // so it bypasses the shardable resolver (the CLI rejects `--shard`
-        // with `--trace`).
-        for panel in &built {
-            println!("{}", panel.heading);
-            let rows = tracer.grid_rows_with_plans(&panel.cases, system, &ds, args.jobs);
-            render_panel(panel, rows.into_iter(), &mut report);
-        }
-    } else {
-        let mut tasks = Vec::new();
-        for panel in &built {
-            for (q, p) in &panel.cases {
-                let weight = q.cost_hint(p);
-                for task in grid_tasks(*q, *p, system, &ds) {
-                    tasks.push((weight, task));
-                }
-            }
-        }
-        let Some(runs) = resolve_sweep("fig15", args, tasks, replay) else {
-            obs.finish();
-            return;
-        };
-        let chunk = grid_chunk_len(&ds);
-        let gather = system.granularity.gather() as u64;
-        let mut offset = 0usize;
-        for panel in &built {
-            println!("{}", panel.heading);
-            let count = panel.cases.len() * chunk;
-            let rows = runs[offset..offset + count]
-                .chunks(chunk)
-                .map(|c| assemble_grid_chunk(c, &ds, gather));
-            offset += count;
-            render_panel(panel, rows, &mut report);
-        }
+    let chunk = grid_chunk_len(&ds);
+    let runs = results.into_queries();
+    let mut report = ctx.report();
+    let mut offset = 0usize;
+    for panel in panels(ctx) {
+        println!("{}", panel.heading);
+        let count = panel.cases.len() * chunk;
+        let rows = runs[offset..offset + count]
+            .chunks(chunk)
+            .map(|c| assemble_grid_chunk(c, &ds, ctx.gather()));
+        offset += count;
+        render_panel(&panel, rows, &mut report);
     }
-
-    report.write_or_die(&args.out);
-    if report.per_core {
-        report.write_rollup_or_die(&args.out);
-    }
-    if let Some(tracer) = &tracer {
-        tracer.write_or_die(args.trace.as_deref().expect("tracer implies a path"));
-    }
-    obs.finish();
+    report.into()
 }
 
 /// Prints one panel's table from its assembled grid rows.
-fn render_panel(
-    panel: &Panel,
-    rows: impl Iterator<Item = crate::GridRow>,
-    report: &mut MetricsReport,
-) {
+fn render_panel(panel: &Panel, rows: impl Iterator<Item = GridRow>, report: &mut MetricsReport) {
     let mut table = TextTable::new(vec![
         panel.first_column,
         "RC-NVM-wd",

@@ -3,82 +3,28 @@
 //! write policy) point, normalized per query to the flat RC-NVM-wd
 //! baseline.
 
-use sam::layout::Store;
-use sam::system::SystemConfig;
-use sam_imdb::exec::{QueryRun, Workload};
-use sam_imdb::plan::PlanConfig;
-use sam_trace::RunTrace;
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::fig16::{
-    assemble_chunk, backing_design, chunk_len, grid_tasks, point_configs, point_label, queries,
-    Fig16Report,
-};
+use crate::experiment::{Ctx, Rendered, Results, Run};
+use crate::fig16::{assemble_chunk, chunk_len, grid_runs, queries, Fig16Report};
 use crate::metrics::RunMetrics;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::{run_sweep_strict, SweepTask};
-use crate::traced::{TraceCollector, TraceOptions};
 
-/// Runs the figure: executes (or replays) the per-query baseline +
-/// hybrid-point grid and renders the table plus `results/fig16.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("fig16", args);
-    let plan = args.plan;
-    let system = SystemConfig {
-        starvation_cap: args.starvation_cap,
-        drain_hi: args.drain_hi,
-        drain_lo: args.drain_lo,
-        debug_cores: args.has_flag("--debug-cores"),
-        ..SystemConfig::default()
-    };
-    if args.checked && !cfg!(feature = "check") {
-        eprintln!(
-            "fig16: --checked requires the `check` feature \
-             (on by default; rebuild without --no-default-features)"
-        );
-        std::process::exit(2);
-    }
-    if args.checked && args.trace.is_some() {
-        // Same split as fig12: the oracles and the lane tracer both want
-        // the run's command stream.
-        eprintln!("fig16: --trace cannot be combined with --checked");
-        std::process::exit(2);
-    }
+/// Per query, the flat baseline plus every hybrid point. Under
+/// `--checked` the executor shadows the flat runs with one oracle and
+/// every hybrid point with two, one per device stream.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    queries()
+        .into_iter()
+        .flat_map(|q| grid_runs(q, ctx.args.plan, ctx.system))
+        .collect()
+}
 
-    let mut report = Fig16Report::new(plan, args.checked, args.has_flag("--per-core"));
-    let mut audit = Audit::default();
-    let mut tracer = args
-        .trace
-        .as_deref()
-        .map(|_| TraceCollector::new("fig16", TraceOptions::new(args.epoch_len)));
-
-    let runs: Vec<QueryRun> = if args.checked {
-        audit.checked_runs(plan, system, args.jobs)
-    } else if let Some(tracer) = tracer.as_mut() {
-        let tasks = traced_tasks(tracer, plan, system);
-        tracer.absorb(run_sweep_strict(args.jobs, tasks))
-    } else {
-        let mut tasks = Vec::new();
-        for q in queries() {
-            let weight = q.cost_hint(&plan);
-            for task in grid_tasks(q, plan, system) {
-                tasks.push((weight, task));
-            }
-        }
-        match resolve_sweep("fig16", args, tasks, replay) {
-            Some(runs) => runs,
-            None => {
-                obs.finish();
-                return;
-            }
-        }
-    };
-
-    let gather = system.granularity.gather() as u64;
-    let violations = audit.violation_counts();
+/// The table plus `results/fig16.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let args = ctx.args;
+    let mut report = Fig16Report::new(args.plan, args.checked, args.has_flag("--per-core"));
+    let violations = results.violations.clone();
+    let runs = results.into_queries();
     let mut table = TextTable::new(vec![
         "config",
         "cycles",
@@ -89,14 +35,12 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
         "energy (uJ)",
     ]);
     table.numeric();
-    for (qi, (q, chunk)) in queries().iter().zip(runs.chunks(chunk_len())).enumerate() {
-        let (mut baseline, mut points) = assemble_chunk(chunk, *q, gather);
-        if !violations.is_empty() {
-            let per_run = &violations[qi * chunk_len()..(qi + 1) * chunk_len()];
-            baseline.check_violations = per_run[0];
-            for (p, v) in points.iter_mut().zip(&per_run[1..]) {
-                p.run.check_violations = *v;
-            }
+    let chunks = runs.chunks(chunk_len()).zip(violations.chunks(chunk_len()));
+    for (q, (chunk, violations)) in queries().iter().zip(chunks) {
+        let (mut baseline, mut points) = assemble_chunk(chunk, *q, ctx.gather());
+        baseline.check_violations = violations[0];
+        for (p, v) in points.iter_mut().zip(&violations[1..]) {
+            p.run.check_violations = *v;
         }
         baseline_row(&mut table, &q.name(), &baseline);
         for p in &points {
@@ -116,19 +60,12 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
 
     println!(
         "Figure 16: DRAM-cache hybrid over RC-NVM-wd (Ta rows = {}, Tb rows = {}, DDR4 front cache){}\n",
-        plan.ta_records,
-        plan.tb_records,
+        args.plan.ta_records,
+        args.plan.tb_records,
         if args.checked { " [checked]" } else { "" }
     );
     println!("{table}");
-    report.write_or_die(&args.out);
-    if let Some(tracer) = &tracer {
-        tracer.write_or_die(args.trace.as_deref().expect("tracer implies a path"));
-    }
-    obs.finish();
-    if args.checked {
-        audit.summarize_and_exit();
-    }
+    report.to_json().into()
 }
 
 fn baseline_row(table: &mut TextTable, query: &str, baseline: &RunMetrics) {
@@ -141,127 +78,4 @@ fn baseline_row(table: &mut TextTable, query: &str, baseline: &RunMetrics) {
         "-".into(),
         format!("{:.1}", baseline.energy_uj),
     ]);
-}
-
-/// The sweep as traced tasks, mirroring [`grid_tasks`] labels and order.
-fn traced_tasks(
-    tracer: &TraceCollector,
-    plan: PlanConfig,
-    system: SystemConfig,
-) -> Vec<SweepTask<'static, (QueryRun, RunTrace)>> {
-    let mut tasks = Vec::new();
-    for query in queries() {
-        let name = query.name();
-        let flat = Workload::new(query, plan).with_system(system);
-        tasks.push(tracer.task(format!("{name}/flat"), flat, backing_design(), Store::Row));
-        for cfg in point_configs() {
-            let hybrid = SystemConfig {
-                hybrid: Some(cfg),
-                ..system
-            };
-            let workload = Workload::new(query, plan).with_system(hybrid);
-            tasks.push(tracer.task(
-                point_label(query, &cfg),
-                workload,
-                backing_design(),
-                Store::Row,
-            ));
-        }
-    }
-    tasks
-}
-
-/// Accumulates per-run check reports across the whole figure. The flat
-/// baseline is shadowed by the standard single-level oracle; every hybrid
-/// point shadows **both** device streams (DDR4 front + RRAM backing).
-#[derive(Default)]
-struct Audit {
-    #[cfg(feature = "check")]
-    reports: Vec<crate::checked::CheckReport>,
-}
-
-#[cfg(feature = "check")]
-impl Audit {
-    fn checked_runs(
-        &mut self,
-        plan: PlanConfig,
-        system: SystemConfig,
-        jobs: usize,
-    ) -> Vec<QueryRun> {
-        use crate::checked::{run_query_checked, run_query_checked_hybrid};
-        let mut tasks = Vec::new();
-        for query in queries() {
-            let name = query.name();
-            let flat = Workload::new(query, plan).with_system(system);
-            tasks.push(SweepTask::new(
-                format!("{name}/flat [checked]"),
-                move || run_query_checked(&flat, &backing_design(), Store::Row),
-            ));
-            for cfg in point_configs() {
-                let hybrid = SystemConfig {
-                    hybrid: Some(cfg),
-                    ..system
-                };
-                let workload = Workload::new(query, plan).with_system(hybrid);
-                tasks.push(SweepTask::new(
-                    format!("{} [checked]", point_label(query, &cfg)),
-                    move || run_query_checked_hybrid(&workload, &backing_design(), Store::Row),
-                ));
-            }
-        }
-        let outcomes = run_sweep_strict(jobs, tasks);
-        let mut runs = Vec::with_capacity(outcomes.len());
-        for (run, report) in outcomes {
-            runs.push(run);
-            self.reports.push(report);
-        }
-        runs
-    }
-
-    fn violation_counts(&self) -> Vec<u64> {
-        self.reports
-            .iter()
-            .map(|r| (r.violations.len() + r.cache_violations.len()) as u64)
-            .collect()
-    }
-
-    fn summarize_and_exit(self) {
-        let runs = self.reports.len();
-        let commands: usize = self.reports.iter().map(|r| r.commands).sum();
-        let dirty: Vec<_> = self.reports.iter().filter(|r| !r.clean()).collect();
-        println!(
-            "Verification: {runs} runs, {commands} DRAM commands shadowed, {} dirty",
-            dirty.len()
-        );
-        for report in &dirty {
-            println!("  {} ({:?}):", report.design, report.store);
-            for v in report.violations.iter().take(10) {
-                println!("    protocol: {v}");
-            }
-            for v in report.cache_violations.iter().take(10) {
-                println!("    cache: {v}");
-            }
-        }
-        if !dirty.is_empty() {
-            std::process::exit(1);
-        }
-    }
-}
-
-#[cfg(not(feature = "check"))]
-impl Audit {
-    fn checked_runs(
-        &mut self,
-        _plan: PlanConfig,
-        _system: SystemConfig,
-        _jobs: usize,
-    ) -> Vec<QueryRun> {
-        unreachable!("--checked exits early without the `check` feature")
-    }
-
-    fn violation_counts(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn summarize_and_exit(self) {}
 }

@@ -1,16 +1,20 @@
-//! The bench binaries' logic, structured as plan → execute → render.
+//! The experiment registry: every bench binary's model code, and the one
+//! table that names them.
 //!
-//! Each submodule owns one binary: it builds the full sweep as a flat
-//! weighted task list, resolves it through
-//! [`crate::shard::resolve_sweep`] (local run, `--shard K/N` envelope,
-//! or merge replay), and renders stdout tables and the metrics JSON
-//! *only* from the resolved results. Because rendering never looks at
-//! anything but the results and the parsed args, `sam-check
-//! merge-shards` reproduces a local run's bytes exactly by replaying the
-//! render over decoded records.
+//! Each submodule owns one experiment's plan (every run described as data:
+//! label, workload, design, store, or the stress cell) and its render
+//! (stdout tables and the `--out` document, built only from the finished
+//! runs and the parsed args). [`EXPERIMENTS`] registers each with the flags
+//! it accepts; everything cross-cutting — argument parsing, observability,
+//! `--jobs`, `--checked`, `--trace`, `--per-core`, `--shard` and the
+//! `sam-check merge-shards` replay — lives once in
+//! [`crate::experiment::drive`]. Because a render sees only results and
+//! args, the merge reproduces a local run's bytes exactly by rendering
+//! decoded records.
 //!
-//! The `fn main` under `src/bin/` is a thin wrapper: parse args with
-//! [`crate::shard::spec_for`], call `run(&args, None)`.
+//! The `fn main` under `src/bin/` is one line: [`main`] with the binary's
+//! own name. `sam-check merge-shards` finds its experiment with [`find`],
+//! and the `harness` binary runs every entry.
 
 pub mod ablation;
 pub mod fig12;
@@ -23,32 +27,111 @@ pub mod reliability;
 pub mod stress;
 pub mod tables;
 
-use sam_util::json::Json;
+use sam_imdb::plan::PlanConfig;
 
-use crate::cli::BenchArgs;
+use crate::cli::{parse_args, ArgSpec};
+use crate::experiment::{drive, Experiment};
 
-/// Replays `bin`'s render phase over merged `(label, record)` runs, as
-/// if the binary had executed them locally. Used by `sam-check
-/// merge-shards` after the merge oracle validates the envelopes.
+/// `--debug-cores` / `--per-core`: the per-core lanes of the simulating
+/// figures.
+const PER_CORE: &[&str] = &["--debug-cores", "--per-core"];
+
+/// Every registered experiment, by binary name.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new(
+        ArgSpec::experiment("fig12")
+            .with_checked()
+            .with_trace()
+            .with_flags(PER_CORE),
+        fig12::plan,
+        fig12::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("fig13")
+            .with_trace()
+            .with_flags(PER_CORE),
+        fig13::plan,
+        fig13::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("fig14")
+            .with_panels(&["a", "b", "c"])
+            .with_trace()
+            .with_flags(PER_CORE),
+        fig14::plan,
+        fig14::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("fig15")
+            .with_panels(&["a", "b", "c", "d", "e", "f", "g", "h", "i"])
+            .with_trace()
+            .with_flags(PER_CORE),
+        fig15::plan,
+        fig15::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("fig16")
+            .with_checked()
+            .with_trace()
+            .with_flags(PER_CORE),
+        fig16::plan,
+        fig16::render,
+    ),
+    Experiment::new(ArgSpec::experiment("table1"), tables::plan, tables::table1),
+    Experiment::new(ArgSpec::experiment("table2"), tables::plan, tables::table2),
+    Experiment::new(ArgSpec::experiment("table3"), tables::plan, tables::table3),
+    Experiment::new(
+        ArgSpec::experiment("ablation"),
+        ablation::plan,
+        ablation::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("motivation"),
+        motivation::plan,
+        motivation::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("reliability").with_trials(),
+        reliability::plan,
+        reliability::render,
+    ),
+    Experiment::new(
+        ArgSpec::experiment("stress")
+            .with_trace()
+            .with_panels(&[
+                "row-hit-flood",
+                "ping-pong",
+                "write-burst",
+                "faw-train",
+                "sector-straddle",
+            ])
+            .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
+        stress::plan,
+        stress::render,
+    )
+    .with_bypass(stress::bypass),
+];
+
+/// The registered experiment named `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|exp| exp.name() == name)
+}
+
+/// A bench binary's whole `main`: parses the process arguments against
+/// experiment `name`'s flags (exit 2 with usage on a bad command line),
+/// runs it, and exits with its status.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a message when `bin` is not a sweep-driven binary.
-pub fn replay(bin: &str, args: &BenchArgs, runs: &[(String, Json)]) -> Result<(), String> {
-    match bin {
-        "fig12" => fig12::run(args, Some(runs)),
-        "fig13" => fig13::run(args, Some(runs)),
-        "fig14" => fig14::run(args, Some(runs)),
-        "fig15" => fig15::run(args, Some(runs)),
-        "fig16" => fig16::run(args, Some(runs)),
-        "table1" => tables::run("table1", args, Some(runs)),
-        "table2" => tables::run("table2", args, Some(runs)),
-        "table3" => tables::run("table3", args, Some(runs)),
-        "ablation" => ablation::run(args, Some(runs)),
-        "motivation" => motivation::run(args, Some(runs)),
-        "reliability" => reliability::run(args, Some(runs)),
-        "stress" => stress::run(args, Some(runs)),
-        other => return Err(format!("no sweep-driven binary named '{other}'")),
+/// If `name` is not registered.
+pub fn main(name: &str) -> ! {
+    let exp = find(name).unwrap_or_else(|| panic!("no experiment named '{name}'"));
+    let args = parse_args(&exp.spec, PlanConfig::default_scale());
+    match drive(exp, &args, None) {
+        Ok(code) => std::process::exit(code),
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            std::process::exit(1);
+        }
     }
-    Ok(())
 }

@@ -1,20 +1,19 @@
 //! The Section 1 motivation experiment: sub-ranked memory (AGMS/DGMS)
 //! vs SAM on random point reads and a strided field scan.
 
+use std::sync::Arc;
+
+use sam::design::Design;
 use sam::designs::{commodity, dgms, sam_en};
 use sam::layout::{Store, TableSpec};
 use sam::ops::TraceOp;
-use sam::system::{RunResult, System, SystemConfig};
+use sam::system::SystemConfig;
 use sam_imdb::plan::TA_BASE;
-use sam_util::json::Json;
 use sam_util::rng::Xoshiro256StarStar;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::metrics::{MetricsReport, RunMetrics};
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::SweepTask;
+use crate::experiment::{Ctx, Job, Rendered, Results, Run};
+use crate::metrics::RunMetrics;
 
 /// Random single-field point reads: each core touches records scattered
 /// over the table, one random field each (sub-rank-friendly).
@@ -39,42 +38,46 @@ fn strided_scan(records: u64, cores: usize) -> Vec<Vec<TraceOp>> {
     })
 }
 
-/// Runs the motivation experiment: executes (or replays) the 2×3 grid
-/// and renders the normalized table plus `results/motivation.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("motivation", args);
-    let records = args.plan.ta_records;
+const WORKLOADS: [&str; 2] = ["random point reads", "strided field scan"];
+
+fn designs() -> [Design; 3] {
+    [commodity(), dgms(), sam_en()]
+}
+
+/// The 2×3 grid (workload × design) on the Table 2 system, each run
+/// weighted by the table's record count.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let records = ctx.args.plan.ta_records;
     let table = TableSpec::ta(TA_BASE, records);
-    let sys = SystemConfig::default();
-    let gather = sys.granularity.gather() as u64;
-
-    let workloads = [
-        (
-            "random point reads",
-            random_point_reads(records, records as usize, 4, 0xD1CE),
-        ),
-        ("strided field scan", strided_scan(records, 4)),
+    let traces = [
+        random_point_reads(records, records as usize, 4, 0xD1CE),
+        strided_scan(records, 4),
     ];
-    let designs = [commodity(), dgms(), sam_en()];
-    let tasks: Vec<(u64, SweepTask<RunResult>)> = workloads
-        .iter()
-        .flat_map(|(label, traces)| {
-            designs.iter().map(move |design| {
-                let design = design.clone();
-                (
-                    records,
-                    SweepTask::new(format!("{label}/{}", design.name), move || {
-                        System::new(sys, design, Store::Row).run(&[table], traces)
-                    }),
-                )
-            })
-        })
-        .collect();
-    let Some(runs) = resolve_sweep("motivation", args, tasks, replay) else {
-        obs.finish();
-        return;
-    };
+    let mut runs = Vec::new();
+    for (label, traces) in WORKLOADS.iter().zip(traces) {
+        let traces = Arc::new(traces);
+        for design in designs() {
+            runs.push(Run {
+                label: format!("{label}/{}", design.name),
+                weight: records,
+                job: Job::Traces {
+                    system: SystemConfig::default(),
+                    design,
+                    table,
+                    traces: traces.clone(),
+                },
+            });
+        }
+    }
+    runs
+}
 
+/// The normalized table plus `results/motivation.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let records = ctx.args.plan.ta_records;
+    let gather = SystemConfig::default().granularity.gather() as u64;
+    let designs = designs();
+    let runs = results.into_run_results();
     println!(
         "Section 1 motivation: sub-ranking vs SAM on random and strided accesses\n\
          (Ta = {records} x 1KB records; cycles normalized to commodity DRAM)\n"
@@ -82,8 +85,8 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
     let mut out = TextTable::new(vec!["workload", "commodity", "DGMS (sub-ranked)", "SAM-en"]);
     out.numeric();
 
-    let mut report = MetricsReport::new("motivation", args.plan, args.jobs, false);
-    for (wi, (label, _)) in workloads.iter().enumerate() {
+    let mut report = ctx.report();
+    for (wi, label) in WORKLOADS.iter().enumerate() {
         let chunk = &runs[wi * designs.len()..(wi + 1) * designs.len()];
         let base = &chunk[0];
         let mut row = Vec::new();
@@ -105,6 +108,5 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
     println!("Sub-ranking helps when accesses scatter across sub-ranks (random");
     println!("reads) but a strided scan hits one word offset — one sub-rank —");
     println!("so DGMS stays near 1x while SAM gathers 8 records per burst.");
-    report.write_or_die(&args.out);
-    obs.finish();
+    report.into()
 }

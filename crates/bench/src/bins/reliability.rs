@@ -2,39 +2,31 @@
 //! chipkill fault injection under each design's codeword layout.
 
 use sam::designs::all_designs;
-use sam_ecc::codes::SscCode;
-use sam_ecc::inject::{chipkill_campaign, CampaignReport};
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::SweepTask;
+use crate::experiment::{Ctx, Job, Rendered, Results, Run};
 
-/// Runs the campaign: executes (or replays) one injection sweep per
-/// design and renders the table plus `results/reliability.json`.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("reliability", args);
-    let trials = args.trials as usize;
-
-    let tasks: Vec<(u64, SweepTask<CampaignReport>)> = all_designs()
+/// One injection campaign per design, weighted by `--trials`.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    let trials = ctx.args.trials;
+    all_designs()
         .into_iter()
-        .map(|design| {
-            (
-                args.trials,
-                SweepTask::new(design.name, move || {
-                    chipkill_campaign(&SscCode::new(), design.codeword_layout, trials, 0xC41F)
-                }),
-            )
+        .map(|design| Run {
+            label: design.name.to_string(),
+            weight: trials,
+            job: Job::Campaign {
+                layout: design.codeword_layout,
+                trials: trials as usize,
+                seed: 0xC41F,
+            },
         })
-        .collect();
-    let Some(reports) = resolve_sweep("reliability", args, tasks, replay) else {
-        obs.finish();
-        return;
-    };
+        .collect()
+}
 
+/// The campaign table plus `results/reliability.json`.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let trials = ctx.args.trials;
+    let reports = results.into_campaigns();
     println!(
         "Chipkill fault-injection campaign: {trials} corruption patterns per chip x 18 chips\n"
     );
@@ -66,6 +58,5 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
     println!("GS-DRAM's strided gather cannot co-fetch ECC symbols (Section 3.3.1):");
     println!("its strided accesses run unprotected, while every SAM layout corrects");
     println!("all whole-chip failures (Sections 4.1-4.3).");
-    MetricsReport::new("reliability", args.plan, args.jobs, false).write_or_die(&args.out);
-    obs.finish();
+    ctx.report().into()
 }

@@ -2,91 +2,59 @@
 //! across scheduler knob settings, with behavioural-invariant checking
 //! and failing-stream shrinking.
 
-use sam_stress::driver::run_stream;
+use sam_stress::diff::DiffCase;
 use sam_stress::report::{json_report, PatternReport};
 use sam_stress::shrink::{first_violation, shrink_stream};
 use sam_stress::stream::{format_stream, DeviceKind, StressConfig};
 use sam_stress::{InvariantKind, Pattern, PatternParams};
-use sam_util::json::Json;
 
-use crate::cli::BenchArgs;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::stressrun::{
-    assemble_reports, render_report, run_stress, standard_cases, write_json_or_die,
-};
-use crate::sweep::SweepTask;
-use crate::traced::{TraceCollector, TraceOptions};
+use crate::experiment::{Ctx, Doc, Rendered, Results, Run};
+use crate::stressrun::{assemble_reports, cells, render_report, standard_cases};
 
-/// Runs the stress grid: executes (or replays) every (pattern, case)
-/// cell, renders the differential table and `results/stress.json`, and
-/// exits 1 after shrinking a repro if any invariant was violated.
-pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start("stress", args);
-    let repro_path = args.out.with_file_name("stress.repro.trace");
+fn patterns(ctx: &Ctx) -> Vec<Pattern> {
+    ctx.panels()
+        .into_iter()
+        .map(|n| Pattern::from_name(n).expect("panel names are validated by the CLI"))
+        .collect()
+}
 
-    if args.has_flag("--shrink-selftest") {
-        let code = shrink_selftest(args.plan.seed, &repro_path);
-        obs.finish();
-        std::process::exit(code);
-    }
-    if args.has_flag("--hybrid-diff") {
-        let code = hybrid_diff(args);
-        obs.finish();
-        std::process::exit(code);
-    }
-
-    let patterns: Vec<Pattern> = if args.panels.is_empty() {
-        Pattern::ALL.to_vec()
-    } else {
-        args.panels
-            .iter()
-            .map(|n| Pattern::from_name(n).expect("panel names are validated by the CLI"))
-            .collect()
-    };
-    let params = PatternParams {
-        seed: args.plan.seed,
+fn params(ctx: &Ctx) -> PatternParams {
+    PatternParams {
+        seed: ctx.args.plan.seed,
         ..PatternParams::default()
-    };
-    let cases = standard_cases(args.starvation_cap, args.drain_hi, args.drain_lo);
-
-    let reports: Vec<PatternReport>;
-    let mut tracer = None;
-    if let Some(opts) = args
-        .trace
-        .as_deref()
-        .map(|_| TraceOptions::new(args.epoch_len))
-    {
-        // Tracing needs live recorder hookup per cell, so it bypasses the
-        // shardable resolver (the CLI rejects `--shard` with `--trace`).
-        let (traced_reports, traces) =
-            run_stress(&patterns, &params, &cases, args.jobs, Some(opts));
-        reports = traced_reports;
-        let mut collector = TraceCollector::new("stress", opts);
-        collector.runs = traces;
-        tracer = Some(collector);
-    } else {
-        let mut tasks = Vec::with_capacity(patterns.len() * cases.len());
-        for pattern in &patterns {
-            for case in &cases {
-                let label = format!("{}/{}", pattern.name(), case.label);
-                let config = case.config;
-                let pattern = *pattern;
-                tasks.push((
-                    1u64,
-                    SweepTask::new(label, move || {
-                        run_stream(&config, &pattern.generate(&params))
-                    }),
-                ));
-            }
-        }
-        let Some(outcomes) = resolve_sweep("stress", args, tasks, replay) else {
-            obs.finish();
-            return;
-        };
-        reports = assemble_reports(&patterns, &cases, outcomes);
     }
+}
 
+fn cases(ctx: &Ctx) -> Vec<DiffCase> {
+    let args = ctx.args;
+    standard_cases(args.starvation_cap, args.drain_hi, args.drain_lo)
+}
+
+/// `--shrink-selftest` and `--hybrid-diff` replace the grid.
+pub fn bypass(ctx: &Ctx) -> Option<i32> {
+    if ctx.args.has_flag("--shrink-selftest") {
+        let repro_path = ctx.args.out.with_file_name("stress.repro.trace");
+        Some(shrink_selftest(ctx.args.plan.seed, &repro_path))
+    } else if ctx.args.has_flag("--hybrid-diff") {
+        Some(hybrid_diff(ctx))
+    } else {
+        None
+    }
+}
+
+/// Every (pattern, case) cell of the selected patterns.
+pub fn plan(ctx: &Ctx) -> Vec<Run> {
+    cells(&patterns(ctx), &params(ctx), &cases(ctx))
+}
+
+/// The differential table plus `results/stress.json`. On any violation it
+/// shrinks the first failing stream to a repro next to the report and
+/// fails the run.
+pub fn render(ctx: &Ctx, results: Results) -> Rendered {
+    let patterns = patterns(ctx);
+    let params = params(ctx);
+    let cases = cases(ctx);
+    let reports = assemble_reports(&patterns, &cases, results.into_stress());
     println!(
         "Adversarial stress: {} pattern(s) x {} case(s), seed {}, {} requests/stream\n",
         patterns.len(),
@@ -95,17 +63,14 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
         params.len
     );
     print!("{}", render_report(&reports));
-
-    write_json_or_die("stress", &json_report(params.seed, &reports), &args.out);
-    if let Some(collector) = &tracer {
-        collector.write_or_die(args.trace.as_deref().expect("trace options imply a path"));
-    }
-
-    let total: usize = reports.iter().map(|p| p.report.total_violations()).sum();
-    obs.finish();
-    if total > 0 {
+    let failed = reports.iter().any(|p| p.report.total_violations() > 0);
+    if failed {
+        let repro_path = ctx.args.out.with_file_name("stress.repro.trace");
         write_first_repro(&reports, &patterns, &params, &repro_path);
-        std::process::exit(1);
+    }
+    Rendered {
+        doc: Doc::Json(json_report(params.seed, &reports)),
+        failed,
     }
 }
 
@@ -115,22 +80,11 @@ pub fn run(args: &BenchArgs, replay: Option<&[(String, Json)]>) {
 /// functional mirror (plus forward-progress and policy-exclusivity
 /// checks). Pattern panels and `--seed` compose; scheduler-knob flags do
 /// not apply (the hybrid's inner controllers run Table 2 defaults).
-fn hybrid_diff(args: &BenchArgs) -> i32 {
+fn hybrid_diff(ctx: &Ctx) -> i32 {
     use sam_stress::hybriddiff::run_hybrid_differential;
-    use sam_stress::stream::DeviceKind;
 
-    let patterns: Vec<Pattern> = if args.panels.is_empty() {
-        Pattern::ALL.to_vec()
-    } else {
-        args.panels
-            .iter()
-            .map(|n| Pattern::from_name(n).expect("panel names are validated by the CLI"))
-            .collect()
-    };
-    let params = PatternParams {
-        seed: args.plan.seed,
-        ..PatternParams::default()
-    };
+    let patterns = patterns(ctx);
+    let params = params(ctx);
     println!(
         "Hybrid differential: {} pattern(s) x 2 write policies, seed {}, DDR4 cache over RRAM\n",
         patterns.len(),

@@ -1,8 +1,8 @@
 //! Tables 1-3: qualitative/config printouts with zero simulation runs.
 //!
-//! Each table still routes through [`crate::shard::resolve_sweep`] with an
-//! empty task list so `--shard` emits a (zero-run) envelope and
-//! `sam-check merge-shards` can gate every binary uniformly.
+//! Each table still goes through the experiment driver with an empty plan
+//! so `--shard` emits a (zero-run) envelope and `sam-check merge-shards`
+//! can gate every binary uniformly.
 
 use sam::designs::{gs_dram, rc_nvm_bit, rc_nvm_wd, sam_en, sam_io, sam_sub};
 use sam::properties::properties;
@@ -11,36 +11,17 @@ use sam_cache::hierarchy::HierarchyConfig;
 use sam_dram::device::DeviceConfig;
 use sam_imdb::query::Query;
 use sam_memctrl::controller::ControllerConfig;
-use sam_util::json::Json;
 use sam_util::table::TextTable;
 
-use crate::cli::BenchArgs;
-use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
-use crate::shard::resolve_sweep;
-use crate::sweep::SweepTask;
+use crate::experiment::{Ctx, Rendered, Results, Run};
 
-/// Runs (or replays) one of the three table printouts. `bin` selects the
-/// table; unknown names panic because the dispatcher owns that check.
-pub fn run(bin: &'static str, args: &BenchArgs, replay: Option<&[(String, Json)]>) {
-    let obs = ObsSession::start(bin, args);
-    let tasks: Vec<(u64, SweepTask<Json>)> = Vec::new();
-    let Some(_runs) = resolve_sweep(bin, args, tasks, replay) else {
-        obs.finish();
-        return;
-    };
-
-    match bin {
-        "table1" => table1(),
-        "table2" => table2(args),
-        "table3" => table3(),
-        other => panic!("tables::run does not render '{other}'"),
-    }
-    MetricsReport::new(bin, args.plan, args.jobs, false).write_or_die(&args.out);
-    obs.finish();
+/// The tables simulate nothing.
+pub fn plan(_ctx: &Ctx) -> Vec<Run> {
+    Vec::new()
 }
 
-fn table1() {
+/// Table 1: qualitative comparison of designs for strided access.
+pub fn table1(ctx: &Ctx, _results: Results) -> Rendered {
     let designs = [
         rc_nvm_bit(),
         rc_nvm_wd(),
@@ -119,9 +100,13 @@ fn table1() {
     println!("Table 1: comparison of designs for strided access\n");
     println!("{table}");
     println!("v: good/unmodified   o: fair/slightly modified   x: poor/modified");
+    ctx.report().into()
 }
 
-fn table2(args: &BenchArgs) {
+/// Table 2: simulated system parameters, with the scheduler-knob
+/// overrides applied to the controller rows.
+pub fn table2(ctx: &Ctx, _results: Results) -> Rendered {
+    let args = ctx.args;
     let sys = SystemConfig::default();
     let h = HierarchyConfig::table2();
     let dram = DeviceConfig::ddr4_server();
@@ -186,9 +171,11 @@ fn table2(args: &BenchArgs) {
             println!("  write pulse (same-bank write-to-write): {} CK", t.wtw);
         }
     }
+    ctx.report().into()
 }
 
-fn table3() {
+/// Table 3: the benchmark queries' SQL.
+pub fn table3(ctx: &Ctx, _results: Results) -> Rendered {
     println!("Table 3: benchmark queries\n");
     let mut table = TextTable::new(vec!["No.", "SQL statement"]);
     for q in Query::q_set() {
@@ -220,4 +207,5 @@ fn table3() {
         .sql(),
     ]);
     println!("Parametric queries (prefer row or column store)\n{table}");
+    ctx.report().into()
 }

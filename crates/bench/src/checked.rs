@@ -1,42 +1,30 @@
-//! Checked runs: the Figure 12 harness with the `sam-check` verification
-//! layer attached.
+//! Checked runs: one plan entry with the `sam-check` verification layer
+//! attached.
 //!
 //! Every DRAM command the device accepts is shadowed by an independent
-//! [`ProtocolOracle`] configured from the same [`DeviceConfig`], and the
-//! cache hierarchy is probed periodically for model invariants. A clean
-//! [`CheckReport`] means the design obeyed every JEDEC timing window and
-//! the cache never reached an inconsistent state during that workload.
+//! [`ProtocolOracle`] configured from the same device timing, and the
+//! cache hierarchy is probed periodically for model invariants. A run on
+//! the hybrid topology (`SystemConfig::hybrid` set) shadows **both** device
+//! streams: the DDR4 front cache through the standard observer and the
+//! backing store through the backing-observer hook, each against an oracle
+//! configured from its own device. A clean [`CheckReport`] means the
+//! design obeyed every JEDEC timing window and the cache never reached an
+//! inconsistent state during that run.
 
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
-
-use sam::design::Design;
-use sam::designs;
 use sam::layout::Store;
-use sam::system::{Instrumentation, SystemConfig};
-use sam_cache::hierarchy::Hierarchy;
-use sam_check::invariants::{check_hierarchy, CacheViolation};
-use sam_check::oracle::{OracleConfig, ProtocolOracle};
+use sam_check::invariants::CacheViolation;
 use sam_check::Violation;
-use sam_imdb::exec::{run_query_instrumented, speedup, QueryRun, Workload};
-use sam_imdb::plan::PlanConfig;
-use sam_imdb::query::Query;
 
-use crate::metrics::RunMetrics;
-use crate::sweep::{run_sweep_strict, SweepTask};
-use crate::{assemble_grid_chunk, figure12_designs, grid_chunk_len, SpeedupRow};
+use crate::experiment::{Job, Outcome};
 
-/// Cache touches between invariant probes.
-const PROBE_PERIOD: u64 = 4096;
-
-/// The verification outcome of one design's run.
+/// The verification outcome of one run.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
     /// Design name.
     pub design: String,
     /// Store layout the run used.
     pub store: Store,
-    /// Commands the oracle shadowed.
+    /// Commands the oracles shadowed (both levels on a hybrid run).
     pub commands: usize,
     /// Protocol violations (empty on a conforming run).
     pub violations: Vec<Violation>,
@@ -49,86 +37,77 @@ impl CheckReport {
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && self.cache_violations.is_empty()
     }
+
+    /// Protocol plus cache violations: the run's `check_violations` metric.
+    pub fn violation_count(&self) -> u64 {
+        (self.violations.len() + self.cache_violations.len()) as u64
+    }
 }
 
-/// Runs `workload` on `design` with the oracle and the cache invariant
-/// probe attached.
-pub fn run_query_checked(
-    workload: &Workload,
-    design: &Design,
-    store: Store,
-) -> (QueryRun, CheckReport) {
-    let oracle = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
-        &design.device_config(),
-    ))));
+/// Cache touches between invariant probes.
+#[cfg(feature = "check")]
+const PROBE_PERIOD: u64 = 4096;
+
+/// Runs `job` with the protocol oracle(s) and the cache invariant probe
+/// attached.
+///
+/// # Panics
+///
+/// If `job` drives no DRAM device: only experiments that simulate a
+/// design accept `--checked`.
+#[cfg(feature = "check")]
+pub fn run_checked(job: &Job) -> (Outcome, CheckReport) {
+    use std::cell::RefCell;
+    use std::sync::{Arc, Mutex};
+
+    use sam::system::Instrumentation;
+    use sam_cache::hierarchy::Hierarchy;
+    use sam_check::invariants::check_hierarchy;
+    use sam_check::oracle::{OracleConfig, ProtocolOracle};
+    use sam_dram::device::DeviceConfig;
+    use sam_dram::observe::SharedObserver;
+
+    let (design, hybrid) = job
+        .shadowed()
+        .expect("--checked is accepted only by experiments that simulate a design");
+    let oracle = |device: &DeviceConfig| {
+        Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
+            device,
+        ))))
+    };
+    let front = oracle(&if hybrid {
+        DeviceConfig::ddr4_server()
+    } else {
+        design.device_config()
+    });
+    let back = hybrid.then(|| oracle(&design.device_config()));
     let cache_violations = RefCell::new(Vec::new());
-    let run = {
+    let outcome = {
         let mut probe = |h: &Hierarchy| {
             cache_violations.borrow_mut().extend(check_hierarchy(h));
         };
-        let mut instr = Instrumentation {
-            observer: Some(oracle.clone()),
-            cache_probe: Some(&mut probe),
-            cache_probe_period: PROBE_PERIOD,
-            ..Default::default()
-        };
-        run_query_instrumented(workload, design, store, &mut instr)
-    };
-    let oracle = Arc::try_unwrap(oracle)
-        .expect("system dropped, oracle is sole owner")
-        .into_inner()
-        .expect("oracle lock poisoned");
-    let report = CheckReport {
-        design: design.name.to_string(),
-        store,
-        commands: oracle.command_count(),
-        violations: oracle.finish(),
-        cache_violations: cache_violations.into_inner(),
-    };
-    (run, report)
-}
-
-/// Runs a hybrid-topology workload (`SystemConfig::hybrid` set) with
-/// **both** device streams shadowed: the DDR4 front cache through the
-/// standard observer and the backing store through the backing-observer
-/// hook, each against an oracle configured from its own device's timing.
-/// The report's command count sums both levels.
-pub fn run_query_checked_hybrid(
-    workload: &Workload,
-    design: &Design,
-    store: Store,
-) -> (QueryRun, CheckReport) {
-    let front = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
-        &sam_dram::device::DeviceConfig::ddr4_server(),
-    ))));
-    let back = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
-        &design.device_config(),
-    ))));
-    let cache_violations = RefCell::new(Vec::new());
-    let run = {
-        let mut probe = |h: &Hierarchy| {
-            cache_violations.borrow_mut().extend(check_hierarchy(h));
-        };
-        let mut instr = Instrumentation {
+        job.run(&mut Instrumentation {
             observer: Some(front.clone()),
-            backing_observer: Some(back.clone()),
+            backing_observer: back.clone().map(|b| -> SharedObserver { b }),
             cache_probe: Some(&mut probe),
             cache_probe_period: PROBE_PERIOD,
             ..Default::default()
-        };
-        run_query_instrumented(workload, design, store, &mut instr)
+        })
     };
-    let unwrap = |oracle: Arc<Mutex<ProtocolOracle>>| {
-        Arc::try_unwrap(oracle)
-            .expect("system dropped, oracle is sole owner")
+    let mut commands = 0;
+    let mut violations = Vec::new();
+    for oracle in std::iter::once(front).chain(back) {
+        let oracle = Arc::try_unwrap(oracle)
+            .expect("run finished, oracle is sole owner")
             .into_inner()
-            .expect("oracle lock poisoned")
+            .expect("oracle lock poisoned");
+        commands += oracle.command_count();
+        violations.extend(oracle.finish());
+    }
+    let store = match job {
+        Job::Query { store, .. } => *store,
+        _ => Store::Row,
     };
-    let front = unwrap(front);
-    let back = unwrap(back);
-    let commands = front.command_count() + back.command_count();
-    let mut violations = front.finish();
-    violations.extend(back.finish());
     let report = CheckReport {
         design: design.name.to_string(),
         store,
@@ -136,163 +115,78 @@ pub fn run_query_checked_hybrid(
         violations,
         cache_violations: cache_violations.into_inner(),
     };
-    (run, report)
+    (outcome, report)
 }
 
-/// [`crate::speedup_row`] with every constituent run checked: the
-/// row-store baseline, all seven Figure 12 designs, and the column-store
-/// commodity run behind the ideal reference.
-pub fn speedup_row_checked(
-    query: Query,
-    plan: PlanConfig,
-    system: SystemConfig,
-) -> (SpeedupRow, Vec<CheckReport>) {
-    let workload = Workload::new(query, plan).with_system(system);
-    let mut reports = Vec::new();
+/// Without the `check` feature there is no observer slot to attach an
+/// oracle to; the driver refuses `--checked` before any run starts.
+#[cfg(not(feature = "check"))]
+pub fn run_checked(_job: &Job) -> (Outcome, CheckReport) {
+    unreachable!("--checked exits early without the `check` feature")
+}
 
-    let (base, report) = run_query_checked(&workload, &designs::commodity(), Store::Row);
-    reports.push(report);
-
-    let mut speedups = Vec::new();
-    for design in figure12_designs() {
-        let (run, report) = run_query_checked(&workload, &design, Store::Row);
-        speedups.push((design.name.to_string(), speedup(&base, &run)));
-        reports.push(report);
+/// Prints the verification summary line plus up to ten violations per
+/// dirty run; returns whether every run was clean.
+pub fn summarize(reports: &[CheckReport]) -> bool {
+    let commands: usize = reports.iter().map(|r| r.commands).sum();
+    let dirty: Vec<_> = reports.iter().filter(|r| !r.clean()).collect();
+    println!(
+        "Verification: {} runs, {commands} DRAM commands shadowed, {} dirty",
+        reports.len(),
+        dirty.len()
+    );
+    for report in &dirty {
+        println!("  {} ({:?}):", report.design, report.store);
+        for v in report.violations.iter().take(10) {
+            println!("    protocol: {v}");
+        }
+        for v in report.cache_violations.iter().take(10) {
+            println!("    cache: {v}");
+        }
     }
-
-    let (col, report) = run_query_checked(&workload, &designs::commodity(), Store::Column);
-    reports.push(report);
-    let ideal = if base.result.cycles <= col.result.cycles {
-        speedup(&base, &base)
-    } else {
-        speedup(&base, &col)
-    };
-
-    let row = SpeedupRow {
-        query: query.name(),
-        speedups,
-        ideal,
-    };
-    (row, reports)
+    dirty.is_empty()
 }
 
-/// One query's outcome from the checked parallel grid.
-#[derive(Debug, Clone)]
-pub struct CheckedGridRow {
-    /// The speedup row for the printed table.
-    pub row: SpeedupRow,
-    /// Per-run metrics (violation counts filled in) for the JSON report.
-    pub metrics: Vec<RunMetrics>,
-    /// Per-run verification reports, in grid order.
-    pub reports: Vec<CheckReport>,
-}
-
-/// Builds one query's grid chunk of **checked** sweep tasks, mirroring
-/// [`crate::grid_tasks`]: each task constructs its own oracle, so the
-/// chunks fan out over sweep workers like the unchecked grid.
-fn grid_tasks_checked(
-    query: Query,
-    plan: PlanConfig,
-    system: SystemConfig,
-    designs: &[Design],
-) -> Vec<SweepTask<'static, (QueryRun, CheckReport)>> {
-    let workload = Workload::new(query, plan).with_system(system);
-    let name = query.name();
-    let mut tasks = Vec::with_capacity(grid_chunk_len(designs));
-    tasks.push(SweepTask::new(
-        format!("{name}/commodity/Row [checked]"),
-        move || run_query_checked(&workload, &designs::commodity(), Store::Row),
-    ));
-    for design in designs {
-        let design = design.clone();
-        tasks.push(SweepTask::new(
-            format!("{name}/{}/Row [checked]", design.name),
-            move || run_query_checked(&workload, &design, Store::Row),
-        ));
-    }
-    tasks.push(SweepTask::new(
-        format!("{name}/commodity/Column [checked]"),
-        move || run_query_checked(&workload, &designs::commodity(), Store::Column),
-    ));
-    tasks
-}
-
-/// The Figure 12 grid with every run shadowed by the oracle, fanned out
-/// over `jobs` sweep workers. Speedups are identical to the unchecked
-/// [`crate::grid_rows`]; each metric's `check_violations` counts that
-/// run's protocol plus cache violations.
-pub fn grid_rows_checked(
-    queries: &[Query],
-    plan: PlanConfig,
-    system: SystemConfig,
-    jobs: usize,
-) -> Vec<CheckedGridRow> {
-    let designs = figure12_designs();
-    let tasks = queries
-        .iter()
-        .flat_map(|q| grid_tasks_checked(*q, plan, system, &designs))
-        .collect();
-    let outcomes = run_sweep_strict(jobs, tasks);
-    let gather = system.granularity.gather() as u64;
-    outcomes
-        .chunks(grid_chunk_len(&designs))
-        .map(|chunk| {
-            let runs: Vec<QueryRun> = chunk.iter().map(|(run, _)| run.clone()).collect();
-            let reports: Vec<CheckReport> = chunk.iter().map(|(_, rep)| rep.clone()).collect();
-            let (row, mut metrics) = assemble_grid_chunk(&runs, &designs, gather);
-            for (m, rep) in metrics.iter_mut().zip(&reports) {
-                m.check_violations = (rep.violations.len() + rep.cache_violations.len()) as u64;
-            }
-            CheckedGridRow {
-                row,
-                metrics,
-                reports,
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
+#[cfg(all(test, feature = "check"))]
 mod tests {
     use super::*;
+    use crate::experiment::Run;
+    use sam::designs;
+    use sam::system::{Instrumentation, SystemConfig};
+    use sam_imdb::exec::Workload;
+    use sam_imdb::plan::PlanConfig;
+    use sam_imdb::query::Query;
+
+    fn job(query: Query, system: SystemConfig) -> Job {
+        let workload = Workload::new(query, PlanConfig::tiny()).with_system(system);
+        Run::query("", workload, designs::sam_en(), Store::Row).job
+    }
 
     #[test]
-    fn tiny_checked_run_is_clean_and_counts_commands() {
-        let workload = Workload::new(Query::Q3, PlanConfig::tiny());
-        let (_, report) = run_query_checked(&workload, &designs::sam_en(), Store::Row);
+    fn tiny_checked_run_is_clean_counts_commands_and_matches_unchecked() {
+        let job = job(Query::Q3, SystemConfig::default());
+        let (outcome, report) = run_checked(&job);
         assert!(report.commands > 0);
         assert!(report.clean(), "{:#?}", report.violations);
+        assert_eq!(report.violation_count(), 0);
+        let plain = job.run(&mut Instrumentation::default());
+        assert_eq!(outcome.to_record(), plain.to_record());
     }
 
+    /// A hybrid run gets both oracles without asking and stays clean.
     #[test]
-    fn checked_row_matches_unchecked_speedups() {
-        let plan = PlanConfig::tiny();
-        let system = SystemConfig::default();
-        let (row, reports) = speedup_row_checked(Query::Q4, plan, system);
-        assert_eq!(reports.len(), 9); // baseline + 7 designs + column run
-        assert!(reports.iter().all(CheckReport::clean));
-        let plain = crate::speedup_row(Query::Q4, plan, system);
-        for ((n, s), (pn, ps)) in row.speedups.iter().zip(plain.speedups.iter()) {
-            assert_eq!(n, pn);
-            assert!((s - ps).abs() < 1e-12, "{n}: {s} vs {ps}");
-        }
-    }
-
-    #[test]
-    fn parallel_checked_grid_is_clean_and_matches_serial() {
-        let plan = PlanConfig::tiny();
-        let system = SystemConfig::default();
-        let grid = grid_rows_checked(&[Query::Q4], plan, system, 4);
-        assert_eq!(grid.len(), 1);
-        let q = &grid[0];
-        assert_eq!(q.reports.len(), 9); // baseline + 7 designs + column run
-        assert!(q.reports.iter().all(CheckReport::clean));
-        assert!(q.metrics.iter().all(|m| m.check_violations == 0));
-        let serial = crate::speedup_row(Query::Q4, plan, system);
-        assert!(q.row.ideal.to_bits() == serial.ideal.to_bits());
-        for ((n, s), (sn, ss)) in q.row.speedups.iter().zip(&serial.speedups) {
-            assert_eq!(n, sn);
-            assert!(s.to_bits() == ss.to_bits(), "{n}: {s} vs {ss}");
-        }
+    fn hybrid_run_shadows_both_device_streams() {
+        let hybrid = SystemConfig {
+            hybrid: Some(crate::fig16::point_configs()[0]),
+            ..SystemConfig::default()
+        };
+        let (outcome, report) = run_checked(&job(Query::Q12, hybrid));
+        assert!(report.clean(), "{:#?}", report.violations);
+        let Outcome::Query(run) = outcome else {
+            panic!("query job must finish as a query run");
+        };
+        let summary = run.result.hybrid.expect("hybrid run carries a summary");
+        assert!(summary.back.acts > 0 && summary.front.acts > 0);
+        assert!(report.commands as u64 > summary.front.acts + summary.back.acts);
     }
 }

@@ -34,8 +34,8 @@
 //!   `--checked` and `--trace`
 //! * `--trials N` — only on the fault-injection binaries
 //! * `--debug-cores` / `--per-core` — only on the simulating figure
-//!   binaries (fig12-fig15): per-core progress dump on stderr, and
-//!   per-core lane sections in the metrics JSON plus the
+//!   binaries (fig12-fig16): per-core progress dump on stderr, and
+//!   per-core lane sections in the metrics JSON plus, on fig12-fig15, the
 //!   `results/<bin>.rollup.json` cycles rollup
 //! * bare panel names (e.g. `a b c`) — only on the panel binaries
 
@@ -101,7 +101,7 @@ impl std::fmt::Display for ShardSpec {
 }
 
 /// What a specific binary accepts beyond the shared flags.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArgSpec {
     /// Binary name for usage/error messages (also the default JSON stem).
     pub bin: &'static str,
@@ -124,7 +124,7 @@ pub struct ArgSpec {
 
 impl ArgSpec {
     /// A spec with only the shared flags.
-    pub fn new(bin: &'static str) -> Self {
+    pub const fn new(bin: &'static str) -> Self {
         Self {
             bin,
             accepts_checked: false,
@@ -137,44 +137,51 @@ impl ArgSpec {
         }
     }
 
+    /// A registered experiment's spec: the shared flags plus
+    /// `--profile`/`--heartbeat` and `--shard K/N`, which every experiment
+    /// accepts.
+    pub const fn experiment(bin: &'static str) -> Self {
+        Self::new(bin).with_obs().with_shard()
+    }
+
     /// Accepts `--checked`.
-    pub fn with_checked(mut self) -> Self {
+    pub const fn with_checked(mut self) -> Self {
         self.accepts_checked = true;
         self
     }
 
     /// Accepts `--trace[=PATH]` and `--epoch-len N`.
-    pub fn with_trace(mut self) -> Self {
+    pub const fn with_trace(mut self) -> Self {
         self.accepts_trace = true;
         self
     }
 
     /// Accepts `--trials N`.
-    pub fn with_trials(mut self) -> Self {
+    pub const fn with_trials(mut self) -> Self {
         self.accepts_trials = true;
         self
     }
 
     /// Accepts `--profile[=PATH]` and `--heartbeat[=SECS]`.
-    pub fn with_obs(mut self) -> Self {
+    pub const fn with_obs(mut self) -> Self {
         self.accepts_obs = true;
         self
     }
 
     /// Accepts `--shard K/N`.
-    pub fn with_shard(mut self) -> Self {
+    pub const fn with_shard(mut self) -> Self {
         self.accepts_shard = true;
         self
     }
 
     /// Accepts the given bare panel names.
-    pub fn with_panels(mut self, panels: &'static [&'static str]) -> Self {
+    pub const fn with_panels(mut self, panels: &'static [&'static str]) -> Self {
         self.panels = panels;
         self
     }
 
     /// Accepts the given extra boolean flags.
-    pub fn with_flags(mut self, flags: &'static [&'static str]) -> Self {
+    pub const fn with_flags(mut self, flags: &'static [&'static str]) -> Self {
         self.extra_flags = flags;
         self
     }
@@ -575,7 +582,7 @@ mod tests {
         );
         assert!(try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat=x"])).is_err());
         // Binaries without observability reject the flags outright.
-        let plain = ArgSpec::new("probe");
+        let plain = ArgSpec::new("plain");
         let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--profile"])).unwrap_err();
         assert_eq!(e, CliError::UnknownArg("--profile".to_string()));
         let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--heartbeat=1"])).unwrap_err();
@@ -621,7 +628,7 @@ mod tests {
             CliError::Conflict("--shard".to_string(), "--trace".to_string())
         );
         // Binaries without sweeps reject the flag outright.
-        let plain = ArgSpec::new("probe");
+        let plain = ArgSpec::new("plain");
         let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--shard", "1/2"])).unwrap_err();
         assert_eq!(e, CliError::UnknownArg("--shard".to_string()));
     }

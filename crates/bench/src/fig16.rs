@@ -25,22 +25,20 @@
 //!                 "run": <run> } ] }
 //! ```
 
-use std::path::Path;
-
 use sam::design::Design;
 use sam::designs;
 use sam::layout::Store;
 use sam::system::SystemConfig;
 use sam_dram::device::DeviceStats;
-use sam_imdb::exec::{run_query, speedup, QueryRun, Workload};
+use sam_imdb::exec::{speedup, QueryRun, Workload};
 use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
 use sam_memctrl::hybrid::{HybridConfig, HybridSummary, WritePolicy};
 use sam_power::{energy_uj, ActivityCounts, PowerParams};
 use sam_util::json::Json;
 
+use crate::experiment::Run;
 use crate::metrics::{lint_run, RunMetrics};
-use crate::sweep::SweepTask;
 
 /// Cache-block sizes swept (bytes). Strictly larger than the 64 B line so
 /// every block spans multiple controller requests.
@@ -87,31 +85,23 @@ pub fn point_label(query: Query, cfg: &HybridConfig) -> String {
     )
 }
 
-/// Builds one query's chunk of sweep tasks: the flat RRAM baseline first
-/// (label `"<query>/flat"`), then every hybrid point in
-/// [`point_configs`] order.
-pub fn grid_tasks(
-    query: Query,
-    plan: PlanConfig,
-    system: SystemConfig,
-) -> Vec<SweepTask<'static, QueryRun>> {
-    let name = query.name();
-    let mut tasks = Vec::with_capacity(chunk_len());
+/// Plans one query's chunk: the flat RRAM baseline first (label
+/// `"<query>/flat"`), then every hybrid point in [`point_configs`] order.
+pub fn grid_runs(query: Query, plan: PlanConfig, system: SystemConfig) -> Vec<Run> {
+    let mut runs = Vec::with_capacity(chunk_len());
     let flat = Workload::new(query, plan).with_system(system);
-    tasks.push(SweepTask::new(format!("{name}/flat"), move || {
-        run_query(&flat, &backing_design(), Store::Row)
-    }));
+    let label = format!("{}/flat", query.name());
+    runs.push(Run::query(label, flat, backing_design(), Store::Row));
     for cfg in point_configs() {
         let hybrid = SystemConfig {
             hybrid: Some(cfg),
             ..system
         };
         let workload = Workload::new(query, plan).with_system(hybrid);
-        tasks.push(SweepTask::new(point_label(query, &cfg), move || {
-            run_query(&workload, &backing_design(), Store::Row)
-        }));
+        let label = point_label(query, &cfg);
+        runs.push(Run::query(label, workload, backing_design(), Store::Row));
     }
-    tasks
+    runs
 }
 
 /// One hybrid configuration's measured outcome.
@@ -277,40 +267,6 @@ impl Fig16Report {
             ("points", Json::Array(points)),
         ])
     }
-
-    /// Writes the report to `path`, creating parent directories. The
-    /// notice goes to stderr so stdout stays table-only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from directory creation or the write.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let _p = sam_obs::profile::phase("emit-json");
-        sam_obs::registry::JSON_DOCS.add(1);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = self.to_json().to_string();
-        text.push('\n');
-        std::fs::write(path, text)?;
-        eprintln!(
-            "fig16: wrote {} baselines and {} hybrid points to {}",
-            self.baselines.len(),
-            self.points.len(),
-            path.display()
-        );
-        Ok(())
-    }
-
-    /// [`Self::write`] + exit(1) on failure.
-    pub fn write_or_die(&self, path: &Path) {
-        if let Err(e) = self.write(path) {
-            eprintln!("fig16: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Relative tolerance for the energy-split cross-check in the lint.
@@ -435,11 +391,19 @@ fn lint_point(p: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_sweep_strict;
+    use crate::experiment::Results;
+    use sam::system::Instrumentation;
 
     fn tiny_chunk(query: Query) -> Vec<QueryRun> {
-        let tasks = grid_tasks(query, PlanConfig::tiny(), SystemConfig::default());
-        run_sweep_strict(2, tasks)
+        let runs = grid_runs(query, PlanConfig::tiny(), SystemConfig::default())
+            .iter()
+            .map(|run| run.job.run(&mut Instrumentation::default()))
+            .collect();
+        Results {
+            runs,
+            violations: Vec::new(),
+        }
+        .into_queries()
     }
 
     #[test]
@@ -506,11 +470,11 @@ mod tests {
 
     #[test]
     fn labels_and_configs_stay_in_lockstep() {
-        let tasks = grid_tasks(Query::Q3, PlanConfig::tiny(), SystemConfig::default());
-        assert_eq!(tasks.len(), chunk_len());
-        assert_eq!(tasks[0].label, "Q3/flat");
-        for (task, cfg) in tasks[1..].iter().zip(point_configs()) {
-            assert_eq!(task.label, point_label(Query::Q3, &cfg));
+        let runs = grid_runs(Query::Q3, PlanConfig::tiny(), SystemConfig::default());
+        assert_eq!(runs.len(), chunk_len());
+        assert_eq!(runs[0].label, "Q3/flat");
+        for (run, cfg) in runs[1..].iter().zip(point_configs()) {
+            assert_eq!(run.label, point_label(Query::Q3, &cfg));
         }
     }
 }

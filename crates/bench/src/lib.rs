@@ -7,19 +7,20 @@
 //! binary emits a machine-readable [`metrics::MetricsReport`] to
 //! `results/<bin>.json`.
 //!
-//! The simulations behind a figure are fully independent, so the binaries
-//! fan them out over the [`sweep`] runner (`--jobs N`, parsed by [`cli`]);
-//! results come back in submission order, keeping the output
-//! byte-identical to a serial run.
+//! Each binary is an [`experiment::Experiment`] registered in
+//! [`bins::EXPERIMENTS`]: a weighted plan of independent runs plus a
+//! render. One driver ([`experiment::drive`]) fans the plan out over the
+//! [`sweep`] runner (`--jobs N`, parsed by [`cli`]); results come back in
+//! plan order, keeping the output byte-identical to a serial run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench_fig12;
 pub mod bins;
-#[cfg(feature = "check")]
 pub mod checked;
 pub mod cli;
+pub mod experiment;
 pub mod fig16;
 pub mod metrics;
 pub mod obsrun;
@@ -36,8 +37,8 @@ use sam_imdb::exec::{run_baseline, run_ideal, run_query, speedup, QueryRun, Work
 use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
 
+use crate::experiment::Run;
 use crate::metrics::RunMetrics;
-use crate::sweep::{run_sweep_strict, SweepTask};
 
 /// The evaluated designs in Figure 12's legend order.
 pub fn figure12_designs() -> Vec<Design> {
@@ -80,44 +81,6 @@ pub fn speedup_row(query: Query, plan: PlanConfig, system: SystemConfig) -> Spee
     }
 }
 
-/// Runs `query` for a subset of designs (the Figure 14/15 panels).
-pub fn speedup_subset(
-    query: Query,
-    plan: PlanConfig,
-    system: SystemConfig,
-    designs: &[Design],
-) -> SpeedupRow {
-    let workload = Workload::new(query, plan).with_system(system);
-    let base = run_baseline(&workload);
-    let speedups = designs
-        .iter()
-        .map(|d| {
-            let run = run_query(&workload, d, Store::Row);
-            (d.name.to_string(), speedup(&base, &run))
-        })
-        .collect();
-    let ideal = run_ideal(&workload);
-    SpeedupRow {
-        query: query.name(),
-        speedups,
-        ideal: speedup(&base, &ideal),
-    }
-}
-
-/// A baseline/design pair of raw runs (for power/energy figures).
-pub fn run_pair(
-    query: Query,
-    plan: PlanConfig,
-    system: SystemConfig,
-    design: &Design,
-) -> (QueryRun, QueryRun) {
-    let workload = Workload::new(query, plan).with_system(system);
-    (
-        run_baseline(&workload),
-        run_query(&workload, design, Store::Row),
-    )
-}
-
 /// One query's results from a parallel grid: the speedup row for the
 /// printed table plus the per-run metrics for the JSON report.
 pub type GridRow = (SpeedupRow, Vec<RunMetrics>);
@@ -129,35 +92,35 @@ pub fn grid_chunk_len(designs: &[Design]) -> usize {
     designs.len() + 2
 }
 
-/// Builds one query's grid chunk of sweep tasks, in [`grid_chunk_len`]
-/// order (baseline, designs, column).
-pub fn grid_tasks(
+/// Plans one query's grid chunk, in [`grid_chunk_len`] order: the
+/// commodity row-store baseline, each design on the row store, and the
+/// commodity column-store run behind the ideal reference.
+pub fn grid_runs(
     query: Query,
     plan: PlanConfig,
     system: SystemConfig,
     designs: &[Design],
-) -> Vec<SweepTask<'static, QueryRun>> {
+) -> Vec<Run> {
     let workload = Workload::new(query, plan).with_system(system);
     let name = query.name();
-    let mut tasks = Vec::with_capacity(grid_chunk_len(designs));
-    tasks.push(SweepTask::new(format!("{name}/commodity/Row"), move || {
-        run_query(&workload, &designs::commodity(), Store::Row)
-    }));
+    let mut runs = Vec::with_capacity(grid_chunk_len(designs));
+    let base = format!("{name}/commodity/Row");
+    runs.push(Run::query(base, workload, designs::commodity(), Store::Row));
     for design in designs {
-        let design = design.clone();
-        tasks.push(SweepTask::new(
-            format!("{name}/{}/Row", design.name),
-            move || run_query(&workload, &design, Store::Row),
-        ));
+        let label = format!("{name}/{}/Row", design.name);
+        runs.push(Run::query(label, workload, design.clone(), Store::Row));
     }
-    tasks.push(SweepTask::new(
-        format!("{name}/commodity/Column"),
-        move || run_query(&workload, &designs::commodity(), Store::Column),
+    let col = format!("{name}/commodity/Column");
+    runs.push(Run::query(
+        col,
+        workload,
+        designs::commodity(),
+        Store::Column,
     ));
-    tasks
+    runs
 }
 
-/// Assembles one query's completed grid chunk (in [`grid_tasks`] order)
+/// Assembles one query's completed grid chunk (in [`grid_runs`] order)
 /// into its speedup row and metrics records.
 pub fn assemble_grid_chunk(runs: &[QueryRun], designs: &[Design], gather: u64) -> GridRow {
     assert_eq!(runs.len(), grid_chunk_len(designs));
@@ -183,38 +146,6 @@ pub fn assemble_grid_chunk(runs: &[QueryRun], designs: &[Design], gather: u64) -
     (row, metrics)
 }
 
-/// Runs the full (query × design) grid on `jobs` workers: per query, the
-/// baseline, every design, and the ideal reference (see [`grid_tasks`]).
-pub fn grid_rows(
-    queries: &[Query],
-    plan: PlanConfig,
-    system: SystemConfig,
-    designs: &[Design],
-    jobs: usize,
-) -> Vec<GridRow> {
-    let cases: Vec<(Query, PlanConfig)> = queries.iter().map(|q| (*q, plan)).collect();
-    grid_rows_with_plans(&cases, system, designs, jobs)
-}
-
-/// [`grid_rows`] where each query carries its own plan (the Figure 15
-/// record-size sweep rescales the table per row).
-pub fn grid_rows_with_plans(
-    cases: &[(Query, PlanConfig)],
-    system: SystemConfig,
-    designs: &[Design],
-    jobs: usize,
-) -> Vec<GridRow> {
-    let tasks = cases
-        .iter()
-        .flat_map(|(q, plan)| grid_tasks(*q, *plan, system, designs))
-        .collect();
-    let runs = run_sweep_strict(jobs, tasks);
-    let gather = system.granularity.gather() as u64;
-    runs.chunks(grid_chunk_len(designs))
-        .map(|chunk| assemble_grid_chunk(chunk, designs, gather))
-        .collect()
-}
-
 /// Geometric mean helper re-exported for the binaries.
 pub fn gmean(values: &[f64]) -> f64 {
     sam_util::stats::geometric_mean(values)
@@ -223,6 +154,26 @@ pub fn gmean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{try_parse_args, ArgSpec};
+
+    /// Plans `queries`' grid chunks and runs them through the experiment
+    /// executor on `jobs` workers.
+    fn grid(queries: &[Query], designs: &[Design], jobs: usize) -> Vec<GridRow> {
+        let system = SystemConfig::default();
+        let plan: Vec<Run> = queries
+            .iter()
+            .flat_map(|q| grid_runs(*q, PlanConfig::tiny(), system, designs))
+            .collect();
+        let argv = ["--jobs".to_string(), jobs.to_string()];
+        let args = try_parse_args(&ArgSpec::new("grid"), PlanConfig::tiny(), &argv).unwrap();
+        let (results, _, _) = experiment::execute(&plan, &args);
+        let gather = system.granularity.gather() as u64;
+        results
+            .into_queries()
+            .chunks(grid_chunk_len(designs))
+            .map(|chunk| assemble_grid_chunk(chunk, designs, gather))
+            .collect()
+    }
 
     #[test]
     fn figure12_has_seven_hardware_designs() {
@@ -241,10 +192,10 @@ mod tests {
         );
     }
 
-    /// The byte-identity guarantee in miniature: the parallel grid must
+    /// The byte-identity guarantee in miniature: the executed grid must
     /// reproduce the serial helper's speedups exactly, at any job count.
     #[test]
-    fn grid_rows_match_serial_speedup_rows_exactly() {
+    fn grid_matches_serial_speedup_rows_exactly() {
         let plan = PlanConfig::tiny();
         let system = SystemConfig::default();
         let designs = figure12_designs();
@@ -254,7 +205,7 @@ mod tests {
             .map(|q| speedup_row(*q, plan, system))
             .collect();
         for jobs in [1, 4] {
-            let grid = grid_rows(&queries, plan, system, &designs, jobs);
+            let grid = grid(&queries, &designs, jobs);
             assert_eq!(grid.len(), serial.len());
             for ((row, metrics), expect) in grid.iter().zip(&serial) {
                 assert_eq!(row.query, expect.query);
@@ -269,15 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn grid_metrics_follow_task_order() {
-        let designs = vec![designs::sam_en()];
-        let grid = grid_rows(
-            &[Query::Q4],
-            PlanConfig::tiny(),
-            SystemConfig::default(),
-            &designs,
-            2,
-        );
+    fn grid_metrics_follow_plan_order() {
+        let grid = grid(&[Query::Q4], &[designs::sam_en()], 2);
         let (row, metrics) = &grid[0];
         assert_eq!(row.speedups.len(), 1);
         assert_eq!(metrics.len(), 3);

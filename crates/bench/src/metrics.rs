@@ -1,8 +1,8 @@
 //! Structured per-run metrics and the `results/<bin>.json` report.
 //!
-//! Every sweep run is summarized as a [`RunMetrics`] record; a binary
-//! collects its records into a [`MetricsReport`] and writes it with the
-//! hand-rolled [`sam_util::json`] writer, so the figure/table numbers are
+//! Every sweep run is summarized as a [`RunMetrics`] record; an
+//! experiment's render collects its records into a [`MetricsReport`],
+//! which the driver writes with the hand-rolled [`sam_util::json`] writer, so the figure/table numbers are
 //! machine-readable next to the printed tables. [`lint_metrics_json`]
 //! validates a report against the schema below — `sam-check lint-json`
 //! and CI call it on the emitted files.
@@ -23,8 +23,6 @@
 //!               "refreshes": uint, "energy_uj": number,
 //!               "check_violations": uint } ] }
 //! ```
-
-use std::path::Path;
 
 use sam::design::Design;
 use sam::layout::Store;
@@ -308,66 +306,6 @@ impl MetricsReport {
             ("metric", Json::str("lane_latency_cycles")),
             ("folded", Json::Array(folded)),
         ])
-    }
-
-    /// Writes the rollup next to the metrics report: `<stem>.rollup.json`
-    /// for an `--out` of `<stem>.json`. Exits(1) on filesystem errors,
-    /// like [`Self::write_or_die`].
-    pub fn write_rollup_or_die(&self, metrics_path: &Path) {
-        let path = metrics_path.with_extension("rollup.json");
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            let mut text = self.rollup_json().to_string();
-            text.push('\n');
-            std::fs::write(&path, text)
-        };
-        match write() {
-            Ok(()) => eprintln!("{}: wrote cycles rollup to {}", self.bin, path.display()),
-            Err(e) => {
-                eprintln!("{}: cannot write {}: {e}", self.bin, path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// Writes the report to `path`, creating parent directories, and
-    /// prints a notice to **stderr** (stdout stays byte-identical to the
-    /// captured tables).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from directory creation or the write.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let _p = sam_obs::profile::phase("emit-json");
-        sam_obs::registry::JSON_DOCS.add(1);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = self.to_json().to_string();
-        text.push('\n');
-        std::fs::write(path, text)?;
-        eprintln!(
-            "{}: wrote {} run metrics to {}",
-            self.bin,
-            self.runs.len(),
-            path.display()
-        );
-        Ok(())
-    }
-
-    /// [`Self::write`] + exit(1) on failure — binaries treat an unwritable
-    /// report as an error, not a shrug.
-    pub fn write_or_die(&self, path: &Path) {
-        if let Err(e) = self.write(path) {
-            eprintln!("{}: cannot write {}: {e}", self.bin, path.display());
-            std::process::exit(1);
-        }
     }
 }
 
@@ -663,15 +601,5 @@ mod tests {
         a.jobs = 1;
         b.jobs = 8;
         assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-    }
-
-    #[test]
-    fn write_creates_parent_directories() {
-        let dir = std::env::temp_dir().join(format!("sam-metrics-{}", std::process::id()));
-        let path = dir.join("nested").join("out.json");
-        sample_report().write(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        lint_metrics_json(&Json::parse(&text).unwrap()).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

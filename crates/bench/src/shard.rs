@@ -1,30 +1,29 @@
 //! Sharded sweep execution: record codecs, canonical argv, and the
-//! plan/execute/render resolver behind `--shard K/N`.
+//! `--shard K/N` and merge-replay halves of the experiment executor.
 //!
-//! A bench binary builds its *entire* sweep as a flat task list (the
-//! plan), hands it to [`resolve_sweep`], and renders tables/JSON only
-//! from the returned results. That split gives three execution modes one
-//! code path:
+//! Every experiment's plan ([`crate::experiment::Run`] list) runs in one
+//! of three modes, all in plan order:
 //!
 //! * **local** — run everything; results additionally round-trip through
-//!   the [`ShardRecord`] codec so a codec bug breaks the byte-identity
-//!   goldens immediately, not only on distributed runs;
-//! * **shard** (`--shard K/N`) — run only the indices the deterministic
-//!   cost-weighted partitioner ([`crate::sweep::partition_weighted`])
-//!   assigns to shard `K`, print nothing, and write a
-//!   `results/<bin>.shard-K-of-N.json` envelope;
-//! * **replay** (`sam-check merge-shards`) — decode the merged records
-//!   and skip execution entirely; the caller then renders, reproducing a
-//!   local run's stdout and JSON byte-for-byte.
+//!   the record codec ([`roundtrip`]) so a codec bug breaks the
+//!   byte-identity goldens immediately, not only on distributed runs;
+//! * **shard** (`--shard K/N`, [`run_shard`]) — run only the indices the
+//!   deterministic cost-weighted partitioner
+//!   ([`crate::sweep::partition_weighted`]) assigns to shard `K`, print
+//!   nothing, and write a `results/<bin>.shard-K-of-N.json` envelope;
+//! * **replay** (`sam-check merge-shards`, [`replay`]) — decode the merged
+//!   records against the plan and skip execution entirely; the driver then
+//!   renders, reproducing a local run's stdout and JSON byte-for-byte. A
+//!   record that does not match its plan entry is an error, never a panic.
 //!
 //! The envelope schema and merge oracle live in `sam_check::shards`; this
-//! module owns everything bin-specific: how each result type serializes
-//! ([`ShardRecord`]), which flags each binary accepts ([`spec_for`]), and
-//! the canonical argv an envelope carries so the merge can reconstruct
-//! the run configuration exactly ([`canonical_argv`]).
+//! module owns how each outcome serializes ([`ShardRecord`],
+//! [`Outcome::decode`]) and the canonical argv an envelope carries so the
+//! merge can reconstruct the run configuration exactly
+//! ([`canonical_argv`]).
 
 use sam::layout::Store;
-use sam::system::RunResult;
+use sam::system::{Instrumentation, RunResult, SystemConfig};
 use sam_check::shards::{run_digest, ShardEnvelope, ShardRun};
 use sam_ecc::inject::CampaignReport;
 use sam_imdb::exec::QueryRun;
@@ -37,74 +36,8 @@ use sam_stress::invariant::{InvariantKind, Violation};
 use sam_util::json::Json;
 
 use crate::cli::{ArgSpec, BenchArgs};
-use crate::sweep::{
-    partition_weighted, run_sweep_weighted, run_sweep_weighted_strict, SweepPanic, SweepTask,
-};
-
-/// The stress binary's pattern panels, shared with [`spec_for`] so the
-/// merge replay accepts the same panel names the binary does.
-pub const STRESS_PATTERNS: &[&str] = &[
-    "row-hit-flood",
-    "ping-pong",
-    "write-burst",
-    "faw-train",
-    "sector-straddle",
-];
-
-const FIG_FLAGS: &[&str] = &["--debug-cores", "--per-core"];
-
-/// The [`ArgSpec`] of each sweep-driven binary, by name. This is the
-/// single source of truth: the binaries parse with it, and `sam-check
-/// merge-shards` re-parses an envelope's canonical argv with it.
-pub fn spec_for(bin: &str) -> Option<ArgSpec> {
-    Some(match bin {
-        "fig12" => ArgSpec::new("fig12")
-            .with_checked()
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
-        "fig13" => ArgSpec::new("fig13")
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
-        "fig14" => ArgSpec::new("fig14")
-            .with_panels(&["a", "b", "c"])
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
-        "fig15" => ArgSpec::new("fig15")
-            .with_panels(&["a", "b", "c", "d", "e", "f", "g", "h", "i"])
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
-        "fig16" => ArgSpec::new("fig16")
-            .with_checked()
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
-        "table1" => ArgSpec::new("table1").with_obs().with_shard(),
-        "table2" => ArgSpec::new("table2").with_obs().with_shard(),
-        "table3" => ArgSpec::new("table3").with_obs().with_shard(),
-        "ablation" => ArgSpec::new("ablation").with_obs().with_shard(),
-        "motivation" => ArgSpec::new("motivation").with_obs().with_shard(),
-        "reliability" => ArgSpec::new("reliability")
-            .with_trials()
-            .with_obs()
-            .with_shard(),
-        "stress" => ArgSpec::new("stress")
-            .with_trace()
-            .with_panels(STRESS_PATTERNS)
-            .with_obs()
-            .with_shard()
-            .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
-        _ => return None,
-    })
-}
+use crate::experiment::{Job, Outcome, Run};
+use crate::sweep::{partition_weighted, run_sweep_weighted, SweepPanic, SweepTask};
 
 /// The argv an envelope carries: every flag that shapes *what* runs or
 /// what the rendered bytes look like, none that shape *how* it runs
@@ -627,15 +560,64 @@ impl ShardRecord for CampaignReport {
     }
 }
 
-/// Identity codec for binaries whose "results" are already JSON (the
-/// static tables, which simulate nothing).
-impl ShardRecord for Json {
-    fn to_record(&self) -> Json {
-        self.clone()
+fn hybrid_matches_plan(result: &RunResult, system: &SystemConfig) -> Result<(), String> {
+    match (result.hybrid.is_some(), system.hybrid.is_some()) {
+        (true, false) => {
+            Err("record carries a hybrid summary but the plan runs a flat topology".into())
+        }
+        (false, true) => Err("record lacks the hybrid summary the plan's topology produces".into()),
+        _ => Ok(()),
+    }
+}
+
+impl Outcome {
+    /// Serializes the outcome with its own type's codec (no variant tag:
+    /// the plan says which type each record holds).
+    pub(crate) fn to_record(&self) -> Json {
+        match self {
+            Outcome::Query(r) => r.to_record(),
+            Outcome::Run(r) => r.to_record(),
+            Outcome::Stress(r) => r.to_record(),
+            Outcome::Campaign(r) => r.to_record(),
+        }
     }
 
-    fn from_record(record: &Json) -> Result<Self, String> {
-        Ok(record.clone())
+    /// Decodes `record` as the outcome `job` produces.
+    ///
+    /// # Errors
+    ///
+    /// The first schema mismatch, or a decoded run that is not the one the
+    /// plan describes (another query, design or store, or a hybrid summary
+    /// that contradicts the planned topology).
+    pub(crate) fn decode(job: &Job, record: &Json) -> Result<Self, String> {
+        match job {
+            Job::Query {
+                workload,
+                design,
+                store,
+            } => {
+                let run = QueryRun::from_record(record)?;
+                if run.query != workload.query || run.design != design.name || run.store != *store {
+                    return Err(format!(
+                        "record is {}/{}/{:?} but the plan runs {}/{}/{store:?}",
+                        run.query.name(),
+                        run.design,
+                        run.store,
+                        workload.query.name(),
+                        design.name,
+                    ));
+                }
+                hybrid_matches_plan(&run.result, &workload.system)?;
+                Ok(Outcome::Query(run))
+            }
+            Job::Traces { system, .. } => {
+                let result = RunResult::from_record(record)?;
+                hybrid_matches_plan(&result, system)?;
+                Ok(Outcome::Run(result))
+            }
+            Job::Stress { .. } => StressOutcome::from_record(record).map(Outcome::Stress),
+            Job::Campaign { .. } => CampaignReport::from_record(record).map(Outcome::Campaign),
+        }
     }
 }
 
@@ -648,115 +630,99 @@ pub fn shard_out_path(out: &std::path::Path, shard: u32, shards: u32) -> std::pa
     std::path::PathBuf::from(format!("{base}.shard-{shard}-of-{shards}.json"))
 }
 
-fn roundtrip<T: ShardRecord>(bin: &str, label: &str, value: &T) -> T {
-    let text = value.to_record().to_string();
-    let doc = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("{bin}: record for '{label}' did not re-parse: {e}"));
-    T::from_record(&doc)
-        .unwrap_or_else(|e| panic!("{bin}: record for '{label}' did not decode: {e}"))
-}
-
-/// Resolves a bin's flat, weighted task list into results in submission
-/// order — by replaying merged records, by running everything locally
-/// (round-tripped through the codec), or by running one shard's slice
-/// and writing its envelope.
-///
-/// Returns `None` exactly when this was a `--shard` invocation: the
-/// envelope has been written and the caller must skip rendering.
+/// Routes a local outcome through serialize → parse → decode, exactly the
+/// path a merged record takes.
 ///
 /// # Panics
 ///
-/// On replay, if the merged records do not match the plan this binary
-/// builds from the same argv (count or label drift — a version skew
-/// between the sharding and merging builds); on any run, if a record
-/// fails to decode; and on a worker panic (re-raised with the *global*
-/// run index and label, sharded or not).
-pub fn resolve_sweep<T: ShardRecord>(
-    bin: &str,
-    args: &BenchArgs,
-    tasks: Vec<(u64, SweepTask<'_, T>)>,
-    replay: Option<&[(String, Json)]>,
-) -> Option<Vec<T>> {
-    if let Some(records) = replay {
-        assert_eq!(
-            records.len(),
-            tasks.len(),
-            "{bin}: merged envelopes carry {} runs but this binary plans {} — \
+/// If the codec cannot reproduce its own output: a bug, not bad input.
+pub(crate) fn roundtrip(run: &Run, outcome: &Outcome) -> Outcome {
+    Json::parse(&outcome.to_record().to_string())
+        .map_err(|e| e.to_string())
+        .and_then(|doc| Outcome::decode(&run.job, &doc))
+        .unwrap_or_else(|e| panic!("record for '{}' did not round-trip: {e}", run.label))
+}
+
+/// Decodes merged `(label, record)` runs against the plan this build makes
+/// from the envelopes' canonical argv, in plan order.
+///
+/// # Errors
+///
+/// A run-count or label mismatch (version skew between the sharding and
+/// merging builds), or a record that does not decode to its planned run.
+pub(crate) fn replay(plan: &[Run], records: &[(String, Json)]) -> Result<Vec<Outcome>, String> {
+    if records.len() != plan.len() {
+        return Err(format!(
+            "merged envelopes carry {} runs but this binary plans {} — \
              version skew between the sharding and merging builds?",
             records.len(),
-            tasks.len(),
-        );
-        let results = records
-            .iter()
-            .zip(&tasks)
-            .enumerate()
-            .map(|(i, ((label, record), (_, task)))| {
-                assert_eq!(
-                    *label, task.label,
-                    "{bin}: run {i} label mismatch: envelope says '{label}', plan says '{}'",
-                    task.label,
-                );
-                T::from_record(record)
-                    .unwrap_or_else(|e| panic!("{bin}: run {i} [{label}] did not decode: {e}"))
-            })
-            .collect();
-        return Some(results);
+            plan.len(),
+        ));
     }
+    records
+        .iter()
+        .zip(plan)
+        .enumerate()
+        .map(|(i, ((label, record), run))| {
+            if *label != run.label {
+                return Err(format!(
+                    "run {i} label mismatch: envelope says '{label}', plan says '{}'",
+                    run.label
+                ));
+            }
+            Outcome::decode(&run.job, record)
+                .map_err(|e| format!("run {i} [{label}] did not decode: {e}"))
+        })
+        .collect()
+}
 
-    let Some(shard) = args.shard else {
-        let results = run_sweep_weighted_strict(args.jobs, tasks);
-        // Route local results through the same serialize/parse/decode
-        // path the merge uses, so the byte-identity goldens cover the
-        // codec on every CI run, not only on distributed ones.
-        return Some(results.iter().map(|r| roundtrip(bin, "local", r)).collect());
-    };
-
-    let weights: Vec<u64> = tasks.iter().map(|(w, _)| *w).collect();
-    let total_runs = tasks.len();
-    let total_weight: u64 = weights.iter().sum();
+/// Runs the slice of `plan` the cost-weighted partitioner assigns to this
+/// `--shard K/N` and writes the shard's envelope next to `--out`.
+///
+/// # Panics
+///
+/// On a worker panic (re-raised with the run's *global* index and label,
+/// so a crash report names the same run on every shard layout) and on an
+/// unwritable envelope.
+pub(crate) fn run_shard(spec: &ArgSpec, args: &BenchArgs, plan: &[Run]) {
+    let bin = spec.bin;
+    let shard = args.shard.expect("run_shard needs --shard");
+    let weights: Vec<u64> = plan.iter().map(|run| run.weight).collect();
     let assignment = partition_weighted(&weights, shard.shards as usize);
     let mine = (shard.index - 1) as usize;
-
-    let mut owned_idx = Vec::new();
-    let mut owned = Vec::new();
-    for (i, (w, task)) in tasks.into_iter().enumerate() {
-        if assignment[i] == mine {
-            owned_idx.push(i);
-            owned.push((w, task));
-        }
-    }
-    let labels: Vec<String> = owned.iter().map(|(_, t)| t.label.clone()).collect();
+    let owned: Vec<(usize, &Run)> = plan
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| assignment[*i] == mine)
+        .collect();
 
     sam_obs::heartbeat::shard_context(
         u64::from(shard.index),
         u64::from(shard.shards),
-        total_weight,
+        weights.iter().sum(),
     );
-    let outcomes = run_sweep_weighted(args.jobs, owned);
-
-    let spec = spec_for(bin).unwrap_or_else(|| panic!("{bin}: no ArgSpec registered"));
-    let mut runs = Vec::with_capacity(outcomes.len());
-    for (local, outcome) in outcomes.into_iter().enumerate() {
+    let tasks = owned
+        .iter()
+        .map(|(_, run)| {
+            let task = SweepTask::new(run.label.clone(), move || {
+                run.job.run(&mut Instrumentation::default())
+            });
+            (run.weight, task)
+        })
+        .collect();
+    let mut runs = Vec::with_capacity(owned.len());
+    for ((index, run), outcome) in owned.iter().zip(run_sweep_weighted(args.jobs, tasks)) {
         match outcome {
             Ok(result) => {
-                let index = owned_idx[local];
                 let record = result.to_record();
                 runs.push(ShardRun {
-                    index,
-                    label: labels[local].clone(),
-                    digest: run_digest(index, &labels[local], &record),
+                    index: *index,
+                    label: run.label.clone(),
+                    digest: run_digest(*index, &run.label, &record),
                     record,
                 });
             }
-            Err(p) => {
-                // Re-raise with the *global* submission index so a crash
-                // report names the same run id on every shard layout.
-                let p = SweepPanic {
-                    index: owned_idx[p.index],
-                    ..p
-                };
-                panic!("{p}");
-            }
+            Err(p) => panic!("{}", SweepPanic { index: *index, ..p }),
         }
     }
 
@@ -764,8 +730,8 @@ pub fn resolve_sweep<T: ShardRecord>(
         bin: bin.to_string(),
         shard: u64::from(shard.index),
         shards: u64::from(shard.shards),
-        total_runs,
-        argv: canonical_argv(&spec, args),
+        total_runs: plan.len(),
+        argv: canonical_argv(spec, args),
         runs,
     };
     let path = shard_out_path(&args.out, shard.index, shard.shards);
@@ -784,24 +750,31 @@ pub fn resolve_sweep<T: ShardRecord>(
         shard.index,
         shard.shards,
         envelope.runs.len(),
-        total_runs,
+        plan.len(),
         path.display()
     );
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     use super::*;
     use crate::cli::try_parse_args;
+    use sam_ecc::layout::CodewordLayout;
     use sam_imdb::exec::{run_query, Workload};
     use sam_imdb::plan::PlanConfig;
 
     fn tiny_run() -> QueryRun {
         let workload = Workload::new(Query::Q3, PlanConfig::tiny());
         run_query(&workload, &sam::designs::sam_en(), Store::Row)
+    }
+
+    fn fig12_spec() -> ArgSpec {
+        crate::bins::find("fig12")
+            .expect("fig12 is registered")
+            .spec
     }
 
     #[test]
@@ -890,9 +863,33 @@ mod tests {
         assert!(e.contains("unknown design"), "{e}");
     }
 
+    /// A record that decodes cleanly but describes another run than the
+    /// plan entry it claims to be is drift, not data.
+    #[test]
+    fn decode_rejects_records_that_contradict_the_plan() {
+        let run = tiny_run();
+        let record = Json::parse(&run.to_record().to_string()).unwrap();
+        let workload = Workload::new(Query::Q3, PlanConfig::tiny());
+        let planned = |design: sam::design::Design, system: SystemConfig| Job::Query {
+            workload: workload.with_system(system),
+            design,
+            store: Store::Row,
+        };
+        let flat = SystemConfig::default();
+        assert!(Outcome::decode(&planned(sam::designs::sam_en(), flat), &record).is_ok());
+        let e = Outcome::decode(&planned(sam::designs::sam_io(), flat), &record).unwrap_err();
+        assert!(e.contains("the plan runs Q3/SAM-IO/Row"), "{e}");
+        let hybrid = SystemConfig {
+            hybrid: Some(crate::fig16::point_configs()[0]),
+            ..flat
+        };
+        let e = Outcome::decode(&planned(sam::designs::sam_en(), hybrid), &record).unwrap_err();
+        assert!(e.contains("lacks the hybrid summary"), "{e}");
+    }
+
     #[test]
     fn canonical_argv_reparses_to_the_same_plan() {
-        let spec = spec_for("fig12").unwrap();
+        let spec = fig12_spec();
         let argv: Vec<String> = ["--rows", "2048", "--tb-rows", "8192", "--per-core"]
             .iter()
             .map(ToString::to_string)
@@ -909,29 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn every_sweep_bin_has_a_spec_and_accepts_shard() {
-        for bin in [
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "table1",
-            "table2",
-            "table3",
-            "ablation",
-            "motivation",
-            "reliability",
-            "stress",
-        ] {
-            let spec = spec_for(bin).unwrap_or_else(|| panic!("no spec for {bin}"));
-            assert_eq!(spec.bin, bin);
-            assert!(spec.accepts_shard, "{bin} must accept --shard");
-        }
-        assert!(spec_for("probe").is_none());
-    }
-
-    #[test]
     fn shard_out_path_derives_from_out() {
         assert_eq!(
             shard_out_path(&PathBuf::from("results/fig12.json"), 2, 3),
@@ -943,39 +917,46 @@ mod tests {
         );
     }
 
+    fn shard_args(argv: &[&str]) -> BenchArgs {
+        let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
+        try_parse_args(&fig12_spec(), PlanConfig::tiny(), &argv).unwrap()
+    }
+
+    /// Cheap campaign runs with distinct weights and outcomes.
+    fn campaign_plan(n: u64) -> Vec<Run> {
+        (0..n)
+            .map(|i| Run {
+                label: format!("task{i}"),
+                weight: i + 1,
+                job: Job::Campaign {
+                    layout: CodewordLayout::BeatSpread,
+                    trials: 1,
+                    seed: i,
+                },
+            })
+            .collect()
+    }
+
     #[test]
     fn sharded_panic_reports_the_global_run_index() {
-        let spec = spec_for("fig12").unwrap();
         let dir = std::env::temp_dir().join("sam-shard-panic-test");
-        let argv: Vec<String> = [
-            "--shard",
-            "2/2",
-            "--out",
-            &dir.join("fig12.json").to_string_lossy(),
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();
-        // Equal weights, 4 tasks, 2 shards: LPT assigns 0,2 -> shard 1
-        // and 1,3 -> shard 2, so global run 3 is shard 2's local run 1.
-        let build = || {
-            (0..4u64)
-                .map(|i| {
-                    (
-                        1u64,
-                        SweepTask::new(format!("task{i}"), move || {
-                            assert!(i != 3, "boom {i}");
-                            Json::UInt(i)
-                        }),
-                    )
-                })
-                .collect::<Vec<_>>()
+        let out = dir.join("fig12.json");
+        let args = shard_args(&["--shard", "2/2", "--out", &out.to_string_lossy()]);
+        // Equal weights, 4 runs, 2 shards: LPT assigns 0,2 -> shard 1 and
+        // 1,3 -> shard 2, so global run 3 is shard 2's local run 1. Run 3
+        // hands the system more traces than it has cores, which panics.
+        let mut plan = campaign_plan(4);
+        for run in &mut plan {
+            run.weight = 1;
+        }
+        let system = SystemConfig::default();
+        plan[3].job = Job::Traces {
+            system,
+            design: sam::designs::commodity(),
+            table: PlanConfig::tiny().ta(),
+            traces: Arc::new(vec![Vec::new(); system.cores + 1]),
         };
-        let err = std::panic::catch_unwind(|| {
-            resolve_sweep("fig12", &args, build(), None);
-        })
-        .unwrap_err();
+        let err = std::panic::catch_unwind(|| run_shard(&fig12_spec(), &args, &plan)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
             msg.contains("run #3 [task3]"),
@@ -985,34 +966,22 @@ mod tests {
 
     #[test]
     fn shard_mode_writes_an_envelope_that_merges_back() {
-        let spec = spec_for("fig12").unwrap();
         let dir = std::env::temp_dir().join("sam-shard-envelope-test");
         let out = dir.join("fig12.json");
-        let build = || {
-            (0..5u64)
-                .map(|i| {
-                    (
-                        i + 1,
-                        SweepTask::new(format!("task{i}"), move || Json::UInt(i * 7)),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
+        let plan = campaign_plan(5);
         let mut envelopes = Vec::new();
         for k in 1..=2u32 {
-            let argv: Vec<String> = [
+            let shard = format!("{k}/2");
+            let jobs = k.to_string();
+            let args = shard_args(&[
                 "--shard",
-                &format!("{k}/2"),
+                &shard,
                 "--jobs",
-                &k.to_string(),
+                &jobs,
                 "--out",
                 &out.to_string_lossy(),
-            ]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-            let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();
-            assert!(resolve_sweep("fig12", &args, build(), None).is_none());
+            ]);
+            run_shard(&fig12_spec(), &args, &plan);
             let text =
                 std::fs::read_to_string(shard_out_path(&out, k, 2)).expect("envelope written");
             let doc = Json::parse(&text).unwrap();
@@ -1021,22 +990,24 @@ mod tests {
         }
         let merged = sam_check::shards::merge(&envelopes).unwrap();
         assert_eq!(merged.bin, "fig12");
-        assert_eq!(merged.runs.len(), 5);
-        for (i, (label, record)) in merged.runs.iter().enumerate() {
-            assert_eq!(label, &format!("task{i}"));
-            assert_eq!(*record, Json::UInt(i as u64 * 7));
+        // Replay returns the decoded records in plan order, equal to a
+        // local run of the same plan.
+        let replayed = replay(&plan, &merged.runs).unwrap();
+        for (run, outcome) in plan.iter().zip(&replayed) {
+            let local = run.job.run(&mut Instrumentation::default());
+            assert_eq!(outcome.to_record(), local.to_record(), "{}", run.label);
         }
-        // Replay mode returns the decoded records in submission order.
-        let argv: Vec<String> = ["--out", &out.to_string_lossy()]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();
-        let replayed = resolve_sweep("fig12", &args, build(), Some(&merged.runs)).unwrap();
-        assert_eq!(
-            replayed,
-            (0..5).map(|i| Json::UInt(i * 7)).collect::<Vec<_>>()
-        );
+        // Drift is an error, never a panic.
+        let e = replay(&plan[1..], &merged.runs).unwrap_err();
+        assert!(e.contains("carry 5 runs but this binary plans 4"), "{e}");
+        let mut relabeled = merged.runs.clone();
+        relabeled[2].0 = "other".into();
+        let e = replay(&plan, &relabeled).unwrap_err();
+        assert!(e.contains("run 2 label mismatch"), "{e}");
+        let mut broken = merged.runs.clone();
+        broken[4].1 = Json::Null;
+        let e = replay(&plan, &broken).unwrap_err();
+        assert!(e.contains("run 4 [task4] did not decode"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,14 +1,13 @@
 //! The adversarial stress harness behind the `stress` binary.
 //!
 //! One invocation is a (pattern × case) grid of fully independent stream
-//! executions, so the harness fans them out over the [`crate::sweep`]
-//! runner exactly like the figure binaries: each cell becomes a
-//! [`SweepTask`], results come back in submission order, and the printed
-//! table, the `results/stress.json` document, and the optional trace
-//! document are all byte-identical at any `--jobs` count. Cross-run
-//! differential checks ([`sam_stress::diff::cross_check`]) are applied to
-//! each pattern's completed case row after the sweep, on the reassembled
-//! submission-order runs.
+//! executions, so the harness plans them like the figure binaries: each
+//! cell becomes a [`Job::Stress`] run ([`cells`]), the experiment executor
+//! returns outcomes in plan order, and the printed table, the
+//! `results/stress.json` document, and the optional trace document are all
+//! byte-identical at any `--jobs` count. Cross-run differential checks
+//! ([`sam_stress::diff::cross_check`]) are applied to each pattern's
+//! completed case row after the sweep, on the reassembled plan-order runs.
 //!
 //! The case matrix pairs the commodity DDR4 baseline with knob variants
 //! (pure FCFS, a tight starvation cap, deeper drain hysteresis, an
@@ -16,19 +15,12 @@
 //! so one run exercises both the per-run invariants and the cross-run
 //! oracles (cap monotonicity, semantic identity) on every named pattern.
 
-use std::path::Path;
-use std::sync::{Arc, Mutex};
-
 use sam_stress::diff::{cross_check, DiffCase, DiffReport, DiffRun};
-use sam_stress::driver::{run_stream, run_stream_instrumented};
 use sam_stress::pattern::{Pattern, PatternParams};
 use sam_stress::report::PatternReport;
 use sam_stress::stream::{DeviceKind, StressConfig};
-use sam_trace::{EpochRecorder, RingRecorder, RunTrace};
-use sam_util::json::Json;
 
-use crate::sweep::{run_sweep_strict, SweepTask};
-use crate::traced::TraceOptions;
+use crate::experiment::{Job, Run};
 
 /// Builds the standard differential case matrix. CLI overrides replace
 /// the *base* (commodity) knobs — the variant cases keep their fixed
@@ -92,74 +84,27 @@ pub fn standard_cases(
     ]
 }
 
-/// Runs the (pattern × case) grid on `jobs` workers. With `trace`
-/// options, every cell records through its own ring/epoch recorders
-/// ([`crate::traced`] idiom) and the collected [`RunTrace`]s come back in
-/// submission order; the outcomes are identical either way.
-pub fn run_stress(
-    patterns: &[Pattern],
-    params: &PatternParams,
-    cases: &[DiffCase],
-    jobs: usize,
-    trace: Option<TraceOptions>,
-) -> (Vec<PatternReport>, Vec<RunTrace>) {
-    let mut tasks: Vec<SweepTask<'static, (sam_stress::StressOutcome, Option<RunTrace>)>> =
-        Vec::with_capacity(patterns.len() * cases.len());
+/// Plans the (pattern × case) grid, cases innermost, each cell labelled
+/// `"<pattern>/<case>"` with unit weight.
+pub fn cells(patterns: &[Pattern], params: &PatternParams, cases: &[DiffCase]) -> Vec<Run> {
+    let mut runs = Vec::with_capacity(patterns.len() * cases.len());
     for pattern in patterns {
         for case in cases {
-            let label = format!("{}/{}", pattern.name(), case.label);
-            let config = case.config;
-            let pattern = *pattern;
-            let params = *params;
-            tasks.push(SweepTask::new(label.clone(), move || {
-                let stream = pattern.generate(&params);
-                match trace {
-                    None => (run_stream(&config, &stream), None),
-                    Some(opts) => {
-                        let ring = Arc::new(Mutex::new(RingRecorder::new(opts.ring_capacity)));
-                        let epochs = Arc::new(Mutex::new(EpochRecorder::new(opts.epoch_len)));
-                        let outcome = run_stream_instrumented(
-                            &config,
-                            &stream,
-                            Some(ring.clone()),
-                            Some(epochs.clone()),
-                        );
-                        let (events, dropped) = Arc::try_unwrap(ring)
-                            .expect("controller dropped, ring is sole owner")
-                            .into_inner()
-                            .expect("ring lock poisoned")
-                            .into_events();
-                        let recorder = Arc::try_unwrap(epochs)
-                            .expect("controller dropped, epoch recorder is sole owner")
-                            .into_inner()
-                            .expect("epoch recorder lock poisoned");
-                        let run_trace = RunTrace {
-                            label,
-                            events,
-                            dropped,
-                            epoch_len: opts.epoch_len,
-                            epochs: recorder.into_rows(),
-                        };
-                        (outcome, Some(run_trace))
-                    }
-                }
-            }));
+            runs.push(Run {
+                label: format!("{}/{}", pattern.name(), case.label),
+                weight: 1,
+                job: Job::Stress {
+                    config: case.config,
+                    pattern: *pattern,
+                    params: *params,
+                },
+            });
         }
     }
-
-    let results = run_sweep_strict(jobs, tasks);
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut traces = Vec::new();
-    for (outcome, run_trace) in results {
-        outcomes.push(outcome);
-        if let Some(t) = run_trace {
-            traces.push(t);
-        }
-    }
-    (assemble_reports(patterns, cases, outcomes), traces)
+    runs
 }
 
-/// Reassembles flat submission-order outcomes (one per (pattern, case)
+/// Reassembles flat plan-order outcomes (one per (pattern, case)
 /// cell, cases innermost) into per-pattern differential reports, running
 /// the cross-run oracles on each completed case row. Shared by the local
 /// sweep and the `merge-shards` replay, so both verdicts agree.
@@ -267,40 +212,31 @@ pub fn render_report(reports: &[PatternReport]) -> String {
     s
 }
 
-/// Writes a JSON document with a trailing newline, creating parent
-/// directories, with the same stderr notice style as the metrics report.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from directory creation or the write.
-pub fn write_json(bin: &str, doc: &Json, path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut text = doc.to_string();
-    text.push('\n');
-    std::fs::write(path, text)?;
-    eprintln!("{bin}: wrote stress report to {}", path.display());
-    Ok(())
-}
-
-/// [`write_json`] + exit(1) on failure.
-pub fn write_json_or_die(bin: &str, doc: &Json, path: &Path) {
-    if let Err(e) = write_json(bin, doc, path) {
-        eprintln!("{bin}: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{try_parse_args, ArgSpec};
+    use crate::experiment::execute;
+    use sam_imdb::plan::PlanConfig;
     use sam_stress::report::{json_report, lint_stress_json};
+    use sam_trace::RunTrace;
 
     fn small_params() -> PatternParams {
         PatternParams::small(3)
+    }
+
+    /// The grid through the experiment executor, with `argv`'s `--jobs`
+    /// and `--trace` flags.
+    fn run_grid(patterns: &[Pattern], argv: &[&str]) -> (Vec<PatternReport>, Vec<RunTrace>) {
+        let cases = standard_cases(None, None, None);
+        let spec = ArgSpec::new("stress").with_trace();
+        let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
+        let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();
+        let (results, traces, _) = execute(&cells(patterns, &small_params(), &cases), &args);
+        (
+            assemble_reports(patterns, &cases, results.into_stress()),
+            traces,
+        )
     }
 
     #[test]
@@ -336,9 +272,8 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial_byte_for_byte() {
         let patterns = [Pattern::RowHitFlood, Pattern::WriteBurst];
-        let cases = standard_cases(None, None, None);
-        let (serial, _) = run_stress(&patterns, &small_params(), &cases, 1, None);
-        let (parallel, _) = run_stress(&patterns, &small_params(), &cases, 4, None);
+        let (serial, _) = run_grid(&patterns, &["--jobs", "1"]);
+        let (parallel, _) = run_grid(&patterns, &["--jobs", "4"]);
         assert_eq!(serial, parallel);
         assert_eq!(render_report(&serial), render_report(&parallel));
         assert_eq!(
@@ -352,26 +287,21 @@ mod tests {
     #[test]
     fn traced_grid_matches_untraced_and_collects_per_cell() {
         let patterns = [Pattern::BankPingPong];
-        let cases = standard_cases(None, None, None);
-        let (plain, none) = run_stress(&patterns, &small_params(), &cases, 2, None);
+        let (plain, none) = run_grid(&patterns, &["--jobs", "2"]);
         assert!(none.is_empty());
-        let (traced, traces) = run_stress(
+        let (traced, traces) = run_grid(
             &patterns,
-            &small_params(),
-            &cases,
-            2,
-            Some(TraceOptions::new(1_000)),
+            &["--jobs", "2", "--trace", "--epoch-len", "1000"],
         );
         assert_eq!(plain, traced);
-        assert_eq!(traces.len(), cases.len());
+        assert_eq!(traces.len(), standard_cases(None, None, None).len());
         assert_eq!(traces[0].label, "ping-pong/commodity");
         assert!(traces.iter().any(|t| !t.events.is_empty()));
     }
 
     #[test]
     fn full_grid_is_clean_and_lints_at_small_scale() {
-        let cases = standard_cases(None, None, None);
-        let (reports, _) = run_stress(&Pattern::ALL, &small_params(), &cases, 4, None);
+        let (reports, _) = run_grid(&Pattern::ALL, &["--jobs", "4"]);
         let doc = json_report(3, &reports);
         let summary = lint_stress_json(&doc).unwrap();
         assert_eq!(summary.patterns, 5);

@@ -86,34 +86,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `tasks` on up to `jobs` worker threads and returns their results
-/// in submission order.
+/// Runs `(weight, task)` pairs on up to `jobs` worker threads and returns
+/// their results in submission order.
 ///
 /// `jobs` is clamped to at least 1; `jobs = 1` executes the same code path
 /// with a single worker, which is how the `--jobs 1` vs `--jobs N`
-/// byte-identity guarantee is kept trivially honest. A panicking task
-/// yields `Err(SweepPanic)` in its slot; all other tasks still run.
-pub fn run_sweep<T: Send>(jobs: usize, tasks: Vec<SweepTask<'_, T>>) -> Vec<Result<T, SweepPanic>> {
-    let order: Vec<usize> = (0..tasks.len()).collect();
-    let weights = vec![1; tasks.len()];
-    run_sweep_in_order(jobs, tasks, &order, &weights)
-}
-
-/// [`run_sweep`] with an explicit execution order: workers pull tasks in
-/// `order` (a permutation of the task indices), but results still land in
-/// **submission** order, so reordering only affects wall-clock, never
-/// output bytes. `weights[i]` is task `i`'s cost in the sweep cost model;
-/// the heartbeat's ETA is weight-proportional, so unweighted sweeps pass
-/// all-ones.
-fn run_sweep_in_order<T: Send>(
+/// byte-identity guarantee is kept trivially honest. The heaviest tasks
+/// are **executed first** (stable by submission index on ties), which
+/// keeps a long task from landing last and gating the whole sweep on one
+/// worker; results still land in submission order, so weights are purely
+/// a scheduling hint (and the heartbeat's ETA unit), never output bytes.
+/// A panicking task yields `Err(SweepPanic)` in its slot; all other tasks
+/// still run.
+pub fn run_sweep_weighted<T: Send>(
     jobs: usize,
-    tasks: Vec<SweepTask<'_, T>>,
-    order: &[usize],
-    weights: &[u64],
+    tasks: Vec<(u64, SweepTask<'_, T>)>,
 ) -> Vec<Result<T, SweepPanic>> {
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    // Descending weight; sort_by_key is stable, so equal weights keep
+    // submission order.
+    order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].0));
+    let (weights, tasks): (Vec<u64>, Vec<SweepTask<'_, T>>) = tasks.into_iter().unzip();
     let n = tasks.len();
-    debug_assert_eq!(order.len(), n);
-    debug_assert_eq!(weights.len(), n);
     sam_obs::heartbeat::sweep_add(n as u64, weights.iter().sum());
     let workers = jobs.max(1).min(n.max(1));
     // Each task sits in its own slot so a worker can take it without
@@ -190,32 +184,6 @@ pub fn partition_weighted(weights: &[u64], shards: usize) -> Vec<usize> {
     assignment
 }
 
-/// [`run_sweep`] for sweeps that must not fail: panics with the first
-/// failing label if any task panicked.
-pub fn run_sweep_strict<T: Send>(jobs: usize, tasks: Vec<SweepTask<'_, T>>) -> Vec<T> {
-    run_sweep(jobs, tasks)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
-        .collect()
-}
-
-/// Runs `(weight, task)` pairs with the heaviest tasks **executed first**
-/// (stable by submission index on ties), which keeps a long task from
-/// landing last and gating the whole sweep on one worker. Results come
-/// back in submission order like [`run_sweep`], so the byte-identity
-/// guarantee is untouched — weights are purely a scheduling hint.
-pub fn run_sweep_weighted<T: Send>(
-    jobs: usize,
-    tasks: Vec<(u64, SweepTask<'_, T>)>,
-) -> Vec<Result<T, SweepPanic>> {
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    // Descending weight; sort_by_key is stable, so equal weights keep
-    // submission order.
-    order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].0));
-    let (weights, tasks): (Vec<u64>, Vec<SweepTask<'_, T>>) = tasks.into_iter().unzip();
-    run_sweep_in_order(jobs, tasks, &order, &weights)
-}
-
 /// [`run_sweep_weighted`] for sweeps that must not fail.
 pub fn run_sweep_weighted_strict<T: Send>(
     jobs: usize,
@@ -233,9 +201,9 @@ mod tests {
 
     fn squares(jobs: usize, n: usize) -> Vec<usize> {
         let tasks = (0..n)
-            .map(|i| SweepTask::new(format!("sq{i}"), move || i * i))
+            .map(|i| (1, SweepTask::new(format!("sq{i}"), move || i * i)))
             .collect();
-        run_sweep_strict(jobs, tasks)
+        run_sweep_weighted_strict(jobs, tasks)
     }
 
     #[test]
@@ -253,21 +221,24 @@ mod tests {
 
     #[test]
     fn empty_sweep_returns_empty() {
-        let out: Vec<Result<u32, SweepPanic>> = run_sweep(4, Vec::new());
+        let out: Vec<Result<u32, SweepPanic>> = run_sweep_weighted(4, Vec::new());
         assert!(out.is_empty());
     }
 
     #[test]
     fn panics_are_captured_per_task_with_labels() {
-        let tasks: Vec<SweepTask<u32>> = (0..8)
+        // Weights run against submission order, so the failing tasks are
+        // not the first or last executed.
+        let tasks: Vec<(u64, SweepTask<u32>)> = (0..8)
             .map(|i| {
-                SweepTask::new(format!("cfg{i}"), move || {
+                let task = SweepTask::new(format!("cfg{i}"), move || {
                     assert!(i != 3 && i != 5, "injected failure in cfg{i}");
                     i
-                })
+                });
+                (8 - u64::from(i), task)
             })
             .collect();
-        let out = run_sweep(2, tasks);
+        let out = run_sweep_weighted(2, tasks);
         for (i, r) in out.iter().enumerate() {
             if i == 3 || i == 5 {
                 let p = r.as_ref().unwrap_err();
@@ -286,9 +257,14 @@ mod tests {
         let tasks = data
             .chunks(10)
             .enumerate()
-            .map(|(i, chunk)| SweepTask::new(format!("chunk{i}"), move || chunk.iter().sum()))
+            .map(|(i, chunk)| {
+                (
+                    1,
+                    SweepTask::new(format!("chunk{i}"), move || chunk.iter().sum()),
+                )
+            })
             .collect();
-        let sums: Vec<u64> = run_sweep_strict(3, tasks);
+        let sums: Vec<u64> = run_sweep_weighted_strict(3, tasks);
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
@@ -361,23 +337,5 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 3, "{p:?}");
-    }
-
-    #[test]
-    fn weighted_panics_are_captured_per_task() {
-        let tasks: Vec<(u64, SweepTask<u32>)> = (0..4)
-            .map(|i| {
-                (
-                    4 - i as u64,
-                    SweepTask::new(format!("cfg{i}"), move || {
-                        assert!(i != 2, "boom in cfg{i}");
-                        i
-                    }),
-                )
-            })
-            .collect();
-        let out = run_sweep_weighted(2, tasks);
-        assert_eq!(out[2].as_ref().unwrap_err().label, "cfg2");
-        assert_eq!(*out[3].as_ref().unwrap(), 3);
     }
 }

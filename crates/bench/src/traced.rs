@@ -1,32 +1,24 @@
-//! Traced runs: the figure harnesses with the `sam-trace` recorder
-//! attached.
+//! Traced runs: one plan entry with the `sam-trace` recorders attached.
 //!
-//! Each sweep task builds its **own** ring recorder and epoch recorder
-//! (one sink per worker-task, never shared across runs), so tracing is
-//! sweep-safe: tasks fan out over `--jobs` workers exactly like the
-//! untraced grid, and the collected [`RunTrace`]s come back in submission
-//! order. The traced code path calls the same simulator as the untraced
-//! one with a purely observational sink, so tables and
-//! `results/<bin>.json` stay byte-identical whether or not `--trace` was
-//! given (covered by tests here and in `sam-core`).
+//! Each run builds its **own** ring recorder and epoch recorder (one sink
+//! per run, never shared), so tracing is sweep-safe: the executor fans
+//! traced runs out over `--jobs` workers exactly like bare ones, and the
+//! collected [`RunTrace`]s come back in plan order. The traced path calls
+//! the same simulator as the bare one with a purely observational sink, so
+//! tables and `results/<bin>.json` stay byte-identical whether or not
+//! `--trace` was given (covered by tests here and in `sam-core`).
 //!
-//! The collected runs render into one Chrome `trace_event` document per
-//! binary (`results/<bin>.trace.json` by default): one process per run,
-//! one thread lane per simulator component — see [`sam_trace::chrome`].
+//! The driver renders the collected runs into one Chrome `trace_event`
+//! document per binary (`results/<bin>.trace.json` by default): one
+//! process per run, one thread lane per simulator component — see
+//! [`sam_trace::chrome`].
 
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use sam::design::Design;
-use sam::layout::Store;
-use sam::system::{Instrumentation, SystemConfig};
-use sam_imdb::exec::{run_query_instrumented, QueryRun, Workload};
-use sam_imdb::plan::PlanConfig;
-use sam_imdb::query::Query;
-use sam_trace::{chrome_trace, EpochRecorder, RingRecorder, RunTrace};
+use sam::system::Instrumentation;
+use sam_trace::{EpochRecorder, RingRecorder, RunTrace};
 
-use crate::sweep::{run_sweep_strict, SweepTask};
-use crate::{assemble_grid_chunk, grid_chunk_len, GridRow};
+use crate::experiment::{Job, Outcome};
 
 /// How a traced run records: epoch length for the stats engine and the
 /// event-ring bound.
@@ -63,262 +55,100 @@ impl Default for TraceOptions {
     }
 }
 
-/// Runs `workload` on `design` with a fresh ring recorder and epoch
-/// recorder attached, returning the run plus its recorded trace.
-pub fn run_query_traced(
-    workload: &Workload,
-    design: &Design,
-    store: Store,
-    label: String,
-    opts: TraceOptions,
-) -> (QueryRun, RunTrace) {
+/// Runs `job` with a fresh ring recorder and epoch recorder attached,
+/// returning the outcome plus its recorded trace under `label`.
+pub fn run_traced(job: &Job, label: &str, opts: TraceOptions) -> (Outcome, RunTrace) {
     let ring = Arc::new(Mutex::new(RingRecorder::new(opts.ring_capacity)));
     let epochs = Arc::new(Mutex::new(EpochRecorder::new(opts.epoch_len)));
-    let run = {
-        let mut instr = Instrumentation {
-            trace: Some(ring.clone()),
-            epochs: Some(epochs.clone()),
-            ..Default::default()
-        };
-        run_query_instrumented(workload, design, store, &mut instr)
-    };
+    let outcome = job.run(&mut Instrumentation {
+        trace: Some(ring.clone()),
+        epochs: Some(epochs.clone()),
+        ..Default::default()
+    });
     let (events, dropped) = Arc::try_unwrap(ring)
-        .expect("system dropped, ring is sole owner")
+        .expect("run finished, ring is sole owner")
         .into_inner()
         .expect("ring lock poisoned")
         .into_events();
     let recorder = Arc::try_unwrap(epochs)
-        .expect("system dropped, epoch recorder is sole owner")
+        .expect("run finished, epoch recorder is sole owner")
         .into_inner()
         .expect("epoch recorder lock poisoned");
     let trace = RunTrace {
-        label,
+        label: label.to_string(),
         events,
         dropped,
         epoch_len: opts.epoch_len,
         epochs: recorder.into_rows(),
     };
-    (run, trace)
-}
-
-/// Accumulates one binary's [`RunTrace`]s across its sweeps and writes
-/// the combined Chrome trace document.
-#[derive(Debug)]
-pub struct TraceCollector {
-    /// Binary name recorded in the document's `sam` section.
-    pub bin: &'static str,
-    /// Recording options applied to every run.
-    pub opts: TraceOptions,
-    /// Collected runs, in sweep submission order.
-    pub runs: Vec<RunTrace>,
-}
-
-impl TraceCollector {
-    /// An empty collector for `bin`.
-    pub fn new(bin: &'static str, opts: TraceOptions) -> Self {
-        Self {
-            bin,
-            opts,
-            runs: Vec::new(),
-        }
-    }
-
-    /// A sweep task that runs `workload` traced under `label`.
-    pub fn task(
-        &self,
-        label: String,
-        workload: Workload,
-        design: Design,
-        store: Store,
-    ) -> SweepTask<'static, (QueryRun, RunTrace)> {
-        let opts = self.opts;
-        SweepTask::new(label.clone(), move || {
-            run_query_traced(&workload, &design, store, label, opts)
-        })
-    }
-
-    /// Absorbs completed traced outcomes (submission order), keeping the
-    /// traces and returning the bare runs.
-    pub fn absorb(&mut self, outcomes: Vec<(QueryRun, RunTrace)>) -> Vec<QueryRun> {
-        let _p = sam_obs::profile::phase("trace-absorb");
-        let mut runs = Vec::with_capacity(outcomes.len());
-        for (run, trace) in outcomes {
-            self.runs.push(trace);
-            runs.push(run);
-        }
-        runs
-    }
-
-    /// [`crate::grid_rows`] with every constituent run traced.
-    pub fn grid_rows(
-        &mut self,
-        queries: &[Query],
-        plan: PlanConfig,
-        system: SystemConfig,
-        designs: &[Design],
-        jobs: usize,
-    ) -> Vec<GridRow> {
-        let cases: Vec<(Query, PlanConfig)> = queries.iter().map(|q| (*q, plan)).collect();
-        self.grid_rows_with_plans(&cases, system, designs, jobs)
-    }
-
-    /// [`crate::grid_rows_with_plans`] with every constituent run traced.
-    pub fn grid_rows_with_plans(
-        &mut self,
-        cases: &[(Query, PlanConfig)],
-        system: SystemConfig,
-        designs: &[Design],
-        jobs: usize,
-    ) -> Vec<GridRow> {
-        let tasks = cases
-            .iter()
-            .flat_map(|(q, plan)| self.grid_tasks(*q, *plan, system, designs))
-            .collect();
-        let runs = self.absorb(run_sweep_strict(jobs, tasks));
-        let gather = system.granularity.gather() as u64;
-        runs.chunks(grid_chunk_len(designs))
-            .map(|chunk| assemble_grid_chunk(chunk, designs, gather))
-            .collect()
-    }
-
-    /// Builds one query's grid chunk of traced tasks, mirroring
-    /// [`crate::grid_tasks`] (baseline, designs, column — same labels).
-    fn grid_tasks(
-        &self,
-        query: Query,
-        plan: PlanConfig,
-        system: SystemConfig,
-        designs: &[Design],
-    ) -> Vec<SweepTask<'static, (QueryRun, RunTrace)>> {
-        let workload = Workload::new(query, plan).with_system(system);
-        let name = query.name();
-        let mut tasks = Vec::with_capacity(grid_chunk_len(designs));
-        tasks.push(self.task(
-            format!("{name}/commodity/Row"),
-            workload,
-            sam::designs::commodity(),
-            Store::Row,
-        ));
-        for design in designs {
-            tasks.push(self.task(
-                format!("{name}/{}/Row", design.name),
-                workload,
-                design.clone(),
-                Store::Row,
-            ));
-        }
-        tasks.push(self.task(
-            format!("{name}/commodity/Column"),
-            workload,
-            sam::designs::commodity(),
-            Store::Column,
-        ));
-        tasks
-    }
-
-    /// Renders the collected runs as a Chrome trace document and writes it
-    /// to `path`, creating parent directories. The notice goes to
-    /// **stderr**, like the metrics report, so stdout stays table-only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from directory creation or the write.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let _p = sam_obs::profile::phase("emit-trace");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut text = chrome_trace(self.bin, &self.runs).to_string();
-        text.push('\n');
-        std::fs::write(path, text)?;
-        let events: usize = self.runs.iter().map(|r| r.events.len()).sum();
-        let dropped: u64 = self.runs.iter().map(|r| r.dropped).sum();
-        eprintln!(
-            "{}: wrote {} traced runs ({events} events, {dropped} dropped) to {}",
-            self.bin,
-            self.runs.len(),
-            path.display()
-        );
-        Ok(())
-    }
-
-    /// [`Self::write`] + exit(1) on failure.
-    pub fn write_or_die(&self, path: &Path) {
-        if let Err(e) = self.write(path) {
-            eprintln!("{}: cannot write {}: {e}", self.bin, path.display());
-            std::process::exit(1);
-        }
-    }
+    (outcome, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Run;
     use sam::designs;
-    use sam_trace::lint_chrome_trace;
+    use sam::layout::Store;
+    use sam_imdb::exec::Workload;
+    use sam_imdb::plan::PlanConfig;
+    use sam_imdb::query::Query;
+    use sam_stress::stream::StressConfig;
+    use sam_stress::{Pattern, PatternParams};
+    use sam_trace::{chrome_trace, lint_chrome_trace};
     use sam_util::json::Json;
+
+    fn query_job(design: sam::design::Design, store: Store) -> Job {
+        Run::query(
+            "",
+            Workload::new(Query::Q4, PlanConfig::tiny()),
+            design,
+            store,
+        )
+        .job
+    }
 
     #[test]
     fn traced_run_matches_untraced_and_records() {
-        let workload = Workload::new(Query::Q4, PlanConfig::tiny());
-        let design = designs::sam_en();
-        let plain = sam_imdb::exec::run_query(&workload, &design, Store::Row);
-        let (run, trace) = run_query_traced(
-            &workload,
-            &design,
-            Store::Row,
-            "Q4/SAM-en/Row".into(),
-            TraceOptions::new(1_000),
-        );
-        assert_eq!(run.result.cycles, plain.result.cycles);
-        assert_eq!(run.result.ctrl, plain.result.ctrl);
+        let job = query_job(designs::sam_en(), Store::Row);
+        let plain = job.run(&mut Instrumentation::default());
+        let (traced, trace) = run_traced(&job, "Q4/SAM-en/Row", TraceOptions::new(1_000));
+        assert_eq!(traced.to_record(), plain.to_record());
         assert!(!trace.events.is_empty());
         assert!(!trace.epochs.is_empty());
         assert_eq!(trace.label, "Q4/SAM-en/Row");
     }
 
-    /// The traced grid must reproduce the untraced grid bit-for-bit — the
-    /// byte-identity acceptance criterion in miniature.
+    /// Stress cells record through the same entry point: the bare
+    /// controller takes the trace sinks from the instrumentation.
     #[test]
-    fn traced_grid_rows_match_untraced_exactly() {
-        let plan = PlanConfig::tiny();
-        let system = SystemConfig::default();
-        let designs = vec![designs::sam_en()];
-        let queries = [Query::Q4];
-        let plain = crate::grid_rows(&queries, plan, system, &designs, 2);
-        let mut collector = TraceCollector::new("test", TraceOptions::new(2_000));
-        let traced = collector.grid_rows(&queries, plan, system, &designs, 2);
-        assert_eq!(collector.runs.len(), grid_chunk_len(&designs));
-        for ((row, metrics), (prow, pmetrics)) in traced.iter().zip(&plain) {
-            assert!(row.ideal.to_bits() == prow.ideal.to_bits());
-            for ((n, s), (pn, ps)) in row.speedups.iter().zip(&prow.speedups) {
-                assert_eq!(n, pn);
-                assert!(s.to_bits() == ps.to_bits(), "{n}: {s} vs {ps}");
-            }
-            for (m, pm) in metrics.iter().zip(pmetrics) {
-                assert_eq!(m.cycles, pm.cycles);
-            }
-        }
-        // Labels follow the untraced grid's naming and submission order.
-        assert_eq!(collector.runs[0].label, "Q4/commodity/Row");
-        assert_eq!(collector.runs[1].label, "Q4/SAM-en/Row");
-        assert_eq!(collector.runs[2].label, "Q4/commodity/Column");
+    fn traced_stress_cell_matches_untraced_and_records() {
+        let job = Job::Stress {
+            config: StressConfig::ddr4_default(),
+            pattern: Pattern::BankPingPong,
+            params: PatternParams::small(3),
+        };
+        let plain = job.run(&mut Instrumentation::default());
+        let (traced, trace) = run_traced(&job, "ping-pong/commodity", TraceOptions::new(1_000));
+        assert_eq!(traced.to_record(), plain.to_record());
+        assert!(!trace.events.is_empty());
     }
 
     #[test]
     fn collected_document_passes_lint() {
-        let mut collector = TraceCollector::new("test", TraceOptions::new(5_000));
-        let _ = collector.grid_rows(
-            &[Query::Q3],
-            PlanConfig::tiny(),
-            SystemConfig::default(),
-            &[designs::sam_en()],
-            1,
-        );
-        let doc = chrome_trace(collector.bin, &collector.runs);
-        let summary = lint_chrome_trace(&doc).expect("collector output lints clean");
+        let traces: Vec<RunTrace> = [
+            (designs::commodity(), Store::Row),
+            (designs::sam_en(), Store::Row),
+            (designs::commodity(), Store::Column),
+        ]
+        .into_iter()
+        .map(|(design, store)| {
+            let label = format!("Q4/{}/{store:?}", design.name);
+            run_traced(&query_job(design, store), &label, TraceOptions::new(5_000)).1
+        })
+        .collect();
+        let doc = chrome_trace("test", &traces);
+        let summary = lint_chrome_trace(&doc).expect("collected runs lint clean");
         assert_eq!(summary.processes, 3);
         assert!(summary.epoch_rows > 0);
         // And survives a serialize/parse round-trip (what `sam-check

@@ -11,39 +11,50 @@
 #![cfg(feature = "obs")]
 
 use sam::system::SystemConfig;
-use sam_bench::grid_rows;
-use sam_bench::stressrun::{render_report, run_stress, standard_cases};
+use sam_bench::cli::{try_parse_args, ArgSpec, BenchArgs};
+use sam_bench::experiment::{execute, Run};
+use sam_bench::stressrun::{assemble_reports, cells, render_report, standard_cases};
+use sam_bench::{assemble_grid_chunk, grid_chunk_len, grid_runs};
 use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
 use sam_stress::report::json_report;
 use sam_stress::{Pattern, PatternParams};
 
+fn jobs_args(jobs: usize) -> BenchArgs {
+    let argv = ["--jobs".to_string(), jobs.to_string()];
+    try_parse_args(&ArgSpec::new("obs"), PlanConfig::tiny(), &argv).unwrap()
+}
+
 fn fig12_bits(jobs: usize) -> Vec<(String, Vec<u64>)> {
     let queries = [Query::Q3, Query::Qs3];
     let designs = vec![sam::designs::sam_io(), sam::designs::sam_en()];
-    grid_rows(
-        &queries,
-        PlanConfig::tiny(),
-        SystemConfig::default(),
-        &designs,
-        jobs,
-    )
-    .into_iter()
-    .map(|(row, metrics)| {
-        // Exact f64 bit patterns, not approximate equality: the goldens
-        // are byte-compared in CI, so the test must be at least as strict.
-        let mut bits: Vec<u64> = row.speedups.iter().map(|(_, s)| s.to_bits()).collect();
-        bits.push(row.ideal.to_bits());
-        bits.extend(metrics.iter().map(|m| m.cycles));
-        (row.query.to_string(), bits)
-    })
-    .collect()
+    let system = SystemConfig::default();
+    let plan: Vec<Run> = queries
+        .iter()
+        .flat_map(|q| grid_runs(*q, PlanConfig::tiny(), system, &designs))
+        .collect();
+    let (results, _, _) = execute(&plan, &jobs_args(jobs));
+    let gather = system.granularity.gather() as u64;
+    results
+        .into_queries()
+        .chunks(grid_chunk_len(&designs))
+        .map(|chunk| assemble_grid_chunk(chunk, &designs, gather))
+        .map(|(row, metrics)| {
+            // Exact f64 bit patterns, not approximate equality: the goldens
+            // are byte-compared in CI, so the test must be at least as strict.
+            let mut bits: Vec<u64> = row.speedups.iter().map(|(_, s)| s.to_bits()).collect();
+            bits.push(row.ideal.to_bits());
+            bits.extend(metrics.iter().map(|m| m.cycles));
+            (row.query.to_string(), bits)
+        })
+        .collect()
 }
 
 fn stress_outputs() -> (String, String) {
     let params = PatternParams::small(41);
     let cases = standard_cases(None, None, None);
-    let (reports, _) = run_stress(&Pattern::ALL, &params, &cases, 2, None);
+    let (results, _, _) = execute(&cells(&Pattern::ALL, &params, &cases), &jobs_args(2));
+    let reports = assemble_reports(&Pattern::ALL, &cases, results.into_stress());
     (
         render_report(&reports),
         json_report(41, &reports).to_string(),

@@ -1,0 +1,185 @@
+//! One table-driven gate over the whole experiment registry.
+//!
+//! For every registered experiment, at the smallest scale that still plans
+//! every run: stdout and the metrics JSON are byte-identical at `--jobs 1`
+//! and `--jobs 3`, and a 2-shard split at mixed `--jobs` merged with
+//! `sam-check merge-shards` reproduces the local run byte for byte. A
+//! second test pins each experiment's accepted flags to the per-binary
+//! table the registry replaced, so moving a binary into the registry can
+//! neither widen nor narrow its command line.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use sam_bench::bins::EXPERIMENTS;
+use sam_bench::cli::ArgSpec;
+use sam_bench::experiment::Experiment;
+
+/// The per-binary flag table as it stood before the registry, verbatim.
+fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
+    const FIG_FLAGS: &[&str] = &["--debug-cores", "--per-core"];
+    Some(match bin {
+        "fig12" => ArgSpec::new("fig12")
+            .with_checked()
+            .with_trace()
+            .with_obs()
+            .with_shard()
+            .with_flags(FIG_FLAGS),
+        "fig13" => ArgSpec::new("fig13")
+            .with_trace()
+            .with_obs()
+            .with_shard()
+            .with_flags(FIG_FLAGS),
+        "fig14" => ArgSpec::new("fig14")
+            .with_panels(&["a", "b", "c"])
+            .with_trace()
+            .with_obs()
+            .with_shard()
+            .with_flags(FIG_FLAGS),
+        "fig15" => ArgSpec::new("fig15")
+            .with_panels(&["a", "b", "c", "d", "e", "f", "g", "h", "i"])
+            .with_trace()
+            .with_obs()
+            .with_shard()
+            .with_flags(FIG_FLAGS),
+        "fig16" => ArgSpec::new("fig16")
+            .with_checked()
+            .with_trace()
+            .with_obs()
+            .with_shard()
+            .with_flags(FIG_FLAGS),
+        "table1" => ArgSpec::new("table1").with_obs().with_shard(),
+        "table2" => ArgSpec::new("table2").with_obs().with_shard(),
+        "table3" => ArgSpec::new("table3").with_obs().with_shard(),
+        "ablation" => ArgSpec::new("ablation").with_obs().with_shard(),
+        "motivation" => ArgSpec::new("motivation").with_obs().with_shard(),
+        "reliability" => ArgSpec::new("reliability")
+            .with_trials()
+            .with_obs()
+            .with_shard(),
+        "stress" => ArgSpec::new("stress")
+            .with_trace()
+            .with_panels(&[
+                "row-hit-flood",
+                "ping-pong",
+                "write-burst",
+                "faw-train",
+                "sector-straddle",
+            ])
+            .with_obs()
+            .with_shard()
+            .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
+        _ => return None,
+    })
+}
+
+#[test]
+fn registry_accepts_exactly_the_pre_registry_flags() {
+    let mut names: Vec<&str> = EXPERIMENTS.iter().map(Experiment::name).collect();
+    for exp in EXPERIMENTS {
+        let before = pre_registry_spec(exp.name())
+            .unwrap_or_else(|| panic!("{} has no pre-registry spec", exp.name()));
+        assert_eq!(
+            exp.spec,
+            before,
+            "{} changed its accepted flags",
+            exp.name()
+        );
+    }
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), 12, "every binary registered exactly once");
+    // The stress panels are the pattern names, in the generator's order.
+    let stress = sam_bench::bins::find("stress").unwrap();
+    let patterns: Vec<&str> = sam_stress::Pattern::ALL.iter().map(|p| p.name()).collect();
+    assert_eq!(stress.spec.panels, patterns.as_slice());
+}
+
+/// The smallest command line that still plans every run of `name`.
+fn smallest(name: &str) -> Vec<&'static str> {
+    match name {
+        "reliability" => vec!["--trials", "1"],
+        "stress" => vec!["--seed", "7"],
+        "table1" | "table2" | "table3" => Vec::new(),
+        _ => vec!["--rows", "64", "--tb-rows", "64"],
+    }
+}
+
+fn bin_dir() -> PathBuf {
+    Path::new(env!("CARGO_BIN_EXE_sam-check"))
+        .parent()
+        .expect("binaries share a directory")
+        .to_path_buf()
+}
+
+fn run_ok(exe: &Path, args: &[&str]) -> Output {
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot spawn {}: {e}", exe.display()));
+    assert!(
+        out.status.success(),
+        "{} {args:?} failed:\n{}",
+        exe.display(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// Runs `name` locally and returns (stdout, metrics JSON).
+fn local(name: &str, dir: &Path, jobs: &str) -> (Vec<u8>, Vec<u8>) {
+    let out = dir.join(format!("{name}.json"));
+    let mut args = smallest(name);
+    let out_arg = out.to_string_lossy().into_owned();
+    args.extend(["--jobs", jobs, "--out", &out_arg]);
+    let o = run_ok(&bin_dir().join(name), &args);
+    let json = std::fs::read(&out).expect("metrics json written");
+    std::fs::remove_file(&out).expect("clear metrics json");
+    (o.stdout, json)
+}
+
+#[test]
+fn every_experiment_is_jobs_and_shard_merge_identical() {
+    let start = std::time::Instant::now();
+    let dir = std::env::temp_dir().join(format!("sam-registry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for exp in EXPERIMENTS {
+        let name = exp.name();
+        let (stdout, json) = local(name, &dir, "1");
+        let (stdout3, json3) = local(name, &dir, "3");
+        assert!(
+            stdout == stdout3,
+            "{name}: stdout differs between --jobs 1 and 3"
+        );
+        assert!(json == json3, "{name}: JSON differs between --jobs 1 and 3");
+
+        let out = dir.join(format!("{name}.json"));
+        let out_arg = out.to_string_lossy().into_owned();
+        for (k, jobs) in [("1/2", "1"), ("2/2", "3")] {
+            let mut args = smallest(name);
+            args.extend(["--jobs", jobs, "--shard", k, "--out", &out_arg]);
+            let o = run_ok(&bin_dir().join(name), &args);
+            assert!(o.stdout.is_empty(), "{name}: shard {k} printed to stdout");
+        }
+        let shards: Vec<PathBuf> = (1..=2)
+            .map(|k| dir.join(format!("{name}.shard-{k}-of-2.json")))
+            .collect();
+        let merged = run_ok(
+            Path::new(env!("CARGO_BIN_EXE_sam-check")),
+            &[
+                "merge-shards",
+                &shards[0].to_string_lossy(),
+                &shards[1].to_string_lossy(),
+            ],
+        );
+        assert!(merged.stdout == stdout, "{name}: merged stdout drifted");
+        let merged_json = std::fs::read(&out).expect("merged metrics json");
+        assert!(merged_json == json, "{name}: merged JSON drifted");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    eprintln!(
+        "registry identity: {} experiments in {:.1} s",
+        EXPERIMENTS.len(),
+        start.elapsed().as_secs_f64()
+    );
+}

@@ -277,3 +277,54 @@ fn adversarial_merges_fail_with_distinct_errors() {
         "wrong digest error: {e}"
     );
 }
+
+/// The first run of an envelope's `runs` array.
+fn first_run(doc: &mut Json) -> &mut Json {
+    let Json::Array(runs) = field_mut(doc, "runs") else {
+        panic!("runs must be an array");
+    };
+    &mut runs[0]
+}
+
+/// Recomputes the first run's digest so the merge oracle accepts it.
+fn reseal(doc: &mut Json) {
+    let run = first_run(doc);
+    let Json::UInt(index) = *field_mut(run, "index") else {
+        panic!("run index must be a uint");
+    };
+    let label = field_mut(run, "label").as_str().unwrap().to_string();
+    let digest = sam_check::shards::run_digest(index as usize, &label, field_mut(run, "record"));
+    *field_mut(run, "digest") = Json::str(digest);
+}
+
+/// Forgeries that pass the merge oracle (their digests are recomputed)
+/// but do not match the plan must fail the replay with an error, exit 1,
+/// never a panic.
+#[test]
+fn replay_rejects_consistent_forgeries_without_panicking() {
+    let dir = scratch_dir("replay-forgery");
+    let [s1, s2] = motivation_fixture(&dir);
+    // A record missing `cycles`, sealed with a consistent digest.
+    let forged = dir.join("forged-record.json");
+    let mut doc = load(&s2);
+    let Json::Object(fields) = field_mut(first_run(&mut doc), "record") else {
+        panic!("record must be an object");
+    };
+    fields.retain(|(k, _)| k != "cycles");
+    reseal(&mut doc);
+    store(&forged, &doc);
+    let e = merge_err(&[s1.clone(), forged]);
+    assert!(
+        e.contains("did not decode") && e.contains("missing key 'cycles'"),
+        "wrong undecodable-record error: {e}"
+    );
+
+    // A label that drifts from the plan, sealed the same way.
+    let drifted = dir.join("forged-label.json");
+    let mut doc = load(&s2);
+    *field_mut(first_run(&mut doc), "label") = Json::str("not/a/planned/run");
+    reseal(&mut doc);
+    store(&drifted, &doc);
+    let e = merge_err(&[s1, drifted]);
+    assert!(e.contains("label mismatch"), "wrong label-drift error: {e}");
+}
