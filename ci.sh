@@ -18,7 +18,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> sam-perf tests + ctrl-replay smoke"
+echo "==> sam-perf tests + ctrl-replay and fig16-hybrid smokes"
 # perf/ is its own cargo workspace, so the run above never builds it. Its
 # tests plus a one-second ctrl-replay keep a model change from silently
 # breaking the benchmark's golden checks: the last stdout line is the
@@ -29,6 +29,13 @@ perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.tom
 perf_last="${perf_out##*$'\n'}"
 [[ "$perf_last" == *'"correct": true'* ]] \
   || { echo "sam-perf ctrl-replay smoke failed:"; echo "$perf_out"; exit 1; }
+# The same for the engine: fig16-hybrid drives the full system through the
+# DRAM-cache composite and checks every run against the fig16 goldens.
+perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+  --workload fig16-hybrid --seconds 1)"
+perf_last="${perf_out##*$'\n'}"
+[[ "$perf_last" == *'"correct": true'* ]] \
+  || { echo "sam-perf fig16-hybrid smoke failed:"; echo "$perf_out"; exit 1; }
 
 echo "==> sam-obs compiled-out tests"
 # The observability crate's no-op path is a separate compilation: prove
@@ -226,10 +233,10 @@ echo "==> fig12 bench (simulated cycles/sec) + regression gate"
 # cargo overhead in the measurement) and folds it over the metrics report
 # into results/BENCH_fig12.json, appended to the committed trajectory.
 # The gate fails on a >10% cycles/sec regression vs the last committed
-# BENCH_fig12.json entry. Throughput is machine-local: on runners not
-# comparable to where the baseline was recorded, set
-# SAM_BENCH_GATE_PCT=off to keep the measurement but skip the gate, or
-# to a different tolerance percentage.
+# BENCH_fig12.json entry measured on this host (same CPU model and core
+# count); on a host with no such entry it records, says why, and skips.
+# On noisy runners set SAM_BENCH_GATE_PCT=off to keep the measurement
+# but skip the gate, or to a different tolerance percentage.
 rm -f results/BENCH_fig12.json
 bench_start_ns="$(date +%s%N)"
 ./target/release/fig12 --rows 2048 --tb-rows 8192 --jobs 2 > /dev/null

@@ -6,7 +6,9 @@
 //! bench step (`ci.sh`, via `sam-check bench-fig12`) re-measures the
 //! golden-scale run, appends the result to `results/BENCH_fig12.json`
 //! as an artifact, and fails if throughput regressed more than the gate
-//! percentage against the last committed entry.
+//! percentage against the last committed entry measured on the same host
+//! (CPU model and core count; see [`baseline_for`]). With no such entry
+//! the measurement is recorded and the gate is skipped.
 //!
 //! Wall-clock is measured by the *caller* (the shell step brackets the
 //! fig12 run with timestamps) because measuring inside the binary would
@@ -17,9 +19,8 @@
 //! a pure wall-clock ratio.
 //!
 //! The gate compares machine-local measurements against a committed
-//! baseline, so it is only meaningful on hardware comparable to where
-//! the baseline was recorded; `ci.sh` honours `SAM_BENCH_GATE_PCT=off`
-//! for underpowered or noisy runners.
+//! baseline, so it only compares entries from the same hardware;
+//! `ci.sh` also honours `SAM_BENCH_GATE_PCT=off` for noisy runners.
 
 use sam_util::json::Json;
 
@@ -266,6 +267,37 @@ pub fn trajectory_to_json(entries: &[BenchEntry]) -> Json {
     ])
 }
 
+/// The baseline a measurement on `host` gates against: the last committed
+/// entry recorded on the same CPU model with the same core count.
+/// Throughput from other hardware says nothing about a regression here.
+///
+/// # Errors
+///
+/// When no entry matches, the error says why the gate cannot run.
+pub fn baseline_for<'a>(
+    committed: &'a [BenchEntry],
+    host: &HostMeta,
+) -> Result<&'a BenchEntry, String> {
+    committed
+        .iter()
+        .rev()
+        .find(|e| {
+            e.host
+                .as_ref()
+                .is_some_and(|h| h.cpu_model == host.cpu_model && h.cpu_cores == host.cpu_cores)
+        })
+        .ok_or_else(|| {
+            format!(
+                "no committed entry was measured on this host ({} x{}); {} of {} entries \
+                 record no host",
+                host.cpu_model,
+                host.cpu_cores,
+                committed.iter().filter(|e| e.host.is_none()).count(),
+                committed.len(),
+            )
+        })
+}
+
 /// The regression gate: `measured` must be within `gate_pct` percent of
 /// the committed `baseline` throughput. Returns the human-readable
 /// verdict line on success.
@@ -403,6 +435,50 @@ mod tests {
             ("entries", Json::Array(vec![])),
         ]);
         assert!(parse_trajectory(&empty).is_err());
+    }
+
+    fn on_host(label: &str, model: &str, cores: u64) -> BenchEntry {
+        let mut e = entry_from_metrics(&metrics(&[1_000_000]), label, 2, 1.0).unwrap();
+        e.host = Some(HostMeta {
+            cpu_model: model.into(),
+            cpu_cores: cores,
+            rustc: "rustc 1.95.0".into(),
+        });
+        e
+    }
+
+    #[test]
+    fn baseline_is_the_last_entry_from_the_same_host() {
+        let here = on_host("here-new", "Example CPU", 2).host.unwrap();
+        let committed = vec![
+            on_host("here-old", "Example CPU", 2),
+            on_host("here-new", "Example CPU", 2),
+            on_host("bigger", "Example CPU", 16),
+            on_host("other", "Other CPU", 2),
+        ];
+        assert_eq!(baseline_for(&committed, &here).unwrap().label, "here-new");
+    }
+
+    #[test]
+    fn no_baseline_on_a_host_that_never_recorded_one() {
+        let here = on_host("x", "Example CPU", 4).host.unwrap();
+        let committed = vec![
+            on_host("cores differ", "Example CPU", 2),
+            on_host("model differs", "Other CPU", 4),
+        ];
+        let why = baseline_for(&committed, &here).unwrap_err();
+        assert!(why.contains("Example CPU x4"), "{why}");
+    }
+
+    #[test]
+    fn host_less_legacy_entries_never_serve_as_baseline() {
+        let here = on_host("x", "Example CPU", 2).host.unwrap();
+        let legacy = entry_from_metrics(&metrics(&[1_000_000]), "legacy", 2, 1.0).unwrap();
+        let why = baseline_for(std::slice::from_ref(&legacy), &here).unwrap_err();
+        assert!(why.contains("1 of 1 entries record no host"), "{why}");
+        // A later matching entry is found past the legacy one.
+        let committed = vec![on_host("match", "Example CPU", 2), legacy];
+        assert_eq!(baseline_for(&committed, &here).unwrap().label, "match");
     }
 
     #[test]

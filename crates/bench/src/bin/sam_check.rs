@@ -24,7 +24,9 @@
 //!                     fold a caller-measured wall clock into a
 //!                     cycles/sec trajectory entry; with --baseline
 //!                     (and optional --gate-pct, default 10), fail on
-//!                     a throughput regression vs the committed entry
+//!                     a throughput regression vs the last committed
+//!                     entry from the same host; with none, skip the
+//!                     gate and say why
 //! ```
 //!
 //! `lint-json` and `lint-trace` need only the JSON parser, so they work
@@ -162,9 +164,11 @@ fn merge_shards(paths: &[String]) -> i32 {
 /// The CI bench step: folds a caller-measured wall clock over the fig12
 /// metrics report into a cycles/sec entry, appends it to the committed
 /// trajectory (written to `--out` as the artifact), and applies the
-/// regression gate against the trajectory's last committed entry.
+/// regression gate against the last committed entry from this host.
 fn bench_fig12(args: &[String]) -> i32 {
-    use sam_bench::bench_fig12::{entry_from_metrics, gate, parse_trajectory, trajectory_to_json};
+    use sam_bench::bench_fig12::{
+        baseline_for, entry_from_metrics, gate, parse_trajectory, trajectory_to_json,
+    };
 
     let mut metrics_path = None;
     let mut wall_ns = None;
@@ -260,18 +264,26 @@ fn bench_fig12(args: &[String]) -> i32 {
         measured.wall_seconds,
     );
 
-    match committed.last() {
-        None => 0,
-        Some(base) => match gate(base, &measured, gate_pct) {
-            Ok(verdict) => {
-                println!("{verdict}");
-                0
-            }
-            Err(e) => {
-                eprintln!("sam-check: bench-fig12: {e}");
-                1
-            }
-        },
+    if baseline.is_none() {
+        return 0;
+    }
+    let host = measured.host.as_ref().expect("host collected above");
+    let base = match baseline_for(&committed, host) {
+        Ok(base) => base,
+        Err(why) => {
+            println!("bench-fig12: gate skipped: {why}");
+            return 0;
+        }
+    };
+    match gate(base, &measured, gate_pct) {
+        Ok(verdict) => {
+            println!("{verdict}");
+            0
+        }
+        Err(e) => {
+            eprintln!("sam-check: bench-fig12: {e}");
+            1
+        }
     }
 }
 

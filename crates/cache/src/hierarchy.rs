@@ -318,8 +318,16 @@ impl Hierarchy {
     /// displaced anywhere along the spill path keep their own installer, so
     /// the returned writebacks carry the core whose data is evicted.
     pub fn fill_line_owned(&mut self, addr: u64, owner: u8) -> Vec<Writeback> {
+        let mut writebacks = Vec::new();
+        self.fill_line_into(addr, owner, &mut writebacks);
+        writebacks
+    }
+
+    /// [`Self::fill_line_owned`], appending the writebacks to `out` so a
+    /// driver can reuse one buffer across fills.
+    pub fn fill_line_into(&mut self, addr: u64, owner: u8, out: &mut Vec<Writeback>) {
         self.trace_instant("fill-line", addr);
-        self.fill(addr, SectorState::full(), owner)
+        self.fill(addr, SectorState::full(), owner, out);
     }
 
     /// Installs a single 16B sector (a stride fill) at every level.
@@ -333,14 +341,20 @@ impl Hierarchy {
 
     /// [`Self::fill_sector`] with the filled line attributed to `owner`.
     pub fn fill_sector_owned(&mut self, addr: u64, owner: u8) -> Vec<Writeback> {
-        self.trace_instant("fill-sector", addr);
-        let (_, sector) = split_sector(addr);
-        self.fill(addr, SectorState::single(sector), owner)
+        let mut writebacks = Vec::new();
+        self.fill_sector_into(addr, owner, &mut writebacks);
+        writebacks
     }
 
-    fn fill(&mut self, addr: u64, state: SectorState, owner: u8) -> Vec<Writeback> {
+    /// [`Self::fill_sector_owned`], appending the writebacks to `out`.
+    pub fn fill_sector_into(&mut self, addr: u64, owner: u8, out: &mut Vec<Writeback>) {
+        self.trace_instant("fill-sector", addr);
+        let (_, sector) = split_sector(addr);
+        self.fill(addr, SectorState::single(sector), owner, out);
+    }
+
+    fn fill(&mut self, addr: u64, state: SectorState, owner: u8, writebacks: &mut Vec<Writeback>) {
         let (line, _) = split_sector(addr);
-        let mut writebacks = Vec::new();
         if let Some(v) = self.llc.fill_owned(line, state, owner) {
             if v.needs_writeback() {
                 writebacks.push(v);
@@ -368,7 +382,6 @@ impl Hierarchy {
                 }
             }
         }
-        writebacks
     }
 
     /// Flushes every dirty line out of the hierarchy, returning the
@@ -502,6 +515,40 @@ mod tests {
         for wb in h0.flush_dirty() {
             assert_eq!(wb.owner, 0);
         }
+    }
+
+    #[test]
+    fn read_only_run_flushes_nothing() {
+        let mut h = h();
+        for i in 0..64u64 {
+            let addr = i * 1040;
+            if h.access(addr, AccessKind::Read).level == HitLevel::Memory {
+                h.fill_sector(addr);
+            }
+            h.fill_line(addr + 0x10_0000);
+        }
+        assert!(h.flush_dirty().is_empty());
+    }
+
+    #[test]
+    fn writes_through_each_dirtying_path_are_flushed() {
+        let mut h = h();
+        // Write hit in L1.
+        h.fill_line(0x1000);
+        h.access(0x1000, AccessKind::Write);
+        // Write-allocate completion: fill, then mark_dirty.
+        h.fill_sector(0x2010);
+        assert!(h.mark_dirty(0x2010));
+        // A dirty L1 victim spilled into L2 by a conflicting fill.
+        h.fill_line(0x3000);
+        h.access(0x3000, AccessKind::Write);
+        for i in 1..=2u64 {
+            h.fill_line(0x3000 + i * 512);
+        }
+        let mut lines: Vec<u64> = h.flush_dirty().iter().map(|w| w.line_addr).collect();
+        lines.sort_unstable();
+        assert_eq!(lines, vec![0x1000, 0x2000, 0x3000]);
+        assert!(h.flush_dirty().is_empty(), "a flush cleans every level");
     }
 
     #[test]

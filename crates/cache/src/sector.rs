@@ -55,6 +55,11 @@ impl SectorState {
         self.dirty != 0
     }
 
+    /// Are all sectors dirty?
+    pub fn all_dirty(&self) -> bool {
+        self.dirty == (1 << SECTORS_PER_LINE) - 1
+    }
+
     /// Are all sectors valid?
     pub fn all_valid(&self) -> bool {
         self.valid == (1 << SECTORS_PER_LINE) - 1

@@ -97,6 +97,11 @@ pub struct SetAssocCache {
     data: Vec<Way>,
     tick: u64,
     stats: CacheStats,
+    /// Set on every path that can create a dirty sector (a write access,
+    /// [`Self::mark_dirty`], a fill carrying dirty bits) and cleared by
+    /// [`Self::drain_dirty`]: while clear, the end-of-run flush skips its
+    /// scan of the whole array.
+    may_hold_dirty: bool,
 }
 
 impl SetAssocCache {
@@ -132,6 +137,7 @@ impl SetAssocCache {
             ],
             tick: 0,
             stats: CacheStats::default(),
+            may_hold_dirty: false,
         }
     }
 
@@ -165,6 +171,7 @@ impl SetAssocCache {
     /// `line_addr`/`sector`. `write` marks the sector dirty on hit.
     pub fn access(&mut self, line_addr: u64, sector: usize, write: bool) -> Probe {
         self.tick += 1;
+        self.may_hold_dirty |= write;
         let tick = self.tick;
         let (set, tag) = self.index(line_addr);
         for way in self.ways_of(set) {
@@ -221,6 +228,7 @@ impl SetAssocCache {
         let (set, tag) = self.index(line_addr);
         let sets_bits = self.sets.trailing_zeros();
         let set_u64 = set as u64;
+        self.may_hold_dirty |= fill.any_dirty();
         // Already present: merge valid and dirty bits.
         for way in self.ways_of(set) {
             if way.valid && way.tag == tag {
@@ -274,6 +282,7 @@ impl SetAssocCache {
     /// LRU order (used to complete a write-allocate after its fill arrives).
     /// Returns `false` if the line or sector is not present/valid.
     pub fn mark_dirty(&mut self, line_addr: u64, sector: usize) -> bool {
+        self.may_hold_dirty = true;
         let (set, tag) = self.index(line_addr);
         for way in self.ways_of(set) {
             if way.valid && way.tag == tag && way.sectors.is_valid(sector) {
@@ -288,9 +297,12 @@ impl SetAssocCache {
     /// (lines stay valid). Used to flush residual write traffic at the end
     /// of a workload.
     pub fn drain_dirty(&mut self) -> Vec<Victim> {
+        let mut out = Vec::new();
+        if !std::mem::take(&mut self.may_hold_dirty) {
+            return out;
+        }
         let sets_bits = self.sets.trailing_zeros();
         let ways = self.ways;
-        let mut out = Vec::new();
         for (i, way) in self.data.iter_mut().enumerate() {
             if way.valid && way.sectors.any_dirty() {
                 let set = (i / ways) as u64;
@@ -442,6 +454,45 @@ mod tests {
         c.fill(addr + stride, SectorState::full());
         let v = c.fill(addr + 2 * stride, SectorState::full()).unwrap();
         assert_eq!(v.line_addr, addr);
+    }
+
+    #[test]
+    fn read_only_use_flushes_nothing() {
+        let mut c = small();
+        for i in 0..16u64 {
+            c.access(i * 64, 0, false);
+            c.fill(i * 64, SectorState::full());
+            c.access(i * 64, 1, false);
+        }
+        assert!(c.drain_dirty().is_empty());
+        assert_eq!(c.stats().writebacks, 0);
+    }
+
+    #[test]
+    fn every_dirtying_path_is_still_flushed() {
+        // A write hit.
+        let mut c = small();
+        c.fill(0x40, SectorState::full());
+        c.access(0x40, 2, true);
+        assert_eq!(c.drain_dirty().len(), 1);
+        assert!(c.drain_dirty().is_empty(), "a drain cleans every line");
+        // mark_dirty.
+        let mut c = small();
+        c.fill(0x80, SectorState::single(1));
+        assert!(c.mark_dirty(0x80, 1));
+        assert_eq!(c.drain_dirty()[0].sectors.dirty_sectors(), vec![1]);
+        // A fill that allocates with dirty bits (a victim moving down).
+        let mut dirty = SectorState::full();
+        dirty.mark_dirty(3);
+        let mut c = small();
+        c.fill(0xC0, dirty);
+        assert_eq!(c.drain_dirty()[0].line_addr, 0xC0);
+        // A fill that merges dirty bits into a resident clean line.
+        let mut c = small();
+        c.fill(0x100, SectorState::full());
+        c.drain_dirty();
+        c.fill(0x100, dirty);
+        assert_eq!(c.drain_dirty()[0].line_addr, 0x100);
     }
 
     #[test]

@@ -111,6 +111,54 @@ pub struct StrideFill {
     pub lane: u8,
 }
 
+/// The cache sectors one fill installs: `per_line` consecutive 16B
+/// sectors from `first` in each of `lines` consecutive cachelines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectorRun {
+    /// Address of the first sector (16B aligned).
+    pub first: u64,
+    /// Consecutive cachelines the run covers.
+    pub lines: u32,
+    /// Consecutive sectors filled in each of those lines.
+    pub per_line: u32,
+}
+
+impl SectorRun {
+    /// A run of exactly one sector.
+    pub fn single(sector: u64) -> Self {
+        Self {
+            first: sector,
+            lines: 1,
+            per_line: 1,
+        }
+    }
+
+    /// The cacheline holding the first sector; for a stride burst it names
+    /// the gather block (see [`Placement::gather_block`]).
+    pub fn first_line(&self) -> u64 {
+        self.first & !63
+    }
+
+    /// The sector addresses, line by line.
+    pub fn iter(&self) -> impl Iterator<Item = u64> {
+        let (first, per_line) = (self.first, u64::from(self.per_line));
+        (0..u64::from(self.lines))
+            .flat_map(move |r| (0..per_line).map(move |s| first + r * 64 + s * 16))
+    }
+}
+
+/// A stride burst to issue, described without allocating: the `Copy` form
+/// of [`StrideFill`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrideBurst {
+    /// DRAM-schedule address of the burst (first gathered byte).
+    pub burst_addr: u64,
+    /// I/O-buffer lane the units travel on (selects the `Sx4_n` mode).
+    pub lane: u8,
+    /// Cache-visible sectors the burst fills.
+    pub sectors: SectorRun,
+}
+
 /// Resolves (record, field) coordinates to cache and DRAM addresses under a
 /// given design, store, and granularity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,15 +220,16 @@ impl Placement {
                 // Grouped layout: within group g, line b*K + r holds units
                 // [b*K, (b+1)*K) of record r — 64B of one record per line,
                 // so records pad up to full cachelines (the Figure 11
-                // alignment requirement).
+                // alignment requirement). K and the unit size are powers
+                // of two, so the group/unit arithmetic is shifts and masks.
                 let rb = rb.next_multiple_of(64);
-                let g = record / k;
-                let r = record % k;
+                let (ks, us) = (k.trailing_zeros(), self.unit_bytes.trailing_zeros());
+                let r = record & (k - 1);
                 let byte = field as u64 * FIELD_BYTES;
-                let u = byte / self.unit_bytes;
-                let b = u / k;
-                let within_line = (u % k) * self.unit_bytes + byte % self.unit_bytes;
-                self.spec.base + g * k * rb + (b * k + r) * 64 + within_line
+                let u = byte >> us;
+                let b = u >> ks;
+                let within_line = ((u & (k - 1)) << us) + (byte & (self.unit_bytes - 1));
+                self.spec.base + (record - r) * rb + (((b << ks) + r) << 6) + within_line
             }
         }
     }
@@ -238,34 +287,48 @@ impl Placement {
 
     /// The stride burst that fills the 16B sector(s) containing
     /// (`record`, `field`) — `None` when the design/store cannot stride.
+    /// The allocating form of [`Self::stride_burst`].
     pub fn stride_fill(&self, record: u64, field: u32) -> Option<StrideFill> {
+        self.stride_burst(record, field).map(|b| {
+            let mut sector_addrs =
+                Vec::with_capacity(b.sectors.lines as usize * b.sectors.per_line as usize);
+            sector_addrs.extend(b.sectors.iter());
+            StrideFill {
+                burst_addr: b.burst_addr,
+                sector_addrs,
+                lane: b.lane,
+            }
+        })
+    }
+
+    /// The stride burst that fills the 16B sector(s) containing
+    /// (`record`, `field`) — `None` when the design/store cannot stride.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinates exceed the table geometry.
+    pub fn stride_burst(&self, record: u64, field: u32) -> Option<StrideBurst> {
         let k = self.gather?;
         assert!(record < self.spec.records, "record {record} out of range");
         assert!(field < self.spec.fields, "field {field} out of range");
         // Line-padded record size, matching `field_addr`'s grouped layout.
         let rb = self.spec.record_bytes().next_multiple_of(64);
-        let g = record / k;
+        let (ks, us) = (k.trailing_zeros(), self.unit_bytes.trailing_zeros());
+        let group_first = record & !(k - 1);
         let byte = field as u64 * FIELD_BYTES;
-        let u = byte / self.unit_bytes;
-        let b = u / k;
-        let unit_off = (u % k) * self.unit_bytes;
+        let u = byte >> us;
+        let b = u >> ks;
+        let unit_off = (u & (k - 1)) << us;
 
-        // Cache sectors: the same unit offset in each of the K group lines.
-        let group_base = self.spec.base + g * k * rb;
-        let first_line = group_base + b * k * 64;
+        // Cache sectors: the same unit offset in each of the K group lines,
+        // clipped at table end (the last partial group gathers dead lines).
+        let first_line = self.spec.base + group_first * rb + ((b << ks) << 6);
         let sector_off = unit_off & !15;
-        let sectors_per_unit = (self.unit_bytes / 16).max(1);
-        let mut sector_addrs = Vec::with_capacity((k * sectors_per_unit) as usize);
-        for r in 0..k {
-            // Clip at table end: the last partial group gathers dead lines.
-            if g * k + r >= self.spec.records {
-                break;
-            }
-            let line = first_line + r * 64;
-            for s in 0..sectors_per_unit {
-                sector_addrs.push(line + sector_off + s * 16);
-            }
-        }
+        let sectors = SectorRun {
+            first: first_line + sector_off,
+            lines: (self.spec.records - group_first).min(k) as u32,
+            per_line: (self.unit_bytes >> 4).max(1) as u32,
+        };
 
         // DRAM address: linear designs gather inside the row (the burst's
         // own lines); vertical designs use the orthogonal column space where
@@ -287,12 +350,24 @@ impl Placement {
             first_line + sector_off
         };
 
-        let lane = ((u % k) % 4) as u8;
-        Some(StrideFill {
+        let lane = (u & (k - 1) & 3) as u8;
+        Some(StrideBurst {
             burst_addr,
-            sector_addrs,
             lane,
+            sectors,
         })
+    }
+
+    /// The gather block holding cacheline `line`, named by its first line:
+    /// the K consecutive lines every stride burst of one (group, field
+    /// block) fills together. `None` when the table is not grouped or the
+    /// line lies outside its grouped span.
+    pub fn gather_block(&self, line: u64) -> Option<u64> {
+        let k = self.gather?;
+        let rel = line.checked_sub(self.spec.base)?;
+        let rb = self.spec.record_bytes().next_multiple_of(64);
+        let span = self.spec.records.next_multiple_of(k) * rb;
+        (rel < span).then(|| self.spec.base + (rel & !(k * 64 - 1)))
     }
 
     /// Gather factor, if striding is available.

@@ -4,6 +4,8 @@
 
 use sam_dram::Cycle;
 
+use crate::layout::SectorRun;
+
 /// How many data beats before burst completion the critical word reaches
 /// the core on critical-word-first layouts (Table 1: horizontal layouts
 /// deliver the requested word first; the paper estimates the cost of
@@ -12,12 +14,12 @@ use sam_dram::Cycle;
 /// command cycles before the burst's last beat.
 pub(super) const CWF_EARLY_BEATS: Cycle = 3;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(super) enum FillKind {
     /// Regular line fill: install the whole line at `cache_line`.
     Line { cache_line: u64 },
-    /// Stride fill: install these sectors.
-    Sectors { sector_addrs: Vec<u64> },
+    /// Stride (or narrow) fill: install these sectors.
+    Sectors { sectors: SectorRun },
     /// Fire-and-forget traffic (ECC bursts, sub-field bursts, writebacks).
     Traffic,
     /// Stride writeback with a merge key to release.
@@ -27,7 +29,7 @@ pub(super) enum FillKind {
     Prefetch { cache_line: u64 },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct FillRecord {
     pub(super) core: usize,
     pub(super) kind: FillKind,
@@ -47,40 +49,37 @@ impl<'t> Engine<'t> {
         match record.kind {
             FillKind::Line { cache_line } => {
                 self.pending_lines.remove(&cache_line);
-                let wbs = self
-                    .hierarchy
-                    .fill_line_owned(cache_line, record.core as u8);
+                let mut wbs = std::mem::take(&mut self.wb_buffer);
+                self.hierarchy
+                    .fill_line_into(cache_line, record.core as u8, &mut wbs);
                 for s in 0..4u64 {
                     let sector = cache_line + 16 * s;
                     if self.pending_dirty.remove(&sector) {
                         self.hierarchy.mark_dirty(sector);
                     }
                 }
-                for wb in wbs {
-                    self.issue_writeback(wb, c.finish);
-                }
+                self.issue_writebacks(wbs, c.finish);
                 // The whole line is now resident: any core blocked on one
                 // of its sectors hits on retry.
                 self.wake_covering_line(cache_line);
                 self.retire(record.core, c.finish);
             }
-            FillKind::Sectors { sector_addrs } => {
-                let mut wbs = Vec::new();
-                for s in &sector_addrs {
-                    self.pending_sectors.remove(s);
-                    wbs.extend(self.hierarchy.fill_sector_owned(*s, record.core as u8));
-                    if self.pending_dirty.remove(s) {
-                        self.hierarchy.mark_dirty(*s);
+            FillKind::Sectors { sectors } => {
+                let mut wbs = std::mem::take(&mut self.wb_buffer);
+                for s in sectors.iter() {
+                    self.pending_sectors.remove(&s);
+                    self.hierarchy
+                        .fill_sector_into(s, record.core as u8, &mut wbs);
+                    if self.pending_dirty.remove(&s) {
+                        self.hierarchy.mark_dirty(s);
                     }
                 }
-                for wb in wbs {
-                    self.issue_writeback(wb, c.finish);
-                }
+                self.issue_writebacks(wbs, c.finish);
                 // Sector fills install exactly these 16B sectors; other
                 // sectors of the same lines stay invalid, so the wake is
                 // per-sector, not per-line.
-                for s in &sector_addrs {
-                    self.wake_covering_sector(*s);
+                for s in sectors.iter() {
+                    self.wake_covering_sector(s);
                 }
                 self.retire(record.core, c.finish);
             }
@@ -90,15 +89,22 @@ impl<'t> Engine<'t> {
             }
             FillKind::Prefetch { cache_line } => {
                 self.pending_lines.remove(&cache_line);
-                let wbs = self
-                    .hierarchy
-                    .fill_line_owned(cache_line, record.core as u8);
-                for wb in wbs {
-                    self.issue_writeback(wb, c.finish);
-                }
+                let mut wbs = std::mem::take(&mut self.wb_buffer);
+                self.hierarchy
+                    .fill_line_into(cache_line, record.core as u8, &mut wbs);
+                self.issue_writebacks(wbs, c.finish);
                 self.wake_covering_line(cache_line);
             }
         }
+    }
+
+    /// Issues the writebacks a fill displaced, in order, then hands the
+    /// emptied buffer back for the next fill.
+    fn issue_writebacks(&mut self, mut wbs: Vec<sam_cache::hierarchy::Writeback>, when: Cycle) {
+        for wb in wbs.drain(..) {
+            self.issue_writeback(wb, when);
+        }
+        self.wb_buffer = wbs;
     }
 
     fn retire(&mut self, core: usize, finish: Cycle) {

@@ -2,23 +2,95 @@
 //! cache-hierarchy front end, and the sliding MLP window (see the module
 //! doc on [`super`] for the overall decomposition).
 
-use std::collections::BTreeSet;
-
 use sam_cache::hierarchy::{AccessKind, HitLevel};
 
+use crate::layout::Placement;
 use crate::ops::TraceOp;
 
 use super::Engine;
 
-#[derive(Debug, Clone, Copy)]
-pub(super) struct SectorTouch {
-    pub(super) cache_sector: u64,
-    pub(super) table: u8,
-    pub(super) record: u64,
-    pub(super) field: u16,
-    pub(super) write: bool,
+/// One 16B sector an op touches, as the core issues it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectorTouch {
+    /// Cache address of the sector (16B aligned).
+    pub cache_sector: u64,
+    /// Index into the run's table list.
+    pub table: u8,
+    /// Record index.
+    pub record: u64,
+    /// The first field of the op that lands in this sector.
+    pub field: u16,
+    /// Store (true) or load (false).
+    pub write: bool,
     /// Field access (stride-eligible) vs whole-record access.
-    pub(super) field_access: bool,
+    pub field_access: bool,
+}
+
+/// Expands one memory op into its 16B sector touches, replacing the
+/// contents of `out`: one touch per distinct sector, in field order, each
+/// carrying the first field that lands in it. `Compute` ops touch nothing.
+///
+/// The dedup is exact for any field order and O(1) per field while sector
+/// addresses ascend, which they do in field order under every placement:
+/// a sector above the running maximum is new, one equal to it is a
+/// duplicate, and only a descending address scans the touches so far.
+///
+/// # Panics
+///
+/// Panics if the op names a missing table or exceeds its geometry.
+pub fn expand_op(placements: &[Placement], op: &TraceOp, out: &mut Vec<SectorTouch>) {
+    out.clear();
+    let (table, record, write, field_access) = match *op {
+        TraceOp::Compute(_) => return,
+        TraceOp::Fields {
+            table,
+            record,
+            write,
+            ..
+        } => (table, record, write, true),
+        TraceOp::Whole {
+            table,
+            record,
+            write,
+        } => (table, record, write, false),
+    };
+    let p = &placements[table as usize];
+    let mut max = None;
+    let mut push = |field: u32| {
+        let sector = p.field_addr(record, field) & !15;
+        if Some(sector) > max {
+            max = Some(sector);
+        } else if Some(sector) == max || out.iter().any(|t| t.cache_sector == sector) {
+            return;
+        }
+        out.push(SectorTouch {
+            cache_sector: sector,
+            table,
+            record,
+            field: field as u16,
+            write,
+            field_access,
+        });
+    };
+    match op {
+        TraceOp::Fields { fields, .. } => {
+            for &f in fields {
+                push(u32::from(f));
+            }
+            // Access-path choice (the sload/sstore decision is made by
+            // software, Section 5.1.2): when an op touches half the
+            // record or more, a row access moves less data than
+            // per-field stride gathers — fall back to line fills.
+            if out.len() as u64 * 16 * 2 > p.spec().record_bytes() {
+                for t in out.iter_mut() {
+                    t.field_access = false;
+                }
+            }
+        }
+        // Touch every field; sector dedup collapses neighbours that share
+        // a 16B sector (adjacent fields in row stores).
+        _ => (0..p.spec().fields).for_each(push),
+    }
 }
 
 /// What a stalled core is waiting on, registered at stall time so wake
@@ -83,76 +155,6 @@ pub(super) enum Step {
 }
 
 impl<'t> Engine<'t> {
-    pub(super) fn expand_op(&self, core: usize) -> Option<Vec<SectorTouch>> {
-        let c = &self.cores[core];
-        let op = c.trace.get(c.op_idx)?;
-        match op {
-            TraceOp::Compute(_) => Some(Vec::new()),
-            TraceOp::Fields {
-                table,
-                record,
-                fields,
-                write,
-            } => {
-                let p = &self.placements[*table as usize];
-                let mut seen = BTreeSet::new();
-                let mut touches = Vec::with_capacity(fields.len());
-                for &f in fields {
-                    let addr = p.field_addr(*record, f as u32);
-                    let sector = addr & !15;
-                    if seen.insert(sector) {
-                        touches.push(SectorTouch {
-                            cache_sector: sector,
-                            table: *table,
-                            record: *record,
-                            field: f,
-                            write: *write,
-                            field_access: true,
-                        });
-                    }
-                }
-                // Access-path choice (the sload/sstore decision is made by
-                // software, Section 5.1.2): when an op touches half the
-                // record or more, a row access moves less data than
-                // per-field stride gathers — fall back to line fills.
-                let touched = touches.len() as u64 * 16;
-                if touched * 2 > p.spec().record_bytes() {
-                    for t in &mut touches {
-                        t.field_access = false;
-                    }
-                }
-                Some(touches)
-            }
-            TraceOp::Whole {
-                table,
-                record,
-                write,
-            } => {
-                let p = &self.placements[*table as usize];
-                let fields = p.spec().fields;
-                let mut seen = BTreeSet::new();
-                let mut touches = Vec::new();
-                // Touch every field; sector dedup collapses neighbours that
-                // share a 16B sector (adjacent fields in row stores).
-                for f in 0..fields {
-                    let addr = p.field_addr(*record, f);
-                    let sector = addr & !15;
-                    if seen.insert(sector) {
-                        touches.push(SectorTouch {
-                            cache_sector: sector,
-                            table: *table,
-                            record: *record,
-                            field: f as u16,
-                            write: *write,
-                            field_access: false,
-                        });
-                    }
-                }
-                Some(touches)
-            }
-        }
-    }
-
     /// Advances one core as far as it can go; returns how it stopped.
     pub(super) fn step_core(&mut self, ci: usize) -> Step {
         if self.cores[ci].done {
@@ -166,7 +168,8 @@ impl<'t> Engine<'t> {
             // Need a fresh op expansion?
             if self.cores[ci].sector_idx >= self.cores[ci].sectors.len() {
                 let c = &self.cores[ci];
-                match c.trace.get(c.op_idx) {
+                let (trace, op_idx) = (c.trace, c.op_idx);
+                match trace.get(op_idx) {
                     None => {
                         self.cores[ci].done = true;
                         return Step::Done;
@@ -179,10 +182,9 @@ impl<'t> Engine<'t> {
                         progressed = true;
                         continue;
                     }
-                    Some(_) => {
-                        let touches = self.expand_op(ci).expect("op exists");
+                    Some(op) => {
+                        expand_op(&self.placements, op, &mut self.cores[ci].sectors);
                         let c = &mut self.cores[ci];
-                        c.sectors = touches;
                         c.sector_idx = 0;
                         c.op_idx += 1;
                         if c.sectors.is_empty() {

@@ -23,11 +23,14 @@ impl<'t> Engine<'t> {
     pub(super) fn issue_writeback(&mut self, wb: sam_cache::hierarchy::Writeback, when: Cycle) {
         let line = wb.line_addr;
         let prov = Provenance::new(wb.owner, ReqKind::Writeback);
-        let full_line = wb.sectors.all_valid() && wb.sectors.dirty_sectors().len() == 4;
+        let full_line = wb.sectors.all_valid() && wb.sectors.all_dirty();
         let stride_info = if full_line {
             None
         } else {
-            self.line_to_burst.get(&line).copied()
+            self.placements
+                .iter()
+                .find_map(|p| p.gather_block(line))
+                .and_then(|block| self.block_to_burst.get(&block).copied())
         };
         match stride_info {
             Some((burst_addr, lane)) => {

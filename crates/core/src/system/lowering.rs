@@ -12,23 +12,21 @@ use sam_dram::Cycle;
 use sam_memctrl::request::{MemRequest, Provenance, ReqKind, StrideSpec};
 
 use crate::design::EccScheme;
+use crate::layout::SectorRun;
 
 use super::completion::{FillKind, FillRecord};
-use super::Engine;
+use super::{Engine, SectorTouch};
 
 impl<'t> Engine<'t> {
     /// Builds and enqueues the memory request(s) for a missing touch.
     /// Returns `false` when the controller queue is full.
-    pub(super) fn issue_fill(&mut self, ci: usize, t: super::core_engine::SectorTouch) -> bool {
+    pub(super) fn issue_fill(&mut self, ci: usize, t: SectorTouch) -> bool {
         let arrival = self.cfg.cpu_to_mem(self.cores[ci].time_cpu);
-        let (stride, dram_line) = {
-            let p = &self.placements[t.table as usize];
-            let stride = if t.field_access {
-                p.stride_fill(t.record, t.field as u32)
-            } else {
-                None
-            };
-            (stride, p.dram_addr_for(t.record, t.field as u32) & !63)
+        let p = &self.placements[t.table as usize];
+        let stride = if t.field_access {
+            p.stride_burst(t.record, t.field as u32)
+        } else {
+            None
         };
         match stride {
             Some(fill) => {
@@ -53,14 +51,14 @@ impl<'t> Engine<'t> {
                     return false;
                 }
                 self.stride_bursts += 1;
-                for &s in &fill.sector_addrs {
+                for s in fill.sectors.iter() {
                     self.pending_sectors.insert(s);
-                    self.line_to_burst
-                        .insert(s & !63, (fill.burst_addr, fill.lane));
                 }
+                self.block_to_burst
+                    .insert(fill.sectors.first_line(), (fill.burst_addr, fill.lane));
                 // Another core blocked on one of these sectors now MSHR-
                 // merges instead of missing.
-                for &s in &fill.sector_addrs {
+                for s in fill.sectors.iter() {
                     self.wake_covering_sector(s);
                 }
                 self.fills.insert(
@@ -68,7 +66,7 @@ impl<'t> Engine<'t> {
                     FillRecord {
                         core: ci,
                         kind: FillKind::Sectors {
-                            sector_addrs: fill.sector_addrs.clone(),
+                            sectors: fill.sectors,
                         },
                     },
                 );
@@ -114,6 +112,7 @@ impl<'t> Engine<'t> {
                 // they serialize (the Section 1 motivation), while random
                 // accesses across offsets overlap four-wide.
                 let id = self.fresh_id();
+                let dram_line = self.dram_line(t);
                 let sector_in_line = t.cache_sector & 63;
                 let req = MemRequest::narrow_read(id, dram_line + sector_in_line)
                     .with_provenance(Provenance::demand(ci as u8));
@@ -128,7 +127,7 @@ impl<'t> Engine<'t> {
                     FillRecord {
                         core: ci,
                         kind: FillKind::Sectors {
-                            sector_addrs: vec![t.cache_sector],
+                            sectors: SectorRun::single(t.cache_sector),
                         },
                     },
                 );
@@ -139,7 +138,7 @@ impl<'t> Engine<'t> {
             None => {
                 let id = self.fresh_id();
                 let cache_line = t.cache_sector & !63;
-                let dram_addr = dram_line;
+                let dram_addr = self.dram_line(t);
                 let req =
                     MemRequest::read(id, dram_addr).with_provenance(Provenance::demand(ci as u8));
                 if self.ctrl.enqueue(req, arrival).is_err() {
@@ -196,6 +195,12 @@ impl<'t> Engine<'t> {
                 true
             }
         }
+    }
+
+    /// DRAM-schedule address of the line holding a touch, for a regular
+    /// (non-stride) access.
+    fn dram_line(&self, t: SectorTouch) -> u64 {
+        self.placements[t.table as usize].dram_addr_for(t.record, t.field as u32) & !63
     }
 
     /// Fire-and-forget embedded-ECC burst near `data_addr`, attributed to

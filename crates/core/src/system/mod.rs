@@ -71,6 +71,7 @@ use crate::layout::{Placement, Store, TableSpec};
 use crate::ops::Trace;
 
 use completion::FillRecord;
+pub use core_engine::{expand_op, SectorTouch};
 use core_engine::{CoreState, Step};
 
 /// System-level configuration (core counts, frequencies, lowering knobs).
@@ -153,12 +154,21 @@ impl SystemConfig {
         }
     }
 
+    /// Exact in u64 while the product fits, widening to u128 only when it
+    /// overflows.
     fn cpu_to_mem(&self, cpu: u64) -> Cycle {
-        (cpu as u128 * self.mem_mhz as u128 / self.cpu_mhz as u128) as Cycle
+        match cpu.checked_mul(self.mem_mhz) {
+            Some(p) => p / self.cpu_mhz,
+            None => (cpu as u128 * self.mem_mhz as u128 / self.cpu_mhz as u128) as Cycle,
+        }
     }
 
+    /// Rounds up; same u64-first arithmetic as [`Self::cpu_to_mem`].
     fn mem_to_cpu(&self, mem: Cycle) -> u64 {
-        (mem as u128 * self.cpu_mhz as u128).div_ceil(self.mem_mhz as u128) as u64
+        match mem.checked_mul(self.cpu_mhz) {
+            Some(p) => p.div_ceil(self.mem_mhz),
+            None => (mem as u128 * self.cpu_mhz as u128).div_ceil(self.mem_mhz as u128) as u64,
+        }
     }
 }
 
@@ -396,9 +406,13 @@ struct Engine<'t> {
     pending_dirty: FxHashSet<u64>,
     /// Outstanding stride-writeback merge keys.
     wb_merge: FxHashSet<u64>,
-    /// Stride-burst address recorded per cache line at fill time, so dirty
-    /// evictions can be written back as stride bursts.
-    line_to_burst: FxHashMap<u64, (u64, u8)>,
+    /// Stride-burst address and lane recorded per gather block at fill
+    /// time, so dirty evictions can be written back as stride bursts. A
+    /// burst fills the same sector offset in all K lines of its block, so
+    /// the block's first line keys every line's entry.
+    block_to_burst: FxHashMap<u64, (u64, u8)>,
+    /// Reused buffer for the writebacks a fill displaces.
+    wb_buffer: Vec<sam_cache::hierarchy::Writeback>,
     /// Writebacks that did not fit the write queue yet (with their stride
     /// merge key, if any — the key stays held while backlogged).
     wb_backlog: VecDeque<(MemRequest, Cycle, Option<u64>)>,
@@ -475,7 +489,8 @@ impl<'t> Engine<'t> {
             pending_lines: FxHashSet::default(),
             pending_dirty: FxHashSet::default(),
             wb_merge: FxHashSet::default(),
-            line_to_burst: FxHashMap::default(),
+            block_to_burst: FxHashMap::default(),
+            wb_buffer: Vec::new(),
             wb_backlog: VecDeque::new(),
             next_id: 0,
             ecc_stride_count: 0,

@@ -126,7 +126,10 @@ fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
                 let mut n = 0u64;
                 while let Some(&d) = chars.peek() {
                     if let Some(v) = d.to_digit(10) {
-                        n = n * 10 + v as u64;
+                        n = n
+                            .checked_mul(10)
+                            .and_then(|n| n.checked_add(v as u64))
+                            .ok_or_else(|| SqlError::Lex("number does not fit in u64".into()))?;
                         chars.next();
                     } else {
                         break;

@@ -163,24 +163,27 @@ impl Controller {
             lane.reads_done += 1;
         }
         lane.total_latency += latency;
-        self.trace.emit(TraceEvent::complete(
-            track::REQUESTS,
-            Category::Ctrl,
-            if p.req.is_write { "write" } else { "read" },
-            at,
-            finish.saturating_sub(at),
-            p.req.id,
-        ));
-        // Same service span again on the issuing core's lane, named by the
-        // lowering path so Perfetto shows where each core's cycles go.
-        self.trace.emit(TraceEvent::complete(
-            track::core(p.req.prov.core),
-            Category::Ctrl,
-            p.req.prov.kind.label(),
-            at,
-            finish.saturating_sub(at),
-            p.req.id,
-        ));
+        if self.trace.is_attached() {
+            self.trace.emit(TraceEvent::complete(
+                track::REQUESTS,
+                Category::Ctrl,
+                if p.req.is_write { "write" } else { "read" },
+                at,
+                finish.saturating_sub(at),
+                p.req.id,
+            ));
+            // Same service span again on the issuing core's lane, named by
+            // the lowering path so Perfetto shows where each core's cycles
+            // go.
+            self.trace.emit(TraceEvent::complete(
+                track::core(p.req.prov.core),
+                Category::Ctrl,
+                p.req.prov.kind.label(),
+                at,
+                finish.saturating_sub(at),
+                p.req.id,
+            ));
+        }
         self.note_epoch(finish);
         Completion {
             id: p.req.id,

@@ -63,13 +63,20 @@ impl SinkSlot {
         self.sink.is_some()
     }
 
-    /// Delivers `ev` to the attached sink, if any.
+    /// Delivers `ev` to the attached sink, if any. Only the `None` check
+    /// is inlined into the caller; the lock and record sit out of line.
     #[inline]
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink lock poisoned").record(ev);
+            record(sink, ev);
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn record(sink: &SharedSink, ev: TraceEvent) {
+    sink.lock().expect("trace sink lock poisoned").record(ev);
 }
 
 /// Magic header of the binary ring serialization.
