@@ -37,12 +37,6 @@ perf_last="${perf_out##*$'\n'}"
 [[ "$perf_last" == *'"correct": true'* ]] \
   || { echo "sam-perf fig16-hybrid smoke failed:"; echo "$perf_out"; exit 1; }
 
-echo "==> sam-obs compiled-out tests"
-# The observability crate's no-op path is a separate compilation: prove
-# the disabled API stays inert (phase() returns None, heartbeats spawn
-# nothing) rather than assuming feature unification got it right.
-cargo test -p sam-obs --no-default-features -q
-
 echo "==> sam-analyze selftest + static-analysis gate"
 # First prove every rule still fires on its known-bad fixture, then hold
 # the workspace to zero unwaived findings and schema-lint the report the
@@ -213,7 +207,8 @@ cargo run --release -p sam-bench --bin stress -- --hybrid-diff --seed 7
 echo "==> fig12 profile/heartbeat smoke + byte-identity + profile lint"
 # Observability on must not change a byte of stdout or the metrics JSON,
 # serial or parallel; the emitted phase profile must pass the telescoping
-# lint (children sum within parents, roots sum to total wall time).
+# lint (children sum within parents, roots sum to total wall time). Its
+# counters are sums of per-run stats, so they must not depend on --jobs.
 for jobs in 1 4; do
   rm -f results/fig12.profile.json
   cargo run --release -p sam-bench --bin fig12 -- \
@@ -226,7 +221,10 @@ for jobs in 1 4; do
   [ -s results/fig12.profile.json ] \
     || { echo "--profile wrote no results/fig12.profile.json at --jobs $jobs"; exit 1; }
   cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig12.profile.json
+  jq -c .counters results/fig12.profile.json > "/tmp/fig12.counters.jobs$jobs.json"
 done
+cmp /tmp/fig12.counters.jobs1.json /tmp/fig12.counters.jobs4.json \
+  || { echo "fig12 profile counters differ between --jobs 1 and --jobs 4"; exit 1; }
 
 echo "==> fig12 bench (simulated cycles/sec) + regression gate"
 # Times a fresh golden-scale fig12 run with the already-built binary (no
@@ -296,28 +294,5 @@ echo "==> misspelled flags must be rejected"
 if cargo run --release -p sam-bench --bin fig12 -- --cheked >/dev/null 2>&1; then
   echo "fig12 accepted the misspelled flag --cheked"; exit 1
 fi
-
-echo "==> observability disabled-overhead gate"
-# With sam-obs compiled out (--no-default-features drops bench's `obs`
-# feature; `check` stays for the oracle-dependent tools), the datapath
-# must run at baseline speed: same golden-scale fig12 measurement, same
-# trajectory gate, honoring the same SAM_BENCH_GATE_PCT escape hatch.
-# A separate target dir keeps the two feature graphs from thrashing each
-# other's incremental caches.
-CARGO_TARGET_DIR=target/noobs cargo build --release -p sam-bench \
-  --no-default-features --features check --bin fig12
-# The compiled-out binary must reject the flags rather than silently
-# measure nothing.
-if ./target/noobs/release/fig12 --rows 64 --tb-rows 64 --profile >/dev/null 2>&1; then
-  echo "compiled-out fig12 accepted --profile"; exit 1
-fi
-noobs_start_ns="$(date +%s%N)"
-./target/noobs/release/fig12 --rows 2048 --tb-rows 8192 --jobs 2 > /tmp/fig12.noobs.out
-noobs_wall_ns="$(( $(date +%s%N) - noobs_start_ns ))"
-cmp /tmp/fig12.noobs.out tests/golden/fig12.out \
-  || { echo "compiled-out fig12 stdout drifted from the golden"; exit 1; }
-cargo run --release -p sam-bench --bin sam-check -- bench-fig12 results/fig12.json \
-  --wall-ns "$noobs_wall_ns" --jobs 2 --label ci-noobs \
-  --out results/BENCH_fig12.noobs.json "${bench_gate[@]}"
 
 echo "CI: all gates passed"

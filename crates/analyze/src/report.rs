@@ -3,14 +3,12 @@
 
 use sam_util::json::Json;
 
-/// Every rule the pass knows, in report order. The seven source rules
+/// Every rule the pass knows, in report order. The five source rules
 /// plus the semantic timing pass over the sweep matrix.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 6] = [
     "determinism",
     "provenance-purity",
-    "obs-purity",
     "observer-purity",
-    "unsafe-audit",
     "feature-inertness",
     "flag-doc",
     "timing",
@@ -265,10 +263,10 @@ mod tests {
             files_scanned: 2,
             configs_checked: 48,
             findings: vec![Finding {
-                rule: "unsafe-audit",
+                rule: "determinism",
                 path: "crates/x/src/lib.rs".to_string(),
                 line: 9,
-                message: "unsafe block".to_string(),
+                message: "SystemTime".to_string(),
             }],
             waived: vec![WaivedFinding {
                 finding: Finding {
@@ -323,7 +321,7 @@ mod tests {
     #[test]
     fn human_report_lists_findings_and_summary() {
         let text = sample().human();
-        assert!(text.contains("crates/x/src/lib.rs:9: [unsafe-audit] unsafe block"));
+        assert!(text.contains("crates/x/src/lib.rs:9: [determinism] SystemTime"));
         assert!(text.contains("waived: HashMap (reason: keyed lookup)"));
         assert!(text.contains("2 files, 48 timing configs, 1 finding(s), 1 waived"));
     }
@@ -333,7 +331,7 @@ mod tests {
         let mut r = Report::default();
         for (path, line) in [("b.rs", 1), ("a.rs", 9), ("a.rs", 2)] {
             r.findings.push(Finding {
-                rule: "unsafe-audit",
+                rule: "determinism",
                 path: path.to_string(),
                 line,
                 message: String::new(),

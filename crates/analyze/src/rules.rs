@@ -54,31 +54,12 @@ const PROVENANCE_TOKENS: [&str; 5] = ["Provenance", "prov", "ReqKind", "MemReque
 /// `controller/drain.rs`, not token blindness.
 const PROVENANCE_BLIND_MODULES: [&str; 1] = ["crates/memctrl/src/sched"];
 
-/// The read surface of the `sam-obs` metrics registry. A module on the
-/// write-only list may bump counters (`add`/`observe`/`touch`) but
-/// naming any of these is how observability state would feed back into a
-/// simulated decision.
-const OBS_READ_TOKENS: [&str; 4] = ["value", "snapshot", "Snapshot", "delta"];
-
-/// Modules where the metrics registry is write-only: the scheduler
-/// policy, the decomposed controller (`controller/{mod,queues,refresh,
-/// drain}.rs`), and the DRAM-cache hybrid topology. Simulated behaviour
-/// in any of them must not depend on observability state, or enabling
-/// `obs` could change results.
-const OBS_WRITE_ONLY_MODULES: [&str; 3] = [
-    "crates/memctrl/src/sched",
-    "crates/memctrl/src/controller/",
-    "crates/memctrl/src/hybrid.rs",
-];
-
 /// Runs all file-local source rules over one scanned file, appending raw
 /// (pre-waiver) findings.
 pub fn source_findings(file: &SourceFile, out: &mut Vec<Finding>) {
     determinism(file, out);
     provenance_purity(file, out);
-    obs_purity(file, out);
     observer_purity(file, out);
-    unsafe_audit(file, out);
     feature_inertness(file, out);
 }
 
@@ -174,38 +155,6 @@ fn provenance_purity(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// **obs-purity**: the metrics registry is write-only from simulation
-/// code. A module in [`OBS_WRITE_ONLY_MODULES`] — the scheduler policy,
-/// the controller datapath, and the hybrid topology — may bump counters
-/// but not name the registry's read surface (`value`, `snapshot`/
-/// `Snapshot`, `delta`) outside tests: simulated decisions must never
-/// depend on observability state, or turning the `obs` feature on could
-/// change simulated results.
-fn obs_purity(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !OBS_WRITE_ONLY_MODULES
-        .iter()
-        .any(|m| file.path.starts_with(m))
-    {
-        return;
-    }
-    for (i, t) in file.tokens.iter().enumerate() {
-        if file.in_test[i] {
-            continue;
-        }
-        if t.kind == TokenKind::Ident && OBS_READ_TOKENS.contains(&t.text.as_str()) {
-            out.push(Finding {
-                rule: "obs-purity",
-                path: file.path.clone(),
-                line: t.line,
-                message: format!(
-                    "simulation module names `{}`; the metrics registry is write-only from simulation code",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 /// **observer-purity**: `impl CommandObserver for ...` outside
 /// `crates/check` and `crates/trace` is flagged. Observers elsewhere are
 /// how side effects would sneak into the datapath; the two fan-out
@@ -231,23 +180,6 @@ fn observer_purity(file: &SourceFile, out: &mut Vec<Finding>) {
                 line: tokens[i].line,
                 message: "CommandObserver implemented outside crates/check and crates/trace"
                     .to_string(),
-            });
-        }
-    }
-}
-
-/// **unsafe-audit**: `unsafe` is denied workspace-wide, test code
-/// included. The simulator has no FFI and no performance case that
-/// survives measurement; any future exception must be waived with a
-/// reason.
-fn unsafe_audit(file: &SourceFile, out: &mut Vec<Finding>) {
-    for t in &file.tokens {
-        if t.kind == TokenKind::Ident && t.text == "unsafe" {
-            out.push(Finding {
-                rule: "unsafe-audit",
-                path: file.path.clone(),
-                line: t.line,
-                message: "unsafe code is denied workspace-wide".to_string(),
             });
         }
     }
@@ -460,32 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_rule_denies_registry_reads_across_the_write_only_list() {
-        let read = "fn pick() -> u64 { obs::CTRL_STARVED.value() }\n";
-        assert!(run_source("crates/memctrl/src/request.rs", read)
-            .iter()
-            .all(|f| f.rule != "obs-purity"));
-        for covered in [
-            "crates/memctrl/src/sched.rs",
-            "crates/memctrl/src/controller/queues.rs",
-            "crates/memctrl/src/hybrid.rs",
-        ] {
-            let hits = run_source(covered, read);
-            assert_eq!(
-                hits.iter().filter(|f| f.rule == "obs-purity").count(),
-                1,
-                "{covered}: {hits:?}"
-            );
-        }
-        // Write-only bumps and test-code reads stay clean.
-        let ok = "fn pick() { obs::SCHED_SELECTS.add(1); }\n\
-                  #[cfg(test)]\nmod tests {\n    fn peek() -> u64 { obs::SCHED_SELECTS.value() }\n}\n";
-        assert!(run_source("crates/memctrl/src/sched.rs", ok)
-            .iter()
-            .all(|f| f.rule != "obs-purity"));
-    }
-
-    #[test]
     fn observer_rule_spares_check_and_trace() {
         let src = "struct S;\nimpl CommandObserver for S {\n    fn command(&mut self) {}\n}\n";
         assert!(run_source("crates/check/src/oracle.rs", src).is_empty());
@@ -503,15 +409,6 @@ mod tests {
         assert!(run_source("crates/dram/src/observe.rs", def).is_empty());
         let test_impl = "#[cfg(test)]\nmod tests {\n    impl CommandObserver for T {}\n}\n";
         assert!(run_source("crates/dram/src/observe.rs", test_impl).is_empty());
-    }
-
-    #[test]
-    fn unsafe_rule_flags_even_test_code() {
-        let out = run_source(
-            "crates/x/src/lib.rs",
-            "#[cfg(test)]\nmod tests {\n    fn f() { unsafe {} }\n}\n",
-        );
-        assert_eq!(out.iter().filter(|f| f.rule == "unsafe-audit").count(), 1);
     }
 
     #[test]

@@ -545,7 +545,7 @@ mod tests {
         );
         assert!(f.waiver_for("determinism", 2).is_some(), "covers next line");
         assert!(f.waiver_for("determinism", 3).is_none());
-        assert!(f.waiver_for("unsafe-audit", 2).is_none());
+        assert!(f.waiver_for("provenance-purity", 2).is_none());
     }
 
     #[test]

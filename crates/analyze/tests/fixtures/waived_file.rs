@@ -1,9 +1,9 @@
 // Fixture: a file-scoped waiver covering multiple findings.
-// sam-analyze: allow-file(unsafe-audit, "fixture: file-scoped waiver")
-pub fn first(p: *const u64) -> u64 {
-    unsafe { *p }
+// sam-analyze: allow-file(determinism, "fixture: file-scoped waiver")
+pub fn first() -> u64 {
+    Instant::now().elapsed().as_nanos() as u64
 }
 
-pub fn second(p: *const u64) -> u64 {
-    unsafe { *p }
+pub fn second() -> bool {
+    SystemTime::now() > SystemTime::UNIX_EPOCH
 }

@@ -22,9 +22,8 @@
 //! * `--trace[=PATH]` / `--epoch-len N` — only on binaries that support
 //!   the `sam-trace` recorder (default trace path:
 //!   `results/<bin>.trace.json`; default epoch length: 10000 cycles)
-//! * `--profile[=PATH]` / `--heartbeat[=SECS]` — only on binaries built
-//!   with host-side observability (`sam-bench`'s `obs` feature, on by
-//!   default): phase-profile report (default path
+//! * `--profile[=PATH]` / `--heartbeat[=SECS]` — on the experiment
+//!   binaries: phase-profile report (default path
 //!   `results/<bin>.profile.json`) and stderr progress lines (default
 //!   interval: 5 seconds)
 //! * `--shard K/N` — on the sweep-driven binaries: run only shard `K`'s

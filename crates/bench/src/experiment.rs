@@ -36,7 +36,7 @@ use sam_util::json::Json;
 use crate::checked::{self, CheckReport};
 use crate::cli::{ArgSpec, BenchArgs};
 use crate::metrics::MetricsReport;
-use crate::obsrun::ObsSession;
+use crate::obsrun::{self, ObsSession};
 use crate::shard;
 use crate::sweep::{run_sweep_weighted_strict, SweepTask};
 use crate::traced::{self, TraceOptions};
@@ -98,7 +98,8 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(exp: &'a Experiment, args: &'a BenchArgs) -> Self {
+    /// The context `exp`'s plan and render see under `args`.
+    pub fn new(exp: &'a Experiment, args: &'a BenchArgs) -> Self {
         let system = SystemConfig {
             starvation_cap: args.starvation_cap,
             drain_hi: args.drain_hi,
@@ -207,10 +208,11 @@ pub enum Job {
 }
 
 impl Job {
-    /// Runs the job with `instr` attached. Stress cells use only its trace
-    /// sinks; campaigns simulate no memory system and use none of it.
+    /// Runs the job with `instr` attached and adds its simulated cycles to
+    /// the heartbeat's tally. Stress cells use only the trace sinks of
+    /// `instr`; campaigns simulate no memory system and use none of it.
     pub fn run(&self, instr: &mut Instrumentation<'_>) -> Outcome {
-        match self {
+        let outcome = match self {
             Job::Query {
                 workload,
                 design,
@@ -243,7 +245,9 @@ impl Job {
                 trials,
                 seed,
             } => Outcome::Campaign(chipkill_campaign(&SscCode::new(), *layout, *trials, *seed)),
-        }
+        };
+        sam_obs::heartbeat::cycles_done(outcome.sim_cycles());
+        outcome
     }
 
     /// The design a checked run shadows and whether it runs the hybrid
@@ -270,6 +274,19 @@ pub enum Outcome {
     Stress(StressOutcome),
     /// From [`Job::Campaign`].
     Campaign(CampaignReport),
+}
+
+impl Outcome {
+    /// Simulated memory cycles: a run's end-to-end `cycles`, a stress
+    /// cell's last completion, and 0 for a campaign.
+    pub(crate) fn sim_cycles(&self) -> u64 {
+        match self {
+            Outcome::Query(q) => q.result.cycles,
+            Outcome::Run(r) => r.cycles,
+            Outcome::Stress(s) => s.last_finish,
+            Outcome::Campaign(_) => 0,
+        }
+    }
 }
 
 /// The finished plan, in plan order.
@@ -392,7 +409,7 @@ pub fn drive(
     }
     let ctx = Ctx::new(exp, args);
     if let Some(code) = exp.bypass.and_then(|mode| mode(&ctx)) {
-        obs.finish();
+        obs.finish(&[]);
         return Ok(code);
     }
     let plan = (exp.plan)(&ctx);
@@ -404,16 +421,16 @@ pub fn drive(
         }
         None if args.shard.is_some() => {
             shard::run_shard(&exp.spec, args, &plan);
-            obs.finish();
+            obs.finish(&[]);
             return Ok(0);
         }
         None => execute(&plan, args),
     };
 
+    let counters = obsrun::counters(&results.runs, &checks);
     let rendered = (exp.render)(&ctx, results);
     {
         let _p = sam_obs::profile::phase("emit-json");
-        sam_obs::registry::JSON_DOCS.add(1);
         match &rendered.doc {
             Doc::Metrics(report) => {
                 let what = format!("{} run metrics", report.runs.len());
@@ -436,7 +453,7 @@ pub fn drive(
         );
         write_or_die(name, path, &sam_trace::chrome_trace(name, &traces), &what);
     }
-    obs.finish();
+    obs.finish(&counters);
     let clean = !args.checked || checked::summarize(&checks);
     Ok(i32::from(rendered.failed || !clean))
 }
@@ -489,7 +506,7 @@ pub fn execute(plan: &[Run], args: &BenchArgs) -> (Results, Vec<RunTrace>, Vec<C
 /// directories; the notice goes to stderr so stdout stays table-only.
 /// Exits 1 on a filesystem error: an unwritable result is an error, not a
 /// shrug.
-fn write_or_die(bin: &str, path: &Path, doc: &Json, what: &str) {
+pub(crate) fn write_or_die(bin: &str, path: &Path, doc: &Json, what: &str) {
     let write = || -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {

@@ -13,7 +13,6 @@
 //! [`sweep`] runner (`--jobs N`, parsed by [`cli`]); results come back in
 //! plan order, keeping the output byte-identical to a serial run.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench_fig12;

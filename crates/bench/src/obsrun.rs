@@ -1,51 +1,103 @@
 //! The binaries' observability session: one [`ObsSession::start`] after
 //! argument parsing, one [`ObsSession::finish`] before exit.
 //!
-//! `start` validates that `--profile`/`--heartbeat` were not given to a
-//! build with observability compiled out (hard error, exit 2 — the same
-//! contract as `--checked` without the `check` feature: a flag that can
-//! only lie is refused, never shrugged off), then arms the profiler,
-//! snapshots the registry, opens the session's `main` root phase, and
+//! `start` arms the profiler, opens the session's `main` root phase, and
 //! starts the heartbeat monitor. `finish` closes the root, merges every
-//! thread's phase tree, and writes `results/<bin>.profile.json` (notice
-//! on stderr only — stdout stays byte-identical to the goldens).
+//! thread's phase tree, and writes `results/<bin>.profile.json` with the
+//! counters `counters` sums from the finished runs (notice on stderr
+//! only — stdout stays byte-identical to the goldens).
 
 use std::path::PathBuf;
 
 use sam_obs::heartbeat::{self, Heartbeat};
 use sam_obs::profile::{self, report_json, PhaseGuard};
-use sam_obs::registry::Snapshot;
+
+use crate::checked::CheckReport;
+use crate::experiment::{write_or_die, Outcome};
+
+/// The profile report's counter names, in report order.
+const COUNTERS: [&str; 12] = [
+    "sim.cycles",
+    "ctrl.requests_enqueued",
+    "ctrl.starvation_forced",
+    "ctrl.refreshes",
+    "dram.acts",
+    "dram.pres",
+    "dram.col_reads",
+    "dram.col_writes",
+    "dram.mode_switches",
+    "cache.mem_misses",
+    "cache.llc.sector_misses",
+    "oracle.commands",
+];
+
+/// One run's share of the counters between `sim.cycles` and
+/// `oracle.commands`, read from the stats the run already returns. A
+/// stress cell records no device or cache stats, and a campaign simulates
+/// no memory system.
+fn stats_counters(outcome: &Outcome) -> [u64; 10] {
+    let r = match outcome {
+        Outcome::Query(q) => &q.result,
+        Outcome::Run(r) => r,
+        Outcome::Stress(s) => {
+            let mut row = [0; 10];
+            row[..3].copy_from_slice(&[s.reads + s.writes, s.starved, s.refreshes]);
+            return row;
+        }
+        Outcome::Campaign(_) => return [0; 10],
+    };
+    let (c, d, llc) = (&r.ctrl, &r.device, &r.cache.2);
+    [
+        c.reads_done + c.writes_done,
+        c.starvation_forced,
+        c.refreshes,
+        d.acts,
+        d.pres,
+        d.reads + d.stride_reads,
+        d.writes + d.stride_writes,
+        d.mode_switches,
+        llc.sector_misses + llc.line_misses,
+        llc.sector_misses,
+    ]
+}
+
+/// The profile report's counters: each summed over a finished plan's
+/// outcomes, plus the commands its `--checked` oracles shadowed. Every
+/// count comes from the per-run stats the sweep returns, so the report
+/// agrees with the metrics document and is the same at any `--jobs`.
+#[must_use]
+pub(crate) fn counters(runs: &[Outcome], checks: &[CheckReport]) -> Vec<(&'static str, u64)> {
+    let mut sums = [0u64; 12];
+    for run in runs {
+        sums[0] += run.sim_cycles();
+        for (sum, v) in sums[1..].iter_mut().zip(stats_counters(run)) {
+            *sum += v;
+        }
+    }
+    sums[11] = checks.iter().map(|c| c.commands as u64).sum();
+    COUNTERS.into_iter().zip(sums).collect()
+}
 
 /// Observability state carried across one binary's run.
 #[derive(Debug)]
 pub struct ObsSession {
     bin: &'static str,
     profile_out: Option<PathBuf>,
-    start_snapshot: Snapshot,
     root: Option<PhaseGuard>,
     heartbeat: Option<Heartbeat>,
 }
 
 impl ObsSession {
     /// Starts the session from the parsed `--profile`/`--heartbeat`
-    /// flags. Exits(2) if either flag was given but the binary was built
-    /// without `sam-bench`'s `obs` feature.
+    /// flags.
     #[must_use]
     pub fn start(bin: &'static str, args: &crate::cli::BenchArgs) -> Self {
-        if (args.profile.is_some() || args.heartbeat.is_some()) && !sam_obs::compiled() {
-            eprintln!(
-                "{bin}: --profile/--heartbeat require the `obs` feature \
-                 (on by default; rebuild without --no-default-features)"
-            );
-            std::process::exit(2);
-        }
         if args.profile.is_some() {
             profile::enable();
         }
         Self {
             bin,
             profile_out: args.profile.clone(),
-            start_snapshot: Snapshot::take(),
             // The root must open after enable() so the session's own
             // (non-sweep) work — table assembly, JSON emission — has a
             // parent and the report telescopes to total measured time.
@@ -55,9 +107,9 @@ impl ObsSession {
     }
 
     /// Ends the session: stops the heartbeat, closes the `main` root, and
-    /// writes the profile report if `--profile` was given. Exits(1) on an
-    /// unwritable report, like the metrics writer.
-    pub fn finish(mut self) {
+    /// writes the profile report with `counters` if `--profile` was given.
+    /// Exits(1) on an unwritable report, like the metrics writer.
+    pub fn finish(mut self, counters: &[(&'static str, u64)]) {
         if let Some(hb) = self.heartbeat.take() {
             hb.stop();
         }
@@ -65,25 +117,8 @@ impl ObsSession {
         let Some(path) = self.profile_out.take() else {
             return;
         };
-        let forest = profile::take_report();
-        let delta = Snapshot::take().delta(&self.start_snapshot);
-        let mut text = report_json(self.bin, &forest, &delta).to_string();
-        text.push('\n');
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            std::fs::write(&path, &text)
-        };
-        match write() {
-            Ok(()) => eprintln!("{}: wrote phase profile to {}", self.bin, path.display()),
-            Err(e) => {
-                eprintln!("{}: cannot write {}: {e}", self.bin, path.display());
-                std::process::exit(1);
-            }
-        }
+        let doc = report_json(self.bin, &profile::take_report(), counters);
+        write_or_die(self.bin, &path, &doc, "phase profile");
     }
 }
 
@@ -104,10 +139,9 @@ mod tests {
     fn session_without_flags_is_inert() {
         let s = ObsSession::start("obstest", &args(&[]));
         assert!(s.root.is_none() || sam_obs::profile::enabled());
-        s.finish();
+        s.finish(&[]);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn profile_session_writes_a_lintable_report() {
         let dir = std::env::temp_dir().join("sam-obs-session-test");
@@ -119,7 +153,7 @@ mod tests {
         {
             let _inner = sam_obs::profile::phase("emit-json");
         }
-        s.finish();
+        s.finish(&counters(&[], &[]));
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = Json::parse(&text).unwrap();
         sam_obs::profile::lint_profile_json(&doc).expect("session report lints clean");
@@ -134,6 +168,14 @@ mod tests {
             }),
             "main root with nested children missing: {text}"
         );
+        let names: Vec<&str> = doc
+            .get("counters")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|c| c.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, COUNTERS);
         std::fs::remove_file(&path).ok();
     }
 }

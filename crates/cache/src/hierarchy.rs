@@ -11,7 +11,6 @@
 use crate::sector::{split_sector, SectorState};
 use crate::set_assoc::{CacheStats, Probe, SetAssocCache};
 use sam_obs::profile::phase;
-use sam_obs::registry as obs;
 
 pub use crate::set_assoc::Victim as Writeback;
 
@@ -199,14 +198,7 @@ impl Hierarchy {
     /// [`Self::fill_sector`]; a subsequent access will hit.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         let _p = phase("cache");
-        let res = self.access_inner(addr, kind);
-        if res.sector_miss {
-            obs::CACHE_SECTOR_MISSES.add(1);
-        }
-        if matches!(res.level, HitLevel::Memory) {
-            obs::CACHE_MEM_MISSES.add(1);
-        }
-        res
+        self.access_inner(addr, kind)
     }
 
     fn access_inner(&mut self, addr: u64, kind: AccessKind) -> AccessResult {

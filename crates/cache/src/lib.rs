@@ -27,7 +27,6 @@
 //! assert!(!r2.memory_fill_needed());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hierarchy;

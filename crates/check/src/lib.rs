@@ -25,7 +25,6 @@
 //! Violations name the constraint, the offending command and cycle, the
 //! earliest legal cycle, and the prior command that opened the window.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ecc_audit;

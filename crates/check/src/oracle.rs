@@ -217,7 +217,6 @@ impl ProtocolOracle {
 impl CommandObserver for ProtocolOracle {
     fn on_command(&mut self, cmd: &Command, at: Cycle) {
         let _p = sam_obs::profile::phase("oracle");
-        sam_obs::registry::ORACLE_COMMANDS.add(1);
         self.record(cmd, at);
     }
 }

@@ -38,7 +38,6 @@
 //! assert!(sam.cycles < base.cycles, "strided scans are faster under SAM");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod design;

@@ -684,7 +684,6 @@ impl<'t> Engine<'t> {
             .max()
             .unwrap_or(0);
         let cycles = core_mem.max(self.last_finish).max(1);
-        sam_obs::registry::SIM_CYCLES.add(cycles);
         self.ctrl.finish_epochs(cycles);
         if self.cfg.debug_cores {
             let times: Vec<Cycle> = self

@@ -9,7 +9,6 @@ use crate::observe::ObserverSlot;
 use crate::rank::RankState;
 use crate::timing::TimingParams;
 use crate::{Cycle, DeviceError};
-use sam_obs::registry as obs;
 
 /// Geometry and timing of one memory channel (Table 2 defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -278,14 +277,11 @@ impl MemoryDevice {
                 self.banks[cmd.rank][bank_idx].activate(cmd.row, at, &t)?;
                 self.ranks[cmd.rank].record_act(cmd.bank_group, at);
                 self.stats.acts += 1;
-                obs::DRAM_ACTS.add(1);
-                obs::BANK_ACTS.touch(cmd.rank, cmd.bank_group, cmd.bank);
                 Ok(at)
             }
             CmdKind::Pre => {
                 self.banks[cmd.rank][bank_idx].precharge(at, &t)?;
                 self.stats.pres += 1;
-                obs::DRAM_PRES.add(1);
                 Ok(at)
             }
             CmdKind::Rd { stride, narrow } => {
@@ -300,7 +296,6 @@ impl MemoryDevice {
                 } else {
                     self.stats.reads += 1;
                 }
-                obs::DRAM_COL_READS.add(1);
                 Ok(at + t.cl + t.burst)
             }
             CmdKind::Wr { stride, narrow } => {
@@ -316,7 +311,6 @@ impl MemoryDevice {
                 } else {
                     self.stats.writes += 1;
                 }
-                obs::DRAM_COL_WRITES.add(1);
                 Ok(at + t.cwl + t.burst)
             }
             CmdKind::Ref => {
@@ -329,7 +323,6 @@ impl MemoryDevice {
             CmdKind::Mrs(mode) => {
                 if self.ranks[cmd.rank].apply_mrs(mode, at, &t) {
                     self.stats.mode_switches += 1;
-                    obs::DRAM_MODE_SWITCHES.add(1);
                 }
                 Ok(at)
             }

@@ -39,7 +39,6 @@
 //! assert!(t_rd >= t + TimingParams::ddr4_2400().rcd);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bank;

@@ -33,7 +33,6 @@
 //! assert_eq!(decoded.data, data);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codes;

@@ -25,7 +25,6 @@
 //! assert!(sam.result.cycles < base.result.cycles);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

@@ -225,7 +225,6 @@ impl Controller {
         };
         if pick.starved {
             self.stats.starvation_forced += 1;
-            obs::CTRL_STARVED.add(1);
             self.lanes.lane_mut(pending.req.prov).starvation_forced += 1;
             self.trace.emit(TraceEvent::instant(
                 track::CTRL,

@@ -27,7 +27,6 @@ use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 use crate::sched;
 use crate::wake::TimeWheel;
 use sam_obs::profile::phase;
-use sam_obs::registry as obs;
 use sam_trace::event::track;
 use sam_trace::{Category, EpochCounters, SharedEpochs, SinkSlot, TraceEvent};
 use sam_util::hist::Histogram;

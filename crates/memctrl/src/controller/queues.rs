@@ -78,12 +78,9 @@ impl Controller {
         let pending = Pending { req, loc, arrival };
         if req.is_write {
             self.writeq.push(pending.view(), pending);
-            obs::WRITEQ_DEPTH.observe(self.writeq.len());
         } else {
             self.readq.push(pending.view(), pending);
-            obs::READQ_DEPTH.observe(self.readq.len());
         }
-        obs::CTRL_REQUESTS.add(1);
         if self.trace.is_attached() {
             let (name, lane, depth) = if req.is_write {
                 ("enq-write", track::WRITEQ, self.writeq.len())

@@ -22,7 +22,6 @@ impl Controller {
                     .issue(&cmd, at)
                     .expect("refresh issue follows earliest_issue");
                 self.stats.refreshes += 1;
-                obs::CTRL_REFRESHES.add(1);
                 self.trace.emit(TraceEvent::complete(
                     track::rank(rank),
                     Category::Ctrl,

@@ -20,7 +20,6 @@
 //! assert!(done[0].finish > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;

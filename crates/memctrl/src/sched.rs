@@ -33,12 +33,6 @@ use sam_dram::moderegs::IoMode;
 use sam_dram::Cycle;
 use sam_util::fxhash::FxHashMap;
 
-// Observability is write-only in this module: counters are bumped, never
-// read, so no scheduling decision can depend on observability state. The
-// sam-analyze obs-purity rule denies the registry's read surface
-// (`value`/`snapshot`/`delta`) in any `src/sched*` module outright.
-use sam_obs::registry as obs;
-
 use crate::mapping::Location;
 
 /// The policy-visible projection of a queued request: *where* it goes and
@@ -419,7 +413,6 @@ impl<T> GroupQueue<T> {
         mut earliest_column: impl FnMut(Location, Cycle) -> Cycle,
         mut rank_mode: impl FnMut(usize) -> IoMode,
     ) -> Option<Pick> {
-        obs::SCHED_SELECTS.add(1);
         let mut oldest: Option<&Group> = None;
         let mut best: Option<((Cycle, Cycle, u64), &Group)> = None;
         for &g in &self.live {
@@ -552,7 +545,6 @@ pub fn select_reference(
     mut earliest_column: impl FnMut(Location, Cycle) -> Cycle,
     mut rank_mode: impl FnMut(usize) -> IoMode,
 ) -> Option<Decision> {
-    obs::SCHED_SELECTS.add(1);
     let mut oldest: Option<(Cycle, usize)> = None;
     let mut best: Option<(Cycle, Cycle, usize)> = None;
     for (i, v) in queue.enumerate() {

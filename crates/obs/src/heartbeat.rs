@@ -1,7 +1,8 @@
 //! Live sweep heartbeats: stderr-only progress lines for long runs.
 //!
 //! The sweep runner announces work with [`sweep_add`] and completion with
-//! [`task_done`]; `--heartbeat[=SECS]` starts a monitor thread
+//! [`task_done`], and every finished run adds its simulated memory cycles
+//! with [`cycles_done`]; `--heartbeat[=SECS]` starts a monitor thread
 //! ([`start`]) that prints one line every interval:
 //!
 //! ```text
@@ -9,7 +10,8 @@
 //! ```
 //!
 //! Runs completed/total come straight from the announced tasks, the live
-//! simulated cycles/sec from the [`crate::registry::SIM_CYCLES`] counter,
+//! simulated cycles/sec from the [`cycles_done`] tally (a run's cycles
+//! land when it finishes, so a sweep of few long runs reads in steps),
 //! and the ETA from the weighted-sweep cost model: with `w_done` of
 //! `w_total` weight retired after `t` seconds, the remainder is estimated
 //! at `t * (w_total - w_done) / w_done`. Because tasks report through
@@ -17,207 +19,175 @@
 //! every worker of the work-stealing runner feeds the same tallies.
 //!
 //! Heartbeats never touch stdout, so they are invisible to the
-//! byte-identity gates; with the `rt` feature off the whole module is
-//! inlined no-ops.
+//! byte-identity gates.
 //
 // sam-analyze: allow-file(determinism, "the heartbeat exists to report host wall-clock progress; it writes only to stderr, never to stdout, metrics JSON, or trace bytes")
 
-#[cfg(feature = "rt")]
-mod imp {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::thread;
-    use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
-    use crate::registry::SIM_CYCLES;
+static TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
+static TASKS_DONE: AtomicU64 = AtomicU64::new(0);
+static WEIGHT_TOTAL: AtomicU64 = AtomicU64::new(0);
+static WEIGHT_DONE: AtomicU64 = AtomicU64::new(0);
+static SHARD_INDEX: AtomicU64 = AtomicU64::new(0);
+static SHARD_COUNT: AtomicU64 = AtomicU64::new(0);
+static GLOBAL_WEIGHT: AtomicU64 = AtomicU64::new(0);
+static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
-    static TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static TASKS_DONE: AtomicU64 = AtomicU64::new(0);
-    static WEIGHT_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static WEIGHT_DONE: AtomicU64 = AtomicU64::new(0);
-    static SHARD_INDEX: AtomicU64 = AtomicU64::new(0);
-    static SHARD_COUNT: AtomicU64 = AtomicU64::new(0);
-    static GLOBAL_WEIGHT: AtomicU64 = AtomicU64::new(0);
+/// Announces that this process runs shard `shard` of `shards` of a
+/// sweep whose *full* cost is `global_weight` units (`sweep_add`
+/// announces only the shard-local slice). Heartbeat lines then carry
+/// a `shard K/N` tag plus a fleet-wide ETA estimated by assuming
+/// every shard retires weight at this process's observed rate — a
+/// fair assumption because the partitioner weight-balances shards.
+pub fn shard_context(shard: u64, shards: u64, global_weight: u64) {
+    SHARD_INDEX.store(shard, Ordering::Relaxed);
+    SHARD_COUNT.store(shards.max(1), Ordering::Relaxed);
+    GLOBAL_WEIGHT.store(global_weight, Ordering::Relaxed);
+}
 
-    /// Announces that this process runs shard `shard` of `shards` of a
-    /// sweep whose *full* cost is `global_weight` units (`sweep_add`
-    /// announces only the shard-local slice). Heartbeat lines then carry
-    /// a `shard K/N` tag plus a fleet-wide ETA estimated by assuming
-    /// every shard retires weight at this process's observed rate — a
-    /// fair assumption because the partitioner weight-balances shards.
-    pub fn shard_context(shard: u64, shards: u64, global_weight: u64) {
-        SHARD_INDEX.store(shard, Ordering::Relaxed);
-        SHARD_COUNT.store(shards.max(1), Ordering::Relaxed);
-        GLOBAL_WEIGHT.store(global_weight, Ordering::Relaxed);
-    }
+/// Announces a sweep: `tasks` runs totalling `weight` cost units.
+/// Called by the runner before workers start; totals accumulate
+/// across the sweeps of one process.
+pub fn sweep_add(tasks: u64, weight: u64) {
+    TASKS_TOTAL.fetch_add(tasks, Ordering::Relaxed);
+    WEIGHT_TOTAL.fetch_add(weight, Ordering::Relaxed);
+}
 
-    /// Announces a sweep: `tasks` runs totalling `weight` cost units.
-    /// Called by the runner before workers start; totals accumulate
-    /// across the sweeps of one process.
-    pub fn sweep_add(tasks: u64, weight: u64) {
-        TASKS_TOTAL.fetch_add(tasks, Ordering::Relaxed);
-        WEIGHT_TOTAL.fetch_add(weight, Ordering::Relaxed);
-    }
+/// Records one finished run of the given cost weight.
+#[inline]
+pub fn task_done(weight: u64) {
+    TASKS_DONE.fetch_add(1, Ordering::Relaxed);
+    WEIGHT_DONE.fetch_add(weight, Ordering::Relaxed);
+}
 
-    /// Records one finished run of the given cost weight.
-    #[inline]
-    pub fn task_done(weight: u64) {
-        TASKS_DONE.fetch_add(1, Ordering::Relaxed);
-        WEIGHT_DONE.fetch_add(weight, Ordering::Relaxed);
-    }
+/// Adds the simulated memory cycles of one finished run.
+pub fn cycles_done(cycles: u64) {
+    SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
+}
 
-    /// Runs completed and announced so far (exposed for tests).
-    #[must_use]
-    pub fn progress() -> (u64, u64) {
-        (
-            TASKS_DONE.load(Ordering::Relaxed),
-            TASKS_TOTAL.load(Ordering::Relaxed),
-        )
-    }
+/// Simulated memory cycles of every run finished so far (exposed for
+/// tests).
+#[must_use]
+pub fn cycles() -> u64 {
+    SIM_CYCLES.load(Ordering::Relaxed)
+}
 
-    fn report(bin: &str, elapsed: Duration, cycles: u64) {
-        let (done, total) = progress();
-        let secs = elapsed.as_secs_f64();
-        let mcyc = if secs > 0.0 {
-            cycles as f64 / secs / 1e6
-        } else {
-            0.0
-        };
-        let w_done = WEIGHT_DONE.load(Ordering::Relaxed);
-        let w_total = WEIGHT_TOTAL.load(Ordering::Relaxed);
-        let eta = if w_done > 0 && w_total > w_done {
-            let remaining = secs * (w_total - w_done) as f64 / w_done as f64;
-            format!("ETA {:.0}s", remaining.ceil())
-        } else if w_total > 0 && w_done >= w_total {
-            "finishing".to_string()
-        } else {
-            "ETA --".to_string()
-        };
-        let shard = match (
-            SHARD_INDEX.load(Ordering::Relaxed),
-            SHARD_COUNT.load(Ordering::Relaxed),
-        ) {
-            (_, 0) | (0, _) => String::new(),
-            (k, n) => {
-                let global = GLOBAL_WEIGHT.load(Ordering::Relaxed);
-                let fleet_done = w_done.saturating_mul(n);
-                let global_eta = if w_done > 0 && global > fleet_done {
-                    let remaining = secs * (global - fleet_done) as f64 / fleet_done as f64;
-                    format!("global ETA ~{:.0}s", remaining.ceil())
-                } else {
-                    "global ETA --".to_string()
-                };
-                format!(" · shard {k}/{n} · {global_eta}")
-            }
-        };
-        eprintln!("sam-obs[{bin}]: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}{shard}");
-    }
+/// Runs completed and announced so far (exposed for tests).
+#[must_use]
+pub fn progress() -> (u64, u64) {
+    (
+        TASKS_DONE.load(Ordering::Relaxed),
+        TASKS_TOTAL.load(Ordering::Relaxed),
+    )
+}
 
-    /// A running heartbeat monitor; dropping (or [`Heartbeat::stop`])
-    /// ends it.
-    #[derive(Debug)]
-    pub struct Heartbeat {
-        stop: Arc<AtomicBool>,
-        handle: Option<thread::JoinHandle<()>>,
-    }
+fn report(bin: &str, elapsed: Duration, cycles: u64) {
+    let (done, total) = progress();
+    let secs = elapsed.as_secs_f64();
+    let mcyc = if secs > 0.0 {
+        cycles as f64 / secs / 1e6
+    } else {
+        0.0
+    };
+    let w_done = WEIGHT_DONE.load(Ordering::Relaxed);
+    let w_total = WEIGHT_TOTAL.load(Ordering::Relaxed);
+    let eta = if w_done > 0 && w_total > w_done {
+        let remaining = secs * (w_total - w_done) as f64 / w_done as f64;
+        format!("ETA {:.0}s", remaining.ceil())
+    } else if w_total > 0 && w_done >= w_total {
+        "finishing".to_string()
+    } else {
+        "ETA --".to_string()
+    };
+    let shard = match (
+        SHARD_INDEX.load(Ordering::Relaxed),
+        SHARD_COUNT.load(Ordering::Relaxed),
+    ) {
+        (_, 0) | (0, _) => String::new(),
+        (k, n) => {
+            let global = GLOBAL_WEIGHT.load(Ordering::Relaxed);
+            let fleet_done = w_done.saturating_mul(n);
+            let global_eta = if w_done > 0 && global > fleet_done {
+                let remaining = secs * (global - fleet_done) as f64 / fleet_done as f64;
+                format!("global ETA ~{:.0}s", remaining.ceil())
+            } else {
+                "global ETA --".to_string()
+            };
+            format!(" · shard {k}/{n} · {global_eta}")
+        }
+    };
+    eprintln!("sam-obs[{bin}]: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}{shard}");
+}
 
-    /// Starts the monitor thread, printing to stderr every `secs`
-    /// seconds (minimum 1) until stopped.
-    #[must_use]
-    pub fn start(bin: &str, secs: u64) -> Heartbeat {
-        let bin = bin.to_string();
-        let interval = Duration::from_secs(secs.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name("sam-obs-heartbeat".to_string())
-            .spawn(move || {
-                let started = Instant::now();
-                let cycles_at_start = SIM_CYCLES.value();
-                let mut next_report = interval;
-                // Poll the stop flag often so shutdown never waits a full
-                // interval, but only print on the interval boundary.
-                while !stop_flag.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(50));
-                    let elapsed = started.elapsed();
-                    if elapsed >= next_report {
-                        next_report += interval;
-                        let cycles = SIM_CYCLES.value().saturating_sub(cycles_at_start);
-                        report(&bin, elapsed, cycles);
-                    }
+/// A running heartbeat monitor; dropping (or [`Heartbeat::stop`])
+/// ends it.
+#[derive(Debug)]
+pub struct Heartbeat {
+    stop: Arc<AtomicBool>,
+    handle: Option<thread::JoinHandle<()>>,
+}
+
+/// Starts the monitor thread, printing to stderr every `secs`
+/// seconds (minimum 1) until stopped.
+#[must_use]
+pub fn start(bin: &str, secs: u64) -> Heartbeat {
+    let bin = bin.to_string();
+    let interval = Duration::from_secs(secs.max(1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_flag = Arc::clone(&stop);
+    let handle = thread::Builder::new()
+        .name("sam-obs-heartbeat".to_string())
+        .spawn(move || {
+            let started = Instant::now();
+            let cycles_at_start = cycles();
+            let mut next_report = interval;
+            // Poll the stop flag often so shutdown never waits a full
+            // interval, but only print on the interval boundary.
+            while !stop_flag.load(Ordering::Relaxed) {
+                thread::sleep(Duration::from_millis(50));
+                let elapsed = started.elapsed();
+                if elapsed >= next_report {
+                    next_report += interval;
+                    let ran = cycles().saturating_sub(cycles_at_start);
+                    report(&bin, elapsed, ran);
                 }
-            })
-            .expect("spawn heartbeat thread");
-        Heartbeat {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    impl Heartbeat {
-        /// Stops the monitor and waits for it to exit.
-        pub fn stop(mut self) {
-            self.shutdown();
-        }
-
-        fn shutdown(&mut self) {
-            self.stop.store(true, Ordering::Relaxed);
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
             }
-        }
+        })
+        .expect("spawn heartbeat thread");
+    Heartbeat {
+        stop,
+        handle: Some(handle),
+    }
+}
+
+impl Heartbeat {
+    /// Stops the monitor and waits for it to exit.
+    pub fn stop(mut self) {
+        self.shutdown();
     }
 
-    impl Drop for Heartbeat {
-        fn drop(&mut self) {
-            self.shutdown();
+    fn shutdown(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
 
-#[cfg(not(feature = "rt"))]
-mod imp {
-    /// No-op without the `rt` feature.
-    #[inline(always)]
-    pub fn sweep_add(_tasks: u64, _weight: u64) {}
-
-    /// No-op without the `rt` feature.
-    #[inline(always)]
-    pub fn task_done(_weight: u64) {}
-
-    /// No-op without the `rt` feature.
-    #[inline(always)]
-    pub fn shard_context(_shard: u64, _shards: u64, _global_weight: u64) {}
-
-    /// Always `(0, 0)` without the `rt` feature.
-    #[must_use]
-    pub fn progress() -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Inert stand-in; nothing runs.
-    #[derive(Debug)]
-    pub struct Heartbeat {}
-
-    /// Returns an inert handle without the `rt` feature.
-    #[must_use]
-    pub fn start(_bin: &str, _secs: u64) -> Heartbeat {
-        Heartbeat {}
-    }
-
-    impl Heartbeat {
-        /// No-op without the `rt` feature.
-        pub fn stop(self) {}
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
-
-pub use imp::{progress, shard_context, start, sweep_add, task_done, Heartbeat};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(feature = "rt")]
     #[test]
     fn progress_tracks_announced_and_finished_tasks() {
         let (done0, total0) = progress();
@@ -237,16 +207,6 @@ mod tests {
         drop(hb2);
     }
 
-    #[cfg(not(feature = "rt"))]
-    #[test]
-    fn disabled_heartbeat_is_inert() {
-        sweep_add(5, 50);
-        task_done(10);
-        shard_context(1, 3, 500);
-        assert_eq!(progress(), (0, 0));
-    }
-
-    #[cfg(feature = "rt")]
     #[test]
     fn shard_context_accepts_and_clamps() {
         // Smoke: storing a shard context (including a degenerate N = 0)

@@ -2,25 +2,20 @@
 //!
 //! Everything else in this workspace observes the *simulated* machine;
 //! this crate observes the *simulator*: where its wall-clock goes
-//! ([`profile`]), what it has done so far ([`registry`]), and what a long
-//! sweep is doing right now ([`heartbeat`]).
+//! ([`profile`]) and what a long sweep is doing right now
+//! ([`heartbeat`]). The profile report's counters are not kept here:
+//! the caller sums them from the per-run stats its sweep returns and
+//! hands them to [`profile::report_json`].
 //!
-//! Three guarantees shape the design:
+//! Two guarantees shape the design:
 //!
 //! 1. **Byte-identity.** Nothing here may influence stdout, the
-//!    `results/*.json` metrics documents, or trace bytes. Counters are
-//!    write-only from the simulator's point of view, the profiler's
-//!    output goes to its own `results/<bin>.profile.json`, and heartbeats
-//!    print to stderr only.
-//! 2. **Compiled-out means gone.** With the `rt` feature off every entry
-//!    point in this crate is an empty `#[inline]` function over zero-sized
-//!    state, so the instrumented hot paths carry no loads, no branches,
-//!    and no code. The instrumented crates depend on `sam-obs` with
-//!    `default-features = false`; `sam-bench`'s `obs` feature (on by
-//!    default) is the single switch that turns the runtime path on.
-//! 3. **Runtime-disabled means one load.** With `rt` compiled in but
-//!    `--profile` not given, a phase probe is a single relaxed atomic
-//!    load and a predicted branch; counters are a relaxed `fetch_add`.
+//!    `results/*.json` metrics documents, or trace bytes. The simulator
+//!    never reads anything back from this crate, the profiler's output
+//!    goes to its own `results/<bin>.profile.json`, and heartbeats print
+//!    to stderr only.
+//! 2. **Disabled means one load.** Without `--profile` a phase probe is a
+//!    single relaxed atomic load and a predicted branch.
 //!
 //! The phase profiler's report provably telescopes: every node's time is
 //! at least the sum of its children, and the report total is exactly the
@@ -31,12 +26,3 @@
 
 pub mod heartbeat;
 pub mod profile;
-pub mod registry;
-
-/// Whether the runtime observability path is compiled in. Binaries use
-/// this to hard-error on `--profile`/`--heartbeat` in a build where the
-/// flags could only lie.
-#[must_use]
-pub fn compiled() -> bool {
-    cfg!(feature = "rt")
-}

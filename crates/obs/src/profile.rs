@@ -26,9 +26,12 @@
 //
 // sam-analyze: allow-file(determinism, "this module's entire purpose is host wall-clock attribution; its output goes only to the profile report, never to stdout, metrics JSON, or trace bytes")
 
-use sam_util::json::Json;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
-use crate::registry::{Snapshot, DIGEST_BUCKETS, HEATMAP_BANKS, HEATMAP_GROUPS};
+use sam_util::json::Json;
 
 /// One merged phase: a name, its accumulated wall time and entry count,
 /// and its child phases. The pure data form shared by the recorder, the
@@ -87,189 +90,145 @@ pub fn forest_total_ns(forest: &[PhaseNode]) -> u64 {
     forest.iter().fold(0u64, |acc, n| acc.saturating_add(n.ns))
 }
 
-#[cfg(feature = "rt")]
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static GLOBAL: Mutex<Vec<PhaseNode>> = Mutex::new(Vec::new());
 
-    use super::{merge_forest, PhaseNode};
+/// Turns profiling on process-wide (`--profile`). One-way: a session
+/// that profiles, profiles until export.
+pub fn enable() {
+    ENABLED.store(true, Ordering::SeqCst);
+}
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static GLOBAL: Mutex<Vec<PhaseNode>> = Mutex::new(Vec::new());
+/// Whether [`enable`] has been called.
+#[must_use]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
 
-    /// Turns profiling on process-wide (`--profile`). One-way: a session
-    /// that profiles, profiles until export.
-    pub fn enable() {
-        ENABLED.store(true, Ordering::SeqCst);
-    }
+/// A thread-private phase tree in arena form: `stack` holds the open
+/// phase path as node indices.
+#[derive(Default)]
+struct Local {
+    names: Vec<&'static str>,
+    ns: Vec<u64>,
+    counts: Vec<u64>,
+    children: Vec<Vec<usize>>,
+    roots: Vec<usize>,
+    stack: Vec<usize>,
+}
 
-    /// Whether [`enable`] has been called.
-    #[must_use]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// A thread-private phase tree in arena form: `stack` holds the open
-    /// phase path as node indices.
-    #[derive(Default)]
-    struct Local {
-        names: Vec<&'static str>,
-        ns: Vec<u64>,
-        counts: Vec<u64>,
-        children: Vec<Vec<usize>>,
-        roots: Vec<usize>,
-        stack: Vec<usize>,
-    }
-
-    impl Local {
-        fn enter(&mut self, name: &'static str) -> usize {
-            let siblings = match self.stack.last() {
-                Some(&top) => &self.children[top],
-                None => &self.roots,
-            };
-            let found = siblings.iter().copied().find(|&i| self.names[i] == name);
-            let idx = match found {
-                Some(i) => i,
-                None => {
-                    let i = self.names.len();
-                    self.names.push(name);
-                    self.ns.push(0);
-                    self.counts.push(0);
-                    self.children.push(Vec::new());
-                    match self.stack.last() {
-                        Some(&top) => self.children[top].push(i),
-                        None => self.roots.push(i),
-                    }
-                    i
+impl Local {
+    fn enter(&mut self, name: &'static str) -> usize {
+        let siblings = match self.stack.last() {
+            Some(&top) => &self.children[top],
+            None => &self.roots,
+        };
+        let found = siblings.iter().copied().find(|&i| self.names[i] == name);
+        let idx = match found {
+            Some(i) => i,
+            None => {
+                let i = self.names.len();
+                self.names.push(name);
+                self.ns.push(0);
+                self.counts.push(0);
+                self.children.push(Vec::new());
+                match self.stack.last() {
+                    Some(&top) => self.children[top].push(i),
+                    None => self.roots.push(i),
                 }
-            };
-            self.stack.push(idx);
-            idx
-        }
-
-        fn exit(&mut self, idx: usize, elapsed_ns: u64) {
-            let top = self.stack.pop();
-            debug_assert_eq!(top, Some(idx), "phase guards must drop LIFO");
-            self.ns[idx] = self.ns[idx].saturating_add(elapsed_ns);
-            self.counts[idx] += 1;
-        }
-
-        fn build(&self, idx: usize) -> PhaseNode {
-            PhaseNode {
-                name: self.names[idx].to_string(),
-                ns: self.ns[idx],
-                count: self.counts[idx],
-                children: self.children[idx].iter().map(|&c| self.build(c)).collect(),
+                i
             }
-        }
-
-        fn take_roots(&mut self) -> Vec<PhaseNode> {
-            let roots: Vec<PhaseNode> = self.roots.iter().map(|&r| self.build(r)).collect();
-            *self = Local::default();
-            roots
-        }
+        };
+        self.stack.push(idx);
+        idx
     }
 
-    /// Wrapper whose drop (thread exit) merges the local tree globally.
-    struct LocalCell(RefCell<Local>);
+    fn exit(&mut self, idx: usize, elapsed_ns: u64) {
+        let top = self.stack.pop();
+        debug_assert_eq!(top, Some(idx), "phase guards must drop LIFO");
+        self.ns[idx] = self.ns[idx].saturating_add(elapsed_ns);
+        self.counts[idx] += 1;
+    }
 
-    impl Drop for LocalCell {
-        fn drop(&mut self) {
-            let roots = self.0.borrow_mut().take_roots();
-            if !roots.is_empty() {
-                if let Ok(mut global) = GLOBAL.lock() {
-                    merge_forest(&mut global, roots);
-                }
-            }
+    fn build(&self, idx: usize) -> PhaseNode {
+        PhaseNode {
+            name: self.names[idx].to_string(),
+            ns: self.ns[idx],
+            count: self.counts[idx],
+            children: self.children[idx].iter().map(|&c| self.build(c)).collect(),
         }
     }
 
-    thread_local! {
-        static LOCAL: LocalCell = LocalCell(RefCell::new(Local::default()));
-    }
-
-    /// An open phase; dropping it charges the elapsed time.
-    #[derive(Debug)]
-    pub struct PhaseGuard {
-        start: Instant,
-        idx: usize,
-    }
-
-    impl Drop for PhaseGuard {
-        fn drop(&mut self) {
-            let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let _ = LOCAL.try_with(|l| l.0.borrow_mut().exit(self.idx, elapsed));
-        }
-    }
-
-    /// Opens the named phase if profiling is enabled. Bind the result
-    /// (`let _p = phase("dram");`) so the guard spans the region.
-    #[inline]
-    #[must_use]
-    pub fn phase(name: &'static str) -> Option<PhaseGuard> {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return None;
-        }
-        let idx = LOCAL.try_with(|l| l.0.borrow_mut().enter(name)).ok()?;
-        Some(PhaseGuard {
-            start: Instant::now(),
-            idx,
-        })
-    }
-
-    /// Drains the merged forest: the calling thread's local tree plus
-    /// everything exited threads contributed, sorted by name. Open
-    /// guards on other live threads are not included — callers export
-    /// after their sweeps complete.
-    #[must_use]
-    pub fn take_report() -> Vec<PhaseNode> {
-        let mut forest = GLOBAL
-            .lock()
-            .map(|mut g| std::mem::take(&mut *g))
-            .unwrap_or_default();
-        if let Ok(local) = LOCAL.try_with(|l| l.0.borrow_mut().take_roots()) {
-            merge_forest(&mut forest, local);
-        }
-        super::sort_forest(&mut forest);
-        forest
+    fn take_roots(&mut self) -> Vec<PhaseNode> {
+        let roots: Vec<PhaseNode> = self.roots.iter().map(|&r| self.build(r)).collect();
+        *self = Local::default();
+        roots
     }
 }
 
-#[cfg(not(feature = "rt"))]
-mod imp {
-    use super::PhaseNode;
+/// Wrapper whose drop (thread exit) merges the local tree globally.
+struct LocalCell(RefCell<Local>);
 
-    /// Compiled-out profiling cannot be enabled.
-    pub fn enable() {}
-
-    /// Always false without the `rt` feature.
-    #[must_use]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// Zero-sized stand-in; never constructed.
-    #[derive(Debug)]
-    pub struct PhaseGuard {}
-
-    /// Always `None` without the `rt` feature: the probe inlines to
-    /// nothing at every instrumentation site.
-    #[inline(always)]
-    #[must_use]
-    pub fn phase(_name: &'static str) -> Option<PhaseGuard> {
-        None
-    }
-
-    /// Always empty without the `rt` feature.
-    #[must_use]
-    pub fn take_report() -> Vec<PhaseNode> {
-        Vec::new()
+impl Drop for LocalCell {
+    fn drop(&mut self) {
+        let roots = self.0.borrow_mut().take_roots();
+        if !roots.is_empty() {
+            if let Ok(mut global) = GLOBAL.lock() {
+                merge_forest(&mut global, roots);
+            }
+        }
     }
 }
 
-pub use imp::{enable, enabled, phase, take_report, PhaseGuard};
+thread_local! {
+    static LOCAL: LocalCell = LocalCell(RefCell::new(Local::default()));
+}
+
+/// An open phase; dropping it charges the elapsed time.
+#[derive(Debug)]
+pub struct PhaseGuard {
+    start: Instant,
+    idx: usize,
+}
+
+impl Drop for PhaseGuard {
+    fn drop(&mut self) {
+        let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let _ = LOCAL.try_with(|l| l.0.borrow_mut().exit(self.idx, elapsed));
+    }
+}
+
+/// Opens the named phase if profiling is enabled. Bind the result
+/// (`let _p = phase("dram");`) so the guard spans the region.
+#[inline]
+#[must_use]
+pub fn phase(name: &'static str) -> Option<PhaseGuard> {
+    if !ENABLED.load(Ordering::Relaxed) {
+        return None;
+    }
+    let idx = LOCAL.try_with(|l| l.0.borrow_mut().enter(name)).ok()?;
+    Some(PhaseGuard {
+        start: Instant::now(),
+        idx,
+    })
+}
+
+/// Drains the merged forest: the calling thread's local tree plus
+/// everything exited threads contributed, sorted by name. Open
+/// guards on other live threads are not included — callers export
+/// after their sweeps complete.
+#[must_use]
+pub fn take_report() -> Vec<PhaseNode> {
+    let mut forest = GLOBAL
+        .lock()
+        .map(|mut g| std::mem::take(&mut *g))
+        .unwrap_or_default();
+    if let Ok(local) = LOCAL.try_with(|l| l.0.borrow_mut().take_roots()) {
+        merge_forest(&mut forest, local);
+    }
+    sort_forest(&mut forest);
+    forest
+}
 
 fn phase_to_json(node: &PhaseNode) -> Json {
     Json::object([
@@ -284,30 +243,13 @@ fn phase_to_json(node: &PhaseNode) -> Json {
 }
 
 /// Builds the `results/<bin>.profile.json` document from a merged phase
-/// forest and a registry snapshot delta covering the same session.
+/// forest and the session's `(name, value)` counters, in report order.
 #[must_use]
-pub fn report_json(bin: &str, forest: &[PhaseNode], delta: &Snapshot) -> Json {
-    let heatmap = delta
-        .heatmap
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v > 0)
-        .map(|(idx, &v)| {
-            let bank = idx % HEATMAP_BANKS;
-            let group = (idx / HEATMAP_BANKS) % HEATMAP_GROUPS;
-            let rank = idx / (HEATMAP_BANKS * HEATMAP_GROUPS);
-            Json::object([
-                ("rank", Json::UInt(rank as u64)),
-                ("group", Json::UInt(group as u64)),
-                ("bank", Json::UInt(bank as u64)),
-                ("acts", Json::UInt(v)),
-            ])
-        })
-        .collect();
+pub fn report_json(bin: &str, forest: &[PhaseNode], counters: &[(&str, u64)]) -> Json {
     Json::object([
         ("bin", Json::str(bin)),
         ("report", Json::str("profile")),
-        ("schema", Json::UInt(1)),
+        ("schema", Json::UInt(2)),
         ("total_ns", Json::UInt(forest_total_ns(forest))),
         (
             "phases",
@@ -316,8 +258,7 @@ pub fn report_json(bin: &str, forest: &[PhaseNode], delta: &Snapshot) -> Json {
         (
             "counters",
             Json::Array(
-                delta
-                    .counters
+                counters
                     .iter()
                     .map(|&(name, value)| {
                         Json::object([("name", Json::str(name)), ("value", Json::UInt(value))])
@@ -325,25 +266,6 @@ pub fn report_json(bin: &str, forest: &[PhaseNode], delta: &Snapshot) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "digests",
-            Json::Array(
-                delta
-                    .digests
-                    .iter()
-                    .map(|&(name, buckets)| {
-                        Json::object([
-                            ("name", Json::str(name)),
-                            (
-                                "buckets",
-                                Json::Array(buckets.iter().map(|&b| Json::UInt(b)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("heatmap", Json::Array(heatmap)),
     ])
 }
 
@@ -401,8 +323,8 @@ pub fn lint_profile_json(doc: &Json) -> Result<(), String> {
     if doc.get("report").and_then(Json::as_str) != Some("profile") {
         return Err("\"report\" is not \"profile\"".to_string());
     }
-    if !matches!(doc.get("schema"), Some(&Json::UInt(1))) {
-        return Err("unsupported \"schema\" (expected 1)".to_string());
+    if !matches!(doc.get("schema"), Some(&Json::UInt(2))) {
+        return Err("unsupported \"schema\" (expected 2)".to_string());
     }
     let total = match doc.get("total_ns") {
         Some(&Json::UInt(v)) => v,
@@ -440,51 +362,6 @@ pub fn lint_profile_json(doc: &Json) -> Result<(), String> {
         }
         names.push(name);
     }
-    let digests = doc
-        .get("digests")
-        .and_then(Json::as_array)
-        .ok_or("missing \"digests\" array")?;
-    for (i, d) in digests.iter().enumerate() {
-        d.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("digests[{i}]: missing \"name\""))?;
-        let buckets = d
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("digests[{i}]: missing \"buckets\""))?;
-        if buckets.len() != DIGEST_BUCKETS {
-            return Err(format!(
-                "digests[{i}]: expected {DIGEST_BUCKETS} buckets, found {}",
-                buckets.len()
-            ));
-        }
-        if buckets.iter().any(|b| !matches!(b, Json::UInt(_))) {
-            return Err(format!("digests[{i}]: non-uint bucket"));
-        }
-    }
-    let heatmap = doc
-        .get("heatmap")
-        .and_then(Json::as_array)
-        .ok_or("missing \"heatmap\" array")?;
-    let mut prev: Option<(u64, u64, u64)> = None;
-    for (i, cell) in heatmap.iter().enumerate() {
-        let uint = |key: &str| -> Result<u64, String> {
-            match cell.get(key) {
-                Some(&Json::UInt(v)) => Ok(v),
-                _ => Err(format!("heatmap[{i}]: missing uint \"{key}\"")),
-            }
-        };
-        let coord = (uint("rank")?, uint("group")?, uint("bank")?);
-        if uint("acts")? == 0 {
-            return Err(format!("heatmap[{i}]: zero-count cell should be omitted"));
-        }
-        if let Some(p) = prev {
-            if coord <= p {
-                return Err(format!("heatmap[{i}]: cells out of order"));
-            }
-        }
-        prev = Some(coord);
-    }
     Ok(())
 }
 
@@ -519,7 +396,6 @@ mod tests {
         assert_eq!(forest_total_ns(&forest), 157);
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn recorded_phases_nest_and_telescope() {
         enable();
@@ -547,15 +423,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "rt"))]
-    #[test]
-    fn disabled_profiler_is_inert() {
-        enable();
-        assert!(!enabled());
-        assert!(phase("anything").is_none());
-        assert!(take_report().is_empty());
-    }
-
     #[test]
     fn report_round_trips_through_lint() {
         let forest = vec![node(
@@ -564,21 +431,19 @@ mod tests {
             4,
             vec![node("dram", 60, 4, vec![node("refresh", 5, 9, vec![])])],
         )];
-        let delta = Snapshot::take().delta(&Snapshot::take());
-        let doc = report_json("fig12", &forest, &delta);
+        let doc = report_json("fig12", &forest, &[("dram.acts", 3), ("sim.cycles", 90)]);
         let parsed = Json::parse(&doc.to_string()).expect("writer output parses");
         lint_profile_json(&parsed).expect("well-formed profile lints clean");
     }
 
     #[test]
     fn lint_rejects_broken_telescoping() {
-        let delta = Snapshot::take().delta(&Snapshot::take());
         // Children exceed the parent.
         let bad = vec![node("run", 10, 1, vec![node("dram", 20, 1, vec![])])];
-        let err = lint_profile_json(&report_json("x", &bad, &delta)).unwrap_err();
+        let err = lint_profile_json(&report_json("x", &bad, &[])).unwrap_err();
         assert!(err.contains("telescoping"), "{err}");
         // total_ns disagreeing with the roots.
-        let mut doc = report_json("x", &[node("run", 10, 1, vec![])], &delta);
+        let mut doc = report_json("x", &[node("run", 10, 1, vec![])], &[]);
         if let Json::Object(pairs) = &mut doc {
             for (k, v) in pairs.iter_mut() {
                 if k == "total_ns" {
@@ -592,8 +457,7 @@ mod tests {
 
     #[test]
     fn lint_rejects_malformed_shapes() {
-        let delta = Snapshot::take().delta(&Snapshot::take());
-        let good = report_json("fig12", &[], &delta);
+        let good = report_json("fig12", &[], &[("dram.acts", 0)]);
         let mutate = |key: &str, value: Json| {
             let mut doc = good.clone();
             if let Json::Object(pairs) = &mut doc {
@@ -606,10 +470,18 @@ mod tests {
             lint_profile_json(&doc)
         };
         assert!(mutate("report", Json::str("metrics")).is_err());
-        assert!(mutate("schema", Json::UInt(2)).is_err());
+        assert!(mutate("schema", Json::UInt(1)).is_err());
         assert!(mutate("phases", Json::Null).is_err());
         assert!(mutate("counters", Json::Null).is_err());
-        assert!(mutate("heatmap", Json::Null).is_err());
+        let counter =
+            |name: &str, value: Json| Json::object([("name", Json::str(name)), ("value", value)]);
+        let duplicate = Json::Array(vec![
+            counter("dram.acts", Json::UInt(1)),
+            counter("dram.acts", Json::UInt(2)),
+        ]);
+        assert!(mutate("counters", duplicate).is_err());
+        let signed = Json::Array(vec![counter("dram.acts", Json::Int(-1))]);
+        assert!(mutate("counters", signed).is_err());
         assert!(lint_profile_json(&good).is_ok());
     }
 }

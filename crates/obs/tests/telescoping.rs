@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use sam_obs::profile::{
     forest_total_ns, lint_profile_json, merge_forest, report_json, sort_forest, PhaseNode,
 };
-use sam_obs::registry::Snapshot;
 
 const NAMES: [&str; 6] = ["run", "sched-select", "dram", "cache", "oracle", "refresh"];
 
@@ -53,16 +52,15 @@ fn telescopes(n: &PhaseNode) -> bool {
     child_sum <= n.ns && n.children.iter().all(telescopes)
 }
 
-fn empty_delta() -> Snapshot {
-    Snapshot::take().delta(&Snapshot::take())
-}
+/// A schema-2 counter list: unique names, unsigned values.
+const COUNTERS: [(&str, u64); 2] = [("dram.acts", 12), ("sim.cycles", 3_400)];
 
 proptest! {
     #[test]
     fn recorded_forests_lint_clean(mut f in forest()) {
         sort_forest(&mut f);
         prop_assert!(f.iter().all(telescopes));
-        let doc = report_json("fig12", &f, &empty_delta());
+        let doc = report_json("fig12", &f, &COUNTERS);
         prop_assert!(lint_profile_json(&doc).is_ok(), "{:?}", lint_profile_json(&doc));
     }
 
@@ -76,7 +74,7 @@ proptest! {
         prop_assert!(merged.iter().all(telescopes));
         // Thread trees merge without losing or inventing time.
         prop_assert_eq!(forest_total_ns(&merged), total_a + total_b);
-        let doc = report_json("fig12", &merged, &empty_delta());
+        let doc = report_json("fig12", &merged, &COUNTERS);
         prop_assert!(lint_profile_json(&doc).is_ok());
     }
 

@@ -28,7 +28,6 @@
 //! assert!(breakdown.total_mw() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sam::design::Design;

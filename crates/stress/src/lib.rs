@@ -24,7 +24,6 @@
 //! The `stress` binary in `sam-bench` fronts all of it; [`report`]
 //! defines its `results/stress.json` schema and linter.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diff;

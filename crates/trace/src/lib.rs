@@ -23,7 +23,6 @@
 //! The crate deliberately depends only on `sam-util` (for the hand-rolled
 //! JSON writer), so every simulator layer can feed it without cycles.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

@@ -27,7 +27,6 @@
 //! let _sample = rng.next_u64();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fxhash;
