@@ -76,12 +76,17 @@ trap 'rm -f "$trace"' EXIT
 cargo run --release -p sam-bench --bin sam-check -- record "$trace"
 cargo run --release -p sam-bench --bin sam-check -- replay "$trace"
 
-echo "==> fig12 parallel checked smoke + JSON lint"
-# Reduced scale: exercises the sweep workers, the oracle under --jobs,
-# and the results/fig12.json emission end to end.
+echo "==> fig12 parallel checked smoke + golden stdout + JSON lint"
+# Golden scale: exercises the sweep workers, the oracle under --jobs, and
+# the results/fig12.json emission end to end. Attaching the oracles must
+# not move a result: with the title's " [checked]" suffix and the final
+# "Verification: ..." line stripped, stdout is the golden byte for byte.
 rm -f results/fig12.json
 cargo run --release -p sam-bench --bin fig12 -- \
-  --rows 2048 --tb-rows 8192 --jobs 2 --checked
+  --rows 2048 --tb-rows 8192 --jobs 2 --checked > /tmp/fig12.checked.out
+sed -e '1s/ \[checked\]$//' -e '$d' /tmp/fig12.checked.out \
+  | cmp - tests/golden/fig12.out \
+  || { echo "--checked changed fig12 stdout"; exit 1; }
 [ -f results/fig12.json ] || { echo "results/fig12.json was not written"; exit 1; }
 cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig12.json
 
@@ -172,10 +177,14 @@ echo "==> fig16 hybrid sweep gates (checked, jobs identity, shards, lint)"
 # hybrid point under --checked shadows BOTH device command streams (DDR4
 # front + RRAM backing) with independent protocol oracles; stdout and
 # results/fig16.json must be byte-identical across --jobs values and to
-# the committed goldens; a 2-way shard split at different worker counts
-# must merge back to the same bytes.
+# the committed goldens (the checked run's too, once its " [checked]"
+# title suffix and "Verification: ..." line are stripped); a 2-way shard
+# split at different worker counts must merge back to the same bytes.
 cargo run --release -p sam-bench --bin fig16 -- \
-  --rows 2048 --tb-rows 8192 --jobs 2 --checked > /dev/null
+  --rows 2048 --tb-rows 8192 --jobs 2 --checked > /tmp/fig16.checked.out
+sed -e '1s/ \[checked\]$//' -e '$d' /tmp/fig16.checked.out \
+  | cmp - tests/golden/fig16.out \
+  || { echo "--checked changed fig16 stdout"; exit 1; }
 rm -f results/fig16.json
 ./target/release/fig16 --rows 2048 --tb-rows 8192 --jobs 1 > /tmp/fig16.jobs1.out
 cp results/fig16.json /tmp/fig16.jobs1.json

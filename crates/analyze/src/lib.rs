@@ -1,9 +1,9 @@
 //! Workspace static analysis for the SAM reproduction: `sam-analyze`.
 //!
 //! The repo's headline guarantees — byte-identical sweeps under `--jobs N`,
-//! inert-when-off checking, and JEDEC-legal timing configurations — are
-//! enforced dynamically by golden diffs and the `crates/check` oracle
-//! *after* a full run. This crate makes the contracts the toolchain cannot
+//! checking that never moves a result, and JEDEC-legal timing
+//! configurations — are enforced dynamically by golden diffs and the
+//! `crates/check` oracle *after* a full run. This crate makes the contracts the toolchain cannot
 //! express structural, catching the bug classes before a single cycle is
 //! simulated. What rustc and clippy can check is left to them: hash-order
 //! and wall-clock types are denied by `clippy.toml`'s `disallowed-types`,
@@ -11,8 +11,8 @@
 //!
 //! - a hand-rolled lexical [`scan`]ner (in the spirit of
 //!   [`sam_util::json`]: small, total, no dependencies) feeds the
-//!   [`rules`] engine's two source rules (observer-purity,
-//!   feature-inertness) and the flag–doc rule;
+//!   [`rules`] engine's source rule (observer-purity) and the flag–doc
+//!   rule;
 //! - a semantic [`timing`] pass validates every `Design` in the sweep
 //!   matrix against the JEDEC relational constraints;
 //! - findings are reported human-readably and as a schema-linted

@@ -3,10 +3,10 @@
 
 use sam_util::json::Json;
 
-/// Every rule the pass knows, in report order: the two file-local source
-/// rules, the flag–doc rule, and the semantic timing pass over the sweep
-/// matrix.
-pub const RULES: [&str; 4] = ["observer-purity", "feature-inertness", "flag-doc", "timing"];
+/// Every rule the pass knows, in report order: the file-local
+/// observer-purity rule, the flag–doc rule, and the semantic timing pass
+/// over the sweep matrix.
+pub const RULES: [&str; 3] = ["observer-purity", "flag-doc", "timing"];
 
 /// Whether `rule` is one of [`RULES`].
 pub fn known_rule(rule: &str) -> bool {
@@ -203,10 +203,10 @@ mod tests {
                     message: "CommandObserver".to_string(),
                 },
                 Finding {
-                    rule: "feature-inertness",
+                    rule: "flag-doc",
                     path: "crates/x/src/lib.rs".to_string(),
                     line: 3,
-                    message: "row_hits".to_string(),
+                    message: "--bogus".to_string(),
                 },
             ],
         };
@@ -247,7 +247,7 @@ mod tests {
         let text = sample().human();
         assert!(text.contains("crates/x/src/lib.rs:9: [observer-purity] CommandObserver"));
         assert!(text.contains("2 files, 48 timing configs, 2 finding(s)"));
-        assert!(text.contains("  feature-inertness: 1 finding(s)"));
+        assert!(text.contains("  flag-doc: 1 finding(s)"));
     }
 
     #[test]

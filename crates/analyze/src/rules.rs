@@ -6,42 +6,12 @@
 //! in `clippy.toml`) is left to them. Rules are lexical by design — they
 //! match token shapes, not resolved types — which keeps the pass fast,
 //! total, and dependency-free. The cost is a small amount of repo-specific
-//! tuning (the stats field lists, the observer exceptions), documented per
-//! rule.
+//! tuning (the observer exceptions), documented per rule.
 
 use std::collections::BTreeMap;
 
 use crate::report::Finding;
 use crate::scan::{SourceFile, TokenKind};
-
-/// Field names of `ControllerStats` and `LaneStats` in `sam-memctrl`; the
-/// feature-inertness rule flags assignments to these inside `check`-gated
-/// code. Kept in sync by a test against the real structs'
-/// debug output in `crates/analyze/tests/stats_fields.rs`.
-pub const STATS_FIELDS: [&str; 8] = [
-    "row_hits",
-    "row_misses",
-    "row_conflicts",
-    "reads_done",
-    "writes_done",
-    "total_latency",
-    "refreshes",
-    "starvation_forced",
-];
-
-/// Field names of `HybridSummary` in `sam-memctrl` (the DRAM-cache
-/// hybrid's decision counters plus its per-device command splits); the
-/// feature-inertness rule guards them exactly like [`STATS_FIELDS`].
-/// Pinned to the real struct by `crates/analyze/tests/stats_fields.rs`.
-pub const HYBRID_FIELDS: [&str; 7] = [
-    "hits",
-    "misses",
-    "fills",
-    "dirty_evictions",
-    "writethroughs",
-    "front",
-    "back",
-];
 
 /// The `CommandObserver` implementations allowed outside `crates/check`
 /// and `crates/trace`, as (path, implementing type) pairs. Both live in
@@ -59,19 +29,11 @@ const OBSERVER_EXCEPTIONS: [(&str, &str); 2] = [
 /// findings.
 pub fn source_findings(file: &SourceFile, out: &mut Vec<Finding>) {
     observer_purity(file, out);
-    feature_inertness(file, out);
 }
 
 fn ident_at(file: &SourceFile, i: usize, text: &str) -> bool {
     let t = &file.tokens[i];
     t.kind == TokenKind::Ident && t.text == text
-}
-
-fn punct_at(file: &SourceFile, i: usize, text: &str) -> bool {
-    i < file.tokens.len() && {
-        let t = &file.tokens[i];
-        t.kind == TokenKind::Punct && t.text == text
-    }
 }
 
 /// **observer-purity**: `impl CommandObserver for ...` outside
@@ -105,44 +67,6 @@ fn observer_purity(file: &SourceFile, out: &mut Vec<Finding>) {
                 line: tokens[i].line,
                 message: "CommandObserver implemented outside crates/check and crates/trace"
                     .to_string(),
-            });
-        }
-    }
-}
-
-/// **feature-inertness**: code gated behind `#[cfg(feature = "check")]`
-/// must not assign to any `ControllerStats`/`LaneStats` field
-/// ([`STATS_FIELDS`]) or `HybridSummary` field ([`HYBRID_FIELDS`]) —
-/// turning the feature on must never change measured results. Matches
-/// `.field op=` token shapes.
-fn feature_inertness(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.tokens;
-    for (i, tok) in tokens.iter().enumerate() {
-        if !file.gate[i] || file.in_test[i] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = tok.text.as_str();
-        if !STATS_FIELDS.contains(&name) && !HYBRID_FIELDS.contains(&name) {
-            continue;
-        }
-        if i == 0 || !punct_at(file, i - 1, ".") {
-            continue;
-        }
-        // `.field += 1`, `.field -= 1`, or plain `.field = v` (but not
-        // `==`, `!=`, `<=`, `>=`, which never have `=` directly after the
-        // field identifier).
-        let assigns = (punct_at(file, i + 1, "+") || punct_at(file, i + 1, "-"))
-            && punct_at(file, i + 2, "=")
-            || punct_at(file, i + 1, "=") && !punct_at(file, i + 2, "=");
-        if assigns {
-            out.push(Finding {
-                rule: "feature-inertness",
-                path: file.path.clone(),
-                line: tokens[i].line,
-                message: format!(
-                    "cfg(feature = \"check\")-gated code mutates stats field `{}`",
-                    tokens[i].text
-                ),
             });
         }
     }
@@ -206,15 +130,12 @@ fn extract_flags(text: &str) -> Vec<String> {
 /// Flags that may appear in the docs without being bench CLI flags: cargo
 /// and rustup invocations quoted in README/DESIGN, and the flags of the
 /// `sam-perf` benchmark, which lives in its own workspace under `perf/`.
-const DOC_FLAG_ALLOW: [&str; 14] = [
+const DOC_FLAG_ALLOW: [&str; 11] = [
     "--release",
     "--bin",
     "--workspace",
     "--example",
-    "--no-default-features",
     "--all-targets",
-    "--all-features",
-    "--features",
     "--lib",
     "--package",
     "--quiet",
@@ -290,30 +211,6 @@ mod tests {
         assert!(run_source("crates/dram/src/observe.rs", def).is_empty());
         let test_impl = "#[cfg(test)]\nmod tests {\n    impl CommandObserver for T {}\n}\n";
         assert!(run_source("crates/dram/src/observe.rs", test_impl).is_empty());
-    }
-
-    #[test]
-    fn inertness_flags_gated_stats_mutation_only() {
-        let src = "#[cfg(feature = \"check\")]\nfn leak(&mut self) { self.stats.row_hits += 1; }\nfn fine(&mut self) { self.stats.row_hits += 1; }\n#[cfg(feature = \"check\")]\nfn read_only(&self) -> bool { self.stats.row_hits == 0 }\n";
-        let out = run_source("crates/memctrl/src/controller.rs", src);
-        let hits: Vec<&Finding> = out
-            .iter()
-            .filter(|f| f.rule == "feature-inertness")
-            .collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
-    }
-
-    #[test]
-    fn inertness_guards_hybrid_summary_fields_too() {
-        let src = "#[cfg(feature = \"check\")]\nfn leak(&mut self) { self.dirty_evictions += 1; }\nfn fine(&mut self) { self.dirty_evictions += 1; }\n";
-        let out = run_source("crates/memctrl/src/hybrid.rs", src);
-        let hits: Vec<&Finding> = out
-            .iter()
-            .filter(|f| f.rule == "feature-inertness")
-            .collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
     }
 
     #[test]

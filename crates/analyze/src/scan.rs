@@ -8,9 +8,8 @@
 //! - a flat [`Token`] stream (identifiers, single-character punctuation,
 //!   and string-literal *contents*) with 1-based line numbers; comments,
 //!   numbers, lifetimes, and char literals are consumed but emit nothing;
-//! - per-token region marks: whether a token sits inside test code
-//!   (`#[test]` / `#[cfg(test)]`-attributed items) or inside an item gated
-//!   on the `check` cfg feature.
+//! - a per-token region mark: whether a token sits inside test code
+//!   (`#[test]` / `#[cfg(test)]`-attributed items).
 //!
 //! The scanner is total: any byte soup yields *some* token stream without
 //! panicking (a property test pins this down). Malformed constructs
@@ -40,7 +39,7 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A scanned source file: tokens plus region marks.
+/// A scanned source file: tokens plus test-region marks.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
@@ -49,8 +48,6 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Per-token: inside a `#[test]`/`#[cfg(test)]`-attributed item.
     pub in_test: Vec<bool>,
-    /// Per-token: inside an item gated on `#[cfg(feature = "check")]`.
-    pub gate: Vec<bool>,
 }
 
 /// Scans `src` (as found at `path`) into a [`SourceFile`].
@@ -153,12 +150,11 @@ pub fn scan(path: &str, src: &str) -> SourceFile {
             i += 1;
         }
     }
-    let (in_test, gate) = mark_regions(&tokens);
+    let in_test = mark_test_regions(&tokens);
     SourceFile {
         path: path.to_string(),
         tokens,
         in_test,
-        gate,
     }
 }
 
@@ -279,19 +275,15 @@ fn scan_quote(chars: &[char], i: usize, line: &mut u32) -> usize {
     i + 1
 }
 
-/// Marks, per token, membership in test-attributed items and in items
-/// gated on the `check` cfg feature.
+/// Marks, per token, membership in test-attributed items.
 ///
 /// An attribute `#[...]` containing the identifier `test` marks the
-/// attributed item as test code (covers `#[test]` and `#[cfg(test)]`); a
-/// `#[cfg(...)]` containing the string `"check"` alongside the identifier
-/// `feature` — and no `not` — marks the item as gated. The
-/// attributed item's extent runs to its matching closing brace, or to the
-/// first top-level `;` for brace-less items.
-fn mark_regions(tokens: &[Token]) -> (Vec<bool>, Vec<bool>) {
+/// attributed item as test code (covers `#[test]` and `#[cfg(test)]`).
+/// The attributed item's extent runs to its matching closing brace, or to
+/// the first top-level `;` for brace-less items.
+fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     let n = tokens.len();
     let mut in_test = vec![false; n];
-    let mut gate = vec![false; n];
     let mut i = 0;
     while i < n {
         if !(is_punct(&tokens[i], "#") && i + 1 < n && is_punct(&tokens[i + 1], "[")) {
@@ -315,28 +307,16 @@ fn mark_regions(tokens: &[Token]) -> (Vec<bool>, Vec<bool>) {
         if j >= n {
             break; // unterminated attribute: nothing left to mark
         }
-        let attr = &tokens[i..=j];
-        let has_ident = |name: &str| {
-            attr.iter()
-                .any(|t| t.kind == TokenKind::Ident && t.text == name)
-        };
-        let is_test_attr = has_ident("test");
-        let is_check_gate = has_ident("cfg")
-            && has_ident("feature")
-            && !has_ident("not")
-            && attr
-                .iter()
-                .any(|t| t.kind == TokenKind::Str && t.text == "check");
-        if is_test_attr || is_check_gate {
+        let is_test_attr = tokens[i..=j]
+            .iter()
+            .any(|t| t.kind == TokenKind::Ident && t.text == "test");
+        if is_test_attr {
             let end = item_extent(tokens, j + 1);
-            for k in i..=end.min(n - 1) {
-                in_test[k] |= is_test_attr;
-                gate[k] |= is_check_gate;
-            }
+            in_test[i..=end.min(n - 1)].fill(true);
         }
         i = j + 1;
     }
-    (in_test, gate)
+    in_test
 }
 
 /// The index of the last token of the item starting at `start` (skipping
@@ -458,27 +438,20 @@ mod tests {
     }
 
     #[test]
-    fn feature_gate_marks_item_extent() {
-        let src = "#[cfg(feature = \"check\")]\nfn gated() { body(); }\nfn open() {}\n";
+    fn test_attribute_marks_item_extent() {
+        let src = "#[test]\nfn case() { body(); }\nfn open() {}\n";
         let f = scan("x.rs", src);
         let at = |name: &str| f.tokens.iter().position(|t| t.text == name).unwrap();
-        assert!(f.gate[at("body")]);
-        assert!(!f.gate[at("open")]);
+        assert!(f.in_test[at("body")]);
+        assert!(!f.in_test[at("open")]);
     }
 
     #[test]
-    fn not_gates_and_other_features_are_ignored() {
-        let src = "#[cfg(not(feature = \"check\"))]\nfn a() { x(); }\n#[cfg(feature = \"trace\")]\nfn b() { y(); }\n";
-        let f = scan("x.rs", src);
-        assert!(f.gate.iter().all(|&g| !g));
-    }
-
-    #[test]
-    fn braceless_gated_item_ends_at_semicolon() {
-        let src = "#[cfg(feature = \"check\")]\nuse foo::bar;\nfn after() { z(); }\n";
+    fn braceless_test_item_ends_at_semicolon() {
+        let src = "#[cfg(test)]\nuse foo::bar;\nfn after() { z(); }\n";
         let f = scan("x.rs", src);
         let at = |name: &str| f.tokens.iter().position(|t| t.text == name).unwrap();
-        assert!(f.gate[at("bar")]);
-        assert!(!f.gate[at("z")]);
+        assert!(f.in_test[at("bar")]);
+        assert!(!f.in_test[at("z")]);
     }
 }

@@ -1,5 +1,5 @@
-//! `sam-analyze --selftest`: proves every rule (the two source rules,
-//! the flag–doc rule, and the timing pass) fires on a known-bad fixture.
+//! `sam-analyze --selftest`: proves every rule (observer-purity, the
+//! flag–doc rule, and the timing pass) fires on a known-bad fixture.
 //!
 //! The fixtures live in `crates/analyze/tests/fixtures/` — a directory
 //! cargo never compiles — and are scanned here under synthetic workspace
@@ -22,20 +22,12 @@ struct Case {
     expect_findings: usize,
 }
 
-const CASES: [Case; 2] = [
-    Case {
-        rule: "observer-purity",
-        path: "crates/imdb/src/spy.rs",
-        source: include_str!("../tests/fixtures/observer.rs"),
-        expect_findings: 1,
-    },
-    Case {
-        rule: "feature-inertness",
-        path: "crates/memctrl/src/controller.rs",
-        source: include_str!("../tests/fixtures/inertness.rs"),
-        expect_findings: 1,
-    },
-];
+const CASES: [Case; 1] = [Case {
+    rule: "observer-purity",
+    path: "crates/imdb/src/spy.rs",
+    source: include_str!("../tests/fixtures/observer.rs"),
+    expect_findings: 1,
+}];
 
 fn run_case(case: &Case) -> Result<String, String> {
     let file = scan::scan(case.path, case.source);

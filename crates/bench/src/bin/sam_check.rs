@@ -28,58 +28,38 @@
 //!                     entry from the same host; with none, skip the
 //!                     gate and say why
 //! ```
-//!
-//! `lint-json` and `lint-trace` need only the JSON parser, so they work
-//! even in a `--no-default-features` build; everything else requires the
-//! `check` feature (on by default).
 
+use std::sync::{Arc, Mutex};
+
+use sam::designs;
+use sam::layout::Store;
+use sam::system::Instrumentation;
+use sam_check::ecc_audit::audit_chipkill_layouts;
+use sam_check::oracle::{OracleConfig, ProtocolOracle};
+use sam_check::trace::{replay_text, TraceRecorder};
+use sam_dram::device::DeviceConfig;
+use sam_imdb::exec::{run_query_instrumented, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::query::Query;
+use sam_memctrl::controller::{Controller, ControllerConfig};
+use sam_memctrl::mapping::Location;
+use sam_memctrl::request::MemRequest;
 use sam_util::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("lint-json") {
-        let code = match args.get(2) {
-            Some(path) => lint_json(path),
-            None => usage(),
-        };
-        std::process::exit(code);
-    }
-    if args.get(1).map(String::as_str) == Some("replay") {
-        // Stress streams replay through sam-stress regardless of the
-        // `check` feature; protocol traces fall through to `real::main`.
-        if let Some(path) = args.get(2) {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                if sam_stress::is_stress_trace(&text) {
-                    std::process::exit(replay_stress(path, &text));
-                }
-            }
-        }
-    }
-    if args.get(1).map(String::as_str) == Some("lint-trace") {
-        let code = match args.get(2) {
-            Some(path) => lint_trace(path),
-            None => usage(),
-        };
-        std::process::exit(code);
-    }
-    if args.get(1).map(String::as_str) == Some("bench-fig12") {
-        std::process::exit(bench_fig12(&args[2..]));
-    }
-    if args.get(1).map(String::as_str) == Some("merge-shards") {
-        std::process::exit(merge_shards(&args[2..]));
-    }
-    #[cfg(feature = "check")]
-    real::main();
-    #[cfg(not(feature = "check"))]
-    {
-        if args.len() > 1 {
-            eprintln!(
-                "sam-check: only lint-json is available without the `check` \
-                 feature (on by default; rebuild without --no-default-features)"
-            );
-        }
-        std::process::exit(usage());
-    }
+    let code = match (args.get(1).map(String::as_str), args.get(2)) {
+        (Some("record"), Some(path)) => record(path),
+        (Some("replay"), Some(path)) => replay(path),
+        (Some("audit"), _) => audit(),
+        (Some("selftest"), _) => selftest(),
+        (Some("lint-json"), Some(path)) => lint_json(path),
+        (Some("lint-trace"), Some(path)) => lint_trace(path),
+        (Some("merge-shards"), _) => merge_shards(&args[2..]),
+        (Some("bench-fig12"), _) => bench_fig12(&args[2..]),
+        _ => usage(),
+    };
+    std::process::exit(code);
 }
 
 fn usage() -> i32 {
@@ -502,183 +482,147 @@ fn lint_trace(path: &str) -> i32 {
     }
 }
 
-#[cfg(feature = "check")]
-mod real {
-    use std::sync::{Arc, Mutex};
-
-    use super::usage;
-
-    use sam::designs;
-    use sam::layout::Store;
-    use sam::system::Instrumentation;
-    use sam_check::ecc_audit::audit_chipkill_layouts;
-    use sam_check::oracle::{OracleConfig, ProtocolOracle};
-    use sam_check::trace::{replay_text, TraceRecorder};
-    use sam_dram::device::DeviceConfig;
-    use sam_imdb::exec::{run_query_instrumented, Workload};
-    use sam_imdb::plan::PlanConfig;
-    use sam_imdb::query::Query;
-    use sam_memctrl::controller::{Controller, ControllerConfig};
-    use sam_memctrl::mapping::Location;
-    use sam_memctrl::request::MemRequest;
-
-    pub fn main() {
-        let args: Vec<String> = std::env::args().collect();
-        let code = match args.get(1).map(String::as_str) {
-            Some("record") => match args.get(2) {
-                Some(path) => record(path),
-                None => usage(),
-            },
-            Some("replay") => match args.get(2) {
-                Some(path) => replay(path),
-                None => usage(),
-            },
-            Some("audit") => audit(),
-            Some("selftest") => selftest(),
-            _ => usage(),
+/// Records the reference workload's command trace as text.
+fn record_trace() -> String {
+    let workload = Workload::new(Query::Q3, PlanConfig::tiny());
+    let design = designs::sam_en();
+    let recorder = Arc::new(Mutex::new(TraceRecorder::new(OracleConfig::from_device(
+        &design.device_config(),
+    ))));
+    {
+        let mut instr = Instrumentation {
+            observer: Some(recorder.clone()),
+            ..Instrumentation::default()
         };
-        std::process::exit(code);
+        run_query_instrumented(&workload, &design, Store::Row, &mut instr);
     }
+    let recorder = Arc::try_unwrap(recorder)
+        .expect("system dropped, recorder is sole owner")
+        .into_inner()
+        .expect("recorder lock poisoned");
+    recorder.to_text()
+}
 
-    /// Records the reference workload's command trace as text.
-    fn record_trace() -> String {
-        let workload = Workload::new(Query::Q3, PlanConfig::tiny());
-        let design = designs::sam_en();
-        let recorder = Arc::new(Mutex::new(TraceRecorder::new(OracleConfig::from_device(
-            &design.device_config(),
-        ))));
-        {
-            let mut instr = Instrumentation {
-                observer: Some(recorder.clone()),
-                ..Instrumentation::default()
-            };
-            run_query_instrumented(&workload, &design, Store::Row, &mut instr);
-        }
-        let recorder = Arc::try_unwrap(recorder)
-            .expect("system dropped, recorder is sole owner")
-            .into_inner()
-            .expect("recorder lock poisoned");
-        recorder.to_text()
+fn record(path: &str) -> i32 {
+    let text = record_trace();
+    let lines = text.lines().count();
+    if let Err(e) = std::fs::write(path, &text) {
+        eprintln!("sam-check: cannot write {path}: {e}");
+        return 2;
     }
+    println!("recorded {lines} lines (Q3/tiny on SAM-en) to {path}");
+    0
+}
 
-    fn record(path: &str) -> i32 {
-        let text = record_trace();
-        let lines = text.lines().count();
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("sam-check: cannot write {path}: {e}");
+fn replay(path: &str) -> i32 {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("sam-check: cannot read {path}: {e}");
             return 2;
         }
-        println!("recorded {lines} lines (Q3/tiny on SAM-en) to {path}");
-        0
+    };
+    if sam_stress::is_stress_trace(&text) {
+        return replay_stress(path, &text);
     }
+    let violations = match replay_text(&text) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("sam-check: {path}: {e}");
+            return 2;
+        }
+    };
+    if violations.is_empty() {
+        println!("{path}: conforming, no violations");
+        return 0;
+    }
+    println!("{path}: {} violation(s)", violations.len());
+    for v in violations.iter().take(20) {
+        println!("  {v}");
+    }
+    if violations.len() > 20 {
+        println!("  ... and {} more", violations.len() - 20);
+    }
+    1
+}
 
-    fn replay(path: &str) -> i32 {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sam-check: cannot read {path}: {e}");
-                return 2;
-            }
-        };
-        let violations = match replay_text(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("sam-check: {path}: {e}");
-                return 2;
-            }
-        };
-        if violations.is_empty() {
-            println!("{path}: conforming, no violations");
-            return 0;
-        }
-        println!("{path}: {} violation(s)", violations.len());
-        for v in violations.iter().take(20) {
-            println!("  {v}");
-        }
-        if violations.len() > 20 {
-            println!("  ... and {} more", violations.len() - 20);
+fn audit() -> i32 {
+    let faults = audit_chipkill_layouts();
+    if faults.is_empty() {
+        println!("ECC audit: BeatSpread and Transposed layouts clean");
+        0
+    } else {
+        println!("ECC audit: {} fault(s)", faults.len());
+        for f in &faults {
+            println!("  {f}");
         }
         1
     }
+}
 
-    fn audit() -> i32 {
-        let faults = audit_chipkill_layouts();
-        if faults.is_empty() {
-            println!("ECC audit: BeatSpread and Transposed layouts clean");
-            0
-        } else {
-            println!("ECC audit: {} fault(s)", faults.len());
-            for f in &faults {
-                println!("  {f}");
-            }
-            1
-        }
-    }
-
-    /// Issues reads to twelve distinct banks on a device whose tFAW was
-    /// shrunk to 8, shadowed by an oracle with the true timing.
-    fn injected_tfaw_caught() -> bool {
-        let truth = DeviceConfig::ddr4_server();
-        let mut buggy = truth;
-        buggy.timing.faw = 8;
-        let oracle = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
-            &truth,
-        ))));
-        let mut ctrl = Controller::new(ControllerConfig::with_device(buggy));
-        ctrl.attach_observer(oracle.clone());
-        let mapper = *ctrl.mapper();
-        for i in 0..12usize {
-            let loc = Location {
-                rank: 0,
-                bank_group: i % 4,
-                bank: (i / 4) % 4,
-                row: 5,
-                col: 0,
-                offset: 0,
-            };
-            ctrl.enqueue(MemRequest::read(i as u64, mapper.encode(&loc)), 0)
-                .expect("queue has room");
-        }
-        ctrl.drain(0);
-        drop(ctrl);
-        let oracle = Arc::try_unwrap(oracle)
-            .expect("sole owner")
-            .into_inner()
-            .expect("oracle lock poisoned");
-        oracle
-            .finish()
-            .iter()
-            .any(|v| v.constraint.name() == "tFAW")
-    }
-
-    fn selftest() -> i32 {
-        let mut failures = 0;
-        let mut step = |name: &str, ok: bool| {
-            println!("{}  {name}", if ok { "PASS" } else { "FAIL" });
-            if !ok {
-                failures += 1;
-            }
+/// Issues reads to twelve distinct banks on a device whose tFAW was
+/// shrunk to 8, shadowed by an oracle with the true timing.
+fn injected_tfaw_caught() -> bool {
+    let truth = DeviceConfig::ddr4_server();
+    let mut buggy = truth;
+    buggy.timing.faw = 8;
+    let oracle = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
+        &truth,
+    ))));
+    let mut ctrl = Controller::new(ControllerConfig::with_device(buggy));
+    ctrl.attach_observer(oracle.clone());
+    let mapper = *ctrl.mapper();
+    for i in 0..12usize {
+        let loc = Location {
+            rank: 0,
+            bank_group: i % 4,
+            bank: (i / 4) % 4,
+            row: 5,
+            col: 0,
+            offset: 0,
         };
+        ctrl.enqueue(MemRequest::read(i as u64, mapper.encode(&loc)), 0)
+            .expect("queue has room");
+    }
+    ctrl.drain(0);
+    drop(ctrl);
+    let oracle = Arc::try_unwrap(oracle)
+        .expect("sole owner")
+        .into_inner()
+        .expect("oracle lock poisoned");
+    oracle
+        .finish()
+        .iter()
+        .any(|v| v.constraint.name() == "tFAW")
+}
 
-        let trace = record_trace();
-        let replayed = replay_text(&trace);
-        step("record/replay round-trip parses", replayed.is_ok());
-        step(
-            "recorded SAM-en workload replays with zero violations",
-            matches!(&replayed, Ok(v) if v.is_empty()),
-        );
-        step("injected tFAW bug caught by name", injected_tfaw_caught());
-        step(
-            "chipkill ECC layouts audit clean",
-            audit_chipkill_layouts().is_empty(),
-        );
-
-        if failures == 0 {
-            println!("selftest: all checks passed");
-            0
-        } else {
-            println!("selftest: {failures} check(s) failed");
-            1
+fn selftest() -> i32 {
+    let mut failures = 0;
+    let mut step = |name: &str, ok: bool| {
+        println!("{}  {name}", if ok { "PASS" } else { "FAIL" });
+        if !ok {
+            failures += 1;
         }
+    };
+
+    let trace = record_trace();
+    let replayed = replay_text(&trace);
+    step("record/replay round-trip parses", replayed.is_ok());
+    step(
+        "recorded SAM-en workload replays with zero violations",
+        matches!(&replayed, Ok(v) if v.is_empty()),
+    );
+    step("injected tFAW bug caught by name", injected_tfaw_caught());
+    step(
+        "chipkill ECC layouts audit clean",
+        audit_chipkill_layouts().is_empty(),
+    );
+
+    if failures == 0 {
+        println!("selftest: all checks passed");
+        0
+    } else {
+        println!("selftest: {failures} check(s) failed");
+        1
     }
 }

@@ -11,9 +11,17 @@
 //! design obeyed every JEDEC timing window and the cache never reached an
 //! inconsistent state during that run.
 
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
+
 use sam::layout::Store;
-use sam_check::invariants::CacheViolation;
+use sam::system::Instrumentation;
+use sam_cache::hierarchy::Hierarchy;
+use sam_check::invariants::{check_hierarchy, CacheViolation};
+use sam_check::oracle::{OracleConfig, ProtocolOracle};
 use sam_check::Violation;
+use sam_dram::device::DeviceConfig;
+use sam_dram::observe::SharedObserver;
 
 use crate::experiment::{Job, Outcome};
 
@@ -45,7 +53,6 @@ impl CheckReport {
 }
 
 /// Cache touches between invariant probes.
-#[cfg(feature = "check")]
 const PROBE_PERIOD: u64 = 4096;
 
 /// Runs `job` with the protocol oracle(s) and the cache invariant probe
@@ -55,18 +62,7 @@ const PROBE_PERIOD: u64 = 4096;
 ///
 /// If `job` drives no DRAM device: only experiments that simulate a
 /// design accept `--checked`.
-#[cfg(feature = "check")]
 pub fn run_checked(job: &Job) -> (Outcome, CheckReport) {
-    use std::cell::RefCell;
-    use std::sync::{Arc, Mutex};
-
-    use sam::system::Instrumentation;
-    use sam_cache::hierarchy::Hierarchy;
-    use sam_check::invariants::check_hierarchy;
-    use sam_check::oracle::{OracleConfig, ProtocolOracle};
-    use sam_dram::device::DeviceConfig;
-    use sam_dram::observe::SharedObserver;
-
     let (design, hybrid) = job
         .shadowed()
         .expect("--checked is accepted only by experiments that simulate a design");
@@ -118,13 +114,6 @@ pub fn run_checked(job: &Job) -> (Outcome, CheckReport) {
     (outcome, report)
 }
 
-/// Without the `check` feature there is no observer slot to attach an
-/// oracle to; the driver refuses `--checked` before any run starts.
-#[cfg(not(feature = "check"))]
-pub fn run_checked(_job: &Job) -> (Outcome, CheckReport) {
-    unreachable!("--checked exits early without the `check` feature")
-}
-
 /// Prints the verification summary line plus up to ten violations per
 /// dirty run; returns whether every run was clean.
 pub fn summarize(reports: &[CheckReport]) -> bool {
@@ -147,12 +136,12 @@ pub fn summarize(reports: &[CheckReport]) -> bool {
     dirty.is_empty()
 }
 
-#[cfg(all(test, feature = "check"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::Run;
     use sam::designs;
-    use sam::system::{Instrumentation, SystemConfig};
+    use sam::system::SystemConfig;
     use sam_imdb::exec::Workload;
     use sam_imdb::plan::PlanConfig;
     use sam_imdb::query::Query;

@@ -394,16 +394,9 @@ pub fn drive(
 ) -> Result<i32, String> {
     let name = exp.name();
     let obs = ObsSession::start(name, args);
-    if args.checked && !cfg!(feature = "check") {
-        eprintln!(
-            "{name}: --checked requires the `check` feature \
-             (on by default; rebuild without --no-default-features)"
-        );
-        return Ok(2);
-    }
     if args.checked && args.trace.is_some() {
-        // The oracle and the lane tracer both want the run's command
-        // stream; keep the two audit modes separate runs.
+        // `execute` gives each run either a trace or a check report, never
+        // both; keep the two audit modes separate runs.
         eprintln!("{name}: --trace cannot be combined with --checked");
         return Ok(2);
     }

@@ -110,9 +110,9 @@ impl Default for ModeCk {
 
 /// Shadow-checks a command stream against the JEDEC rules.
 ///
-/// Attach it to a device (via the `check` feature's
-/// `MemoryDevice::attach_observer`) or feed it manually with
-/// [`ProtocolOracle::record`], then call [`ProtocolOracle::finish`].
+/// Attach it to a device (via `MemoryDevice::attach_observer`) or feed it
+/// manually with [`ProtocolOracle::record`], then call
+/// [`ProtocolOracle::finish`].
 #[derive(Debug, Clone)]
 pub struct ProtocolOracle {
     cfg: OracleConfig,

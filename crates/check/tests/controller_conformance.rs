@@ -1,5 +1,5 @@
 //! End-to-end conformance: a real controller drives a real device with the
-//! oracle shadowing every accepted command (the `check` feature hook).
+//! oracle shadowing every accepted command (the device observer hook).
 //!
 //! Two directions are covered: legal schedules — deterministic mixes and a
 //! property sweep over random request streams — must produce **zero**

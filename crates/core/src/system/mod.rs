@@ -53,6 +53,7 @@ mod datapath;
 mod lowering;
 
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use sam_util::fxhash::{FxHashMap, FxHashSet};
 
@@ -242,19 +243,15 @@ impl RunResult {
 /// Hooks for the external verification layer (the `sam-check` crate).
 ///
 /// A default-constructed value is fully inert; [`System::run`] uses one
-/// internally. The command `observer` field only exists when the `check`
-/// cargo feature is enabled — without it the simulator carries no
-/// observation plumbing at all.
+/// internally.
 #[derive(Default)]
 pub struct Instrumentation<'a> {
     /// Sink for every DRAM command the CPU-facing device accepts, in
     /// issue order.
-    #[cfg(feature = "check")]
     pub observer: Option<sam_dram::observe::SharedObserver>,
     /// Sink for commands on the *backing* device of a hybrid topology
     /// ([`SystemConfig::hybrid`]); ignored on flat hierarchies, which
     /// have no backing device.
-    #[cfg(feature = "check")]
     pub backing_observer: Option<sam_dram::observe::SharedObserver>,
     /// Called with the cache hierarchy every `cache_probe_period` touches
     /// (and once at the end of the run), e.g. to check model invariants.
@@ -262,8 +259,8 @@ pub struct Instrumentation<'a> {
     /// Touch interval between `cache_probe` calls; 0 disables the periodic
     /// calls (the final end-of-run call still happens if a probe is set).
     pub cache_probe_period: u64,
-    /// Trace sink receiving controller, cache, and (with the `check`
-    /// feature, via the device command observer) per-bank DRAM events.
+    /// Trace sink receiving controller, cache, and (via the device command
+    /// observer) per-bank DRAM events.
     /// Purely observational — attaching one never changes the simulation.
     pub trace: Option<sam_trace::SharedSink>,
     /// Epoch recorder sampling cumulative controller/device counters into
@@ -273,11 +270,10 @@ pub struct Instrumentation<'a> {
 
 impl std::fmt::Debug for Instrumentation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("Instrumentation");
-        #[cfg(feature = "check")]
-        d.field("observer", &self.observer.is_some())
-            .field("backing_observer", &self.backing_observer.is_some());
-        d.field("cache_probe", &self.cache_probe.is_some())
+        f.debug_struct("Instrumentation")
+            .field("observer", &self.observer.is_some())
+            .field("backing_observer", &self.backing_observer.is_some())
+            .field("cache_probe", &self.cache_probe.is_some())
             .field("cache_probe_period", &self.cache_probe_period)
             .field("trace", &self.trace.is_some())
             .field("epochs", &self.epochs.is_some())
@@ -342,40 +338,36 @@ impl System {
             engine.ctrl.attach_epochs(ep.clone());
             engine.epochs = Some(ep.clone());
         }
-        #[cfg(feature = "check")]
-        {
-            use std::sync::{Arc, Mutex};
-            // The device-level tap holds one observer; fan out when both the
-            // conformance checker and the trace lane recorder want it.
-            let mut taps: Vec<sam_dram::observe::SharedObserver> = Vec::new();
-            if let Some(obs) = &instr.observer {
-                taps.push(obs.clone());
+        // The device-level tap holds one observer; fan out when both the
+        // conformance checker and the trace lane recorder want it.
+        let mut taps: Vec<sam_dram::observe::SharedObserver> = Vec::new();
+        if let Some(obs) = &instr.observer {
+            taps.push(obs.clone());
+        }
+        if let Some(sink) = &instr.trace {
+            // The lane tracer shadows the CPU-facing device: the DDR4
+            // front cache under a hybrid topology, the design's own
+            // device otherwise.
+            let timing = if self.cfg.hybrid.is_some() {
+                sam_dram::device::DeviceConfig::ddr4_server().timing
+            } else {
+                self.design.device_config().timing
+            };
+            taps.push(Arc::new(Mutex::new(
+                sam_dram::lanes::CommandLaneTracer::new(sink.clone(), timing),
+            )));
+        }
+        if taps.len() == 1 {
+            engine.ctrl.attach_observer(taps.pop().expect("one tap"));
+        } else if taps.len() > 1 {
+            let mut fan = sam_dram::observe::FanoutObserver::new();
+            for tap in taps {
+                fan.push(tap);
             }
-            if let Some(sink) = &instr.trace {
-                // The lane tracer shadows the CPU-facing device: the DDR4
-                // front cache under a hybrid topology, the design's own
-                // device otherwise.
-                let timing = if self.cfg.hybrid.is_some() {
-                    sam_dram::device::DeviceConfig::ddr4_server().timing
-                } else {
-                    self.design.device_config().timing
-                };
-                taps.push(Arc::new(Mutex::new(
-                    sam_dram::lanes::CommandLaneTracer::new(sink.clone(), timing),
-                )));
-            }
-            if taps.len() == 1 {
-                engine.ctrl.attach_observer(taps.pop().expect("one tap"));
-            } else if taps.len() > 1 {
-                let mut fan = sam_dram::observe::FanoutObserver::new();
-                for tap in taps {
-                    fan.push(tap);
-                }
-                engine.ctrl.attach_observer(Arc::new(Mutex::new(fan)));
-            }
-            if let Some(obs) = &instr.backing_observer {
-                engine.ctrl.attach_backing_observer(obs.clone());
-            }
+            engine.ctrl.attach_observer(Arc::new(Mutex::new(fan)));
+        }
+        if let Some(obs) = &instr.backing_observer {
+            engine.ctrl.attach_backing_observer(obs.clone());
         }
         engine.probe = match &mut instr.cache_probe {
             Some(p) => Some(&mut **p),
@@ -960,7 +952,6 @@ mod tests {
     /// rows whose sums match the end-of-run counters.
     #[test]
     fn traced_run_matches_untraced_run() {
-        use std::sync::{Arc, Mutex};
         let sys = System::new(SystemConfig::default(), sam_en(), Store::Row);
         let tables = [table()];
         let traces = scan_trace(1024, vec![9], 4);
@@ -982,7 +973,6 @@ mod tests {
             ring.events().any(|e| e.name == "miss"),
             "cache misses must be traced"
         );
-        #[cfg(feature = "check")]
         assert!(
             ring.events().any(|e| e.name == "SRD"),
             "stride reads must appear on bank lanes via the observer"

@@ -151,15 +151,13 @@ impl MemoryDevice {
 
     /// Attaches a command observer; every subsequently *accepted* command is
     /// reported to it (see [`crate::observe`]).
-    #[cfg(feature = "check")]
     pub fn attach_observer(&mut self, observer: crate::observe::SharedObserver) {
         self.observers.attach(observer);
     }
 
     /// Stamps the origin core the observer hook reports with subsequently
     /// accepted commands; `None` marks background work (refresh). Purely
-    /// observational — device state and timing never read it — and a no-op
-    /// without the `check` feature.
+    /// observational: device state and timing never read it.
     #[inline]
     pub fn set_command_origin(&mut self, origin: Option<u8>) {
         self.observers.set_origin(origin);

@@ -2,9 +2,9 @@
 //! Chrome-trace spans, one lane per bank (and one per rank for MRS).
 //!
 //! [`CommandLaneTracer`] is a [`CommandObserver`]: attach it to a device
-//! (through `Controller::attach_observer`, `check` feature) and every
-//! accepted ACT/PRE/RD/WR/MRS becomes a `Complete` span on the lane of the
-//! bank it occupies, with a nominal duration from the [`TimingParams`] in
+//! (through `Controller::attach_observer`) and every accepted
+//! ACT/PRE/RD/WR/MRS becomes a `Complete` span on the lane of the bank it
+//! occupies, with a nominal duration from the [`TimingParams`] in
 //! effect (tRCD for ACT, tRP for PRE, CAS latency + burst for column
 //! commands, tRTR for MRS). Durations are *nominal occupancy* — the state
 //! machines in [`crate::bank`] enforce the real constraints — but they

@@ -391,7 +391,6 @@ impl Controller {
 
     /// Attaches a command observer to the underlying device; every accepted
     /// command is reported to it (see [`sam_dram::observe`]).
-    #[cfg(feature = "check")]
     pub fn attach_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         self.device.attach_observer(observer);
     }

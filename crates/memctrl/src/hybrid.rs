@@ -699,12 +699,10 @@ impl MemLevel for DramCacheController {
         self.front.finish_epochs(now);
     }
 
-    #[cfg(feature = "check")]
     fn attach_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         self.front.attach_observer(observer);
     }
 
-    #[cfg(feature = "check")]
     fn attach_backing_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         self.back.attach_observer(observer);
     }

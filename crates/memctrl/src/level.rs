@@ -103,12 +103,10 @@ pub trait MemLevel: Send {
     fn finish_epochs(&mut self, now: Cycle);
 
     /// Attaches a command observer to the front device.
-    #[cfg(feature = "check")]
     fn attach_observer(&mut self, observer: sam_dram::observe::SharedObserver);
 
     /// Attaches a command observer to the backing device of a composite
     /// level. Flat levels have no backing device and ignore the call.
-    #[cfg(feature = "check")]
     fn attach_backing_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         let _ = observer;
     }
@@ -190,7 +188,6 @@ impl MemLevel for Controller {
         Controller::finish_epochs(self, now);
     }
 
-    #[cfg(feature = "check")]
     fn attach_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         Controller::attach_observer(self, observer);
     }
