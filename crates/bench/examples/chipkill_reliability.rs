@@ -9,11 +9,11 @@
 //! SAM's layouts (beat-spread and transposed) correct every chip failure,
 //! while GS-DRAM's strided gather cannot even assemble a codeword.
 
-use sam_repro::sam::designs::all_designs;
-use sam_repro::sam_ecc::codes::SscCode;
-use sam_repro::sam_ecc::inject::{chipkill_campaign, run_trial, Fault, Outcome};
-use sam_repro::sam_ecc::layout::CodewordLayout;
-use sam_repro::sam_util::rng::Xoshiro256StarStar;
+use sam::designs::all_designs;
+use sam_ecc::codes::SscCode;
+use sam_ecc::inject::{chipkill_campaign, run_trial, Fault, Outcome};
+use sam_ecc::layout::CodewordLayout;
+use sam_util::rng::Xoshiro256StarStar;
 
 fn main() {
     let code = SscCode::new();

@@ -13,14 +13,14 @@
 //!    and the 2D I/O buffer (layout/critical-word-first) toggled
 //!    independently — the ablation behind the SAM-en design point.
 
-use sam_repro::sam::design::Granularity;
-use sam_repro::sam::designs::{sam_en, sam_en_no_2d, sam_en_no_fga, sam_io};
-use sam_repro::sam::layout::Store;
-use sam_repro::sam::system::SystemConfig;
-use sam_repro::sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
-use sam_repro::sam_imdb::plan::PlanConfig;
-use sam_repro::sam_imdb::query::Query;
-use sam_repro::sam_power::{breakdown, ActivityCounts, PowerParams};
+use sam::design::Granularity;
+use sam::designs::{sam_en, sam_en_no_2d, sam_en_no_fga, sam_io};
+use sam::layout::Store;
+use sam::system::SystemConfig;
+use sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::query::Query;
+use sam_power::{breakdown, ActivityCounts, PowerParams};
 
 fn main() {
     let mut plan = PlanConfig::default_scale();

@@ -11,12 +11,12 @@
 //! (Qs4) and shows that SAM-en tracks the *better* store on every one,
 //! while each fixed store loses somewhere.
 
-use sam_repro::sam::designs::{commodity, sam_en};
-use sam_repro::sam::layout::Store;
-use sam_repro::sam_imdb::exec::{run_query, Workload};
-use sam_repro::sam_imdb::plan::PlanConfig;
-use sam_repro::sam_imdb::query::Query;
-use sam_repro::sam_util::table::TextTable;
+use sam::designs::{commodity, sam_en};
+use sam::layout::Store;
+use sam_imdb::exec::{run_query, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::query::Query;
+use sam_util::table::TextTable;
 
 fn main() {
     let mut plan = PlanConfig::default_scale();

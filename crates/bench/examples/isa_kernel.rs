@@ -6,9 +6,9 @@
 //! cargo run --release --example isa_kernel
 //! ```
 
-use sam_repro::sam::design::Granularity;
-use sam_repro::sam::isa::{field_scan_kernel, Stop};
-use sam_repro::sam::os::{AddressSpace, PAGE_BYTES};
+use sam::design::Granularity;
+use sam::isa::{field_scan_kernel, Stop};
+use sam::os::{AddressSpace, PAGE_BYTES};
 
 fn main() {
     // 1. The IMDB maps a 64KB record region and flags it for stride mode —

@@ -8,11 +8,11 @@
 //! f10 > x` (Q3) on commodity DRAM and on the three SAM designs, and prints
 //! the speedups — the core claim of the paper in a dozen lines.
 
-use sam_repro::sam::designs::{sam_en, sam_io, sam_sub};
-use sam_repro::sam::layout::Store;
-use sam_repro::sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
-use sam_repro::sam_imdb::plan::PlanConfig;
-use sam_repro::sam_imdb::query::Query;
+use sam::designs::{sam_en, sam_io, sam_sub};
+use sam::layout::Store;
+use sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::query::Query;
 
 fn main() {
     let mut plan = PlanConfig::default_scale();

@@ -8,12 +8,12 @@
 //! for real answers, and measures how much faster SAM-en's stride mode
 //! serves the same statement.
 
-use sam_repro::sam::designs::sam_en;
-use sam_repro::sam::layout::Store;
-use sam_repro::sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
-use sam_repro::sam_imdb::plan::PlanConfig;
-use sam_repro::sam_imdb::sql::parse;
-use sam_repro::sam_imdb::values::{Answer, Database};
+use sam::designs::sam_en;
+use sam::layout::Store;
+use sam_imdb::exec::{run_baseline, run_query, speedup, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::sql::parse;
+use sam_imdb::values::{Answer, Database};
 
 fn main() {
     let mut plan = PlanConfig::default_scale();

@@ -364,22 +364,6 @@ fn lint_json(path: &str) -> i32 {
             }
         };
     }
-    if matches!(doc.get("bin"), Some(Json::Str(s)) if s == "sam-analyze") {
-        return match sam_analyze::report::lint_analyze_json(&doc) {
-            Ok(()) => {
-                let findings = doc
-                    .get("findings")
-                    .and_then(Json::as_array)
-                    .map_or(0, <[Json]>::len);
-                println!("{path}: valid analyze report ({findings} finding(s))");
-                0
-            }
-            Err(e) => {
-                eprintln!("sam-check: {path}: schema violation: {e}");
-                1
-            }
-        };
-    }
     if matches!(doc.get("bin"), Some(Json::Str(s)) if s == "bench-fig12") {
         return match sam_bench::bench_fig12::parse_trajectory(&doc) {
             Ok(entries) => {

@@ -39,7 +39,7 @@ const PER_CORE: &[&str] = &["--debug-cores", "--per-core"];
 /// Every registered experiment, by binary name.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new(
-        ArgSpec::experiment("fig12")
+        ArgSpec::new("fig12")
             .with_checked()
             .with_trace()
             .with_flags(PER_CORE),
@@ -47,14 +47,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
         fig12::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("fig13")
-            .with_trace()
-            .with_flags(PER_CORE),
+        ArgSpec::new("fig13").with_trace().with_flags(PER_CORE),
         fig13::plan,
         fig13::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("fig14")
+        ArgSpec::new("fig14")
             .with_panels(&["a", "b", "c"])
             .with_trace()
             .with_flags(PER_CORE),
@@ -62,7 +60,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         fig14::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("fig15")
+        ArgSpec::new("fig15")
             .with_panels(&["a", "b", "c", "d", "e", "f", "g", "h", "i"])
             .with_trace()
             .with_flags(PER_CORE),
@@ -70,33 +68,29 @@ pub const EXPERIMENTS: &[Experiment] = &[
         fig15::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("fig16")
+        ArgSpec::new("fig16")
             .with_checked()
             .with_trace()
             .with_flags(PER_CORE),
         fig16::plan,
         fig16::render,
     ),
-    Experiment::new(ArgSpec::experiment("table1"), tables::plan, tables::table1),
-    Experiment::new(ArgSpec::experiment("table2"), tables::plan, tables::table2),
-    Experiment::new(ArgSpec::experiment("table3"), tables::plan, tables::table3),
+    Experiment::new(ArgSpec::new("table1"), tables::plan, tables::table1),
+    Experiment::new(ArgSpec::new("table2"), tables::plan, tables::table2),
+    Experiment::new(ArgSpec::new("table3"), tables::plan, tables::table3),
+    Experiment::new(ArgSpec::new("ablation"), ablation::plan, ablation::render),
     Experiment::new(
-        ArgSpec::experiment("ablation"),
-        ablation::plan,
-        ablation::render,
-    ),
-    Experiment::new(
-        ArgSpec::experiment("motivation"),
+        ArgSpec::new("motivation"),
         motivation::plan,
         motivation::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("reliability").with_trials(),
+        ArgSpec::new("reliability").with_trials(),
         reliability::plan,
         reliability::render,
     ),
     Experiment::new(
-        ArgSpec::experiment("stress")
+        ArgSpec::new("stress")
             .with_trace()
             .with_panels(&[
                 "row-hit-flood",

@@ -22,12 +22,11 @@
 //! * `--trace[=PATH]` / `--epoch-len N` — only on binaries that support
 //!   the `sam-trace` recorder (default trace path:
 //!   `results/<bin>.trace.json`; default epoch length: 10000 cycles)
-//! * `--profile[=PATH]` / `--heartbeat[=SECS]` — on the experiment
-//!   binaries: phase-profile report (default path
-//!   `results/<bin>.profile.json`) and stderr progress lines (default
-//!   interval: 5 seconds)
-//! * `--shard K/N` — on the sweep-driven binaries: run only shard `K`'s
-//!   deterministically-partitioned slice of the run indices and write a
+//! * `--profile[=PATH]` / `--heartbeat[=SECS]` — phase-profile report
+//!   (default path `results/<bin>.profile.json`) and stderr progress
+//!   lines (default interval: 5 seconds)
+//! * `--shard K/N` — run only shard `K`'s deterministically-partitioned
+//!   slice of the run indices and write a
 //!   `results/<bin>.shard-K-of-N.json` envelope instead of tables
 //!   (reassemble with `sam-check merge-shards`); incompatible with
 //!   `--checked` and `--trace`
@@ -110,10 +109,6 @@ pub struct ArgSpec {
     pub accepts_trace: bool,
     /// Whether `--trials N` is accepted.
     pub accepts_trials: bool,
-    /// Whether `--profile[=PATH]` / `--heartbeat[=SECS]` are accepted.
-    pub accepts_obs: bool,
-    /// Whether `--shard K/N` is accepted (sweep-driven binaries).
-    pub accepts_shard: bool,
     /// Bare arguments accepted as panel selectors (empty: none).
     pub panels: &'static [&'static str],
     /// Extra binary-specific boolean flags (e.g. `--shrink-selftest`);
@@ -129,18 +124,9 @@ impl ArgSpec {
             accepts_checked: false,
             accepts_trace: false,
             accepts_trials: false,
-            accepts_obs: false,
-            accepts_shard: false,
             panels: &[],
             extra_flags: &[],
         }
-    }
-
-    /// A registered experiment's spec: the shared flags plus
-    /// `--profile`/`--heartbeat` and `--shard K/N`, which every experiment
-    /// accepts.
-    pub const fn experiment(bin: &'static str) -> Self {
-        Self::new(bin).with_obs().with_shard()
     }
 
     /// Accepts `--checked`.
@@ -158,18 +144,6 @@ impl ArgSpec {
     /// Accepts `--trials N`.
     pub const fn with_trials(mut self) -> Self {
         self.accepts_trials = true;
-        self
-    }
-
-    /// Accepts `--profile[=PATH]` and `--heartbeat[=SECS]`.
-    pub const fn with_obs(mut self) -> Self {
-        self.accepts_obs = true;
-        self
-    }
-
-    /// Accepts `--shard K/N`.
-    pub const fn with_shard(mut self) -> Self {
-        self.accepts_shard = true;
         self
     }
 
@@ -200,12 +174,7 @@ impl ArgSpec {
         if self.accepts_trials {
             u.push_str(" [--trials N]");
         }
-        if self.accepts_obs {
-            u.push_str(" [--profile[=PATH]] [--heartbeat[=SECS]]");
-        }
-        if self.accepts_shard {
-            u.push_str(" [--shard K/N]");
-        }
+        u.push_str(" [--profile[=PATH]] [--heartbeat[=SECS]] [--shard K/N]");
         for flag in self.extra_flags {
             u.push_str(&format!(" [{flag}]"));
         }
@@ -364,7 +333,7 @@ pub fn try_parse_args(
                 drain_lo = Some(parse_num(arg, &v)? as usize);
             }
             "--checked" if spec.accepts_checked => checked = true,
-            "--shard" if spec.accepts_shard => {
+            "--shard" => {
                 let v = value_of(&mut i)?;
                 shard = Some(ShardSpec::parse(&v)?);
             }
@@ -378,20 +347,20 @@ pub fn try_parse_args(
                 }
                 trace = Some(PathBuf::from(path));
             }
-            "--profile" if spec.accepts_obs => {
+            "--profile" => {
                 profile = Some(PathBuf::from(format!("results/{}.profile.json", spec.bin)));
             }
-            t if spec.accepts_obs && t.starts_with("--profile=") => {
+            t if t.starts_with("--profile=") => {
                 let path = &t["--profile=".len()..];
                 if path.is_empty() {
                     return Err(CliError::BadValue("--profile".to_string(), String::new()));
                 }
                 profile = Some(PathBuf::from(path));
             }
-            "--heartbeat" if spec.accepts_obs => {
+            "--heartbeat" => {
                 heartbeat = Some(DEFAULT_HEARTBEAT_SECS);
             }
-            t if spec.accepts_obs && t.starts_with("--heartbeat=") => {
+            t if t.starts_with("--heartbeat=") => {
                 let v = &t["--heartbeat=".len()..];
                 let secs: u64 =
                     v.parse().ok().filter(|&s| s >= 1).ok_or_else(|| {
@@ -555,8 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_flag_forms_and_gating() {
-        let s = ArgSpec::new("fig12").with_obs();
+    fn obs_flag_forms() {
+        let s = ArgSpec::new("fig12");
         let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--profile"])).unwrap();
         assert_eq!(a.profile, Some(PathBuf::from("results/fig12.profile.json")));
         assert_eq!(a.heartbeat, None);
@@ -580,20 +549,11 @@ mod tests {
             CliError::BadValue("--heartbeat".to_string(), "0".to_string())
         );
         assert!(try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat=x"])).is_err());
-        // Binaries without observability reject the flags outright.
-        let plain = ArgSpec::new("plain");
-        let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--profile"])).unwrap_err();
-        assert_eq!(e, CliError::UnknownArg("--profile".to_string()));
-        let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--heartbeat=1"])).unwrap_err();
-        assert_eq!(e, CliError::UnknownArg("--heartbeat=1".to_string()));
     }
 
     #[test]
-    fn shard_flag_parses_gates_and_conflicts() {
-        let s = ArgSpec::new("fig12")
-            .with_checked()
-            .with_trace()
-            .with_shard();
+    fn shard_flag_parses_and_conflicts() {
+        let s = ArgSpec::new("fig12").with_checked().with_trace();
         let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--shard", "2/3"])).unwrap();
         assert_eq!(a.shard, Some(ShardSpec::parse("2/3").unwrap()));
         assert_eq!(a.shard.unwrap().to_string(), "2/3");
@@ -626,10 +586,6 @@ mod tests {
             e,
             CliError::Conflict("--shard".to_string(), "--trace".to_string())
         );
-        // Binaries without sweeps reject the flag outright.
-        let plain = ArgSpec::new("plain");
-        let e = try_parse_args(&plain, PlanConfig::tiny(), &argv(&["--shard", "1/2"])).unwrap_err();
-        assert_eq!(e, CliError::UnknownArg("--shard".to_string()));
     }
 
     #[test]

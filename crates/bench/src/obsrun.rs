@@ -130,7 +130,7 @@ mod tests {
     use sam_util::json::Json;
 
     fn args(argv: &[&str]) -> crate::cli::BenchArgs {
-        let spec = ArgSpec::new("obstest").with_obs();
+        let spec = ArgSpec::new("obstest");
         let argv: Vec<String> = argv.iter().map(|s| (*s).to_string()).collect();
         try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap()
     }

@@ -2,12 +2,12 @@
 //! design (Table 1's Reliability row), exercised through the real ECC
 //! codecs and burst layouts.
 
-use sam_repro::sam::design::EccScheme;
-use sam_repro::sam::designs::all_designs;
-use sam_repro::sam_ecc::codes::SscCode;
-use sam_repro::sam_ecc::inject::{chipkill_campaign, run_trial, Fault, Outcome};
-use sam_repro::sam_ecc::layout::{CodewordLayout, CHIPS, PINS};
-use sam_repro::sam_util::rng::Xoshiro256StarStar;
+use sam::design::EccScheme;
+use sam::designs::all_designs;
+use sam_ecc::codes::SscCode;
+use sam_ecc::inject::{chipkill_campaign, run_trial, Fault, Outcome};
+use sam_ecc::layout::{CodewordLayout, CHIPS, PINS};
+use sam_util::rng::Xoshiro256StarStar;
 
 #[test]
 fn every_chipkill_design_survives_every_chip_failure() {
@@ -77,8 +77,8 @@ fn two_simultaneous_chip_failures_never_corrupt_silently() {
     for c1 in 0..CHIPS {
         for c2 in (c1 + 1)..CHIPS {
             // Build the burst by hand so both chips die in one flight.
-            use sam_repro::sam_ecc::inject::apply_fault;
-            use sam_repro::sam_ecc::layout::{decode_line, encode_line};
+            use sam_ecc::inject::apply_fault;
+            use sam_ecc::layout::{decode_line, encode_line};
             let mut burst = encode_line(&code, &line, CodewordLayout::BeatSpread);
             apply_fault(&mut burst, Fault::ChipFailure { chip: c1 }, &mut rng);
             apply_fault(&mut burst, Fault::ChipFailure { chip: c2 }, &mut rng);

@@ -2,10 +2,10 @@
 //! 72-bit words are SEC-DED protected (Figure 4(a)) — contrasted with the
 //! server rank's chipkill. Ties the device geometry to the matching code.
 
-use sam_repro::sam_dram::command::Command;
-use sam_repro::sam_dram::device::{DeviceConfig, MemoryDevice};
-use sam_repro::sam_ecc::codes::SecDed;
-use sam_repro::sam_util::rng::Xoshiro256StarStar;
+use sam_dram::command::Command;
+use sam_dram::device::{DeviceConfig, MemoryDevice};
+use sam_ecc::codes::SecDed;
+use sam_util::rng::Xoshiro256StarStar;
 
 #[test]
 fn desktop_words_survive_single_bit_upsets_but_not_chip_loss() {

@@ -3,14 +3,14 @@
 //! (The full-scale numbers are regenerated by the `sam-bench` binaries and
 //! recorded in EXPERIMENTS.md.)
 
-use sam_repro::sam::designs::{
+use sam::designs::{
     commodity, gs_dram, gs_dram_ecc, rc_nvm_bit, rc_nvm_wd, sam_en, sam_io, sam_sub,
 };
-use sam_repro::sam::layout::Store;
-use sam_repro::sam_imdb::exec::{run_baseline, run_ideal, run_query, speedup, Workload};
-use sam_repro::sam_imdb::plan::PlanConfig;
-use sam_repro::sam_imdb::query::Query;
-use sam_repro::sam_util::stats::geometric_mean;
+use sam::layout::Store;
+use sam_imdb::exec::{run_baseline, run_ideal, run_query, speedup, Workload};
+use sam_imdb::plan::PlanConfig;
+use sam_imdb::query::Query;
+use sam_util::stats::geometric_mean;
 
 fn plan() -> PlanConfig {
     let mut p = PlanConfig::tiny();
@@ -19,7 +19,7 @@ fn plan() -> PlanConfig {
     p
 }
 
-fn q_gmean(design: &sam_repro::sam::design::Design, queries: &[Query]) -> f64 {
+fn q_gmean(design: &sam::design::Design, queries: &[Query]) -> f64 {
     let mut speedups = Vec::new();
     for q in queries {
         let w = Workload::new(*q, plan());
@@ -130,8 +130,8 @@ fn ideal_reference_brackets_q_and_qs() {
 fn granularity_improves_bandwidth_utilization() {
     // Figure 14(b): finer strided granularity gathers more lines per burst
     // and wins more.
-    use sam_repro::sam::design::Granularity;
-    use sam_repro::sam::system::SystemConfig;
+    use sam::design::Granularity;
+    use sam::system::SystemConfig;
     let mut speeds = Vec::new();
     for gran in [Granularity::Bits16, Granularity::Bits8, Granularity::Bits4] {
         let sys = SystemConfig {
@@ -150,7 +150,7 @@ fn granularity_improves_bandwidth_utilization() {
 fn substrate_swap_shows_dram_advantage_on_writes() {
     // Figure 14(a): the same design on DRAM beats itself on RRAM for write
     // queries (RRAM write pulses).
-    use sam_repro::sam_dram::timing::Substrate;
+    use sam_dram::timing::Substrate;
     let design_rram = rc_nvm_wd();
     let design_dram = rc_nvm_wd().with_substrate(Substrate::Dram);
     let w = Workload::new(Query::Qs5, plan());

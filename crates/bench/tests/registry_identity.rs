@@ -15,48 +15,35 @@ use sam_bench::bins::EXPERIMENTS;
 use sam_bench::cli::ArgSpec;
 use sam_bench::experiment::Experiment;
 
-/// The per-binary flag table as it stood before the registry, verbatim.
+/// The per-binary flag table as it stood before the registry, verbatim
+/// but for `--profile`, `--heartbeat` and `--shard`, which every binary
+/// accepted and which are now shared flags.
 fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
     const FIG_FLAGS: &[&str] = &["--debug-cores", "--per-core"];
     Some(match bin {
         "fig12" => ArgSpec::new("fig12")
             .with_checked()
             .with_trace()
-            .with_obs()
-            .with_shard()
             .with_flags(FIG_FLAGS),
-        "fig13" => ArgSpec::new("fig13")
-            .with_trace()
-            .with_obs()
-            .with_shard()
-            .with_flags(FIG_FLAGS),
+        "fig13" => ArgSpec::new("fig13").with_trace().with_flags(FIG_FLAGS),
         "fig14" => ArgSpec::new("fig14")
             .with_panels(&["a", "b", "c"])
             .with_trace()
-            .with_obs()
-            .with_shard()
             .with_flags(FIG_FLAGS),
         "fig15" => ArgSpec::new("fig15")
             .with_panels(&["a", "b", "c", "d", "e", "f", "g", "h", "i"])
             .with_trace()
-            .with_obs()
-            .with_shard()
             .with_flags(FIG_FLAGS),
         "fig16" => ArgSpec::new("fig16")
             .with_checked()
             .with_trace()
-            .with_obs()
-            .with_shard()
             .with_flags(FIG_FLAGS),
-        "table1" => ArgSpec::new("table1").with_obs().with_shard(),
-        "table2" => ArgSpec::new("table2").with_obs().with_shard(),
-        "table3" => ArgSpec::new("table3").with_obs().with_shard(),
-        "ablation" => ArgSpec::new("ablation").with_obs().with_shard(),
-        "motivation" => ArgSpec::new("motivation").with_obs().with_shard(),
-        "reliability" => ArgSpec::new("reliability")
-            .with_trials()
-            .with_obs()
-            .with_shard(),
+        "table1" => ArgSpec::new("table1"),
+        "table2" => ArgSpec::new("table2"),
+        "table3" => ArgSpec::new("table3"),
+        "ablation" => ArgSpec::new("ablation"),
+        "motivation" => ArgSpec::new("motivation"),
+        "reliability" => ArgSpec::new("reliability").with_trials(),
         "stress" => ArgSpec::new("stress")
             .with_trace()
             .with_panels(&[
@@ -66,8 +53,6 @@ fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
                 "faw-train",
                 "sector-straddle",
             ])
-            .with_obs()
-            .with_shard()
             .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
         _ => return None,
     })

@@ -2,17 +2,17 @@
 //! cache + system, plus the functional data path (I/O buffer modes feeding
 //! ECC codeword layouts).
 
-use sam_repro::sam::designs::{commodity, sam_en};
-use sam_repro::sam::layout::{Store, TableSpec};
-use sam_repro::sam::ops::{partition_records, TraceOp};
-use sam_repro::sam::system::{System, SystemConfig};
-use sam_repro::sam_dram::iobuf::{deserialize_stride, IoBuffer};
-use sam_repro::sam_dram::moderegs::IoMode;
-use sam_repro::sam_dram::subarray::{HffWidth, MatGrid};
-use sam_repro::sam_ecc::codes::SscCode;
-use sam_repro::sam_ecc::layout::{decode_line, encode_line, CodewordLayout};
-use sam_repro::sam_memctrl::controller::{Controller, ControllerConfig};
-use sam_repro::sam_memctrl::request::{MemRequest, StrideSpec};
+use sam::designs::{commodity, sam_en};
+use sam::layout::{Store, TableSpec};
+use sam::ops::{partition_records, TraceOp};
+use sam::system::{System, SystemConfig};
+use sam_dram::iobuf::{deserialize_stride, IoBuffer};
+use sam_dram::moderegs::IoMode;
+use sam_dram::subarray::{HffWidth, MatGrid};
+use sam_ecc::codes::SscCode;
+use sam_ecc::layout::{decode_line, encode_line, CodewordLayout};
+use sam_memctrl::controller::{Controller, ControllerConfig};
+use sam_memctrl::request::{MemRequest, StrideSpec};
 
 #[test]
 fn stride_data_path_is_bit_exact_end_to_end() {

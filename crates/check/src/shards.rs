@@ -28,6 +28,7 @@
 //!               "record": any } ] }
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
 
 use sam_util::fxhash::FxHasher;
@@ -355,20 +356,21 @@ pub fn merge(envelopes: &[ShardEnvelope]) -> Result<MergedSweep, ShardError> {
             ));
         }
     }
+    // Bookkeeping is sized by what the envelopes carry, never by the
+    // counts they claim: a forged `shards` or `total_runs` is only a number.
     let n = first.shards;
-    let mut seen_shards = vec![false; n as usize];
+    let mut seen_shards = BTreeSet::new();
     for e in envelopes {
         if e.shard == 0 || e.shard > n {
             return Err(ShardError::ShardIdOutOfRange(e.shard, n));
         }
-        let slot = &mut seen_shards[(e.shard - 1) as usize];
-        if *slot {
+        if !seen_shards.insert(e.shard) {
             return Err(ShardError::DuplicateShard(e.shard));
         }
-        *slot = true;
     }
-    if let Some(k) = seen_shards.iter().position(|s| !s) {
-        return Err(ShardError::MissingShard(k as u64 + 1, n));
+    let k = first_gap(seen_shards.iter().copied(), 1);
+    if k <= n {
+        return Err(ShardError::MissingShard(k, n));
     }
     for e in envelopes {
         for run in &e.runs {
@@ -383,26 +385,48 @@ pub fn merge(envelopes: &[ShardEnvelope]) -> Result<MergedSweep, ShardError> {
         }
     }
     let total = first.total_runs;
-    let mut owner: Vec<Option<u64>> = vec![None; total];
-    let mut slots: Vec<Option<(String, Json)>> = vec![None; total];
+    let mut claimed: BTreeMap<usize, (u64, &ShardRun)> = BTreeMap::new();
     for e in envelopes {
         for run in &e.runs {
-            // The lint bounds index < total_runs per envelope.
-            if let Some(prev) = owner[run.index] {
+            // The lint bounds index < total_runs; an envelope built in
+            // code gets the same check here.
+            if run.index >= total {
+                return Err(ShardError::Malformed(format!(
+                    "run index {} out of range for total_runs {total}",
+                    run.index
+                )));
+            }
+            if let Some(&(prev, _)) = claimed.get(&run.index) {
                 return Err(ShardError::OverlappingRun(run.index, prev, e.shard));
             }
-            owner[run.index] = Some(e.shard);
-            slots[run.index] = Some((run.label.clone(), run.record.clone()));
+            claimed.insert(run.index, (e.shard, run));
         }
     }
-    if let Some(i) = owner.iter().position(Option::is_none) {
+    let i = first_gap(claimed.keys().map(|&i| i as u64), 0) as usize;
+    if i < total {
         return Err(ShardError::MissingRun(i));
     }
     Ok(MergedSweep {
         bin: first.bin.clone(),
         argv: first.argv.clone(),
-        runs: slots.into_iter().map(|s| s.expect("all present")).collect(),
+        runs: claimed
+            .into_values()
+            .map(|(_, run)| (run.label.clone(), run.record.clone()))
+            .collect(),
     })
+}
+
+/// The smallest integer `>= start` missing from `sorted`, an ascending
+/// run of distinct integers.
+fn first_gap(sorted: impl Iterator<Item = u64>, start: u64) -> u64 {
+    let mut want = start;
+    for got in sorted {
+        if got != want {
+            break;
+        }
+        want += 1;
+    }
+    want
 }
 
 #[cfg(test)]

@@ -296,7 +296,7 @@ pub fn all_designs() -> Vec<Design> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_dram::timing::TimingParams;
+    use sam_dram::timing::{RefreshMode, TimingParams};
 
     #[test]
     fn all_designs_distinct_names() {
@@ -305,6 +305,35 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), designs.len());
+        assert_eq!(designs.len(), 8);
+    }
+
+    /// Every design in the sweep matrix, on both substrates (the Figure
+    /// 14(a) swap) and under every fine-granularity refresh mode, derives
+    /// a JEDEC-consistent parameter set. An inconsistent one would not
+    /// crash a sweep; it would quietly skew its results.
+    #[test]
+    fn sweep_matrix_timing_is_jedec_consistent() {
+        let mut configs = 0;
+        for design in all_designs() {
+            for substrate in [Substrate::Dram, Substrate::Rram] {
+                let base = design
+                    .clone()
+                    .with_substrate(substrate)
+                    .device_config()
+                    .timing;
+                for mode in [RefreshMode::Fgr1x, RefreshMode::Fgr2x, RefreshMode::Fgr4x] {
+                    let violations = base.with_refresh_mode(mode).check_relations();
+                    assert!(
+                        violations.is_empty(),
+                        "{} on {substrate} at {mode:?}: {violations:?}",
+                        design.name
+                    );
+                    configs += 1;
+                }
+            }
+        }
+        assert_eq!(configs, 48);
     }
 
     #[test]

@@ -209,9 +209,9 @@ impl TimingParams {
     /// returns one description per violation (empty = consistent).
     ///
     /// These are the invariants a *derived* parameter set (area scaling,
-    /// fine-granularity refresh) must preserve, checked statically by
-    /// `sam-analyze` over the whole sweep matrix and dynamically by a
-    /// `debug_assert!` at `Design` construction:
+    /// fine-granularity refresh) must preserve, checked over the whole
+    /// sweep matrix by `sam::designs`' `sweep_matrix_timing_is_jedec_consistent`
+    /// test and dynamically by a `debug_assert!` at `Design` construction:
     ///
     /// - `tRAS >= tRCD + burst`: a row must stay open long enough to issue
     ///   the column access and stream the burst.
