@@ -13,7 +13,7 @@
 //! shadowed by the single-level protocol oracle and every hybrid run by
 //! **two** oracles — one per device stream (DDR4 front, RRAM backing);
 //! the binary exits non-zero if any run violates a check. `--trace`,
-//! `--per-core`, `--profile`, and `--shard K/N` compose exactly as for
+//! `--per-core`, `--heartbeat`, and `--shard K/N` compose exactly as for
 //! `fig12` (`sam-check merge-shards` reassembles shards byte-identically).
 
 fn main() {

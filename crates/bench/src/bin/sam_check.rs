@@ -321,28 +321,6 @@ fn lint_json(path: &str) -> i32 {
             return 1;
         }
     };
-    // Phase profiles carry `"report": "profile"` regardless of which
-    // binary wrote them, so they dispatch ahead of the per-bin schemas.
-    if matches!(doc.get("report"), Some(Json::Str(s)) if s == "profile") {
-        return match sam_obs::profile::lint_profile_json(&doc) {
-            Ok(()) => {
-                let phases = doc
-                    .get("phases")
-                    .and_then(Json::as_array)
-                    .map_or(0, <[Json]>::len);
-                let total = doc.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                println!(
-                    "{path}: valid phase profile ({phases} root phase(s), {:.3}s total)",
-                    total / 1e9
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("sam-check: {path}: schema violation: {e}");
-                1
-            }
-        };
-    }
     // Shard envelopes carry `"report": "shard"` regardless of which
     // binary wrote them.
     if matches!(doc.get("report"), Some(Json::Str(s)) if s == "shard") {

@@ -8,7 +8,9 @@
 //! Shared flags:
 //!
 //! * `--rows N` / `--ta-rows N` — Ta record count override
-//! * `--tb-rows N` — Tb record count override
+//! * `--tb-rows N` — Tb record count override; both counts must be
+//!   positive, Ta must end at or below Tb's base address, and Tb must fit
+//!   in the 64-bit address space
 //! * `--seed N` — selection-hash seed
 //! * `--jobs N` — sweep worker threads (default: available parallelism)
 //! * `--out PATH` — where to write the JSON metrics report
@@ -22,9 +24,8 @@
 //! * `--trace[=PATH]` / `--epoch-len N` — only on binaries that support
 //!   the `sam-trace` recorder (default trace path:
 //!   `results/<bin>.trace.json`; default epoch length: 10000 cycles)
-//! * `--profile[=PATH]` / `--heartbeat[=SECS]` — phase-profile report
-//!   (default path `results/<bin>.profile.json`) and stderr progress
-//!   lines (default interval: 5 seconds)
+//! * `--heartbeat[=SECS]` — stderr progress lines (default interval: 5
+//!   seconds)
 //! * `--shard K/N` — run only shard `K`'s deterministically-partitioned
 //!   slice of the run indices and write a
 //!   `results/<bin>.shard-K-of-N.json` envelope instead of tables
@@ -39,7 +40,7 @@
 
 use std::path::PathBuf;
 
-use sam_imdb::plan::PlanConfig;
+use sam_imdb::plan::{PlanConfig, TA_BASE, TB_BASE};
 
 use crate::sweep::default_jobs;
 
@@ -174,7 +175,7 @@ impl ArgSpec {
         if self.accepts_trials {
             u.push_str(" [--trials N]");
         }
-        u.push_str(" [--profile[=PATH]] [--heartbeat[=SECS]] [--shard K/N]");
+        u.push_str(" [--heartbeat[=SECS]] [--shard K/N]");
         for flag in self.extra_flags {
             u.push_str(&format!(" [{flag}]"));
         }
@@ -199,9 +200,6 @@ pub struct BenchArgs {
     pub trace: Option<PathBuf>,
     /// Epoch length in memory cycles for the trace's stats engine.
     pub epoch_len: u64,
-    /// Phase-profile report path when `--profile[=PATH]` was given; `None`
-    /// leaves profiling disabled (the one-atomic-load default).
-    pub profile: Option<PathBuf>,
     /// Heartbeat interval in seconds when `--heartbeat[=SECS]` was given.
     pub heartbeat: Option<u64>,
     /// FR-FCFS starvation-cap override in memory cycles (`Some(0)` forces
@@ -274,7 +272,6 @@ pub fn try_parse_args(
     let mut checked = false;
     let mut trace: Option<PathBuf> = None;
     let mut epoch_len = DEFAULT_EPOCH_LEN;
-    let mut profile: Option<PathBuf> = None;
     let mut heartbeat: Option<u64> = None;
     let mut starvation_cap = None;
     let mut drain_hi: Option<usize> = None;
@@ -347,16 +344,6 @@ pub fn try_parse_args(
                 }
                 trace = Some(PathBuf::from(path));
             }
-            "--profile" => {
-                profile = Some(PathBuf::from(format!("results/{}.profile.json", spec.bin)));
-            }
-            t if t.starts_with("--profile=") => {
-                let path = &t["--profile=".len()..];
-                if path.is_empty() {
-                    return Err(CliError::BadValue("--profile".to_string(), String::new()));
-                }
-                profile = Some(PathBuf::from(path));
-            }
             "--heartbeat" => {
                 heartbeat = Some(DEFAULT_HEARTBEAT_SECS);
             }
@@ -392,6 +379,8 @@ pub fn try_parse_args(
         }
         i += 1;
     }
+
+    check_table_sizes(&plan)?;
 
     if shard.is_some() {
         // A shard run prints no tables (the merge replay does), so the
@@ -434,7 +423,6 @@ pub fn try_parse_args(
         checked,
         trace,
         epoch_len,
-        profile,
         heartbeat,
         starvation_cap,
         drain_hi,
@@ -445,6 +433,33 @@ pub fn try_parse_args(
         flags,
         out: out.unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.bin))),
     })
+}
+
+/// Rejects record counts the address map cannot hold: an empty table
+/// (the layout needs records), a Ta that runs past Tb's base (the two
+/// tables would share simulated addresses), or a Tb that runs off the
+/// 64-bit address space.
+fn check_table_sizes(plan: &PlanConfig) -> Result<(), CliError> {
+    let bad = |flag: &str, records: u64| CliError::BadValue(flag.to_string(), records.to_string());
+    if plan.ta_records == 0 {
+        return Err(bad("--rows", 0));
+    }
+    if plan.tb_records == 0 {
+        return Err(bad("--tb-rows", 0));
+    }
+    let end = |base: u64, table: sam::layout::TableSpec| {
+        table
+            .record_bytes()
+            .checked_mul(table.records)
+            .and_then(|bytes| bytes.checked_add(base))
+    };
+    if end(TA_BASE, plan.ta()).is_none_or(|ta_end| ta_end > TB_BASE) {
+        return Err(bad("--rows", plan.ta_records));
+    }
+    if end(TB_BASE, plan.tb()).is_none() {
+        return Err(bad("--tb-rows", plan.tb_records));
+    }
+    Ok(())
 }
 
 fn parse_num(flag: &str, v: &str) -> Result<u64, CliError> {
@@ -526,24 +541,18 @@ mod tests {
     #[test]
     fn obs_flag_forms() {
         let s = ArgSpec::new("fig12");
-        let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--profile"])).unwrap();
-        assert_eq!(a.profile, Some(PathBuf::from("results/fig12.profile.json")));
+        let a = try_parse_args(&s, PlanConfig::tiny(), &[]).unwrap();
         assert_eq!(a.heartbeat, None);
-        let a = try_parse_args(
-            &s,
-            PlanConfig::tiny(),
-            &argv(&["--profile=/tmp/p.json", "--heartbeat=2"]),
-        )
-        .unwrap();
-        assert_eq!(a.profile, Some(PathBuf::from("/tmp/p.json")));
+        let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat=2"])).unwrap();
         assert_eq!(a.heartbeat, Some(2));
         let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat"])).unwrap();
         assert_eq!(a.heartbeat, Some(DEFAULT_HEARTBEAT_SECS));
-        // Empty path and zero/garbage intervals are rejected, not defaulted.
-        assert_eq!(
-            try_parse_args(&s, PlanConfig::tiny(), &argv(&["--profile="])).unwrap_err(),
-            CliError::BadValue("--profile".to_string(), String::new())
-        );
+        // The retired phase profiler's flag is unknown in both forms.
+        for gone in ["--profile", "--profile=p.json"] {
+            let e = try_parse_args(&s, PlanConfig::tiny(), &argv(&[gone])).unwrap_err();
+            assert_eq!(e, CliError::UnknownArg(gone.to_string()));
+        }
+        // Zero/garbage intervals are rejected, not defaulted.
         assert_eq!(
             try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat=0"])).unwrap_err(),
             CliError::BadValue("--heartbeat".to_string(), "0".to_string())
@@ -732,5 +741,32 @@ mod tests {
             try_parse_args(&spec(), PlanConfig::tiny(), &argv(&["--seed", "pi"])).unwrap_err(),
             CliError::BadValue("--seed".to_string(), "pi".to_string())
         );
+    }
+
+    /// An empty table would panic in the layout, and an oversized Ta would
+    /// share simulated addresses with Tb: the parser rejects both.
+    #[test]
+    fn table_sizes_must_fit_the_address_map() {
+        let parse = |args: &[&str]| try_parse_args(&spec(), PlanConfig::tiny(), &argv(args));
+        let bad = |flag: &str, v: &str| Err(CliError::BadValue(flag.to_string(), v.to_string()));
+        // 1 KB Ta records: 3 GiB of them end exactly at Tb's base.
+        let fits = (TB_BASE - TA_BASE) / 1024;
+        let over = (fits + 1).to_string();
+        let max = u64::MAX.to_string();
+        for (args, want) in [
+            (&["--rows", "0"][..], bad("--rows", "0")),
+            (&["--ta-rows", "0"][..], bad("--rows", "0")),
+            (&["--tb-rows", "0"][..], bad("--tb-rows", "0")),
+            (&["--rows", &over][..], bad("--rows", &over)),
+            (&["--rows", &max][..], bad("--rows", &max)),
+            (&["--tb-rows", &max][..], bad("--tb-rows", &max)),
+        ] {
+            assert_eq!(parse(args).map(|a| a.plan), want, "{args:?}");
+        }
+        assert!(parse(&["--rows", &fits.to_string()]).is_ok());
+        // 128 B Tb records: the largest count whose end still fits in u64.
+        let tb_max = (u64::MAX - TB_BASE) / 128;
+        assert!(parse(&["--tb-rows", &tb_max.to_string()]).is_ok());
+        assert!(parse(&["--tb-rows", &(tb_max + 1).to_string()]).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! flags (an [`ArgSpec`]), a weighted plan that describes every run as
 //! data ([`Run`], [`Job`]), and a render function that prints stdout and
 //! builds the `--out` document from the finished runs. [`drive`] does the
-//! rest, once for every experiment: the observability session, the
-//! `--checked`/`--trace` preconditions, the [`SystemConfig`] built from
+//! rest, once for every experiment: the `--checked`/`--trace`
+//! preconditions, the `--heartbeat` monitor, the [`SystemConfig`] built from
 //! the scheduler-knob flags, execution, the metrics report and `--per-core`
 //! rollup, the trace document, and the check summary and exit code.
 //!
@@ -35,8 +35,8 @@ use sam_util::json::Json;
 
 use crate::checked::{self, CheckReport};
 use crate::cli::{ArgSpec, BenchArgs};
+use crate::heartbeat;
 use crate::metrics::MetricsReport;
-use crate::obsrun::{self, ObsSession};
 use crate::shard;
 use crate::sweep::{run_sweep_weighted_strict, SweepTask};
 use crate::traced::{self, TraceOptions};
@@ -246,7 +246,7 @@ impl Job {
                 seed,
             } => Outcome::Campaign(chipkill_campaign(&SscCode::new(), *layout, *trials, *seed)),
         };
-        sam_obs::heartbeat::cycles_done(outcome.sim_cycles());
+        heartbeat::cycles_done(outcome.sim_cycles());
         outcome
     }
 
@@ -393,16 +393,16 @@ pub fn drive(
     replay: Option<&[(String, Json)]>,
 ) -> Result<i32, String> {
     let name = exp.name();
-    let obs = ObsSession::start(name, args);
     if args.checked && args.trace.is_some() {
         // `execute` gives each run either a trace or a check report, never
         // both; keep the two audit modes separate runs.
         eprintln!("{name}: --trace cannot be combined with --checked");
         return Ok(2);
     }
+    // Dropping the monitor stops it, on every return path below.
+    let _heartbeat = args.heartbeat.map(|secs| heartbeat::start(name, secs));
     let ctx = Ctx::new(exp, args);
     if let Some(code) = exp.bypass.and_then(|mode| mode(&ctx)) {
-        obs.finish(&[]);
         return Ok(code);
     }
     let plan = (exp.plan)(&ctx);
@@ -414,30 +414,24 @@ pub fn drive(
         }
         None if args.shard.is_some() => {
             shard::run_shard(&exp.spec, args, &plan);
-            obs.finish(&[]);
             return Ok(0);
         }
         None => execute(&plan, args),
     };
 
-    let counters = obsrun::counters(&results.runs, &checks);
     let rendered = (exp.render)(&ctx, results);
-    {
-        let _p = sam_obs::profile::phase("emit-json");
-        match &rendered.doc {
-            Doc::Metrics(report) => {
-                let what = format!("{} run metrics", report.runs.len());
-                write_or_die(name, &args.out, &report.to_json(), &what);
-                if report.per_core {
-                    let path = args.out.with_extension("rollup.json");
-                    write_or_die(name, &path, &report.rollup_json(), "cycles rollup");
-                }
+    match &rendered.doc {
+        Doc::Metrics(report) => {
+            let what = format!("{} run metrics", report.runs.len());
+            write_or_die(name, &args.out, &report.to_json(), &what);
+            if report.per_core {
+                let path = args.out.with_extension("rollup.json");
+                write_or_die(name, &path, &report.rollup_json(), "cycles rollup");
             }
-            Doc::Json(doc) => write_or_die(name, &args.out, doc, "report"),
         }
+        Doc::Json(doc) => write_or_die(name, &args.out, doc, "report"),
     }
     if let Some(path) = &args.trace {
-        let _p = sam_obs::profile::phase("emit-trace");
         let events: usize = traces.iter().map(|r| r.events.len()).sum();
         let dropped: u64 = traces.iter().map(|r| r.dropped).sum();
         let what = format!(
@@ -446,7 +440,6 @@ pub fn drive(
         );
         write_or_die(name, path, &sam_trace::chrome_trace(name, &traces), &what);
     }
-    obs.finish(&counters);
     let clean = !args.checked || checked::summarize(&checks);
     Ok(i32::from(rendered.failed || !clean))
 }
@@ -499,7 +492,7 @@ pub fn execute(plan: &[Run], args: &BenchArgs) -> (Results, Vec<RunTrace>, Vec<C
 /// directories; the notice goes to stderr so stdout stays table-only.
 /// Exits 1 on a filesystem error: an unwritable result is an error, not a
 /// shrug.
-pub(crate) fn write_or_die(bin: &str, path: &Path, doc: &Json, what: &str) {
+fn write_or_die(bin: &str, path: &Path, doc: &Json, what: &str) {
     let write = || -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {

@@ -2,11 +2,12 @@
 //!
 //! The sweep runner announces work with [`sweep_add`] and completion with
 //! [`task_done`], and every finished run adds its simulated memory cycles
-//! with [`cycles_done`]; `--heartbeat[=SECS]` starts a monitor thread
-//! ([`start`]) that prints one line every interval:
+//! with [`cycles_done`]; `--heartbeat[=SECS]` makes the driver start a
+//! monitor thread ([`start`]) that prints one line every interval,
+//! prefixed with the binary's name like its other stderr notices:
 //!
 //! ```text
-//! sam-obs[fig12]: 12/162 runs · 132.5 Mcyc/s · ETA 48s
+//! fig12: 37/162 runs · 5.8 Mcyc/s · ETA 14s
 //! ```
 //!
 //! Runs completed/total come straight from the announced tasks, the live
@@ -123,7 +124,7 @@ fn report(bin: &str, elapsed: Duration, cycles: u64) {
             format!(" · shard {k}/{n} · {global_eta}")
         }
     };
-    eprintln!("sam-obs[{bin}]: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}{shard}");
+    eprintln!("{bin}: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}{shard}");
 }
 
 /// A running heartbeat monitor; dropping (or [`Heartbeat::stop`])
@@ -143,7 +144,7 @@ pub fn start(bin: &str, secs: u64) -> Heartbeat {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let handle = thread::Builder::new()
-        .name("sam-obs-heartbeat".to_string())
+        .name("heartbeat".to_string())
         .spawn(move || {
             let started = Instant::now();
             let cycles_at_start = cycles();

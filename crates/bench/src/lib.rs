@@ -21,8 +21,8 @@ pub mod checked;
 pub mod cli;
 pub mod experiment;
 pub mod fig16;
+pub mod heartbeat;
 pub mod metrics;
-pub mod obsrun;
 pub mod shard;
 pub mod stressrun;
 pub mod sweep;

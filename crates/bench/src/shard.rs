@@ -37,6 +37,7 @@ use sam_util::json::Json;
 
 use crate::cli::{ArgSpec, BenchArgs};
 use crate::experiment::{Job, Outcome, Run};
+use crate::heartbeat;
 use crate::sweep::{partition_weighted, run_sweep_weighted, SweepPanic, SweepTask};
 
 /// The argv an envelope carries: every flag that shapes *what* runs or
@@ -696,7 +697,7 @@ pub(crate) fn run_shard(spec: &ArgSpec, args: &BenchArgs, plan: &[Run]) {
         .filter(|(i, _)| assignment[*i] == mine)
         .collect();
 
-    sam_obs::heartbeat::shard_context(
+    heartbeat::shard_context(
         u64::from(shard.index),
         u64::from(shard.shards),
         weights.iter().sum(),

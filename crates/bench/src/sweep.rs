@@ -20,6 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::heartbeat;
+
 /// The number of workers used when `--jobs` is not given: the machine's
 /// available parallelism (1 if that cannot be determined).
 pub fn default_jobs() -> usize {
@@ -108,7 +110,7 @@ pub fn run_sweep_weighted<T: Send>(
     order.sort_by_key(|&i| std::cmp::Reverse(tasks[i].0));
     let (weights, tasks): (Vec<u64>, Vec<SweepTask<'_, T>>) = tasks.into_iter().unzip();
     let n = tasks.len();
-    sam_obs::heartbeat::sweep_add(n as u64, weights.iter().sum());
+    heartbeat::sweep_add(n as u64, weights.iter().sum());
     let workers = jobs.max(1).min(n.max(1));
     // Each task sits in its own slot so a worker can take it without
     // holding any lock while it runs; each result lands at the same index.
@@ -132,15 +134,13 @@ pub fn run_sweep_weighted<T: Send>(
                     .take()
                     .expect("each task is taken exactly once");
                 let label = task.label;
-                let outcome = {
-                    let _p = sam_obs::profile::phase("run");
+                let outcome =
                     catch_unwind(AssertUnwindSafe(task.run)).map_err(|payload| SweepPanic {
                         index: i,
                         label,
                         message: panic_message(payload),
-                    })
-                };
-                sam_obs::heartbeat::task_done(weights[i]);
+                    });
+                heartbeat::task_done(weights[i]);
                 *results[i].lock().expect("result slot poisoned") = Some(outcome);
             });
         }

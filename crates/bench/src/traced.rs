@@ -95,7 +95,7 @@ mod tests {
     use sam_imdb::query::Query;
     use sam_stress::stream::StressConfig;
     use sam_stress::{Pattern, PatternParams};
-    use sam_trace::{chrome_trace, lint_chrome_trace};
+    use sam_trace::{chrome_trace, lint_chrome_trace, EpochCounters};
     use sam_util::json::Json;
 
     fn query_job(design: sam::design::Design, store: Store) -> Job {
@@ -117,6 +117,37 @@ mod tests {
         assert!(!trace.events.is_empty());
         assert!(!trace.epochs.is_empty());
         assert_eq!(trace.label, "Q4/SAM-en/Row");
+        // The full system's epoch rows telescope to the run's own stats,
+        // as the bare controller's do (memctrl's `epoch_stats` tests).
+        let mut sum = EpochCounters::default();
+        for row in &trace.epochs {
+            sum.accumulate(&row.delta);
+        }
+        let Outcome::Query(q) = &plain else {
+            panic!("a query job yields a query outcome")
+        };
+        let (c, d) = (&q.result.ctrl, &q.result.device);
+        assert!(sum.reads > 0 && sum.acts > 0, "the run recorded no work");
+        assert_eq!(
+            [
+                sum.reads,
+                sum.writes,
+                sum.starved,
+                sum.refreshes,
+                sum.acts,
+                sum.pres,
+                sum.mode_switches
+            ],
+            [
+                c.reads_done,
+                c.writes_done,
+                c.starvation_forced,
+                c.refreshes,
+                d.acts,
+                d.pres,
+                d.mode_switches
+            ]
+        );
     }
 
     /// Stress cells record through the same entry point: the bare

@@ -1,23 +1,27 @@
 //! One table-driven gate over the whole experiment registry.
 //!
 //! For every registered experiment, at the smallest scale that still plans
-//! every run: stdout and the metrics JSON are byte-identical at `--jobs 1`
-//! and `--jobs 3`, and a 2-shard split at mixed `--jobs` merged with
-//! `sam-check merge-shards` reproduces the local run byte for byte. A
-//! second test pins each experiment's accepted flags to the per-binary
-//! table the registry replaced, so moving a binary into the registry can
-//! neither widen nor narrow its command line.
+//! every run: stdout and the metrics JSON match the committed goldens
+//! under `tests/golden/smallest/` (stdout as `<name>.out`, the JSON as a
+//! size and [`FxHasher`] line in `json.digest`), they are byte-identical
+//! at `--jobs 1` and `--jobs 3`, and a 2-shard split at mixed `--jobs`
+//! merged with `sam-check merge-shards` reproduces the local run byte for
+//! byte. A second test pins each experiment's accepted flags to the
+//! per-binary table the registry replaced, so moving a binary into the
+//! registry can neither widen nor narrow its command line.
 
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use sam_bench::bins::EXPERIMENTS;
 use sam_bench::cli::ArgSpec;
 use sam_bench::experiment::Experiment;
+use sam_util::fxhash::FxHasher;
 
 /// The per-binary flag table as it stood before the registry, verbatim
-/// but for `--profile`, `--heartbeat` and `--shard`, which every binary
-/// accepted and which are now shared flags.
+/// but for `--heartbeat` and `--shard`, which every binary accepted and
+/// which are now shared flags.
 fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
     const FIG_FLAGS: &[&str] = &["--debug-cores", "--per-core"];
     Some(match bin {
@@ -111,6 +115,57 @@ fn run_ok(exe: &Path, args: &[&str]) -> Output {
     out
 }
 
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/smallest")
+}
+
+/// A `json.digest` line: the name, the document's size and its
+/// [`FxHasher`] digest in hex.
+fn digest_line(name: &str, json: &[u8]) -> String {
+    let mut h = FxHasher::default();
+    h.write(json);
+    format!("{name} {} {:016x}", json.len(), h.finish())
+}
+
+/// The command that rewrites `name`'s golden stdout at the `--jobs 1`
+/// command line this test runs.
+fn regenerate(name: &str) -> String {
+    let out = format!("/tmp/{name}.json");
+    let mut args = smallest(name);
+    args.extend(["--jobs", "1", "--out", &out]);
+    format!(
+        "cargo run --release -q -p sam-bench --bin {name} -- {} > tests/golden/smallest/{name}.out",
+        args.join(" ")
+    )
+}
+
+/// Compares one experiment's `--jobs 1` outputs against its goldens and
+/// returns a message per mismatch.
+fn golden_mismatches(name: &str, stdout: &[u8], json: &[u8], digests: &str) -> Vec<String> {
+    let mut bad = Vec::new();
+    let path = golden_dir().join(format!("{name}.out"));
+    if std::fs::read(&path).ok().as_deref() != Some(stdout) {
+        bad.push(format!(
+            "{name}: stdout differs from {}; if the change is intended, regenerate with\n  {}",
+            path.display(),
+            regenerate(name)
+        ));
+    }
+    let want = digest_line(name, json);
+    let have = digests
+        .lines()
+        .find(|line| line.split(' ').next() == Some(name));
+    if have != Some(want.as_str()) {
+        bad.push(format!(
+            "{name}: metrics JSON digest is `{want}`, json.digest has `{}`; if the change is \
+             intended, run\n  {}\nand put the new line in tests/golden/smallest/json.digest",
+            have.unwrap_or("nothing"),
+            regenerate(name)
+        ));
+    }
+    bad
+}
+
 /// Runs `name` locally and returns (stdout, metrics JSON).
 fn local(name: &str, dir: &Path, jobs: &str) -> (Vec<u8>, Vec<u8>) {
     let out = dir.join(format!("{name}.json"));
@@ -132,9 +187,21 @@ fn every_experiment_is_jobs_and_shard_merge_identical() {
     let start = std::time::Instant::now();
     let dir = std::env::temp_dir().join(format!("sam-registry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let digests =
+        std::fs::read_to_string(golden_dir().join("json.digest")).expect("read json.digest");
+    let mut names: Vec<&str> = digests
+        .lines()
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    names.sort_unstable();
+    let mut registered: Vec<&str> = EXPERIMENTS.iter().map(Experiment::name).collect();
+    registered.sort_unstable();
+    assert_eq!(names, registered, "json.digest lists each experiment once");
+    let mut drift = Vec::new();
     for exp in EXPERIMENTS {
         let name = exp.name();
         let (stdout, json) = local(name, &dir, "1");
+        drift.extend(golden_mismatches(name, &stdout, &json, &digests));
         let (stdout3, json3) = local(name, &dir, "3");
         assert!(
             stdout == stdout3,
@@ -166,6 +233,7 @@ fn every_experiment_is_jobs_and_shard_merge_identical() {
         assert!(merged_json == json, "{name}: merged JSON drifted");
     }
     std::fs::remove_dir_all(&dir).ok();
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
     eprintln!(
         "registry identity: {} experiments in {:.1} s",
         EXPERIMENTS.len(),

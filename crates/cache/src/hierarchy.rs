@@ -10,7 +10,6 @@
 
 use crate::sector::{split_sector, SectorState};
 use crate::set_assoc::{CacheStats, Probe, SetAssocCache};
-use sam_obs::profile::phase;
 
 pub use crate::set_assoc::Victim as Writeback;
 
@@ -197,11 +196,6 @@ impl Hierarchy {
     /// from memory and then calls [`Self::fill_line`] or
     /// [`Self::fill_sector`]; a subsequent access will hit.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
-        let _p = phase("cache");
-        self.access_inner(addr, kind)
-    }
-
-    fn access_inner(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         let (line, sector) = split_sector(addr);
         let write = kind == AccessKind::Write;
         let mut sector_miss = false;

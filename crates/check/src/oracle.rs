@@ -216,7 +216,6 @@ impl ProtocolOracle {
 
 impl CommandObserver for ProtocolOracle {
     fn on_command(&mut self, cmd: &Command, at: Cycle) {
-        let _p = sam_obs::profile::phase("oracle");
         self.record(cmd, at);
     }
 }

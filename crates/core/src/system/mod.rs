@@ -645,7 +645,6 @@ impl<'t> Engine<'t> {
             }
         }
         // Final dirty data leaves the LLC.
-        let _p = sam_obs::profile::phase("drain");
         let wbs = self.hierarchy.flush_dirty();
         let when = self.last_finish;
         for wb in wbs {

@@ -13,7 +13,6 @@ impl Controller {
     /// the whole-queue scan ([`sched::select_reference`]) over the same
     /// queue in enqueue order instead.
     fn select(&self, write_queue: bool, now: Cycle) -> Option<sched::Pick> {
-        let _p = phase("sched-select");
         let queue = if write_queue {
             &self.writeq
         } else {
@@ -40,7 +39,6 @@ impl Controller {
 
     /// Executes the full command sequence for `p`, returning its completion.
     fn execute(&mut self, p: Pending) -> Completion {
-        let _p = phase("dram");
         self.service_refresh(self.clock.max(p.arrival));
         // Every command issued below (MRS/PRE/ACT plus the column access)
         // serves this request; stamp its origin for the observer fan-out.

@@ -26,7 +26,6 @@ use crate::mapping::{AddressMapper, Location};
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 use crate::sched;
 use crate::wake::TimeWheel;
-use sam_obs::profile::phase;
 use sam_trace::event::track;
 use sam_trace::{Category, EpochCounters, SharedEpochs, SinkSlot, TraceEvent};
 use sam_util::hist::Histogram;

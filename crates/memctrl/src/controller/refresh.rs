@@ -9,7 +9,6 @@ impl Controller {
         if !self.cfg.refresh_enabled {
             return;
         }
-        let _p = phase("refresh");
         let refi = self.cfg.device.timing.refi;
         let rfc = self.cfg.device.timing.rfc;
         // Refresh is rank-level background work with no owning request.
