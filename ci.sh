@@ -59,9 +59,30 @@ cargo run --release -p sam-bench --bin sam-check -- selftest
 
 echo "==> sam-check record/replay smoke"
 trace="$(mktemp /tmp/sam-check.XXXXXX.trace)"
-trap 'rm -f "$trace"' EXIT
+forged="$(mktemp /tmp/sam-check.XXXXXX.forged.trace)"
+trap 'rm -f "$trace" "$forged"' EXIT
 cargo run --release -p sam-bench --bin sam-check -- record "$trace"
 cargo run --release -p sam-bench --bin sam-check -- replay "$trace"
+# Forged geometries in the recorded header must be rejected as malformed
+# input (exit 2, naming the bad field), never crash the oracle with an
+# overflow or a huge allocation.
+for field in ranks bank_groups; do
+  case "$field" in
+    ranks) geometry="ranks=18446744073709551615 bank_groups=4 banks_per_group=4" ;;
+    bank_groups) geometry="ranks=2 bank_groups=4294967296 banks_per_group=4294967296" ;;
+  esac
+  { head -n 3 "$trace" \
+      | sed -E "s/^geometry ranks=[0-9]+ bank_groups=[0-9]+ banks_per_group=[0-9]+/geometry $geometry/"
+    echo "0 ACT 0 0 0 1"; } > "$forged"
+  grep -q "^geometry $geometry " "$forged" || { echo "forged $field trace not written"; exit 1; }
+  code=0
+  err="$(target/release/sam-check replay "$forged" 2>&1 >/dev/null)" || code=$?
+  [ "$code" -eq 2 ] || { echo "forged $field trace: exit $code, want 2"; exit 1; }
+  case "$err" in
+    *"$field"*) ;;
+    *) echo "forged $field trace: message does not name $field: $err"; exit 1 ;;
+  esac
+done
 
 echo "==> fig12 parallel checked smoke + golden stdout + JSON lint"
 # Golden scale: exercises the sweep workers, the oracle under --jobs, and

@@ -52,9 +52,6 @@ impl CheckReport {
     }
 }
 
-/// Cache touches between invariant probes.
-const PROBE_PERIOD: u64 = 4096;
-
 /// Runs `job` with the protocol oracle(s) and the cache invariant probe
 /// attached.
 ///
@@ -86,7 +83,6 @@ pub fn run_checked(job: &Job) -> (Outcome, CheckReport) {
             observer: Some(front.clone()),
             backing_observer: back.clone().map(|b| -> SharedObserver { b }),
             cache_probe: Some(&mut probe),
-            cache_probe_period: PROBE_PERIOD,
             ..Default::default()
         })
     };

@@ -136,12 +136,6 @@ impl RunMetrics {
         }
     }
 
-    /// Sets the check-violation count (builder-style, for checked runs).
-    pub fn with_violations(mut self, violations: u64) -> Self {
-        self.check_violations = violations;
-        self
-    }
-
     pub(crate) fn to_json(&self, per_core: bool) -> Json {
         let mut pairs = vec![
             ("query", Json::str(&self.query)),

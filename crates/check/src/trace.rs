@@ -24,7 +24,7 @@ use sam_dram::observe::CommandObserver;
 use sam_dram::timing::{Substrate, TimingParams};
 use sam_dram::Cycle;
 
-use crate::oracle::{replay, OracleConfig, ProtocolOracle};
+use crate::oracle::{replay, OracleConfig};
 use crate::Violation;
 
 /// Records a command stream (plus its configuration) for later replay.
@@ -51,15 +51,6 @@ impl TraceRecorder {
     /// Serializes the trace to the text format.
     pub fn to_text(&self) -> String {
         format_trace(&self.cfg, &self.log)
-    }
-
-    /// Converts the recording into an oracle loaded with the same stream.
-    pub fn into_oracle(self) -> ProtocolOracle {
-        let mut oracle = ProtocolOracle::new(self.cfg);
-        for (cmd, at) in &self.log {
-            oracle.record(cmd, *at);
-        }
-        oracle
     }
 }
 
@@ -198,11 +189,28 @@ fn req_num<T: std::str::FromStr>(
         .map_err(|_| format!("bad value for {key}"))
 }
 
+/// Largest bank count (`ranks × bank_groups × banks_per_group`) a trace
+/// may declare: the oracle allocates per-bank state up front, so a forged
+/// geometry must not size that allocation.
+const MAX_TRACE_BANKS: usize = 1 << 12;
+
+/// Largest command cycle or timing value a trace may carry (2^48, about
+/// 65 hours at 1.2 GHz): the oracle adds a few of them together, and
+/// every such sum must stay far below `u64::MAX`.
+const MAX_TRACE_CYCLE: Cycle = 1 << 48;
+
 /// Parses a trace back into its configuration and command stream.
+///
+/// A trace is external input, so every declared quantity is bounded:
+/// the geometry's five counts must be nonzero and the bank count
+/// `ranks × bank_groups × banks_per_group` at most 4096; command cycles
+/// and timing values must be at most 2^48 (`refi=none` spells "no
+/// refresh"); narrow lanes must be below 4.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
+/// Returns a description of the first malformed line or out-of-range
+/// field.
 pub fn parse_trace(text: &str) -> Result<(OracleConfig, Vec<(Command, Cycle)>), String> {
     let mut geometry: Option<std::collections::BTreeMap<String, String>> = None;
     let mut timing: Option<std::collections::BTreeMap<String, String>> = None;
@@ -231,6 +239,9 @@ pub fn parse_trace(text: &str) -> Result<(OracleConfig, Vec<(Command, Cycle)>), 
                 let at: Cycle = first
                     .parse()
                     .map_err(|_| err(format!("bad cycle {first}")))?;
+                if at > MAX_TRACE_CYCLE {
+                    return Err(err(format!("cycle {at} exceeds {MAX_TRACE_CYCLE}")));
+                }
                 let rest: Vec<&str> = tokens.collect();
                 let cmd = parse_command(&rest).map_err(err)?;
                 cmds.push((cmd, at));
@@ -270,12 +281,12 @@ pub fn parse_trace(text: &str) -> Result<(OracleConfig, Vec<(Command, Cycle)>), 
         ("rfc", &mut t.rfc),
     ] {
         if let Some(v) = timing_kv.get(key) {
-            *field = v.parse().map_err(|_| format!("bad value for {key}"))?;
+            *field = timing_value(key, v)?;
         }
     }
     t.refi = match timing_kv.get("refi").map(String::as_str) {
         Some("none") => u64::MAX,
-        Some(v) => v.parse().map_err(|_| "bad value for refi".to_string())?,
+        Some(v) => timing_value("refi", v)?,
         None => t.refi,
     };
     let check_refresh = match geometry.get("refresh").map(String::as_str) {
@@ -283,16 +294,54 @@ pub fn parse_trace(text: &str) -> Result<(OracleConfig, Vec<(Command, Cycle)>), 
         Some("off") => false,
         Some(other) => return Err(format!("bad refresh flag {other}")),
     };
+    let count = |key: &str| -> Result<usize, String> {
+        let n: usize = req_num(&geometry, key)?;
+        if n == 0 || n > MAX_TRACE_BANKS {
+            return Err(format!(
+                "geometry {key}={n} is out of range 1..={MAX_TRACE_BANKS}"
+            ));
+        }
+        Ok(n)
+    };
+    let (ranks, bank_groups, banks_per_group) = (
+        count("ranks")?,
+        count("bank_groups")?,
+        count("banks_per_group")?,
+    );
+    let banks = ranks
+        .checked_mul(bank_groups)
+        .and_then(|n| n.checked_mul(banks_per_group));
+    if banks.is_none_or(|n| n > MAX_TRACE_BANKS) {
+        return Err(format!(
+            "geometry ranks × bank_groups × banks_per_group = \
+             {ranks} × {bank_groups} × {banks_per_group} exceeds {MAX_TRACE_BANKS} banks"
+        ));
+    }
+    let nonzero = |key: &str| -> Result<u64, String> {
+        match req_num(&geometry, key)? {
+            0 => Err(format!("geometry {key}=0 is out of range")),
+            n => Ok(n),
+        }
+    };
     let cfg = OracleConfig {
         timing: t,
-        ranks: req_num(&geometry, "ranks")?,
-        bank_groups: req_num(&geometry, "bank_groups")?,
-        banks_per_group: req_num(&geometry, "banks_per_group")?,
-        rows_per_bank: req_num(&geometry, "rows_per_bank")?,
-        cols_per_row: req_num(&geometry, "cols_per_row")?,
+        ranks,
+        bank_groups,
+        banks_per_group,
+        rows_per_bank: nonzero("rows_per_bank")?,
+        cols_per_row: nonzero("cols_per_row")?,
         check_refresh,
     };
     Ok((cfg, cmds))
+}
+
+/// Parses one timing field, bounded by [`MAX_TRACE_CYCLE`].
+fn timing_value(key: &str, v: &str) -> Result<u64, String> {
+    match v.parse::<u64>() {
+        Ok(n) if n <= MAX_TRACE_CYCLE => Ok(n),
+        Ok(n) => Err(format!("timing {key}={n} exceeds {MAX_TRACE_CYCLE}")),
+        Err(_) => Err(format!("bad value for {key}")),
+    }
 }
 
 fn parse_command(tokens: &[&str]) -> Result<Command, String> {
@@ -303,6 +352,10 @@ fn parse_command(tokens: &[&str]) -> Result<Command, String> {
             .ok_or_else(|| format!("{mn}: missing operand {i}"))?
             .parse::<u64>()
             .map_err(|_| format!("{mn}: bad operand {i}"))
+    };
+    let lane = || match num(6)? {
+        l @ 0..=3 => Ok(l as u8),
+        l => Err(format!("{mn}: lane {l} is out of range 0..=3")),
     };
     match mn {
         "ACT" => Ok(Command::act(
@@ -338,12 +391,12 @@ fn parse_command(tokens: &[&str]) -> Result<Command, String> {
             let kind = if write {
                 CmdKind::Wr {
                     stride,
-                    narrow: narrow.then(|| num(6).map(|l| l as u8)).transpose()?,
+                    narrow: narrow.then(lane).transpose()?,
                 }
             } else {
                 CmdKind::Rd {
                     stride,
-                    narrow: narrow.then(|| num(6).map(|l| l as u8)).transpose()?,
+                    narrow: narrow.then(lane).transpose()?,
                 }
             };
             Ok(Command {

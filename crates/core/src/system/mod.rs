@@ -240,6 +240,10 @@ impl RunResult {
     }
 }
 
+/// Cache touches between calls of an attached
+/// [`Instrumentation::cache_probe`].
+const CACHE_PROBE_PERIOD: u64 = 4096;
+
 /// Hooks for the external verification layer (the `sam-check` crate).
 ///
 /// A default-constructed value is fully inert; [`System::run`] uses one
@@ -253,12 +257,9 @@ pub struct Instrumentation<'a> {
     /// ([`SystemConfig::hybrid`]); ignored on flat hierarchies, which
     /// have no backing device.
     pub backing_observer: Option<sam_dram::observe::SharedObserver>,
-    /// Called with the cache hierarchy every `cache_probe_period` touches
-    /// (and once at the end of the run), e.g. to check model invariants.
+    /// Called with the cache hierarchy every 4096 touches (and once at
+    /// the end of the run), e.g. to check model invariants.
     pub cache_probe: Option<&'a mut (dyn FnMut(&Hierarchy) + 'a)>,
-    /// Touch interval between `cache_probe` calls; 0 disables the periodic
-    /// calls (the final end-of-run call still happens if a probe is set).
-    pub cache_probe_period: u64,
     /// Trace sink receiving controller, cache, and (via the device command
     /// observer) per-bank DRAM events.
     /// Purely observational — attaching one never changes the simulation.
@@ -274,7 +275,6 @@ impl std::fmt::Debug for Instrumentation<'_> {
             .field("observer", &self.observer.is_some())
             .field("backing_observer", &self.backing_observer.is_some())
             .field("cache_probe", &self.cache_probe.is_some())
-            .field("cache_probe_period", &self.cache_probe_period)
             .field("trace", &self.trace.is_some())
             .field("epochs", &self.epochs.is_some())
             .finish()
@@ -373,7 +373,6 @@ impl System {
             Some(p) => Some(&mut **p),
             None => None,
         };
-        engine.probe_period = instr.cache_probe_period;
         engine.run()
     }
 }
@@ -421,7 +420,6 @@ struct Engine<'t> {
     last_finish: Cycle,
     /// Invariant probe over the cache hierarchy (verification layer).
     probe: Option<&'t mut (dyn FnMut(&Hierarchy) + 't)>,
-    probe_period: u64,
     probe_ticks: u64,
     /// Epoch recorder shared with the controller; the engine contributes
     /// the MLP gauge (outstanding misses across cores).
@@ -495,7 +493,6 @@ impl<'t> Engine<'t> {
             writeback_bursts: 0,
             last_finish: 0,
             probe: None,
-            probe_period: 0,
             probe_ticks: 0,
             epochs: None,
             runnable: WakeSet::all_awake(traces.len()),
@@ -540,12 +537,9 @@ impl<'t> Engine<'t> {
 
     /// Runs the periodic cache-invariant probe if one is attached.
     fn probe_tick(&mut self) {
-        if self.probe_period == 0 {
-            return;
-        }
-        self.probe_ticks += 1;
-        if self.probe_ticks.is_multiple_of(self.probe_period) {
-            if let Some(p) = &mut self.probe {
+        if let Some(p) = &mut self.probe {
+            self.probe_ticks += 1;
+            if self.probe_ticks.is_multiple_of(CACHE_PROBE_PERIOD) {
                 p(&self.hierarchy);
             }
         }
@@ -633,8 +627,9 @@ impl<'t> Engine<'t> {
                             }
                             panic!(
                                 "cores stalled with empty queues: simulator deadlock \
-                                 (next controller wake {:?})",
-                                self.ctrl.next_wake(now)
+                                 (controller clock {}, queued {})",
+                                self.ctrl.clock(),
+                                self.ctrl.queued()
                             );
                         }
                     }

@@ -153,20 +153,6 @@ impl BankState {
         }
     }
 
-    /// Wake publisher for the event-driven simulation core (DESIGN.md
-    /// §13): the earliest strictly-future cycle at which one of this
-    /// bank's timing gates (`next_act`/`next_pre`/`next_col`) opens —
-    /// i.e. the next moment an [`Self::earliest_column_for_row`] answer
-    /// about this bank can change without a new command being issued.
-    /// `None` when every gate is already open at `now` (an idle bank
-    /// never needs to wake anyone).
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        [self.next_act, self.next_pre, self.next_col]
-            .into_iter()
-            .filter(|&c| c > now)
-            .min()
-    }
-
     /// Applies a refresh occupying the bank until `at + rfc`.
     pub fn refresh(&mut self, at: Cycle, t: &TimingParams) {
         self.open_row = None;
@@ -317,20 +303,5 @@ mod tests {
         assert_eq!(b.next_col(), 50);
         b.delay_col_until(20);
         assert_eq!(b.next_col(), 50, "never shrinks");
-    }
-
-    #[test]
-    fn next_wake_reports_earliest_future_gate_only() {
-        let t = t();
-        let idle = BankState::new();
-        assert_eq!(idle.next_wake(0), None, "idle bank publishes no wake");
-        let mut b = BankState::new();
-        b.activate(7, 0, &t).unwrap();
-        // tRCD (column gate) opens first, then tRAS, then tRC.
-        assert_eq!(b.next_wake(0), Some(t.rcd));
-        // Gates already open at `now` are not wakes.
-        assert_eq!(b.next_wake(t.rcd), Some(t.ras));
-        assert_eq!(b.next_wake(t.ras), Some(t.rc));
-        assert_eq!(b.next_wake(t.rc), None);
     }
 }

@@ -347,20 +347,6 @@ impl MemoryDevice {
     pub fn is_row_hit(&self, rank: usize, bank_group: usize, bank: usize, row: u64) -> bool {
         self.open_row(rank, bank_group, bank) == Some(row)
     }
-
-    /// Device-level wake publisher (DESIGN.md §13): folds every bank's
-    /// [`crate::bank::BankState::next_wake`] into the earliest
-    /// strictly-future cycle at which any bank's timing state unlocks.
-    /// Bank timing is dense — nearly every command moves some gate — so
-    /// rather than pushing an entry into the controller's time wheel per
-    /// command, the wheel's consumer folds this minimum in at query time.
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        self.banks
-            .iter()
-            .flatten()
-            .filter_map(|b| b.next_wake(now))
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -389,19 +375,6 @@ mod tests {
         assert_eq!(d.stats().acts, 1);
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().pres, 1);
-    }
-
-    #[test]
-    fn device_next_wake_folds_bank_minima() {
-        let mut d = dev();
-        let t = d.config().timing;
-        assert_eq!(d.next_wake(0), None, "idle device publishes no wake");
-        d.issue(&Command::act(0, 1, 2, 99), 0).unwrap();
-        d.issue(&Command::act(1, 0, 0, 7), 5).unwrap();
-        // The earliest gate across all touched banks: the first ACT's tRCD.
-        assert_eq!(d.next_wake(0), Some(t.rcd));
-        // Once that passes, the second bank's column gate is next.
-        assert_eq!(d.next_wake(t.rcd), Some(5 + t.rcd));
     }
 
     #[test]

@@ -25,7 +25,6 @@ use sam_dram::Cycle;
 use crate::mapping::{AddressMapper, Location};
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 use crate::sched;
-use crate::wake::TimeWheel;
 use sam_trace::event::track;
 use sam_trace::{Category, EpochCounters, SharedEpochs, SinkSlot, TraceEvent};
 use sam_util::hist::Histogram;
@@ -262,31 +261,6 @@ impl Pending {
     }
 }
 
-/// What a stored controller wake entry is for (DESIGN.md §13).
-///
-/// Only *sparse, self-re-arming* time-based publishers store entries in
-/// the controller's [`TimeWheel`]: today that is rank refresh, whose
-/// entry is re-armed one tREFI ahead at every issue. The other wake
-/// publishers the event-driven core relies on are folded in at query
-/// time by [`Controller::next_wake`] instead of being stored:
-///
-/// * **queued arrivals** and **bank timing gates** change on nearly
-///   every command, so storing each change would cost a heap operation
-///   per command for entries that are almost always superseded before
-///   they fire — the fold recomputes the two minima on demand;
-/// * the **write-drain hysteresis latch** is queue-depth-driven, not
-///   time-driven: it can only flip at an enqueue or a completion, both
-///   of which already re-enter the scheduler, so its wake is delivered
-///   synchronously and it has no future cycle to publish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WakeSource {
-    /// Rank `rank`'s next refresh falls due at the entry's cycle.
-    Refresh {
-        /// The rank whose tREFI deadline this entry tracks.
-        rank: usize,
-    },
-}
-
 /// The memory controller: queues, FR-FCFS scheduler, refresh state, and the
 /// owned [`MemoryDevice`].
 #[derive(Debug, Clone)]
@@ -306,8 +280,6 @@ pub struct Controller {
     write_latency_hist: Histogram,
     trace: SinkSlot,
     epochs: Option<SharedEpochs>,
-    /// Stored wake entries (rank refresh deadlines; see [`WakeSource`]).
-    wheel: TimeWheel<WakeSource>,
 }
 
 impl Controller {
@@ -325,14 +297,6 @@ impl Controller {
                 }
             })
             .collect();
-        // Seed the wheel with each rank's first refresh deadline; every
-        // issue in `service_refresh` re-arms its rank one tREFI ahead.
-        let mut wheel = TimeWheel::new();
-        for (rank, &due) in next_refresh.iter().enumerate() {
-            if due != u64::MAX {
-                wheel.push(due, WakeSource::Refresh { rank });
-            }
-        }
         Self {
             cfg,
             device,
@@ -349,7 +313,6 @@ impl Controller {
             write_latency_hist: Histogram::new(),
             trace: SinkSlot::default(),
             epochs: None,
-            wheel,
         }
     }
 
@@ -965,26 +928,50 @@ mod tests {
         );
     }
 
+    /// `advance_to` issues REFs in deadline order, interleaving the
+    /// ranks' staggered tREFI ladders, and lands every one on the cycle
+    /// the lazy catch-up inside `execute` would have used.
     #[test]
-    fn next_wake_folds_refresh_arrivals_and_banks() {
-        let t = t();
-        let mut c = ctrl();
-        let first_refresh = t.refi; // rank 0's first deadline
-        assert_eq!(c.next_wake(0), Some(first_refresh));
-        // A queued future arrival earlier than the refresh wins the fold.
-        c.enqueue(MemRequest::read(1, 0), 500).unwrap();
-        assert_eq!(c.next_wake(0), Some(500));
-        // Arrivals at or before `now` are actionable, not wakes.
-        assert_eq!(c.next_wake(500), Some(first_refresh));
-        // After serving, the touched bank's earliest gate is the next
-        // wake (its tRTP/tRAS window closes before the first refresh).
-        let done = c.drain(500);
-        let bank_wake = c.next_wake(500).expect("bank gates are closed");
+    fn advance_to_issues_refreshes_in_deadline_order() {
+        use std::sync::{Arc, Mutex};
+        let refs = |c: Controller, ring: Arc<Mutex<sam_trace::RingRecorder>>| {
+            drop(c);
+            Arc::try_unwrap(ring)
+                .expect("sole owner")
+                .into_inner()
+                .unwrap()
+                .into_events()
+                .0
+                .into_iter()
+                .filter(|e| e.name == "REF")
+                .map(|e| (e.at, e.arg))
+                .collect::<Vec<(Cycle, u64)>>()
+        };
+        let target = 5 * t().refi + 77;
+
+        let mut walked = ctrl();
+        assert_eq!(walked.config().device.ranks, 2);
+        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 12)));
+        walked.attach_trace(ring.clone());
+        walked.advance_to(target);
+        let walked = refs(walked, ring);
         assert!(
-            bank_wake > 500 && bank_wake < first_refresh,
-            "bank wake {bank_wake} should precede refresh {first_refresh}"
+            walked.windows(2).all(|w| w[0].0 <= w[1].0),
+            "REFs must issue in non-decreasing cycle order: {walked:?}"
         );
-        assert_eq!(done.len(), 1);
+        // Rank 0 falls due at k·tREFI (k = 1..=5), rank 1 half a tREFI
+        // later (k = 1..=4 inside the target): the ladders alternate.
+        let ranks: Vec<u64> = walked.iter().map(|&(_, r)| r).collect();
+        assert_eq!(ranks, [0, 1, 0, 1, 0, 1, 0, 1, 0], "{walked:?}");
+
+        let mut lazy = ctrl();
+        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 12)));
+        lazy.attach_trace(ring.clone());
+        lazy.enqueue(MemRequest::read(1, 0x40), target).unwrap();
+        assert_eq!(lazy.drain(target).len(), 1);
+        let mut lazy = refs(lazy, ring);
+        lazy.sort_unstable();
+        assert_eq!(walked, lazy, "same REF cycles as the lazy catch-up");
     }
 
     #[test]
@@ -992,8 +979,7 @@ mod tests {
         let cfg = ControllerConfig::with_device(DeviceConfig::rram_server());
         assert!(!cfg.refresh_enabled);
         let mut c = Controller::new(cfg);
-        assert_eq!(c.next_wake(0), None, "idle RRAM publishes nothing");
-        c.advance_to(1_000_000_000);
+        c.advance_to(u64::MAX);
         assert_eq!(c.stats().refreshes, 0);
     }
 

@@ -4,16 +4,6 @@
 use super::*;
 
 impl Controller {
-    /// Current read-queue occupancy.
-    pub fn read_queue_len(&self) -> usize {
-        self.readq.len()
-    }
-
-    /// Current write-queue occupancy.
-    pub fn write_queue_len(&self) -> usize {
-        self.writeq.len()
-    }
-
     /// Whether the write-drain hysteresis latch is currently set (writes
     /// being served in preference to reads).
     pub fn draining_writes(&self) -> bool {

@@ -644,14 +644,6 @@ impl MemLevel for DramCacheController {
         self.front.queued() + self.back.queued() + self.backlog.len()
     }
 
-    fn next_wake(&mut self, now: Cycle) -> Option<Cycle> {
-        self.pump();
-        match (self.front.next_wake(now), self.back.next_wake(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     fn advance_to(&mut self, target: Cycle) {
         self.front.advance_to(target);
         self.back.advance_to(target);

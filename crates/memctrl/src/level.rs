@@ -1,22 +1,25 @@
 //! The composable memory-level interface (DESIGN.md §16).
 //!
 //! A [`MemLevel`] is one stage of a memory hierarchy as seen from above:
-//! it admits tagged requests, delivers completions, exposes the
-//! event-driven wake surface (`next_wake`/`advance_to`, DESIGN.md §13),
-//! and passes observability attachments through to whatever devices it
-//! drives. The flat FR-FCFS [`Controller`] is the base implementation;
-//! composite topologies (the DRAM-cache front end in [`crate::hybrid`])
-//! implement the same trait by delegating to inner levels, so the system
-//! engine drives every topology through one surface.
+//! it admits tagged requests, delivers completions, exposes the idle
+//! jump (`advance_to`, DESIGN.md §13), and passes observability
+//! attachments through to whatever devices it drives. The flat FR-FCFS
+//! [`Controller`] is the base implementation; composite topologies (the
+//! DRAM-cache front end in [`crate::hybrid`]) implement the same trait
+//! by delegating to inner levels, so the system engine drives every
+//! topology through one surface.
 //!
-//! ## Wake contract
+//! ## Idle-jump contract
 //!
-//! A level *stores* only sparse, self-re-arming deadlines (rank refresh)
-//! and *folds* everything dense — queued arrivals, bank ready times,
-//! inner levels' wakes — at `next_wake` query time. Composite levels
-//! store nothing themselves: they fold the minima of their inner levels,
-//! so a stack of levels still answers `next_wake` in one pass and
-//! spurious wakes stay possible while missed wakes stay impossible.
+//! The engine is decision-driven: it calls `schedule_one`, and each
+//! controller catches up due refreshes lazily before serving a request.
+//! The only time-based work a level owns is rank refresh, tracked once
+//! per rank in the controller's `next_refresh` deadline. `advance_to`
+//! walks those deadlines in order up to a target cycle, servicing each
+//! at its original due cycle; composite levels forward it to every
+//! inner level and keep no deadlines of their own. Skipping
+//! `advance_to` changes only *when* refreshes are issued, never which
+//! commands are issued or at what cycles.
 //!
 //! ## Observability contract
 //!
@@ -61,11 +64,6 @@ pub trait MemLevel: Send {
     /// Number of admitted-but-unfinished requests (including any a
     /// composite level holds internally).
     fn queued(&self) -> usize;
-
-    /// The earliest future cycle at which this level could make progress,
-    /// folding stored deadlines, queued arrivals, device timing, and any
-    /// inner levels' wakes. `None` means fully idle.
-    fn next_wake(&mut self, now: Cycle) -> Option<Cycle>;
 
     /// Jumps the level's notion of time to `target`, servicing stored
     /// deadlines (refresh) at their original due cycles on the way.
@@ -138,10 +136,6 @@ impl MemLevel for Controller {
 
     fn queued(&self) -> usize {
         Controller::queued(self)
-    }
-
-    fn next_wake(&mut self, now: Cycle) -> Option<Cycle> {
-        Controller::next_wake(self, now)
     }
 
     fn advance_to(&mut self, target: Cycle) {

@@ -1,107 +1,12 @@
-//! The next-event time wheel: the data structures the event-driven
-//! simulation core is built on (DESIGN.md §13).
+//! The engine's runnable-core set.
 //!
-//! Two tiers, matching the two kinds of "next interesting moment" the
-//! simulator has:
-//!
-//! * [`TimeWheel`] — a cycle-ordered min-heap of wake entries. Publishers
-//!   (rank refresh due-times, queue-head arrivals, bank ready-times) push
-//!   `(cycle, token)` pairs; the consumer pops the minimum and advances
-//!   simulated time *directly to it*, never ticking through the quiet gap.
-//!   Ties break on insertion order (a monotone sequence number), so the
-//!   pop order is a pure function of the push sequence — the determinism
-//!   contract everything else in this workspace relies on.
-//!
-//! * [`WakeSet`] — the degenerate "now" level of the wheel: a bitmask of
-//!   cores that can make progress in the current round. Core stepping is
-//!   the simulator's dominant cost, and almost every step of a stalled
-//!   core is a no-op retry; the wake set lets the engine skip a core in
-//!   O(1) until one of its wake conditions (MLP slot retired, covering
-//!   fill issued, blocked line installed, queue space freed) actually
-//!   fires.
-//!
-//! Both structures are policy-free bookkeeping: *who* publishes wakes and
-//! *what* a token means belongs to the caller.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use sam_dram::Cycle;
-
-/// A cycle-ordered wake queue with deterministic FIFO tie-breaking.
-///
-/// # Example
-///
-/// ```
-/// use sam_memctrl::wake::TimeWheel;
-///
-/// let mut wheel: TimeWheel<&str> = TimeWheel::new();
-/// wheel.push(40, "refresh");
-/// wheel.push(10, "arrival");
-/// wheel.push(40, "drain");
-/// assert_eq!(wheel.next_cycle(), Some(10));
-/// assert_eq!(wheel.pop(), Some((10, "arrival")));
-/// // Equal cycles pop in push order.
-/// assert_eq!(wheel.pop(), Some((40, "refresh")));
-/// assert_eq!(wheel.pop(), Some((40, "drain")));
-/// assert_eq!(wheel.pop(), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TimeWheel<T> {
-    heap: BinaryHeap<Reverse<(Cycle, u64, T)>>,
-    seq: u64,
-}
-
-impl<T: Ord> TimeWheel<T> {
-    /// An empty wheel.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Publishes a wake at `cycle` carrying `token`.
-    pub fn push(&mut self, cycle: Cycle, token: T) {
-        self.heap.push(Reverse((cycle, self.seq, token)));
-        self.seq += 1;
-    }
-
-    /// The earliest published wake cycle, if any.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse((c, _, _))| *c)
-    }
-
-    /// The earliest wake entry without removing it (FIFO among equal
-    /// cycles, same as [`Self::pop`]).
-    pub fn peek(&self) -> Option<(Cycle, &T)> {
-        self.heap.peek().map(|Reverse((c, _, t))| (*c, t))
-    }
-
-    /// Pops the earliest wake (FIFO among equal cycles).
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        self.heap.pop().map(|Reverse((c, _, t))| (c, t))
-    }
-
-    /// Pops the earliest wake only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.next_cycle()? <= now {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending wakes.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no wakes are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
+//! [`WakeSet`] is a bitmask of cores that can make progress in the
+//! current round. Core stepping is the simulator's dominant cost, and
+//! almost every step of a stalled core is a no-op retry; the wake set
+//! lets the engine skip a core in O(1) until one of its wake conditions
+//! (MLP slot retired, covering fill issued, blocked line installed,
+//! queue space freed) actually fires. It is policy-free bookkeeping:
+//! *who* wakes a core and *why* belongs to the caller.
 
 /// A fixed-width set of runnable entities (the engine's core wake mask).
 ///
@@ -155,51 +60,6 @@ impl WakeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wheel_orders_by_cycle_then_insertion() {
-        let mut w: TimeWheel<u32> = TimeWheel::new();
-        w.push(100, 1);
-        w.push(50, 2);
-        w.push(100, 3);
-        w.push(50, 4);
-        let order: Vec<(Cycle, u32)> = std::iter::from_fn(|| w.pop()).collect();
-        assert_eq!(order, vec![(50, 2), (50, 4), (100, 1), (100, 3)]);
-    }
-
-    #[test]
-    fn wheel_peek_matches_pop_without_consuming() {
-        let mut w: TimeWheel<u8> = TimeWheel::new();
-        w.push(9, 1);
-        w.push(9, 2);
-        assert_eq!(w.peek(), Some((9, &1)));
-        assert_eq!(w.peek(), Some((9, &1)), "peek must not consume");
-        assert_eq!(w.pop(), Some((9, 1)));
-        assert_eq!(w.peek(), Some((9, &2)));
-    }
-
-    #[test]
-    fn wheel_pop_due_respects_now() {
-        let mut w: TimeWheel<u8> = TimeWheel::new();
-        w.push(30, 0);
-        assert_eq!(w.pop_due(29), None);
-        assert_eq!(w.pop_due(30), Some((30, 0)));
-        assert_eq!(w.pop_due(u64::MAX), None);
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
-    }
-
-    #[test]
-    fn wheel_is_deterministic_across_builds() {
-        let build = || {
-            let mut w: TimeWheel<usize> = TimeWheel::new();
-            for (i, c) in [7u64, 3, 7, 7, 1, 3].into_iter().enumerate() {
-                w.push(c, i);
-            }
-            std::iter::from_fn(move || w.pop()).collect::<Vec<_>>()
-        };
-        assert_eq!(build(), build());
-    }
 
     #[test]
     fn wake_set_take_clears_and_reports() {

@@ -117,7 +117,7 @@ pub fn cross_check(runs: &[DiffRun]) -> Vec<String> {
             // reference scan are exact equivalents, so runs that differ
             // *only* in the scheduler implementation must be
             // byte-identical in both the stats digest and the per-core
-            // lanes. This is the wheel-vs-reference differential.
+            // lanes. This is the index-vs-reference differential.
             let same_but_sched = ca.device == cb.device
                 && ca.starvation_cap == cb.starvation_cap
                 && ca.drain_hi == cb.drain_hi

@@ -179,8 +179,8 @@ pub fn run_stream_instrumented(
         if ctrl.queued() == 0 {
             match requests.get(next) {
                 Some(t) => {
-                    // Event-driven idle jump (DESIGN.md §13): consume
-                    // the controller's wheel wakes across the gap —
+                    // Event-driven idle jump (DESIGN.md §13): walk the
+                    // controller's refresh deadlines across the gap —
                     // refreshes issue at their original due cycles —
                     // then land directly on the next arrival. Purely a
                     // matter of *when* background work is performed:

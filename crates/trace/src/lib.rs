@@ -8,7 +8,7 @@
 //!    points in the controller, device, and cache hierarchy emit
 //!    [`event::TraceEvent`]s into an attached [`sink::TraceSink`]. The
 //!    [`sink::RingRecorder`] keeps the most recent events in a bounded
-//!    flight-recorder ring (with a compact binary serialization), and
+//!    flight-recorder ring, and
 //!    [`chrome::chrome_trace`] exports recorded runs as Chrome
 //!    `trace_event` JSON viewable in Perfetto or `chrome://tracing`.
 //! 2. **Epoch statistics** ([`epoch`]): monotonic counters sampled at

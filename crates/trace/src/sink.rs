@@ -9,14 +9,12 @@
 //! The standard sink is the [`RingRecorder`]: a bounded flight recorder
 //! that keeps the most recent events and counts what it dropped, so a
 //! pathological run cannot exhaust memory while the interesting tail (the
-//! part near the anomaly being debugged) is preserved. It also offers a
-//! compact binary serialization for storing raw rings outside JSON.
+//! part near the anomaly being debugged) is preserved.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Category, EventKind, TraceEvent};
-use crate::Cycle;
+use crate::event::TraceEvent;
 
 /// A sink for trace events.
 ///
@@ -79,11 +77,6 @@ fn record(sink: &SharedSink, ev: TraceEvent) {
     sink.lock().expect("trace sink lock poisoned").record(ev);
 }
 
-/// Magic header of the binary ring serialization.
-const BINARY_MAGIC: &[u8; 8] = b"SAMTRC01";
-/// Bytes per serialized event record.
-const RECORD_BYTES: usize = 8 + 8 + 4 + 1 + 1 + 2 + 8;
-
 /// A bounded flight recorder: keeps the most recent `capacity` events,
 /// dropping the oldest (and counting drops) when full.
 #[derive(Debug)]
@@ -128,44 +121,6 @@ impl RingRecorder {
     pub fn into_events(self) -> (Vec<TraceEvent>, u64) {
         (self.events.into_iter().collect(), self.dropped)
     }
-
-    /// Serializes the ring into the compact binary form: a magic header, a
-    /// name table, then fixed-size little-endian records referencing it.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut names: Vec<&'static str> = Vec::new();
-        let mut index_of = std::collections::BTreeMap::new();
-        for ev in &self.events {
-            index_of.entry(ev.name).or_insert_with(|| {
-                names.push(ev.name);
-                (names.len() - 1) as u16
-            });
-        }
-        let table = names.join("\n");
-        let mut out = Vec::with_capacity(8 + 4 + table.len() + self.events.len() * RECORD_BYTES);
-        out.extend_from_slice(BINARY_MAGIC);
-        out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-        out.extend_from_slice(table.as_bytes());
-        for ev in &self.events {
-            out.extend_from_slice(&ev.at.to_le_bytes());
-            out.extend_from_slice(&ev.dur.to_le_bytes());
-            out.extend_from_slice(&ev.track.to_le_bytes());
-            out.push(match ev.cat {
-                Category::Ctrl => 0,
-                Category::Dram => 1,
-                Category::Cache => 2,
-            });
-            out.push(match ev.kind {
-                EventKind::Begin => 0,
-                EventKind::End => 1,
-                EventKind::Complete => 2,
-                EventKind::Instant => 3,
-                EventKind::Counter => 4,
-            });
-            out.extend_from_slice(&index_of[ev.name].to_le_bytes());
-            out.extend_from_slice(&ev.arg.to_le_bytes());
-        }
-        out
-    }
 }
 
 impl TraceSink for RingRecorder {
@@ -178,97 +133,11 @@ impl TraceSink for RingRecorder {
     }
 }
 
-/// A [`TraceEvent`] decoded from the binary form: names come back as owned
-/// strings (the static-name interning cannot survive serialization).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedEvent {
-    /// Event timestamp in memory cycles.
-    pub at: Cycle,
-    /// Duration (Complete events only).
-    pub dur: Cycle,
-    /// Track id.
-    pub track: u32,
-    /// Emitting layer.
-    pub cat: Category,
-    /// Event name.
-    pub name: String,
-    /// Event shape.
-    pub kind: EventKind,
-    /// Payload.
-    pub arg: u64,
-}
-
-/// Decodes a binary ring produced by [`RingRecorder::to_binary`].
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem: bad magic,
-/// truncated name table or records, or out-of-range tags.
-pub fn decode_binary(bytes: &[u8]) -> Result<Vec<DecodedEvent>, String> {
-    if bytes.len() < 12 || &bytes[..8] != BINARY_MAGIC {
-        return Err("missing SAMTRC01 magic header".into());
-    }
-    let table_len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let records_at = 12 + table_len;
-    if bytes.len() < records_at {
-        return Err("truncated name table".into());
-    }
-    let table = std::str::from_utf8(&bytes[12..records_at])
-        .map_err(|e| format!("name table is not UTF-8: {e}"))?;
-    let names: Vec<&str> = if table.is_empty() {
-        Vec::new()
-    } else {
-        table.split('\n').collect()
-    };
-    let body = &bytes[records_at..];
-    if !body.len().is_multiple_of(RECORD_BYTES) {
-        return Err(format!(
-            "record section is {} bytes, not a multiple of {RECORD_BYTES}",
-            body.len()
-        ));
-    }
-    let mut out = Vec::with_capacity(body.len() / RECORD_BYTES);
-    for rec in body.chunks_exact(RECORD_BYTES) {
-        let at = u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes"));
-        let dur = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-        let track = u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes"));
-        let cat = match rec[20] {
-            0 => Category::Ctrl,
-            1 => Category::Dram,
-            2 => Category::Cache,
-            t => return Err(format!("unknown category tag {t}")),
-        };
-        let kind = match rec[21] {
-            0 => EventKind::Begin,
-            1 => EventKind::End,
-            2 => EventKind::Complete,
-            3 => EventKind::Instant,
-            4 => EventKind::Counter,
-            t => return Err(format!("unknown kind tag {t}")),
-        };
-        let name_idx = u16::from_le_bytes(rec[22..24].try_into().expect("2 bytes")) as usize;
-        let name = names
-            .get(name_idx)
-            .ok_or_else(|| format!("name index {name_idx} out of range"))?
-            .to_string();
-        let arg = u64::from_le_bytes(rec[24..32].try_into().expect("8 bytes"));
-        out.push(DecodedEvent {
-            at,
-            dur,
-            track,
-            cat,
-            name,
-            kind,
-            arg,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::track;
+    use crate::event::{track, Category};
+    use crate::Cycle;
 
     fn ev(at: Cycle, name: &'static str) -> TraceEvent {
         TraceEvent::instant(track::CTRL, Category::Ctrl, name, at, at * 2)
@@ -316,69 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let mut r = RingRecorder::new(16);
-        r.record(TraceEvent::begin(
-            track::CTRL,
-            Category::Ctrl,
-            "write-drain",
-            10,
-        ));
-        r.record(TraceEvent::complete(
-            track::bank(0, 1, 2),
-            Category::Dram,
-            "ACT",
-            11,
-            17,
-            99,
-        ));
-        r.record(TraceEvent::end(
-            track::CTRL,
-            Category::Ctrl,
-            "write-drain",
-            40,
-        ));
-        r.record(TraceEvent::counter(
-            track::READQ,
-            Category::Ctrl,
-            "readq",
-            41,
-            7,
-        ));
-        r.record(TraceEvent::instant(
-            track::CACHE,
-            Category::Cache,
-            "miss",
-            42,
-            0xF00,
-        ));
-        let bytes = r.to_binary();
-        let decoded = decode_binary(&bytes).expect("round trip");
-        assert_eq!(decoded.len(), 5);
-        assert_eq!(decoded[0].name, "write-drain");
-        assert_eq!(decoded[0].kind, EventKind::Begin);
-        assert_eq!(decoded[1].dur, 17);
-        assert_eq!(decoded[1].track, track::bank(0, 1, 2));
-        assert_eq!(decoded[1].cat, Category::Dram);
-        assert_eq!(decoded[3].arg, 7);
-        assert_eq!(decoded[4].name, "miss");
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(decode_binary(b"short").is_err());
-        assert!(decode_binary(b"WRONGMAG\0\0\0\0").is_err());
-        let mut bytes = RingRecorder::new(4).to_binary();
-        bytes.push(0); // stray byte: not a whole record
-        assert!(decode_binary(&bytes).is_err());
-    }
-
-    #[test]
     fn empty_ring_serializes() {
         let r = RingRecorder::new(4);
         assert!(r.is_empty());
-        let decoded = decode_binary(&r.to_binary()).expect("empty ok");
-        assert!(decoded.is_empty());
     }
 
     #[test]

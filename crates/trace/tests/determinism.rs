@@ -1,15 +1,14 @@
-//! Byte-identity regression tests for the trace export paths.
+//! Byte-identity regression tests for the trace export path.
 //!
-//! The Chrome exporter and the binary ring serializer both build interior
-//! maps (per-pid timestamps, open-span stacks, the name table). Those maps
-//! are `BTreeMap`s precisely so that two exports of the same recording are
-//! byte-for-byte identical; these tests pin that property with a recording
-//! wide enough (many tracks, many names, many pids) that a hash-ordered
-//! map would have many chances to disagree between instantiations.
+//! The Chrome exporter builds interior maps (per-pid timestamps,
+//! open-span stacks). Those maps are `BTreeMap`s precisely so that two
+//! exports of the same recording are byte-for-byte identical; these
+//! tests pin that property with a recording wide enough (many tracks,
+//! many names, many pids) that a hash-ordered map would have many
+//! chances to disagree between instantiations.
 
 use sam_trace::chrome::{chrome_trace, lint_chrome_trace, RunTrace};
 use sam_trace::event::{track, Category, TraceEvent};
-use sam_trace::sink::{decode_binary, RingRecorder, TraceSink};
 
 /// A synthetic recording that touches many distinct tracks and names:
 /// bank lanes across two ranks, per-core lanes, queue-depth counters,
@@ -86,20 +85,4 @@ fn chrome_export_is_byte_identical_across_builds() {
     let b = chrome_trace("fig12", &runs(0)).to_string();
     assert_eq!(a, b, "chrome trace export must be deterministic");
     lint_chrome_trace(&sam_util::json::Json::parse(&a).expect("parses")).expect("lints clean");
-}
-
-#[test]
-fn binary_ring_is_byte_identical_across_builds() {
-    let serialize = || {
-        let mut ring = RingRecorder::new(4096);
-        for ev in wide_recording(0) {
-            ring.record(ev);
-        }
-        ring.to_binary()
-    };
-    let a = serialize();
-    let b = serialize();
-    assert_eq!(a, b, "binary ring serialization must be deterministic");
-    let decoded = decode_binary(&a).expect("round-trips");
-    assert_eq!(decoded.len(), wide_recording(0).len());
 }
