@@ -145,49 +145,13 @@ cmp /tmp/table2.out tests/golden/table2.out \
 cmp results/table2.json tests/golden/table2.json \
   || { echo "results/table2.json drifted from tests/golden/table2.json"; exit 1; }
 
-echo "==> sharded sweep merge gate (fig12 split 2 ways -> byte-identity)"
-# The shard oracle: the same golden-scale fig12 run split across two
-# shards at *different* worker counts (standing in for different
-# machines) must merge back to stdout and results JSON byte-identical
-# to the goldens. Shard processes print nothing; the envelopes alone
-# carry everything `merge-shards` needs to replay the rendering.
-rm -f results/fig12.shard-1-of-2.json results/fig12.shard-2-of-2.json
-./target/release/fig12 --rows 2048 --tb-rows 8192 --jobs 1 --shard 1/2 \
-  > /tmp/fig12.shard1.out
-./target/release/fig12 --rows 2048 --tb-rows 8192 --jobs 4 --shard 2/2 \
-  > /tmp/fig12.shard2.out
-for f in /tmp/fig12.shard1.out /tmp/fig12.shard2.out; do
-  if [ -s "$f" ]; then echo "sharded fig12 printed to stdout ($f)"; exit 1; fi
-done
-cargo run --release -p sam-bench --bin sam-check -- \
-  lint-json results/fig12.shard-1-of-2.json
-rm -f results/fig12.json
-cargo run --release -p sam-bench --bin sam-check -- merge-shards \
-  results/fig12.shard-1-of-2.json results/fig12.shard-2-of-2.json \
-  > /tmp/fig12.merged.out
-cmp /tmp/fig12.merged.out tests/golden/fig12.out \
-  || { echo "merged shard stdout drifted from tests/golden/fig12.out"; exit 1; }
-cmp results/fig12.json tests/golden/fig12.json \
-  || { echo "merged results/fig12.json drifted from tests/golden/fig12.json"; exit 1; }
-# Adversarial leg: forge a gap (shard 2 silently drops its last run) and
-# require the merge to hard-fail naming the unclaimed run.
-jq '.runs |= .[:-1]' results/fig12.shard-2-of-2.json > /tmp/fig12.shard2.gapped.json
-if cargo run --release -p sam-bench --bin sam-check -- merge-shards \
-    results/fig12.shard-1-of-2.json /tmp/fig12.shard2.gapped.json \
-    > /dev/null 2> /tmp/fig12.gap.err; then
-  echo "merge-shards accepted an envelope with a dropped run"; exit 1
-fi
-grep -q "gap: no shard claims run" /tmp/fig12.gap.err \
-  || { echo "gap merge failed with the wrong error:"; cat /tmp/fig12.gap.err; exit 1; }
-
-echo "==> fig16 hybrid sweep gates (checked, jobs identity, shards, lint)"
+echo "==> fig16 hybrid sweep gates (checked, jobs identity, lint)"
 # The DRAM-cache hybrid figure, held to the same bar as fig12: every
 # hybrid point under --checked shadows BOTH device command streams (DDR4
 # front + RRAM backing) with independent protocol oracles; stdout and
 # results/fig16.json must be byte-identical across --jobs values and to
 # the committed goldens (the checked run's too, once its " [checked]"
-# title suffix and "Verification: ..." line are stripped); a 2-way shard
-# split at different worker counts must merge back to the same bytes.
+# title suffix and "Verification: ..." line are stripped).
 cargo run --release -p sam-bench --bin fig16 -- \
   --rows 2048 --tb-rows 8192 --jobs 2 --checked > /tmp/fig16.checked.out
 sed -e '1s/ \[checked\]$//' -e '$d' /tmp/fig16.checked.out \
@@ -207,34 +171,6 @@ cmp /tmp/fig16.jobs4.out tests/golden/fig16.out \
 cmp results/fig16.json tests/golden/fig16.json \
   || { echo "results/fig16.json drifted from tests/golden/fig16.json"; exit 1; }
 cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig16.json
-rm -f results/fig16.shard-1-of-2.json results/fig16.shard-2-of-2.json
-./target/release/fig16 --rows 2048 --tb-rows 8192 --jobs 1 --shard 1/2 \
-  > /tmp/fig16.shard1.out
-./target/release/fig16 --rows 2048 --tb-rows 8192 --jobs 4 --shard 2/2 \
-  > /tmp/fig16.shard2.out
-for f in /tmp/fig16.shard1.out /tmp/fig16.shard2.out; do
-  if [ -s "$f" ]; then echo "sharded fig16 printed to stdout ($f)"; exit 1; fi
-done
-cargo run --release -p sam-bench --bin sam-check -- \
-  lint-json results/fig16.shard-1-of-2.json
-rm -f results/fig16.json
-cargo run --release -p sam-bench --bin sam-check -- merge-shards \
-  results/fig16.shard-1-of-2.json results/fig16.shard-2-of-2.json \
-  > /tmp/fig16.merged.out
-cmp /tmp/fig16.merged.out tests/golden/fig16.out \
-  || { echo "merged shard stdout drifted from tests/golden/fig16.out"; exit 1; }
-cmp results/fig16.json tests/golden/fig16.json \
-  || { echo "merged results/fig16.json drifted from tests/golden/fig16.json"; exit 1; }
-# Adversarial leg: a forged envelope (shard 1 silently drops its last
-# run) must hard-fail the merge naming the unclaimed run.
-jq '.runs |= .[:-1]' results/fig16.shard-1-of-2.json > /tmp/fig16.shard1.gapped.json
-if cargo run --release -p sam-bench --bin sam-check -- merge-shards \
-    /tmp/fig16.shard1.gapped.json results/fig16.shard-2-of-2.json \
-    > /dev/null 2> /tmp/fig16.gap.err; then
-  echo "merge-shards accepted a forged fig16 envelope with a dropped run"; exit 1
-fi
-grep -q "gap: no shard claims run" /tmp/fig16.gap.err \
-  || { echo "fig16 gap merge failed with the wrong error:"; cat /tmp/fig16.gap.err; exit 1; }
 
 echo "==> hybrid-mirror differential smoke (stress --hybrid-diff)"
 # Every attack pattern through the DRAM-cache hybrid under both write
@@ -330,5 +266,15 @@ for flag in --profile --profile=x; do
   [ "$status" -eq 2 ] \
     || { echo "fig12 $flag exited $status, not 2 (unknown flag)"; exit 1; }
 done
+# So is the retired sharded sweep's.
+status=0
+./target/release/fig12 --shard 1/2 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] \
+  || { echo "fig12 --shard 1/2 exited $status, not 2 (unknown flag)"; exit 1; }
+# --trace and --checked are a parse-time conflict.
+status=0
+./target/release/fig12 --checked --trace >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] \
+  || { echo "fig12 --checked --trace exited $status, not 2 (conflict)"; exit 1; }
 
 echo "CI: all gates passed"

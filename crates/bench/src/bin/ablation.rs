@@ -7,7 +7,7 @@
 //!    depend on the cores' outstanding-miss window.
 //!
 //! ```text
-//! cargo run --release -p sam-bench --bin ablation [-- --rows N --jobs N --shard K/N]
+//! cargo run --release -p sam-bench --bin ablation [-- --rows N --jobs N]
 //! ```
 
 fn main() {

@@ -17,10 +17,7 @@
 //! and the binary also writes `results/fig12.rollup.json`, a
 //! flamegraph-style cycles-by-(design, core, kind) rollup; `--debug-cores`
 //! dumps per-core completion progress to stderr. Both leave stdout and the
-//! default metrics JSON byte-identical. With `--shard K/N`, the binary
-//! runs only its deterministic slice of the 162 runs and writes a
-//! `results/fig12.shard-K-of-N.json` envelope; `sam-check merge-shards`
-//! reassembles the full tables and JSON byte-identically.
+//! default metrics JSON byte-identical.
 
 fn main() {
     sam_bench::bins::main(env!("CARGO_BIN_NAME"));

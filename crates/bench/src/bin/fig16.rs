@@ -13,8 +13,7 @@
 //! shadowed by the single-level protocol oracle and every hybrid run by
 //! **two** oracles — one per device stream (DDR4 front, RRAM backing);
 //! the binary exits non-zero if any run violates a check. `--trace`,
-//! `--per-core`, `--heartbeat`, and `--shard K/N` compose exactly as for
-//! `fig12` (`sam-check merge-shards` reassembles shards byte-identically).
+//! `--per-core` and `--heartbeat` compose exactly as for `fig12`.
 
 fn main() {
     sam_bench::bins::main(env!("CARGO_BIN_NAME"));

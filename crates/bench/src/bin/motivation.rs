@@ -4,7 +4,7 @@
 //! sub-rank" — while SAM accelerates exactly those strided accesses.
 //!
 //! ```text
-//! cargo run --release -p sam-bench --bin motivation [-- --rows N --jobs N --shard K/N]
+//! cargo run --release -p sam-bench --bin motivation [-- --rows N --jobs N]
 //! ```
 
 fn main() {

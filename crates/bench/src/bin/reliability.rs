@@ -3,7 +3,7 @@
 //! layout and verify chipkill correction.
 //!
 //! ```text
-//! cargo run --release -p sam-bench --bin reliability [-- --trials N --out PATH --shard K/N]
+//! cargo run --release -p sam-bench --bin reliability [-- --trials N --out PATH]
 //! ```
 //!
 //! Fault injection is not a query simulation, so the emitted

@@ -12,14 +12,7 @@
 //!   selftest          end-to-end sanity: clean record/replay, injected
 //!                     tFAW bug caught by name, ECC layouts clean
 //!   lint-json <file>  validate a results/<bin>.json metrics report
-//!                     (or a results/<bin>.shard-K-of-N.json envelope)
 //!   lint-trace <file> validate a results/<bin>.trace.json Chrome trace
-//!   merge-shards <shard.json>...
-//!                     validate a complete set of shard envelopes and
-//!                     replay the bin's render: prints the exact stdout
-//!                     and writes the exact results/<bin>.json an
-//!                     unsharded local run would have produced; exit 1
-//!                     on any overlap, gap, mismatch, or digest conflict
 //!   bench-fig12 <metrics.json> --wall-ns N --jobs J --out <file>
 //!                     fold a caller-measured wall clock into a
 //!                     cycles/sec trajectory entry; with --baseline
@@ -55,7 +48,6 @@ fn main() {
         (Some("selftest"), _) => selftest(),
         (Some("lint-json"), Some(path)) => lint_json(path),
         (Some("lint-trace"), Some(path)) => lint_trace(path),
-        (Some("merge-shards"), _) => merge_shards(&args[2..]),
         (Some("bench-fig12"), _) => bench_fig12(&args[2..]),
         _ => usage(),
     };
@@ -66,79 +58,10 @@ fn usage() -> i32 {
     eprintln!(
         "usage: sam-check record <file> | replay <file> | audit | selftest \
          | lint-json <file> | lint-trace <file> \
-         | merge-shards <shard.json>... \
          | bench-fig12 <metrics.json> --wall-ns N --jobs J --out <file> \
            [--label L] [--baseline <file> --gate-pct P]"
     );
     2
-}
-
-/// The merge oracle: validates a complete set of shard envelopes and
-/// replays the bin's render phase over the reassembled sweep, producing
-/// stdout and `results/<bin>.json` byte-identical to an unsharded run.
-fn merge_shards(paths: &[String]) -> i32 {
-    use sam_check::shards::{merge, parse_envelope};
-
-    if paths.is_empty() {
-        eprintln!("sam-check: merge-shards needs at least one shard envelope");
-        return usage();
-    }
-    let mut envelopes = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sam-check: cannot read {path}: {e}");
-                return 2;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("sam-check: {path}: {e}");
-                return 1;
-            }
-        };
-        match parse_envelope(&doc) {
-            Ok(env) => envelopes.push(env),
-            Err(e) => {
-                eprintln!("sam-check: {path}: {e}");
-                return 1;
-            }
-        }
-    }
-    let merged = match merge(&envelopes) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("sam-check: merge-shards: {e}");
-            return 1;
-        }
-    };
-    let Some(exp) = sam_bench::bins::find(&merged.bin) else {
-        eprintln!(
-            "sam-check: merge-shards: no sweep-driven binary named '{}'",
-            merged.bin
-        );
-        return 1;
-    };
-    let args = match sam_bench::cli::try_parse_args(
-        &exp.spec,
-        sam_imdb::plan::PlanConfig::default_scale(),
-        &merged.argv,
-    ) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sam-check: merge-shards: envelope argv does not re-parse: {e}");
-            return 1;
-        }
-    };
-    match sam_bench::experiment::drive(exp, &args, Some(&merged.runs)) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("sam-check: merge-shards: {e}");
-            1
-        }
-    }
 }
 
 /// The CI bench step: folds a caller-measured wall clock over the fig12
@@ -321,27 +244,6 @@ fn lint_json(path: &str) -> i32 {
             return 1;
         }
     };
-    // Shard envelopes carry `"report": "shard"` regardless of which
-    // binary wrote them.
-    if matches!(doc.get("report"), Some(Json::Str(s)) if s == "shard") {
-        return match sam_check::shards::parse_envelope(&doc) {
-            Ok(env) => {
-                println!(
-                    "{path}: valid shard envelope ({} shard {}/{}, {} of {} runs)",
-                    env.bin,
-                    env.shard,
-                    env.shards,
-                    env.runs.len(),
-                    env.total_runs
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("sam-check: {path}: schema violation: {e}");
-                1
-            }
-        };
-    }
     if matches!(doc.get("bin"), Some(Json::Str(s)) if s == "bench-fig12") {
         return match sam_bench::bench_fig12::parse_trajectory(&doc) {
             Ok(entries) => {

@@ -15,12 +15,7 @@
 //! cross-run oracles (starved-count monotone vs cap, byte-identical
 //! stats for equal configs). The table and `results/stress.json` are
 //! byte-identical at any `--jobs` count; `--trace[=PATH]` records every
-//! cell into one Chrome trace document without changing either. With
-//! `--shard K/N`, the binary runs only its deterministic slice of the
-//! grid and writes a `results/stress.shard-K-of-N.json` envelope;
-//! `sam-check merge-shards` reassembles the full table and JSON
-//! byte-identically (including the cross-run oracles, which run on the
-//! reassembled grid).
+//! cell into one Chrome trace document without changing either.
 //!
 //! On any violation the binary shrinks the first failing (config,
 //! stream) pair to a 1-minimal repro, writes it next to the JSON report

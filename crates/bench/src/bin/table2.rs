@@ -2,13 +2,12 @@
 //! configuration structs (so the printout cannot drift from the code).
 //!
 //! ```text
-//! cargo run --release -p sam-bench --bin table2 [-- --starvation-cap N --out PATH --shard K/N]
+//! cargo run --release -p sam-bench --bin table2 [-- --starvation-cap N --out PATH]
 //! ```
 //!
 //! The printout lists no simulation results, so the emitted
 //! `results/table2.json` report carries zero runs — it exists so
-//! `sam-check lint-json` can gate every binary uniformly, and `--shard`
-//! emits a zero-run envelope for the same reason.
+//! `sam-check lint-json` can gate every binary uniformly.
 
 fn main() {
     sam_bench::bins::main(env!("CARGO_BIN_NAME"));

@@ -21,7 +21,7 @@ fn all_queries() -> Vec<Query> {
 
 /// One simulated table cell: a query set run against one design under
 /// one system configuration. Panels that simulate are flattened into an
-/// ordered list of cells so the whole figure is one shardable sweep.
+/// ordered list of cells so the whole figure is one sweep.
 struct Cell {
     queries: Vec<Query>,
     system: SystemConfig,

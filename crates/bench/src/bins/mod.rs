@@ -6,15 +6,11 @@
 //! (stdout tables and the `--out` document, built only from the finished
 //! runs and the parsed args). [`EXPERIMENTS`] registers each with the flags
 //! it accepts; everything cross-cutting — argument parsing, observability,
-//! `--jobs`, `--checked`, `--trace`, `--per-core`, `--shard` and the
-//! `sam-check merge-shards` replay — lives once in
-//! [`crate::experiment::drive`]. Because a render sees only results and
-//! args, the merge reproduces a local run's bytes exactly by rendering
-//! decoded records.
+//! `--jobs`, `--checked`, `--trace` and `--per-core` — lives once in
+//! [`crate::experiment::drive`].
 //!
 //! The `fn main` under `src/bin/` is one line: [`main`] with the binary's
-//! own name. `sam-check merge-shards` finds its experiment with [`find`],
-//! and the `harness` binary runs every entry.
+//! own name, and the `harness` binary runs every entry.
 
 pub mod ablation;
 pub mod fig12;
@@ -121,11 +117,5 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 pub fn main(name: &str) -> ! {
     let exp = find(name).unwrap_or_else(|| panic!("no experiment named '{name}'"));
     let args = parse_args(&exp.spec, PlanConfig::default_scale());
-    match drive(exp, &args, None) {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(1);
-        }
-    }
+    std::process::exit(drive(exp, &args))
 }

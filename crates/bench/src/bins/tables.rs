@@ -1,8 +1,8 @@
 //! Tables 1-3: qualitative/config printouts with zero simulation runs.
 //!
 //! Each table still goes through the experiment driver with an empty plan
-//! so `--shard` emits a (zero-run) envelope and `sam-check merge-shards`
-//! can gate every binary uniformly.
+//! so its zero-run `results/<bin>.json` report lints like every other
+//! binary's.
 
 use sam::designs::{gs_dram, rc_nvm_bit, rc_nvm_wd, sam_en, sam_io, sam_sub};
 use sam::properties::properties;

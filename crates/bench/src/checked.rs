@@ -155,7 +155,7 @@ mod tests {
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.violation_count(), 0);
         let plain = job.run(&mut Instrumentation::default());
-        assert_eq!(outcome.to_record(), plain.to_record());
+        assert_eq!(outcome, plain);
     }
 
     /// A hybrid run gets both oracles without asking and stays clean.

@@ -23,14 +23,10 @@
 //! * `--checked` — only on binaries that support the verification oracle
 //! * `--trace[=PATH]` / `--epoch-len N` — only on binaries that support
 //!   the `sam-trace` recorder (default trace path:
-//!   `results/<bin>.trace.json`; default epoch length: 10000 cycles)
+//!   `results/<bin>.trace.json`; default epoch length: 10000 cycles);
+//!   incompatible with `--checked`
 //! * `--heartbeat[=SECS]` — stderr progress lines (default interval: 5
 //!   seconds)
-//! * `--shard K/N` — run only shard `K`'s deterministically-partitioned
-//!   slice of the run indices and write a
-//!   `results/<bin>.shard-K-of-N.json` envelope instead of tables
-//!   (reassemble with `sam-check merge-shards`); incompatible with
-//!   `--checked` and `--trace`
 //! * `--trials N` — only on the fault-injection binaries
 //! * `--debug-cores` / `--per-core` — only on the simulating figure
 //!   binaries (fig12-fig16): per-core progress dump on stderr, and
@@ -63,41 +59,6 @@ pub const DEFAULT_DRAIN_HI: usize = 28;
 
 /// Controller-default write-drain low watermark.
 pub const DEFAULT_DRAIN_LO: usize = 8;
-
-/// One shard's identity in a distributed sweep: `--shard K/N` means
-/// "run only the task indices the deterministic partitioner assigns to
-/// shard `K` of `N`" (see `sam_bench::sweep::partition_weighted`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// 1-based shard id (`K`).
-    pub index: u32,
-    /// Total shard count (`N`).
-    pub shards: u32,
-}
-
-impl ShardSpec {
-    /// Parses the `K/N` form: two positive integers, `1 <= K <= N`.
-    ///
-    /// # Errors
-    ///
-    /// A [`CliError::BadValue`] naming `--shard` for anything else.
-    pub fn parse(v: &str) -> Result<Self, CliError> {
-        let bad = || CliError::BadValue("--shard".to_string(), v.to_string());
-        let (k, n) = v.split_once('/').ok_or_else(bad)?;
-        let index: u32 = k.parse().map_err(|_| bad())?;
-        let shards: u32 = n.parse().map_err(|_| bad())?;
-        if index == 0 || shards == 0 || index > shards {
-            return Err(bad());
-        }
-        Ok(Self { index, shards })
-    }
-}
-
-impl std::fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.shards)
-    }
-}
 
 /// What a specific binary accepts beyond the shared flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +136,7 @@ impl ArgSpec {
         if self.accepts_trials {
             u.push_str(" [--trials N]");
         }
-        u.push_str(" [--heartbeat[=SECS]] [--shard K/N]");
+        u.push_str(" [--heartbeat[=SECS]]");
         for flag in self.extra_flags {
             u.push_str(&format!(" [{flag}]"));
         }
@@ -209,9 +170,6 @@ pub struct BenchArgs {
     pub drain_hi: Option<usize>,
     /// Write-drain low-watermark override (`--drain-lo N`).
     pub drain_lo: Option<usize>,
-    /// Shard assignment when `--shard K/N` was given: run only this
-    /// shard's task indices and write an envelope instead of tables.
-    pub shard: Option<ShardSpec>,
     /// Extra boolean flags that were given, in spec order semantics
     /// (each at most once; see [`ArgSpec::extra_flags`]).
     pub flags: Vec<String>,
@@ -276,7 +234,6 @@ pub fn try_parse_args(
     let mut starvation_cap = None;
     let mut drain_hi: Option<usize> = None;
     let mut drain_lo: Option<usize> = None;
-    let mut shard: Option<ShardSpec> = None;
     let mut trials = DEFAULT_TRIALS;
     let mut panels = Vec::new();
     let mut flags = Vec::new();
@@ -330,10 +287,6 @@ pub fn try_parse_args(
                 drain_lo = Some(parse_num(arg, &v)? as usize);
             }
             "--checked" if spec.accepts_checked => checked = true,
-            "--shard" => {
-                let v = value_of(&mut i)?;
-                shard = Some(ShardSpec::parse(&v)?);
-            }
             "--trace" if spec.accepts_trace => {
                 trace = Some(PathBuf::from(format!("results/{}.trace.json", spec.bin)));
             }
@@ -382,21 +335,13 @@ pub fn try_parse_args(
 
     check_table_sizes(&plan)?;
 
-    if shard.is_some() {
-        // A shard run prints no tables (the merge replay does), so the
-        // audit modes that interleave with rendering stay whole-run local.
-        if checked {
-            return Err(CliError::Conflict(
-                "--shard".to_string(),
-                "--checked".to_string(),
-            ));
-        }
-        if trace.is_some() {
-            return Err(CliError::Conflict(
-                "--shard".to_string(),
-                "--trace".to_string(),
-            ));
-        }
+    if checked && trace.is_some() {
+        // The executor gives each run either a trace or a check report,
+        // never both; the two audit modes stay separate runs.
+        return Err(CliError::Conflict(
+            "--trace".to_string(),
+            "--checked".to_string(),
+        ));
     }
 
     if drain_hi.is_some() || drain_lo.is_some() {
@@ -427,7 +372,6 @@ pub fn try_parse_args(
         starvation_cap,
         drain_hi,
         drain_lo,
-        shard,
         trials,
         panels,
         flags,
@@ -547,8 +491,9 @@ mod tests {
         assert_eq!(a.heartbeat, Some(2));
         let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--heartbeat"])).unwrap();
         assert_eq!(a.heartbeat, Some(DEFAULT_HEARTBEAT_SECS));
-        // The retired phase profiler's flag is unknown in both forms.
-        for gone in ["--profile", "--profile=p.json"] {
+        // The retired phase profiler's and sharded sweep's flags are
+        // unknown.
+        for gone in ["--profile", "--profile=p.json", "--shard"] {
             let e = try_parse_args(&s, PlanConfig::tiny(), &argv(&[gone])).unwrap_err();
             assert_eq!(e, CliError::UnknownArg(gone.to_string()));
         }
@@ -561,40 +506,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_flag_parses_and_conflicts() {
+    fn trace_and_checked_conflict() {
         let s = ArgSpec::new("fig12").with_checked().with_trace();
-        let a = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--shard", "2/3"])).unwrap();
-        assert_eq!(a.shard, Some(ShardSpec::parse("2/3").unwrap()));
-        assert_eq!(a.shard.unwrap().to_string(), "2/3");
-        // Malformed specs are rejected: K > N, zeros, garbage.
-        for bad in ["4/3", "0/3", "2/0", "2", "a/b", "1/3/5", ""] {
-            let e = try_parse_args(&s, PlanConfig::tiny(), &argv(&["--shard", bad])).unwrap_err();
+        for args in [
+            &["--checked", "--trace"][..],
+            &["--trace=t.json", "--checked"][..],
+        ] {
+            let e = try_parse_args(&s, PlanConfig::tiny(), &argv(args)).unwrap_err();
             assert_eq!(
                 e,
-                CliError::BadValue("--shard".to_string(), bad.to_string())
+                CliError::Conflict("--trace".to_string(), "--checked".to_string())
             );
         }
-        // Shard runs render nothing, so the audit modes are conflicts.
-        let e = try_parse_args(
-            &s,
-            PlanConfig::tiny(),
-            &argv(&["--shard", "1/2", "--checked"]),
-        )
-        .unwrap_err();
-        assert_eq!(
-            e,
-            CliError::Conflict("--shard".to_string(), "--checked".to_string())
-        );
-        let e = try_parse_args(
-            &s,
-            PlanConfig::tiny(),
-            &argv(&["--trace", "--shard", "1/2"]),
-        )
-        .unwrap_err();
-        assert_eq!(
-            e,
-            CliError::Conflict("--shard".to_string(), "--trace".to_string())
-        );
+        // Each alone is fine.
+        assert!(try_parse_args(&s, PlanConfig::tiny(), &argv(&["--checked"])).is_ok());
+        assert!(try_parse_args(&s, PlanConfig::tiny(), &argv(&["--trace"])).is_ok());
     }
 
     #[test]

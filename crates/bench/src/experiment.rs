@@ -4,17 +4,14 @@
 //! flags (an [`ArgSpec`]), a weighted plan that describes every run as
 //! data ([`Run`], [`Job`]), and a render function that prints stdout and
 //! builds the `--out` document from the finished runs. [`drive`] does the
-//! rest, once for every experiment: the `--checked`/`--trace`
-//! preconditions, the `--heartbeat` monitor, the [`SystemConfig`] built from
-//! the scheduler-knob flags, execution, the metrics report and `--per-core`
-//! rollup, the trace document, and the check summary and exit code.
+//! rest, once for every experiment: the `--heartbeat` monitor, the
+//! [`SystemConfig`] built from the scheduler-knob flags, execution, the
+//! metrics report and `--per-core` rollup, the trace document, and the
+//! check summary and exit code.
 //!
 //! Plain, traced and checked runs go through the same executor: each plan
 //! entry runs bare, with its own ring/epoch recorders (`--trace`), or under
-//! protocol oracles (`--checked`), and the render never knows which. A
-//! `--shard K/N` run executes its slice of the same plan and writes an
-//! envelope instead of rendering; `sam-check merge-shards` decodes the
-//! merged records against the same plan and renders them.
+//! protocol oracles (`--checked`), and the render never knows which.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -37,7 +34,6 @@ use crate::checked::{self, CheckReport};
 use crate::cli::{ArgSpec, BenchArgs};
 use crate::heartbeat;
 use crate::metrics::MetricsReport;
-use crate::shard;
 use crate::sweep::{run_sweep_weighted_strict, SweepTask};
 use crate::traced::{self, TraceOptions};
 
@@ -45,8 +41,8 @@ use crate::traced::{self, TraceOptions};
 /// driver does not.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// The accepted flags. `spec.bin` is the registered name: the binary,
-    /// the `results/<name>.json` stem and the shard envelope's `bin`.
+    /// The accepted flags. `spec.bin` is the registered name: the binary
+    /// and the `results/<name>.json` stem.
     pub spec: ArgSpec,
     /// Every run the experiment needs, in render order.
     pub plan: fn(&Ctx) -> Vec<Run>,
@@ -132,13 +128,14 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// One planned run: its label (shown on a panic, carried by envelopes and
-/// trace documents), its weight in the sweep cost model, and the job.
+/// One planned run: its label (shown on a panic and carried by trace
+/// documents), its weight in the sweep cost model, and the job.
 #[derive(Debug, Clone)]
 pub struct Run {
     /// Human-readable configuration, e.g. `"Q3/SAM-en/Row"`.
     pub label: String,
-    /// Relative cost: schedules heaviest first and balances shards.
+    /// Relative cost: schedules heaviest first and drives the heartbeat
+    /// ETA.
     pub weight: u64,
     /// What to simulate.
     pub job: Job,
@@ -264,7 +261,7 @@ impl Job {
 }
 
 /// A finished run; the variant follows the [`Job`] variant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
     /// From [`Job::Query`].
     Query(QueryRun),
@@ -378,46 +375,17 @@ impl From<Json> for Rendered {
 }
 
 /// Runs `exp` with `args` and returns the process exit code: executes the
-/// plan (or, with `replay`, decodes the merged shard records in its place),
-/// renders, and writes every output the flags ask for. A `--shard` run
-/// writes its envelope and renders nothing.
-///
-/// # Errors
-///
-/// A message when `replay` records do not match the plan this build makes
-/// from the same arguments (run count, labels, or records that do not
-/// decode to what the plan runs).
-pub fn drive(
-    exp: &Experiment,
-    args: &BenchArgs,
-    replay: Option<&[(String, Json)]>,
-) -> Result<i32, String> {
+/// plan, renders, and writes every output the flags ask for.
+pub fn drive(exp: &Experiment, args: &BenchArgs) -> i32 {
     let name = exp.name();
-    if args.checked && args.trace.is_some() {
-        // `execute` gives each run either a trace or a check report, never
-        // both; keep the two audit modes separate runs.
-        eprintln!("{name}: --trace cannot be combined with --checked");
-        return Ok(2);
-    }
     // Dropping the monitor stops it, on every return path below.
     let _heartbeat = args.heartbeat.map(|secs| heartbeat::start(name, secs));
     let ctx = Ctx::new(exp, args);
     if let Some(code) = exp.bypass.and_then(|mode| mode(&ctx)) {
-        return Ok(code);
+        return code;
     }
     let plan = (exp.plan)(&ctx);
-    let (results, traces, checks) = match replay {
-        Some(records) => {
-            let runs = shard::replay(&plan, records)?;
-            let violations = vec![0; runs.len()];
-            (Results { runs, violations }, Vec::new(), Vec::new())
-        }
-        None if args.shard.is_some() => {
-            shard::run_shard(&exp.spec, args, &plan);
-            return Ok(0);
-        }
-        None => execute(&plan, args),
-    };
+    let (results, traces, checks) = execute(&plan, args);
 
     let rendered = (exp.render)(&ctx, results);
     match &rendered.doc {
@@ -441,15 +409,12 @@ pub fn drive(
         write_or_die(name, path, &sam_trace::chrome_trace(name, &traces), &what);
     }
     let clean = !args.checked || checked::summarize(&checks);
-    Ok(i32::from(rendered.failed || !clean))
+    i32::from(rendered.failed || !clean)
 }
 
 /// Runs the whole plan locally on `--jobs` workers: bare, traced or
 /// checked as `args` say, returning the results plus each run's trace
 /// (with `--trace`) or check report (with `--checked`), all in plan order.
-/// Every outcome is routed through the shard record codec so the
-/// byte-identity goldens cover the codec on every run, not only on
-/// distributed ones.
 pub fn execute(plan: &[Run], args: &BenchArgs) -> (Results, Vec<RunTrace>, Vec<CheckReport>) {
     let trace = args
         .trace
@@ -477,8 +442,8 @@ pub fn execute(plan: &[Run], args: &BenchArgs) -> (Results, Vec<RunTrace>, Vec<C
     let mut traces = Vec::new();
     let mut checks = Vec::new();
     let done = run_sweep_weighted_strict(args.jobs, tasks);
-    for (run, (outcome, trace, check)) in plan.iter().zip(done) {
-        results.runs.push(shard::roundtrip(run, &outcome));
+    for (outcome, trace, check) in done {
+        results.runs.push(outcome);
         results
             .violations
             .push(check.as_ref().map_or(0, CheckReport::violation_count));

@@ -358,7 +358,9 @@ fn lint_point(p: &Json) -> Result<(), String> {
         uint(key)?;
     }
     let hit_rate = number("hit_rate")?;
-    let accesses = hits + misses;
+    let accesses = hits
+        .checked_add(misses)
+        .ok_or_else(|| format!("hits {hits} + misses {misses} overflows u64"))?;
     let expected = if accesses == 0 {
         0.0
     } else {
@@ -439,8 +441,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_round_trips_through_the_lint() {
+    fn tiny_report() -> Fig16Report {
         let query = Query::Q12;
         let runs = tiny_chunk(query);
         let gather = SystemConfig::default().granularity.gather() as u64;
@@ -448,24 +449,48 @@ mod tests {
         let mut report = Fig16Report::new(PlanConfig::tiny(), false, false);
         report.baselines.push((query.name(), baseline));
         report.points.extend(points);
-        let text = report.to_json().to_string();
+        report
+    }
+
+    #[test]
+    fn report_round_trips_through_the_lint() {
+        let text = tiny_report().to_json().to_string();
         let doc = Json::parse(&text).expect("writer output parses");
         lint_fig16_json(&doc).expect("fresh report passes lint");
     }
 
     #[test]
     fn lint_rejects_a_forged_energy_split() {
-        let query = Query::Q12;
-        let runs = tiny_chunk(query);
-        let gather = SystemConfig::default().granularity.gather() as u64;
-        let (baseline, points) = assemble_chunk(&runs, query, gather);
-        let mut report = Fig16Report::new(PlanConfig::tiny(), false, false);
-        report.baselines.push((query.name(), baseline));
-        report.points.extend(points);
+        let mut report = tiny_report();
         report.points[0].energy_front_uj *= 2.0;
         let doc = Json::parse(&report.to_json().to_string()).unwrap();
         let e = lint_fig16_json(&doc).unwrap_err();
         assert!(e.contains("telescope"), "{e}");
+    }
+
+    /// A forged point whose hits + misses wraps to 0 must not pass as an
+    /// empty cache with hit rate 0 (or panic in a debug build).
+    #[test]
+    fn lint_rejects_hit_counts_that_overflow() {
+        let mut doc = Json::parse(&tiny_report().to_json().to_string()).unwrap();
+        let Json::Object(top) = &mut doc else {
+            panic!("a report is an object")
+        };
+        let Some((_, Json::Array(points))) = top.iter_mut().find(|(k, _)| k == "points") else {
+            panic!("a report has points")
+        };
+        let Json::Object(point) = &mut points[0] else {
+            panic!("a point is an object")
+        };
+        for (k, v) in point.iter_mut() {
+            match k.as_str() {
+                "hits" | "misses" => *v = Json::UInt(1 << 63),
+                "hit_rate" => *v = Json::Float(0.0),
+                _ => {}
+            }
+        }
+        let e = lint_fig16_json(&doc).unwrap_err();
+        assert!(e.contains("points[0]") && e.contains("overflows"), "{e}");
     }
 
     #[test]

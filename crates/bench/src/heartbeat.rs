@@ -36,22 +36,7 @@ static TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static TASKS_DONE: AtomicU64 = AtomicU64::new(0);
 static WEIGHT_TOTAL: AtomicU64 = AtomicU64::new(0);
 static WEIGHT_DONE: AtomicU64 = AtomicU64::new(0);
-static SHARD_INDEX: AtomicU64 = AtomicU64::new(0);
-static SHARD_COUNT: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_WEIGHT: AtomicU64 = AtomicU64::new(0);
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Announces that this process runs shard `shard` of `shards` of a
-/// sweep whose *full* cost is `global_weight` units (`sweep_add`
-/// announces only the shard-local slice). Heartbeat lines then carry
-/// a `shard K/N` tag plus a fleet-wide ETA estimated by assuming
-/// every shard retires weight at this process's observed rate — a
-/// fair assumption because the partitioner weight-balances shards.
-pub fn shard_context(shard: u64, shards: u64, global_weight: u64) {
-    SHARD_INDEX.store(shard, Ordering::Relaxed);
-    SHARD_COUNT.store(shards.max(1), Ordering::Relaxed);
-    GLOBAL_WEIGHT.store(global_weight, Ordering::Relaxed);
-}
 
 /// Announces a sweep: `tasks` runs totalling `weight` cost units.
 /// Called by the runner before workers start; totals accumulate
@@ -107,24 +92,7 @@ fn report(bin: &str, elapsed: Duration, cycles: u64) {
     } else {
         "ETA --".to_string()
     };
-    let shard = match (
-        SHARD_INDEX.load(Ordering::Relaxed),
-        SHARD_COUNT.load(Ordering::Relaxed),
-    ) {
-        (_, 0) | (0, _) => String::new(),
-        (k, n) => {
-            let global = GLOBAL_WEIGHT.load(Ordering::Relaxed);
-            let fleet_done = w_done.saturating_mul(n);
-            let global_eta = if w_done > 0 && global > fleet_done {
-                let remaining = secs * (global - fleet_done) as f64 / fleet_done as f64;
-                format!("global ETA ~{:.0}s", remaining.ceil())
-            } else {
-                "global ETA --".to_string()
-            };
-            format!(" · shard {k}/{n} · {global_eta}")
-        }
-    };
-    eprintln!("{bin}: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}{shard}");
+    eprintln!("{bin}: {done}/{total} runs · {mcyc:.1} Mcyc/s · {eta}");
 }
 
 /// A running heartbeat monitor; dropping (or [`Heartbeat::stop`])
@@ -209,13 +177,5 @@ mod tests {
         hb.stop();
         let hb2 = start("test", 3600);
         drop(hb2);
-    }
-
-    #[test]
-    fn shard_context_accepts_and_clamps() {
-        // Smoke: storing a shard context (including a degenerate N = 0)
-        // must never panic the reporting path.
-        shard_context(2, 3, 1000);
-        shard_context(0, 0, 0);
     }
 }

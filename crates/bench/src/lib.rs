@@ -23,7 +23,6 @@ pub mod experiment;
 pub mod fig16;
 pub mod heartbeat;
 pub mod metrics;
-pub mod shard;
 pub mod stressrun;
 pub mod sweep;
 pub mod traced;

@@ -24,6 +24,8 @@
 //!               "check_violations": uint } ] }
 //! ```
 
+use std::collections::BTreeSet;
+
 use sam::design::Design;
 use sam::layout::Store;
 use sam::system::RunResult;
@@ -63,18 +65,11 @@ pub struct RunMetrics {
     pub energy_uj: f64,
     /// Check violations (protocol + cache); 0 on unchecked runs.
     pub check_violations: u64,
-    /// FR-FCFS starvation-cap firings (forced oldest-first decisions).
-    ///
-    /// Deliberately **not** serialized: the `results/<bin>.json` schema is
-    /// byte-stable across this field's introduction. The per-run value is
-    /// exported through the trace file's `sam` summary instead.
-    pub starvation_events: u64,
     /// Per-(core, kind) controller lanes for this run.
     ///
     /// Serialized only when the report has per-core output enabled
     /// ([`MetricsReport::with_per_core`], the `--per-core` flag) — the
-    /// default `results/<bin>.json` stays byte-identical, same promise as
-    /// `starvation_events`.
+    /// default `results/<bin>.json` stays byte-identical.
     pub per_core: CoreLanes,
     /// The controller's aggregate counters, projected onto the lane
     /// fields. Serialized next to the lanes as `per_core.totals` so the
@@ -122,7 +117,6 @@ impl RunMetrics {
             refreshes: r.ctrl.refreshes,
             energy_uj: energy_uj(&params, design, &activity),
             check_violations: 0,
-            starvation_events: r.ctrl.starvation_forced,
             per_core: r.per_core.clone(),
             lane_totals: LaneStats {
                 row_hits: r.ctrl.row_hits,
@@ -379,7 +373,7 @@ fn lint_per_core(per_core: &Json) -> Result<(), String> {
         .get("lanes")
         .and_then(Json::as_array)
         .ok_or_else(|| "missing or non-array key 'lanes'".to_string())?;
-    let mut seen = Vec::new();
+    let mut seen = BTreeSet::new();
     let mut sums = [0u64; LANE_STAT_KEYS.len()];
     for (i, lane) in lanes.iter().enumerate() {
         require_uint(lane, "core").map_err(|e| format!("lanes[{i}]: {e}"))?;
@@ -394,13 +388,16 @@ fn lint_per_core(per_core: &Json) -> Result<(), String> {
             Some(Json::UInt(c)) => *c,
             _ => unreachable!("checked above"),
         };
-        if seen.contains(&(core, kind.clone())) {
+        if !seen.insert((core, kind.clone())) {
             return Err(format!("lanes[{i}]: duplicate lane (core {core}, {kind})"));
         }
-        seen.push((core, kind));
         for (s, key) in sums.iter_mut().zip(LANE_STAT_KEYS) {
             match lane.get(key) {
-                Some(Json::UInt(v)) => *s += v,
+                Some(Json::UInt(v)) => {
+                    *s = s.checked_add(*v).ok_or_else(|| {
+                        format!("lanes[{i}]: sum of '{key}' over the lanes overflows u64")
+                    })?;
+                }
                 other => {
                     return Err(format!(
                         "lanes[{i}]: {}",
@@ -518,17 +515,6 @@ mod tests {
         assert!(e.contains("runs[0]") && e.contains("cycles"), "{e}");
     }
 
-    /// The schema promise in the field's doc comment: adding the
-    /// starvation counter must not change `results/<bin>.json` bytes.
-    #[test]
-    fn starvation_events_stay_out_of_the_serialized_schema() {
-        let mut report = sample_report();
-        let with = report.to_json().to_string();
-        assert!(!with.contains("starvation"), "{with}");
-        report.runs[0].starvation_events = 41;
-        assert_eq!(report.to_json().to_string(), with);
-    }
-
     /// The `--per-core` opt-in keeps the same byte-stability promise:
     /// absent the flag, a report full of populated lanes serializes
     /// exactly as before the field existed.
@@ -547,6 +533,31 @@ mod tests {
         assert!(text.contains("per_core"), "{text}");
         let doc = Json::parse(&text).expect("writer output parses");
         lint_metrics_json(&doc).expect("per-core output passes lint");
+    }
+
+    /// A forged document whose lane sums wrap: two demand lanes of 2^63
+    /// reads each against `totals.reads = 0` must not wrap to a match (or
+    /// panic in a debug build).
+    #[test]
+    fn lint_rejects_lane_sums_that_overflow() {
+        let stats = |reads: u64| {
+            LANE_STAT_KEYS
+                .iter()
+                .map(move |&k| (k, Json::UInt(if k == "reads" { reads } else { 0 })))
+        };
+        let lane = |core: u64| {
+            let id = [("core", Json::UInt(core)), ("kind", Json::str("demand"))];
+            Json::object(id.into_iter().chain(stats(1 << 63)))
+        };
+        let per_core = Json::object([
+            ("totals", Json::object(stats(0))),
+            ("lanes", Json::Array(vec![lane(0), lane(1)])),
+        ]);
+        let e = lint_per_core(&per_core).unwrap_err();
+        assert!(
+            e.contains("lanes[1]") && e.contains("'reads'") && e.contains("overflow"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -106,8 +106,7 @@ pub fn cells(patterns: &[Pattern], params: &PatternParams, cases: &[DiffCase]) -
 
 /// Reassembles flat plan-order outcomes (one per (pattern, case)
 /// cell, cases innermost) into per-pattern differential reports, running
-/// the cross-run oracles on each completed case row. Shared by the local
-/// sweep and the `merge-shards` replay, so both verdicts agree.
+/// the cross-run oracles on each completed case row.
 pub fn assemble_reports(
     patterns: &[Pattern],
     cases: &[DiffCase],

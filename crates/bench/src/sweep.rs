@@ -156,34 +156,6 @@ pub fn run_sweep_weighted<T: Send>(
         .collect()
 }
 
-/// Deterministically assigns each task index to one of `shards` shards,
-/// balancing the per-shard weight sums (the `--shard K/N` partitioner).
-///
-/// Longest-processing-time greedy: indices are visited heaviest-first
-/// (ties by submission index) and each goes to the currently lightest
-/// shard (ties to the lowest shard id). The function sees only the
-/// weights — never `--jobs` or thread state — so the partition is stable
-/// across worker counts and machines by construction, and the per-shard
-/// weight sums stay within `max(weights)` of the mean.
-///
-/// Returns the 0-based shard id per task index. `shards` is clamped to
-/// at least 1.
-pub fn partition_weighted(weights: &[u64], shards: usize) -> Vec<usize> {
-    let shards = shards.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-    let mut loads = vec![0u64; shards];
-    let mut assignment = vec![0usize; weights.len()];
-    for i in order {
-        let lightest = (0..shards)
-            .min_by_key(|&s| (loads[s], s))
-            .expect("shards >= 1");
-        assignment[i] = lightest;
-        loads[lightest] += weights[i];
-    }
-    assignment
-}
-
 /// [`run_sweep_weighted`] for sweeps that must not fail.
 pub fn run_sweep_weighted_strict<T: Send>(
     jobs: usize,
@@ -307,35 +279,5 @@ mod tests {
             .map(|i| (7, SweepTask::new(format!("t{i}"), move || i)))
             .collect();
         assert_eq!(run_sweep_weighted_strict(1, tasks), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn partition_is_disjoint_exhaustive_and_deterministic() {
-        let weights: Vec<u64> = (0..40).map(|i| (i * 7) % 11 + 1).collect();
-        let a = partition_weighted(&weights, 3);
-        let b = partition_weighted(&weights, 3);
-        assert_eq!(a, b, "same inputs, same partition");
-        assert_eq!(a.len(), weights.len());
-        assert!(a.iter().all(|&s| s < 3));
-        // Loads balance to within one max weight of the mean.
-        let mut loads = [0u64; 3];
-        for (i, &s) in a.iter().enumerate() {
-            loads[s] += weights[i];
-        }
-        let mean = weights.iter().sum::<u64>() / 3;
-        let max_w = *weights.iter().max().unwrap();
-        assert!(loads.iter().all(|&l| l <= mean + max_w), "{loads:?}");
-    }
-
-    #[test]
-    fn partition_clamps_degenerate_inputs() {
-        assert_eq!(partition_weighted(&[5, 5], 0), vec![0, 0]);
-        assert!(partition_weighted(&[], 4).is_empty());
-        // More shards than tasks: the tasks land on distinct shards.
-        let p = partition_weighted(&[3, 2, 1], 5);
-        let mut uniq = p.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 3, "{p:?}");
     }
 }

@@ -113,7 +113,7 @@ mod tests {
         let job = query_job(designs::sam_en(), Store::Row);
         let plain = job.run(&mut Instrumentation::default());
         let (traced, trace) = run_traced(&job, "Q4/SAM-en/Row", TraceOptions::new(1_000));
-        assert_eq!(traced.to_record(), plain.to_record());
+        assert_eq!(traced, plain);
         assert!(!trace.events.is_empty());
         assert!(!trace.epochs.is_empty());
         assert_eq!(trace.label, "Q4/SAM-en/Row");
@@ -161,7 +161,7 @@ mod tests {
         };
         let plain = job.run(&mut Instrumentation::default());
         let (traced, trace) = run_traced(&job, "ping-pong/commodity", TraceOptions::new(1_000));
-        assert_eq!(traced.to_record(), plain.to_record());
+        assert_eq!(traced, plain);
         assert!(!trace.events.is_empty());
     }
 

@@ -87,7 +87,7 @@ fn fig12_driven_json(dir: &Path, jobs: usize, extra: &[&str]) -> Vec<u8> {
     argv.extend(extra);
     let argv: Vec<String> = argv.into_iter().map(String::from).collect();
     let args = try_parse_args(&exp.spec, PlanConfig::tiny(), &argv).unwrap();
-    assert_eq!(drive(exp, &args, None), Ok(0));
+    assert_eq!(drive(exp, &args), 0);
     std::fs::read(&out).expect("metrics json written")
 }
 

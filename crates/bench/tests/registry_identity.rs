@@ -3,10 +3,8 @@
 //! For every registered experiment, at the smallest scale that still plans
 //! every run: stdout and the metrics JSON match the committed goldens
 //! under `tests/golden/smallest/` (stdout as `<name>.out`, the JSON as a
-//! size and [`FxHasher`] line in `json.digest`), they are byte-identical
-//! at `--jobs 1` and `--jobs 3`, and a 2-shard split at mixed `--jobs`
-//! merged with `sam-check merge-shards` reproduces the local run byte for
-//! byte. A second test pins each experiment's accepted flags to the
+//! size and [`FxHasher`] line in `json.digest`), and they are
+//! byte-identical at `--jobs 1` and `--jobs 3`. A second test pins each experiment's accepted flags to the
 //! per-binary table the registry replaced, so moving a binary into the
 //! registry can neither widen nor narrow its command line.
 
@@ -20,8 +18,8 @@ use sam_bench::experiment::Experiment;
 use sam_util::fxhash::FxHasher;
 
 /// The per-binary flag table as it stood before the registry, verbatim
-/// but for `--heartbeat` and `--shard`, which every binary accepted and
-/// which are now shared flags.
+/// but for `--heartbeat`, which every binary accepted and which is now a
+/// shared flag.
 fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
     const FIG_FLAGS: &[&str] = &["--debug-cores", "--per-core"];
     Some(match bin {
@@ -183,7 +181,7 @@ fn local(name: &str, dir: &Path, jobs: &str) -> (Vec<u8>, Vec<u8>) {
     clippy::disallowed_types,
     reason = "times itself on stderr only; never part of a compared output"
 )]
-fn every_experiment_is_jobs_and_shard_merge_identical() {
+fn every_experiment_is_jobs_identical_and_matches_its_goldens() {
     let start = std::time::Instant::now();
     let dir = std::env::temp_dir().join(format!("sam-registry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -208,29 +206,6 @@ fn every_experiment_is_jobs_and_shard_merge_identical() {
             "{name}: stdout differs between --jobs 1 and 3"
         );
         assert!(json == json3, "{name}: JSON differs between --jobs 1 and 3");
-
-        let out = dir.join(format!("{name}.json"));
-        let out_arg = out.to_string_lossy().into_owned();
-        for (k, jobs) in [("1/2", "1"), ("2/2", "3")] {
-            let mut args = smallest(name);
-            args.extend(["--jobs", jobs, "--shard", k, "--out", &out_arg]);
-            let o = run_ok(&bin_dir().join(name), &args);
-            assert!(o.stdout.is_empty(), "{name}: shard {k} printed to stdout");
-        }
-        let shards: Vec<PathBuf> = (1..=2)
-            .map(|k| dir.join(format!("{name}.shard-{k}-of-2.json")))
-            .collect();
-        let merged = run_ok(
-            Path::new(env!("CARGO_BIN_EXE_sam-check")),
-            &[
-                "merge-shards",
-                &shards[0].to_string_lossy(),
-                &shards[1].to_string_lossy(),
-            ],
-        );
-        assert!(merged.stdout == stdout, "{name}: merged stdout drifted");
-        let merged_json = std::fs::read(&out).expect("merged metrics json");
-        assert!(merged_json == json, "{name}: merged JSON drifted");
     }
     std::fs::remove_dir_all(&dir).ok();
     assert!(drift.is_empty(), "{}", drift.join("\n"));

@@ -238,7 +238,7 @@ fn bench_flags_and_docs_agree() {
         }
     }
     assert!(
-        code.contains("--rows") && code.contains("--shard"),
+        code.contains("--rows") && code.contains("--heartbeat"),
         "{code:?}"
     );
     let findings = flag_doc_findings(&code, &doc_flags());

@@ -30,7 +30,6 @@
 pub mod ecc_audit;
 pub mod invariants;
 pub mod oracle;
-pub mod shards;
 pub mod trace;
 
 use sam_dram::command::Command;

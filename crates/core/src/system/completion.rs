@@ -122,6 +122,6 @@ impl<'t> Engine<'t> {
             .push(std::cmp::Reverse(self.cfg.mem_to_cpu(visible)));
         // The MLP window has a free slot again: the publisher that wakes a
         // window-stalled core.
-        self.runnable.wake(core);
+        self.runnable[core] = true;
     }
 }

@@ -65,7 +65,6 @@ use sam_memctrl::controller::{Controller, ControllerConfig, ControllerStats, Cor
 use sam_memctrl::hybrid::{DramCacheController, HybridConfig, HybridSummary};
 use sam_memctrl::level::MemLevel;
 use sam_memctrl::request::MemRequest;
-use sam_memctrl::wake::WakeSet;
 
 use crate::design::{Design, Granularity};
 use crate::layout::{Placement, Store, TableSpec};
@@ -424,11 +423,11 @@ struct Engine<'t> {
     /// Epoch recorder shared with the controller; the engine contributes
     /// the MLP gauge (outstanding misses across cores).
     epochs: Option<sam_trace::SharedEpochs>,
-    /// Cores whose next step can make progress. Stalled cores leave the
-    /// set and are re-armed only by a wake publisher matching their
-    /// registered [`core_engine::Blocker`] — the event-driven core loop
-    /// (DESIGN.md §13).
-    runnable: WakeSet,
+    /// Per core, whether its next step can make progress (all start
+    /// runnable). A stalled core's flag clears and is set again only by a
+    /// wake publisher matching its registered [`core_engine::Blocker`] —
+    /// the event-driven core loop (DESIGN.md §13).
+    runnable: Vec<bool>,
 }
 
 impl<'t> Engine<'t> {
@@ -495,7 +494,7 @@ impl<'t> Engine<'t> {
             probe: None,
             probe_ticks: 0,
             epochs: None,
-            runnable: WakeSet::all_awake(traces.len()),
+            runnable: vec![true; traces.len()],
         }
     }
 
@@ -505,7 +504,7 @@ impl<'t> Engine<'t> {
         for ci in 0..self.cores.len() {
             if let Some(b) = self.cores[ci].blocked {
                 if b.sector == sector {
-                    self.runnable.wake(ci);
+                    self.runnable[ci] = true;
                 }
             }
         }
@@ -517,7 +516,7 @@ impl<'t> Engine<'t> {
         for ci in 0..self.cores.len() {
             if let Some(b) = self.cores[ci].blocked {
                 if b.line == line {
-                    self.runnable.wake(ci);
+                    self.runnable[ci] = true;
                 }
             }
         }
@@ -529,7 +528,7 @@ impl<'t> Engine<'t> {
         for ci in 0..self.cores.len() {
             if let Some(b) = self.cores[ci].blocked {
                 if b.queue_full {
-                    self.runnable.wake(ci);
+                    self.runnable[ci] = true;
                 }
             }
         }
@@ -561,7 +560,9 @@ impl<'t> Engine<'t> {
             loop {
                 let mut any = false;
                 for ci in 0..self.cores.len() {
-                    if self.runnable.take(ci) && self.step_core(ci) == Step::Progress {
+                    if std::mem::take(&mut self.runnable[ci])
+                        && self.step_core(ci) == Step::Progress
+                    {
                         any = true;
                     }
                 }
@@ -607,7 +608,7 @@ impl<'t> Engine<'t> {
                         // runnable while work remains.
                         self.wake_queue_blocked();
                         let finished = self.cores.iter().all(|c| c.done) && self.ctrl.queued() == 0;
-                        if !finished && !self.runnable.any() {
+                        if !finished && !self.runnable.contains(&true) {
                             for (ci, c) in self.cores.iter().enumerate() {
                                 eprintln!(
                                     "deadlock: core {ci} done={} op={}/{} outstanding={} \

@@ -44,7 +44,7 @@ impl Workload {
 }
 
 /// The outcome of running one workload on one design.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRun {
     /// The query that ran.
     pub query: Query,

@@ -199,12 +199,17 @@ impl CoreLanes {
         &mut self.lanes[core][prov.kind.index()]
     }
 
-    /// Rebuilds the lane table from per-core rows in (core, kind-index)
-    /// layout — the inverse of reading every [`Self::lane`] back out.
-    /// Exists for deserialization (the sweep shard envelopes); simulation
-    /// populates lanes only through request provenance.
-    pub fn from_rows(rows: Vec<[LaneStats; ReqKind::COUNT]>) -> Self {
-        Self { lanes: rows }
+    /// Adds `other` lane-wise, growing to its core count.
+    pub(crate) fn accumulate(&mut self, other: &CoreLanes) {
+        if other.lanes.len() > self.lanes.len() {
+            self.lanes
+                .resize(other.lanes.len(), [LaneStats::default(); ReqKind::COUNT]);
+        }
+        for (row, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
+            for (lane, their) in row.iter_mut().zip(theirs) {
+                lane.accumulate(their);
+            }
+        }
     }
 
     /// Number of core rows (highest observed core id + 1; 0 when idle).

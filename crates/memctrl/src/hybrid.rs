@@ -39,9 +39,7 @@ use sam_dram::device::{DeviceConfig, DeviceStats};
 use sam_dram::Cycle;
 use sam_util::hist::Histogram;
 
-use crate::controller::{
-    Controller, ControllerConfig, ControllerStats, CoreLanes, LaneStats, QueueFull,
-};
+use crate::controller::{Controller, ControllerConfig, ControllerStats, CoreLanes, QueueFull};
 use crate::level::MemLevel;
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 
@@ -555,19 +553,9 @@ impl DramCacheController {
     }
 
     fn merged_lanes(&self) -> CoreLanes {
-        let front = self.front.per_core();
-        let back = self.back.per_core();
-        let cores = front.cores().max(back.cores());
-        let mut rows = Vec::with_capacity(cores);
-        for core in 0..cores {
-            let mut row = [LaneStats::default(); ReqKind::COUNT];
-            for (slot, kind) in row.iter_mut().zip(ReqKind::ALL) {
-                slot.accumulate(&front.lane(core as u8, kind));
-                slot.accumulate(&back.lane(core as u8, kind));
-            }
-            rows.push(row);
-        }
-        CoreLanes::from_rows(rows)
+        let mut lanes = self.front.per_core().clone();
+        lanes.accumulate(self.back.per_core());
+        lanes
     }
 }
 

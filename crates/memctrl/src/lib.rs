@@ -28,6 +28,5 @@ pub mod level;
 pub mod mapping;
 pub mod request;
 pub mod sched;
-pub mod wake;
 
 pub use sam_dram::Cycle;

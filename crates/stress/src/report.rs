@@ -169,13 +169,18 @@ pub fn lint_stress_json(doc: &Json) -> Result<StressJsonSummary, String> {
                     as_uint(v, &format!("{rctx}.{field}"))?;
                 }
             }
-            violations += as_uint(get(r, "violations", &rctx)?, &rctx)?;
+            let v = as_uint(get(r, "violations", &rctx)?, &rctx)?;
+            violations = violations
+                .checked_add(v)
+                .ok_or_else(|| format!("{rctx}: 'violations' overflows the u64 total"))?;
             runs += 1;
         }
         let Json::Array(findings) = get(p, "cross_findings", &ctx)? else {
             return Err(format!("{ctx}: 'cross_findings' is not an array"));
         };
-        violations += findings.len() as u64;
+        violations = violations
+            .checked_add(findings.len() as u64)
+            .ok_or_else(|| format!("{ctx}: 'cross_findings' overflows the u64 total"))?;
     }
     let total = as_uint(
         get(doc, "total_violations", "document")?,
@@ -244,5 +249,31 @@ mod tests {
             }
         }
         assert!(lint_stress_json(&doc).is_err());
+    }
+
+    fn field<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Object(pairs) = obj else {
+            panic!("{key}: not an object")
+        };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    /// Forged run counts whose sum wraps to the claimed total of 0 must
+    /// not pass (or panic in a debug build).
+    #[test]
+    fn lint_rejects_violation_sums_that_overflow() {
+        let mut doc = json_report(1, &sample());
+        *field(&mut doc, "total_violations") = Json::UInt(0);
+        let Json::Array(patterns) = field(&mut doc, "patterns") else {
+            panic!("patterns is an array")
+        };
+        let Json::Array(runs) = field(&mut patterns[0], "runs") else {
+            panic!("runs is an array")
+        };
+        for run in runs {
+            *field(run, "violations") = Json::UInt(1 << 63);
+        }
+        let e = lint_stress_json(&doc).unwrap_err();
+        assert!(e.contains("runs[1]") && e.contains("overflows"), "{e}");
     }
 }
