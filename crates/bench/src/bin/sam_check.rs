@@ -1,16 +1,11 @@
-//! sam-check: offline protocol-conformance tools.
+//! sam-check: offline checks over what the bench binaries write.
 //!
 //! ```text
 //! cargo run --release -p sam-bench --bin sam-check -- <command>
 //!
-//!   record <file>     run a small workload and write its command trace
-//!   replay <file>     re-check a recorded trace; exit 1 on violations
-//!                     (stress streams written by the `stress` binary's
-//!                     shrinker are autodetected by header and replayed
-//!                     through the sam-stress invariant driver)
-//!   audit             audit the chipkill ECC layouts
-//!   selftest          end-to-end sanity: clean record/replay, injected
-//!                     tFAW bug caught by name, ECC layouts clean
+//!   replay <file>     replay a stress repro written by the `stress`
+//!                     binary's shrinker through the sam-stress invariant
+//!                     driver; exit 1 on violations, 2 on any other file
 //!   lint-json <file>  validate a results/<bin>.json metrics report
 //!   lint-trace <file> validate a results/<bin>.trace.json Chrome trace
 //!   bench-fig12 <metrics.json> --wall-ns N --jobs J --out <file>
@@ -22,30 +17,12 @@
 //!                     gate and say why
 //! ```
 
-use std::sync::{Arc, Mutex};
-
-use sam::designs;
-use sam::layout::Store;
-use sam::system::Instrumentation;
-use sam_check::ecc_audit::audit_chipkill_layouts;
-use sam_check::oracle::{OracleConfig, ProtocolOracle};
-use sam_check::trace::{replay_text, TraceRecorder};
-use sam_dram::device::DeviceConfig;
-use sam_imdb::exec::{run_query_instrumented, Workload};
-use sam_imdb::plan::PlanConfig;
-use sam_imdb::query::Query;
-use sam_memctrl::controller::{Controller, ControllerConfig};
-use sam_memctrl::mapping::Location;
-use sam_memctrl::request::MemRequest;
 use sam_util::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let code = match (args.get(1).map(String::as_str), args.get(2)) {
-        (Some("record"), Some(path)) => record(path),
         (Some("replay"), Some(path)) => replay(path),
-        (Some("audit"), _) => audit(),
-        (Some("selftest"), _) => selftest(),
         (Some("lint-json"), Some(path)) => lint_json(path),
         (Some("lint-trace"), Some(path)) => lint_trace(path),
         (Some("bench-fig12"), _) => bench_fig12(&args[2..]),
@@ -56,8 +33,7 @@ fn main() {
 
 fn usage() -> i32 {
     eprintln!(
-        "usage: sam-check record <file> | replay <file> | audit | selftest \
-         | lint-json <file> | lint-trace <file> \
+        "usage: sam-check replay <file> | lint-json <file> | lint-trace <file> \
          | bench-fig12 <metrics.json> --wall-ns N --jobs J --out <file> \
            [--label L] [--baseline <file> --gate-pct P]"
     );
@@ -192,9 +168,23 @@ fn bench_fig12(args: &[String]) -> i32 {
 
 /// Replays a shrinker-written stress stream through the sam-stress
 /// invariant driver: the minimal repro must reproduce its violation
-/// anywhere, or the shrinker is lying.
-fn replay_stress(path: &str, text: &str) -> i32 {
-    match sam_stress::replay_text(text) {
+/// anywhere, or the shrinker is lying. Any other file exits 2.
+fn replay(path: &str) -> i32 {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("sam-check: cannot read {path}: {e}");
+            return 2;
+        }
+    };
+    if !sam_stress::is_stress_trace(&text) {
+        eprintln!(
+            "sam-check: {path}: not a stress repro (its first line must be '{}')",
+            sam_stress::STRESS_TRACE_HEADER
+        );
+        return 2;
+    }
+    match sam_stress::replay_text(&text) {
         Err(e) => {
             eprintln!("sam-check: {path}: {e}");
             2
@@ -343,150 +333,5 @@ fn lint_trace(path: &str) -> i32 {
             eprintln!("sam-check: {path}: trace violation: {e}");
             1
         }
-    }
-}
-
-/// Records the reference workload's command trace as text.
-fn record_trace() -> String {
-    let workload = Workload::new(Query::Q3, PlanConfig::tiny());
-    let design = designs::sam_en();
-    let recorder = Arc::new(Mutex::new(TraceRecorder::new(OracleConfig::from_device(
-        &design.device_config(),
-    ))));
-    {
-        let mut instr = Instrumentation {
-            observer: Some(recorder.clone()),
-            ..Instrumentation::default()
-        };
-        run_query_instrumented(&workload, &design, Store::Row, &mut instr);
-    }
-    let recorder = Arc::try_unwrap(recorder)
-        .expect("system dropped, recorder is sole owner")
-        .into_inner()
-        .expect("recorder lock poisoned");
-    recorder.to_text()
-}
-
-fn record(path: &str) -> i32 {
-    let text = record_trace();
-    let lines = text.lines().count();
-    if let Err(e) = std::fs::write(path, &text) {
-        eprintln!("sam-check: cannot write {path}: {e}");
-        return 2;
-    }
-    println!("recorded {lines} lines (Q3/tiny on SAM-en) to {path}");
-    0
-}
-
-fn replay(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("sam-check: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    if sam_stress::is_stress_trace(&text) {
-        return replay_stress(path, &text);
-    }
-    let violations = match replay_text(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("sam-check: {path}: {e}");
-            return 2;
-        }
-    };
-    if violations.is_empty() {
-        println!("{path}: conforming, no violations");
-        return 0;
-    }
-    println!("{path}: {} violation(s)", violations.len());
-    for v in violations.iter().take(20) {
-        println!("  {v}");
-    }
-    if violations.len() > 20 {
-        println!("  ... and {} more", violations.len() - 20);
-    }
-    1
-}
-
-fn audit() -> i32 {
-    let faults = audit_chipkill_layouts();
-    if faults.is_empty() {
-        println!("ECC audit: BeatSpread and Transposed layouts clean");
-        0
-    } else {
-        println!("ECC audit: {} fault(s)", faults.len());
-        for f in &faults {
-            println!("  {f}");
-        }
-        1
-    }
-}
-
-/// Issues reads to twelve distinct banks on a device whose tFAW was
-/// shrunk to 8, shadowed by an oracle with the true timing.
-fn injected_tfaw_caught() -> bool {
-    let truth = DeviceConfig::ddr4_server();
-    let mut buggy = truth;
-    buggy.timing.faw = 8;
-    let oracle = Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
-        &truth,
-    ))));
-    let mut ctrl = Controller::new(ControllerConfig::with_device(buggy));
-    ctrl.attach_observer(oracle.clone());
-    let mapper = *ctrl.mapper();
-    for i in 0..12usize {
-        let loc = Location {
-            rank: 0,
-            bank_group: i % 4,
-            bank: (i / 4) % 4,
-            row: 5,
-            col: 0,
-            offset: 0,
-        };
-        ctrl.enqueue(MemRequest::read(i as u64, mapper.encode(&loc)), 0)
-            .expect("queue has room");
-    }
-    ctrl.drain(0);
-    drop(ctrl);
-    let oracle = Arc::try_unwrap(oracle)
-        .expect("sole owner")
-        .into_inner()
-        .expect("oracle lock poisoned");
-    oracle
-        .finish()
-        .iter()
-        .any(|v| v.constraint.name() == "tFAW")
-}
-
-fn selftest() -> i32 {
-    let mut failures = 0;
-    let mut step = |name: &str, ok: bool| {
-        println!("{}  {name}", if ok { "PASS" } else { "FAIL" });
-        if !ok {
-            failures += 1;
-        }
-    };
-
-    let trace = record_trace();
-    let replayed = replay_text(&trace);
-    step("record/replay round-trip parses", replayed.is_ok());
-    step(
-        "recorded SAM-en workload replays with zero violations",
-        matches!(&replayed, Ok(v) if v.is_empty()),
-    );
-    step("injected tFAW bug caught by name", injected_tfaw_caught());
-    step(
-        "chipkill ECC layouts audit clean",
-        audit_chipkill_layouts().is_empty(),
-    );
-
-    if failures == 0 {
-        println!("selftest: all checks passed");
-        0
-    } else {
-        println!("selftest: {failures} check(s) failed");
-        1
     }
 }

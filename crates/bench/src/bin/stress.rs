@@ -20,10 +20,7 @@
 //! On any violation the binary shrinks the first failing (config,
 //! stream) pair to a 1-minimal repro, writes it next to the JSON report
 //! as `stress.repro.trace` (replayable with `sam-check replay`), and
-//! exits 1. `--shrink-selftest` instead drives the shrinker against a
-//! known-bad synthetic config (inverted hysteresis margins, reachable
-//! only through the validation-bypassing test hook) and verifies the
-//! written repro fits a screenful and replays to the same violation.
+//! exits 1.
 
 fn main() {
     sam_bench::bins::main(env!("CARGO_BIN_NAME"));

@@ -86,20 +86,16 @@ pub const EXPERIMENTS: &[Experiment] = &[
         reliability::render,
     ),
     Experiment::new(
-        ArgSpec::new("stress")
-            .with_trace()
-            .with_panels(&[
-                "row-hit-flood",
-                "ping-pong",
-                "write-burst",
-                "faw-train",
-                "sector-straddle",
-            ])
-            .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
+        ArgSpec::new("stress").with_trace().with_panels(&[
+            "row-hit-flood",
+            "ping-pong",
+            "write-burst",
+            "faw-train",
+            "sector-straddle",
+        ]),
         stress::plan,
         stress::render,
-    )
-    .with_bypass(stress::bypass),
+    ),
 ];
 
 /// The registered experiment named `name`.

@@ -2,11 +2,13 @@
 //! across scheduler knob settings, with behavioural-invariant checking
 //! and failing-stream shrinking.
 
+use std::path::Path;
+
 use sam_stress::diff::DiffCase;
 use sam_stress::report::{json_report, PatternReport};
-use sam_stress::shrink::{first_violation, shrink_stream};
-use sam_stress::stream::{format_stream, DeviceKind, StressConfig};
-use sam_stress::{InvariantKind, Pattern, PatternParams};
+use sam_stress::shrink::shrink_stream;
+use sam_stress::stream::format_stream;
+use sam_stress::{Pattern, PatternParams};
 
 use crate::experiment::{Ctx, Doc, Rendered, Results, Run};
 use crate::stressrun::{assemble_reports, cells, render_report, standard_cases};
@@ -28,18 +30,6 @@ fn params(ctx: &Ctx) -> PatternParams {
 fn cases(ctx: &Ctx) -> Vec<DiffCase> {
     let args = ctx.args;
     standard_cases(args.starvation_cap, args.drain_hi, args.drain_lo)
-}
-
-/// `--shrink-selftest` and `--hybrid-diff` replace the grid.
-pub fn bypass(ctx: &Ctx) -> Option<i32> {
-    if ctx.args.has_flag("--shrink-selftest") {
-        let repro_path = ctx.args.out.with_file_name("stress.repro.trace");
-        Some(shrink_selftest(ctx.args.plan.seed, &repro_path))
-    } else if ctx.args.has_flag("--hybrid-diff") {
-        Some(hybrid_diff(ctx))
-    } else {
-        None
-    }
 }
 
 /// Every (pattern, case) cell of the selected patterns.
@@ -65,8 +55,7 @@ pub fn render(ctx: &Ctx, results: Results) -> Rendered {
     print!("{}", render_report(&reports));
     let failed = reports.iter().any(|p| p.report.total_violations() > 0);
     if failed {
-        let repro_path = ctx.args.out.with_file_name("stress.repro.trace");
-        write_first_repro(&reports, &patterns, &params, &repro_path);
+        write_first_repro(&reports, &patterns, &params, &ctx.args.out);
     }
     Rendered {
         doc: Doc::Json(json_report(params.seed, &reports)),
@@ -74,63 +63,18 @@ pub fn render(ctx: &Ctx, results: Results) -> Rendered {
     }
 }
 
-/// The hybrid-topology differential (`--hybrid-diff`): every selected
-/// pattern stream through the DRAM-cache controller under both write
-/// policies, cross-checked decision-for-decision against the pure
-/// functional mirror (plus forward-progress and policy-exclusivity
-/// checks). Pattern panels and `--seed` compose; scheduler-knob flags do
-/// not apply (the hybrid's inner controllers run Table 2 defaults).
-fn hybrid_diff(ctx: &Ctx) -> i32 {
-    use sam_stress::hybriddiff::run_hybrid_differential;
-
-    let patterns = patterns(ctx);
-    let params = params(ctx);
-    println!(
-        "Hybrid differential: {} pattern(s) x 2 write policies, seed {}, DDR4 cache over RRAM\n",
-        patterns.len(),
-        params.seed
-    );
-    let mut findings = 0usize;
-    for pattern in &patterns {
-        let stream = pattern.generate(&params);
-        for out in run_hybrid_differential(&stream, 128, DeviceKind::Rram) {
-            let status = if out.findings.is_empty() {
-                "ok"
-            } else {
-                "FAIL"
-            };
-            println!(
-                "{:<24} {:<13} {status}  ({} completions, {} hits / {} misses)",
-                pattern.name(),
-                out.policy.label(),
-                out.completions,
-                out.hits,
-                out.misses
-            );
-            for f in &out.findings {
-                println!("    {f}");
-            }
-            findings += out.findings.len();
-        }
-    }
-    if findings == 0 {
-        println!("\nhybrid differential: mirror identity held on every stream");
-        0
-    } else {
-        println!("\nhybrid differential: {findings} finding(s)");
-        1
-    }
-}
-
-/// Shrinks the first per-run violation to a minimal repro and writes it.
-/// Cross-run findings have no single offending stream, so a run with
-/// only those still exits 1 but leaves no repro.
+/// Shrinks the first per-run violation to a minimal repro and writes it
+/// as `stress.repro.trace` next to the `out` report, creating the
+/// directory if the report has not been written yet. Cross-run findings
+/// have no single offending stream, so a run with only those still exits
+/// 1 but leaves no repro.
 fn write_first_repro(
     reports: &[PatternReport],
     patterns: &[Pattern],
     params: &PatternParams,
-    path: &std::path::Path,
+    out: &Path,
 ) {
+    let path = out.with_file_name("stress.repro.trace");
     for (pattern, p) in patterns.iter().zip(reports) {
         for run in &p.report.runs {
             let Some(v) = run.outcome.violations.first() else {
@@ -142,7 +86,10 @@ fn write_first_repro(
             );
             let stream = pattern.generate(params);
             let minimal = shrink_stream(&run.case.config, &stream, v.kind);
-            if let Err(e) = std::fs::write(path, format_stream(&minimal)) {
+            let dir = path.parent().expect("a path with a file name has a parent");
+            let written = std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, format_stream(&minimal)));
+            if let Err(e) = written {
                 eprintln!("stress: cannot write {}: {e}", path.display());
                 return;
             }
@@ -157,67 +104,40 @@ fn write_first_repro(
     eprintln!("stress: only cross-run findings (no single-stream repro to shrink)");
 }
 
-/// Drives the shrinker end to end against the known-bad synthetic
-/// config: inverted hysteresis margins (lo > hi), constructible only via
-/// the validation-bypassing hook, which break watermark supremacy within
-/// a handful of requests.
-fn shrink_selftest(seed: u64, repro_path: &std::path::Path) -> i32 {
-    let mut failures = 0;
-    let mut step = |name: &str, ok: bool| {
-        println!("{}  {name}", if ok { "PASS" } else { "FAIL" });
-        if !ok {
-            failures += 1;
-        }
-    };
+#[cfg(test)]
+mod tests {
+    use sam_stress::stream::{DeviceKind, StressConfig};
+    use sam_stress::{run_differential, InvariantKind};
 
-    let cfg = StressConfig::unchecked(DeviceKind::Ddr4, 4096, 8, 28);
-    let stream = Pattern::WriteBurst.generate(&PatternParams::small(seed));
-    let found = first_violation(&cfg, &stream);
-    step(
-        "inverted margins (hi=8, lo=28) break watermark supremacy",
-        found == Some(InvariantKind::WatermarkSupremacy),
-    );
-    if found != Some(InvariantKind::WatermarkSupremacy) {
-        println!("shrink selftest: {failures} check(s) failed");
-        return 1;
-    }
+    use super::*;
 
-    let minimal = shrink_stream(&cfg, &stream, InvariantKind::WatermarkSupremacy);
-    step(
-        &format!(
-            "minimal repro fits a screenful ({} of {} requests, <= 32)",
-            minimal.requests.len(),
-            stream.len()
-        ),
-        minimal.requests.len() <= 32,
-    );
+    #[test]
+    fn repro_lands_next_to_an_out_path_in_a_fresh_directory() {
+        // Inverted hysteresis margins break watermark supremacy within a
+        // handful of write-burst requests.
+        let case = DiffCase {
+            label: "inverted".to_string(),
+            config: StressConfig::unchecked(DeviceKind::Ddr4, 4096, 8, 28),
+        };
+        let params = PatternParams::small(7);
+        let stream = Pattern::WriteBurst.generate(&params);
+        let report = run_differential(&stream, &[case]);
+        assert!(report.total_violations() > 0);
+        let reports = [PatternReport {
+            pattern: Pattern::WriteBurst.name().to_string(),
+            report,
+        }];
 
-    let text = format_stream(&minimal);
-    let written = std::fs::create_dir_all(repro_path.parent().unwrap_or(std::path::Path::new(".")))
-        .and_then(|()| std::fs::write(repro_path, &text));
-    step(
-        &format!("repro written to {}", repro_path.display()),
-        written.is_ok(),
-    );
-
-    let replayed = sam_stress::replay_text(&text);
-    step(
-        "written trace replays to the same violation",
-        matches!(
-            &replayed,
-            Ok((c, outcome)) if *c == cfg
-                && outcome
-                    .violations
-                    .iter()
-                    .any(|v| v.kind == InvariantKind::WatermarkSupremacy)
-        ),
-    );
-
-    if failures == 0 {
-        println!("shrink selftest: all checks passed");
-        0
-    } else {
-        println!("shrink selftest: {failures} check(s) failed");
-        1
+        let dir = std::env::temp_dir().join(format!("sam-stress-repro-{}", std::process::id()));
+        let out = dir.join("fresh").join("stress.json");
+        write_first_repro(&reports, &[Pattern::WriteBurst], &params, &out);
+        let text = std::fs::read_to_string(dir.join("fresh").join("stress.repro.trace"))
+            .expect("the repro is written before the report's directory exists");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (_, outcome) = sam_stress::replay_text(&text).unwrap();
+        assert!(outcome
+            .violations
+            .iter()
+            .any(|v| v.kind == InvariantKind::WatermarkSupremacy));
     }
 }

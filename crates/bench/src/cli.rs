@@ -37,6 +37,7 @@
 use std::path::PathBuf;
 
 use sam_imdb::plan::{PlanConfig, TA_BASE, TB_BASE};
+use sam_memctrl::controller::ControllerConfig;
 
 use crate::sweep::default_jobs;
 
@@ -48,17 +49,6 @@ pub const DEFAULT_TRIALS: u64 = 100;
 
 /// Default heartbeat interval in seconds (`--heartbeat` with no value).
 pub const DEFAULT_HEARTBEAT_SECS: u64 = 5;
-
-/// Table 2 write-queue depth; `--drain-hi` may not exceed it. Mirrors
-/// `ControllerConfig::with_device` (asserted by a test below).
-pub const WRITE_QUEUE_DEPTH: usize = 32;
-
-/// Controller-default write-drain high watermark, used to validate a lone
-/// `--drain-lo` against the effective pair.
-pub const DEFAULT_DRAIN_HI: usize = 28;
-
-/// Controller-default write-drain low watermark.
-pub const DEFAULT_DRAIN_LO: usize = 8;
 
 /// What a specific binary accepts beyond the shared flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +63,7 @@ pub struct ArgSpec {
     pub accepts_trials: bool,
     /// Bare arguments accepted as panel selectors (empty: none).
     pub panels: &'static [&'static str],
-    /// Extra binary-specific boolean flags (e.g. `--shrink-selftest`);
+    /// Extra binary-specific boolean flags (e.g. `--per-core`);
     /// matched literally, surfaced in [`BenchArgs::flags`].
     pub extra_flags: &'static [&'static str],
 }
@@ -164,7 +154,7 @@ pub struct BenchArgs {
     /// Heartbeat interval in seconds when `--heartbeat[=SECS]` was given.
     pub heartbeat: Option<u64>,
     /// FR-FCFS starvation-cap override in memory cycles (`Some(0)` forces
-    /// pure FCFS); `None` keeps the design/controller default.
+    /// pure FCFS); `None` keeps the controller default.
     pub starvation_cap: Option<u64>,
     /// Write-drain high-watermark override (`--drain-hi N`).
     pub drain_hi: Option<usize>,
@@ -347,9 +337,11 @@ pub fn try_parse_args(
     if drain_hi.is_some() || drain_lo.is_some() {
         // Validate the *effective* pair: a lone override combines with the
         // controller default for the other watermark.
-        let hi = drain_hi.unwrap_or(DEFAULT_DRAIN_HI);
-        let lo = drain_lo.unwrap_or(DEFAULT_DRAIN_LO);
-        if lo >= hi || hi > WRITE_QUEUE_DEPTH {
+        let ctrl = ControllerConfig::default();
+        let hi = drain_hi.unwrap_or(ctrl.write_high_watermark);
+        let lo = drain_lo.unwrap_or(ctrl.write_low_watermark);
+        let depth = ctrl.write_queue_capacity;
+        if lo >= hi || hi > depth {
             let flag = if drain_hi.is_some() {
                 "--drain-hi"
             } else {
@@ -357,7 +349,7 @@ pub fn try_parse_args(
             };
             return Err(CliError::BadValue(
                 flag.to_string(),
-                format!("lo={lo} hi={hi} (need lo < hi <= {WRITE_QUEUE_DEPTH})"),
+                format!("lo={lo} hi={hi} (need lo < hi <= {depth})"),
             ));
         }
     }
@@ -564,28 +556,18 @@ mod tests {
         ] {
             assert!(try_parse_args(&spec(), PlanConfig::tiny(), &argv(bad)).is_err());
         }
-        // Defaults here must mirror the controller's Table 2 values.
-        let ctrl = sam_memctrl::controller::ControllerConfig::default();
-        assert_eq!(DEFAULT_DRAIN_HI, ctrl.write_high_watermark);
-        assert_eq!(DEFAULT_DRAIN_LO, ctrl.write_low_watermark);
-        assert_eq!(WRITE_QUEUE_DEPTH, ctrl.write_queue_capacity);
     }
 
     #[test]
     fn extra_flags_gated_and_deduped() {
-        let s = ArgSpec::new("stress").with_flags(&["--shrink-selftest"]);
-        let a = try_parse_args(
-            &s,
-            PlanConfig::tiny(),
-            &argv(&["--shrink-selftest", "--shrink-selftest"]),
-        )
-        .unwrap();
-        assert_eq!(a.flags, vec!["--shrink-selftest"]);
-        assert!(a.has_flag("--shrink-selftest"));
+        let s = ArgSpec::new("fig13").with_flags(&["--per-core"]);
+        let a =
+            try_parse_args(&s, PlanConfig::tiny(), &argv(&["--per-core", "--per-core"])).unwrap();
+        assert_eq!(a.flags, vec!["--per-core"]);
+        assert!(a.has_flag("--per-core"));
         assert!(!a.has_flag("--other"));
-        let e =
-            try_parse_args(&spec(), PlanConfig::tiny(), &argv(&["--shrink-selftest"])).unwrap_err();
-        assert_eq!(e, CliError::UnknownArg("--shrink-selftest".to_string()));
+        let e = try_parse_args(&spec(), PlanConfig::tiny(), &argv(&["--per-core"])).unwrap_err();
+        assert_eq!(e, CliError::UnknownArg("--per-core".to_string()));
     }
 
     #[test]

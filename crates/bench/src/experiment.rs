@@ -48,30 +48,16 @@ pub struct Experiment {
     pub plan: fn(&Ctx) -> Vec<Run>,
     /// Prints stdout and builds the `--out` document from the runs.
     pub render: fn(&Ctx, Results) -> Rendered,
-    /// A mode that replaces the sweep (the stress self-tests): returns the
-    /// exit code when the arguments select it.
-    pub bypass: Option<fn(&Ctx) -> Option<i32>>,
 }
 
 impl Experiment {
-    /// An experiment without a bypass mode.
+    /// An experiment from its flags, plan and render.
     pub const fn new(
         spec: ArgSpec,
         plan: fn(&Ctx) -> Vec<Run>,
         render: fn(&Ctx, Results) -> Rendered,
     ) -> Self {
-        Self {
-            spec,
-            plan,
-            render,
-            bypass: None,
-        }
-    }
-
-    /// Adds a mode that replaces the sweep.
-    pub const fn with_bypass(mut self, bypass: fn(&Ctx) -> Option<i32>) -> Self {
-        self.bypass = Some(bypass);
-        self
+        Self { spec, plan, render }
     }
 
     /// The registered name.
@@ -381,9 +367,6 @@ pub fn drive(exp: &Experiment, args: &BenchArgs) -> i32 {
     // Dropping the monitor stops it, on every return path below.
     let _heartbeat = args.heartbeat.map(|secs| heartbeat::start(name, secs));
     let ctx = Ctx::new(exp, args);
-    if let Some(code) = exp.bypass.and_then(|mode| mode(&ctx)) {
-        return code;
-    }
     let plan = (exp.plan)(&ctx);
     let (results, traces, checks) = execute(&plan, args);
 

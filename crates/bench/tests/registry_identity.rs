@@ -46,16 +46,13 @@ fn pre_registry_spec(bin: &str) -> Option<ArgSpec> {
         "ablation" => ArgSpec::new("ablation"),
         "motivation" => ArgSpec::new("motivation"),
         "reliability" => ArgSpec::new("reliability").with_trials(),
-        "stress" => ArgSpec::new("stress")
-            .with_trace()
-            .with_panels(&[
-                "row-hit-flood",
-                "ping-pong",
-                "write-burst",
-                "faw-train",
-                "sector-straddle",
-            ])
-            .with_flags(&["--shrink-selftest", "--hybrid-diff"]),
+        "stress" => ArgSpec::new("stress").with_trace().with_panels(&[
+            "row-hit-flood",
+            "ping-pong",
+            "write-burst",
+            "faw-train",
+            "sector-straddle",
+        ]),
         _ => return None,
     })
 }

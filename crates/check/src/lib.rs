@@ -19,8 +19,8 @@
 //! * [`ecc_audit`] — an auditor proving each chipkill codeword layout in
 //!   `sam-ecc` maps every symbol bit to exactly one (beat, pin) slot of its
 //!   own device, covering the burst exactly once.
-//! * [`trace`] — a text command-trace format so the oracle can also run
-//!   offline (`sam-check replay`, see the `sam-bench` binary).
+//! * [`trace`] — an in-memory command recorder, so a device's stream can
+//!   be re-issued or replayed through the oracle after the run.
 //!
 //! Violations name the constraint, the offending command and cycle, the
 //! earliest legal cycle, and the prior command that opened the window.

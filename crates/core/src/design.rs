@@ -156,19 +156,6 @@ pub struct Design {
     pub critical_word_first: bool,
     /// Power-model traits.
     pub power: PowerTraits,
-    /// FR-FCFS starvation-cap override in memory cycles (`None` keeps the
-    /// controller default). Designs with slower substrates or heavier
-    /// row-switch costs may want a different fairness/locality trade-off.
-    pub starvation_cap: Option<u64>,
-    /// Write-drain high-watermark override: occupancy at which the
-    /// controller latches into draining writes (`None` keeps the
-    /// controller default, 28 of 32). Paired with [`Self::drain_lo`];
-    /// the controller requires `lo < hi <= write_queue_capacity`.
-    pub drain_hi: Option<usize>,
-    /// Write-drain low-watermark override: occupancy at which the drain
-    /// latch resets and reads regain priority (`None` keeps the
-    /// controller default, 8).
-    pub drain_lo: Option<usize>,
 }
 
 impl Design {

@@ -25,9 +25,6 @@ pub fn commodity() -> Design {
         codeword_layout: CodewordLayout::BeatSpread,
         critical_word_first: true,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -50,9 +47,6 @@ pub fn dgms() -> Design {
         codeword_layout: CodewordLayout::BeatSpread,
         critical_word_first: true,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -83,9 +77,6 @@ pub fn sam_sub() -> Design {
             background_extra: 0.02, // extra decoding and SA logic
             fine_grained_activation: false,
         },
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -114,9 +105,6 @@ pub fn sam_io() -> Design {
             background_extra: 0.0,
             fine_grained_activation: false,
         },
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -144,9 +132,6 @@ pub fn sam_en() -> Design {
             background_extra: 0.0,
             fine_grained_activation: true,
         },
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -190,9 +175,6 @@ pub fn gs_dram() -> Design {
         codeword_layout: CodewordLayout::GatherNoEcc,
         critical_word_first: false,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -218,9 +200,6 @@ pub fn gs_dram_ecc() -> Design {
         codeword_layout: CodewordLayout::BeatSpread,
         critical_word_first: false,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -246,9 +225,6 @@ pub fn rc_nvm_bit() -> Design {
         codeword_layout: CodewordLayout::BeatSpread,
         critical_word_first: true,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 
@@ -272,9 +248,6 @@ pub fn rc_nvm_wd() -> Design {
         codeword_layout: CodewordLayout::BeatSpread,
         critical_word_first: true,
         power: PowerTraits::commodity(),
-        starvation_cap: None,
-        drain_hi: None,
-        drain_lo: None,
     }
 }
 

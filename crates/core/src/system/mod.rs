@@ -106,17 +106,15 @@ pub struct SystemConfig {
     /// Next-line stream prefetch degree for regular line fills (0 = off,
     /// the Table 2 configuration; the ablation harness sweeps it).
     pub prefetch_degree: u32,
-    /// FR-FCFS starvation-cap override in memory cycles. `None` uses the
-    /// design's preference, falling back to the controller default (4096).
-    /// A `Some` here (e.g. from the `--starvation-cap` CLI flag) wins over
-    /// both.
+    /// FR-FCFS starvation-cap override in memory cycles (the
+    /// `--starvation-cap` CLI flag). CLI beats controller default: `None`
+    /// keeps the controller's 4096.
     pub starvation_cap: Option<Cycle>,
-    /// Write-drain high-watermark override (`--drain-hi`). Same precedence
-    /// as [`Self::starvation_cap`]: CLI beats design beats controller
-    /// default (28).
+    /// Write-drain high-watermark override (`--drain-hi`). CLI beats
+    /// controller default (28).
     pub drain_hi: Option<usize>,
-    /// Write-drain low-watermark override (`--drain-lo`). Same precedence;
-    /// controller default is 8.
+    /// Write-drain low-watermark override (`--drain-lo`). CLI beats
+    /// controller default (8).
     pub drain_lo: Option<usize>,
     /// Dump per-core progress counters to stderr at the end of a run (the
     /// `--debug-cores` CLI flag). Stderr only, so enabling it never touches
@@ -438,17 +436,8 @@ impl<'t> Engine<'t> {
         traces: &'t [Trace],
     ) -> Self {
         let mut ctrl_cfg = ControllerConfig::with_device(design.device_config());
-        if let Some(cap) = design.starvation_cap {
-            ctrl_cfg.starvation_cap = cap;
-        }
         if let Some(cap) = cfg.starvation_cap {
             ctrl_cfg.starvation_cap = cap;
-        }
-        if let Some(hi) = design.drain_hi {
-            ctrl_cfg.write_high_watermark = hi;
-        }
-        if let Some(lo) = design.drain_lo {
-            ctrl_cfg.write_low_watermark = lo;
         }
         if let Some(hi) = cfg.drain_hi {
             ctrl_cfg.write_high_watermark = hi;

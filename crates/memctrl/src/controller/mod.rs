@@ -42,8 +42,6 @@ pub struct ControllerConfig {
     pub write_low_watermark: usize,
     /// Read queue capacity.
     pub read_queue_capacity: usize,
-    /// Whether periodic refresh is issued (DRAM yes, RRAM no).
-    pub refresh_enabled: bool,
     /// FR-FCFS starvation cap in memory cycles: once the oldest queued
     /// request has waited longer than this, it wins the next scheduling
     /// decision regardless of row-buffer state. Prevents an unbroken
@@ -61,17 +59,20 @@ pub struct ControllerConfig {
 impl ControllerConfig {
     /// Table 2 defaults over the given device.
     pub fn with_device(device: DeviceConfig) -> Self {
-        let refresh_enabled = device.timing.needs_refresh();
         Self {
             device,
             write_queue_capacity: 32,
             write_high_watermark: 28,
             write_low_watermark: 8,
             read_queue_capacity: 96,
-            refresh_enabled,
             starvation_cap: 4096,
             reference_scheduler: false,
         }
+    }
+
+    /// Whether periodic refresh is issued: DRAM yes, RRAM (no tREFI) no.
+    pub fn refresh_enabled(&self) -> bool {
+        self.device.timing.needs_refresh()
     }
 }
 
@@ -295,7 +296,7 @@ impl Controller {
         let refi = cfg.device.timing.refi;
         let next_refresh: Vec<Cycle> = (0..cfg.device.ranks)
             .map(|r| {
-                if cfg.refresh_enabled {
+                if cfg.refresh_enabled() {
                     refi + (r as u64 * refi / cfg.device.ranks as u64)
                 } else {
                     u64::MAX
@@ -440,7 +441,7 @@ impl Controller {
         self.readq.len() + self.writeq.len()
     }
 
-    /// The active configuration (after any per-design or CLI overrides).
+    /// The active configuration (after any CLI overrides).
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
     }
@@ -694,7 +695,7 @@ mod tests {
     #[test]
     fn rram_controller_skips_refresh() {
         let cfg = ControllerConfig::with_device(DeviceConfig::rram_server());
-        assert!(!cfg.refresh_enabled);
+        assert!(!cfg.refresh_enabled());
         let mut c = Controller::new(cfg);
         c.enqueue(MemRequest::read(1, 0), 10_000_000).unwrap();
         let _ = c.drain(10_000_000);
@@ -982,7 +983,7 @@ mod tests {
     #[test]
     fn rram_controller_has_no_refresh_wakes() {
         let cfg = ControllerConfig::with_device(DeviceConfig::rram_server());
-        assert!(!cfg.refresh_enabled);
+        assert!(!cfg.refresh_enabled());
         let mut c = Controller::new(cfg);
         c.advance_to(u64::MAX);
         assert_eq!(c.stats().refreshes, 0);

@@ -6,7 +6,7 @@ use super::*;
 impl Controller {
     /// Issues due refreshes for every rank relative to `now`.
     pub(super) fn service_refresh(&mut self, now: Cycle) {
-        if !self.cfg.refresh_enabled {
+        if !self.cfg.refresh_enabled() {
             return;
         }
         let refi = self.cfg.device.timing.refi;
@@ -47,7 +47,7 @@ impl Controller {
     /// lazily before serving a request, so `advance_to` only moves
     /// *when* the background work is performed, never what is issued.
     pub fn advance_to(&mut self, target: Cycle) {
-        if !self.cfg.refresh_enabled {
+        if !self.cfg.refresh_enabled() {
             return;
         }
         while let Some(due) = self.next_refresh.iter().copied().min() {

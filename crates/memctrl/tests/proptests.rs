@@ -96,7 +96,7 @@ proptest! {
             let stream_writes = writes.iter().filter(|&&w| w).count() as u64;
             let backlog = (cfg.read_queue_capacity + 4) as u64 + stream_writes;
             let busy = cap + backlog * svc;
-            let refresh = if cfg.refresh_enabled {
+            let refresh = if cfg.refresh_enabled() {
                 (busy / t.refi + 2) * cfg.device.ranks as u64 * t.rfc
             } else {
                 0

@@ -104,7 +104,7 @@ pub fn read_residency_bound(cfg: &ControllerConfig, stream_writes: u64) -> Cycle
     let busy = cfg
         .starvation_cap
         .saturating_add(backlog.saturating_mul(svc));
-    let refresh = if cfg.refresh_enabled {
+    let refresh = if cfg.refresh_enabled() {
         (busy / t.refi + 2) * cfg.device.ranks as u64 * t.rfc
     } else {
         0

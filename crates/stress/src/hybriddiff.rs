@@ -253,17 +253,26 @@ mod tests {
 
     #[test]
     fn every_pattern_is_clean_under_both_policies() {
-        for pattern in Pattern::ALL {
-            let stream = pattern.generate(&PatternParams::small(17));
-            for out in run_hybrid_differential(&stream, 128, DeviceKind::Rram) {
-                assert!(
-                    out.findings.is_empty(),
-                    "{} ({}): {:?}",
-                    pattern.name(),
-                    out.policy.label(),
-                    out.findings
-                );
-                assert_eq!(out.completions, stream.len() as u64, "{}", pattern.name());
+        // Short streams, plus the default-length ones at seed 7.
+        let default_len = PatternParams {
+            seed: 7,
+            ..PatternParams::default()
+        };
+        for params in [PatternParams::small(17), default_len] {
+            for pattern in Pattern::ALL {
+                let stream = pattern.generate(&params);
+                for out in run_hybrid_differential(&stream, 128, DeviceKind::Rram) {
+                    assert!(
+                        out.findings.is_empty(),
+                        "{} ({}, seed {}, {} requests): {:?}",
+                        pattern.name(),
+                        out.policy.label(),
+                        params.seed,
+                        params.len,
+                        out.findings
+                    );
+                    assert_eq!(out.completions, stream.len() as u64, "{}", pattern.name());
+                }
             }
         }
     }

@@ -14,12 +14,12 @@
 //!    identity).
 //! 3. [`shrink`] — a greedy delta-debugging pass that reduces any
 //!    failing stream to a 1-minimal replayable repro in the [`stream`]
-//!    text format, which `sam-check replay` autodetects by header.
+//!    text format, which `sam-check replay` re-runs.
 //!
 //! [`hybriddiff`] runs the differential idea across *model layers*
 //! instead of knob settings: every pattern stream through the DRAM-cache
-//! hybrid topology, cross-checked against its pure functional mirror
-//! (the `stress --hybrid-diff` mode).
+//! hybrid topology, cross-checked against its pure functional mirror (a
+//! library check, run by this crate's tests).
 //!
 //! The `stress` binary in `sam-bench` fronts all of it; [`report`]
 //! defines its `results/stress.json` schema and linter.
@@ -41,7 +41,7 @@ pub use hybriddiff::{run_hybrid_case, run_hybrid_differential, HybridDiffOutcome
 pub use invariant::{InvariantKind, Violation};
 pub use pattern::{Pattern, PatternParams};
 pub use report::{json_report, lint_stress_json, PatternReport, StressJsonSummary};
-pub use shrink::{first_violation, shrink_stream, violates};
+pub use shrink::{shrink_stream, violates};
 pub use stream::{
     format_stream, is_stress_trace, parse_stream, renumber, DeviceKind, StressConfig, StressStream,
     TimedRequest, STRESS_TRACE_HEADER,
@@ -49,7 +49,7 @@ pub use stream::{
 
 /// Replays a stress trace (text form), returning the config it declares
 /// and the outcome of executing it — violations included. This is what
-/// `sam-check replay` calls after header autodetection, so a minimal
+/// `sam-check replay` calls after checking the header, so a minimal
 /// repro written by the shrinker reproduces its violation anywhere.
 ///
 /// # Errors

@@ -28,13 +28,6 @@ pub fn violates(cfg: &StressConfig, requests: &[TimedRequest], kind: InvariantKi
         .any(|v| v.kind == kind)
 }
 
-/// The first violation kind a run of `requests` under `cfg` produces.
-pub fn first_violation(cfg: &StressConfig, requests: &[TimedRequest]) -> Option<InvariantKind> {
-    let mut probe = requests.to_vec();
-    renumber(&mut probe);
-    run_stream(cfg, &probe).violations.first().map(|v| v.kind)
-}
-
 /// Reduces `requests` to a 1-minimal stream still violating `kind`
 /// under `cfg`, returned as a self-contained replayable stream.
 ///
@@ -95,33 +88,48 @@ mod tests {
         StressConfig::unchecked(DeviceKind::Ddr4, 4096, 8, 28)
     }
 
+    /// The first violation kind a run of `requests` under `cfg` produces.
+    fn first_violation(cfg: &StressConfig, requests: &[TimedRequest]) -> Option<InvariantKind> {
+        let mut probe = requests.to_vec();
+        renumber(&mut probe);
+        run_stream(cfg, &probe).violations.first().map(|v| v.kind)
+    }
+
     #[test]
     fn shrinks_write_burst_failure_to_a_screenful() {
         let cfg = inverted();
-        let stream = Pattern::WriteBurst.generate(&PatternParams::small(17));
-        assert!(violates(&cfg, &stream, InvariantKind::WatermarkSupremacy));
-        let minimal = shrink_stream(&cfg, &stream, InvariantKind::WatermarkSupremacy);
-        assert!(
-            minimal.requests.len() <= 32,
-            "minimal repro has {} requests",
-            minimal.requests.len()
-        );
-        // 1-minimality: removing any single request loses the failure.
-        for i in 0..minimal.requests.len() {
-            let mut sub = minimal.requests.clone();
-            sub.remove(i);
+        for seed in [17, 7] {
+            let stream = Pattern::WriteBurst.generate(&PatternParams::small(seed));
+            assert_eq!(
+                first_violation(&cfg, &stream),
+                Some(InvariantKind::WatermarkSupremacy),
+                "seed {seed}"
+            );
+            let minimal = shrink_stream(&cfg, &stream, InvariantKind::WatermarkSupremacy);
             assert!(
-                sub.is_empty() || !violates(&cfg, &sub, InvariantKind::WatermarkSupremacy),
-                "request {i} was removable"
+                minimal.requests.len() <= 32,
+                "seed {seed}: minimal repro has {} requests",
+                minimal.requests.len()
+            );
+            // 1-minimality: removing any single request loses the failure.
+            for i in 0..minimal.requests.len() {
+                let mut sub = minimal.requests.clone();
+                sub.remove(i);
+                assert!(
+                    sub.is_empty() || !violates(&cfg, &sub, InvariantKind::WatermarkSupremacy),
+                    "seed {seed}: request {i} was removable"
+                );
+            }
+            // And the repro replays to the same violation via the text form.
+            let text = crate::stream::format_stream(&minimal);
+            let back = crate::stream::parse_stream(&text).unwrap();
+            assert_eq!(back.config, cfg);
+            assert_eq!(
+                first_violation(&back.config, &back.requests),
+                Some(InvariantKind::WatermarkSupremacy),
+                "seed {seed}"
             );
         }
-        // And the repro replays to the same violation via the text form.
-        let text = crate::stream::format_stream(&minimal);
-        let back = crate::stream::parse_stream(&text).unwrap();
-        assert_eq!(
-            first_violation(&back.config, &back.requests),
-            Some(InvariantKind::WatermarkSupremacy)
-        );
     }
 
     #[test]

@@ -23,17 +23,16 @@
 //!
 //! Request ids are not serialized: they are positional, reassigned
 //! `0..n` on parse (the shrinker renumbers after every subset for the
-//! same reason). The leading `#` line doubles as an autodetection
-//! marker: `sam-check`'s protocol-trace parser treats `#` lines as
-//! comments, so the two formats cannot be confused, and `replay`
-//! inspects the first line to dispatch.
+//! same reason). The leading `#` line doubles as a format marker:
+//! `sam-check replay` inspects the first line and rejects any file
+//! without it.
 
 use sam_dram::device::DeviceConfig;
 use sam_dram::Cycle;
 use sam_memctrl::controller::ControllerConfig;
 use sam_memctrl::request::{MemRequest, StrideSpec};
 
-/// First line of every stress trace; `sam-check replay` dispatches on it.
+/// First line of every stress trace; `sam-check replay` requires it.
 pub const STRESS_TRACE_HEADER: &str = "# sam-stress trace v1";
 
 /// Which device substrate a stress run targets.
@@ -129,7 +128,7 @@ impl StressConfig {
     /// Builds the configuration **without** watermark validation.
     ///
     /// This is both the shrinker's test hook (a deliberately mis-tuned
-    /// `lo > hi` config is what the selftest shrinks against) and the
+    /// `lo > hi` config is what the shrinker tests shrink against) and the
     /// parser's constructor: a minimal-repro trace *records* a broken
     /// config, so parsing must accept what validation rejects.
     pub fn unchecked(
@@ -363,8 +362,8 @@ pub fn parse_stream(text: &str) -> Result<StressStream, String> {
     Ok(StressStream { config, requests })
 }
 
-/// Whether `text` starts with the stress-trace header (the `sam-check
-/// replay` dispatch test).
+/// Whether `text` starts with the stress-trace header (what `sam-check
+/// replay` checks before parsing).
 pub fn is_stress_trace(text: &str) -> bool {
     text.lines().next().map(str::trim) == Some(STRESS_TRACE_HEADER)
 }
