@@ -35,24 +35,25 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
-echo "==> sam-perf tests + ctrl-replay and fig16-hybrid smokes"
+echo "==> sam-perf tests + ctrl-replay, fig16-hybrid and cache-replay smokes"
 # perf/ is its own cargo workspace, so the run above never builds it. Its
-# tests plus a one-second ctrl-replay keep a model change from silently
-# breaking the benchmark's golden checks: the last stdout line is the
-# result object, and it must report every run correct.
+# tests plus a one-second run of three workloads keep a model change from
+# silently breaking the benchmark's golden checks: the last stdout line is
+# the result object, and it must report every run correct.
+# - ctrl-replay: the bare controller against sam_stress::run_stream;
+# - fig16-hybrid: the full system through the DRAM-cache composite, every
+#   run against the fig16 goldens;
+# - cache-replay: the hierarchy alone, every run through check_hierarchy
+#   and check_inclusion and its counters against
+#   perf/expected/cache-replay.tsv.
 cargo test --release --offline --manifest-path perf/Cargo.toml
-perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
-  --workload ctrl-replay --seconds 1)"
-perf_last="${perf_out##*$'\n'}"
-[[ "$perf_last" == *'"correct": true'* ]] \
-  || { echo "sam-perf ctrl-replay smoke failed:"; echo "$perf_out"; exit 1; }
-# The same for the engine: fig16-hybrid drives the full system through the
-# DRAM-cache composite and checks every run against the fig16 goldens.
-perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
-  --workload fig16-hybrid --seconds 1)"
-perf_last="${perf_out##*$'\n'}"
-[[ "$perf_last" == *'"correct": true'* ]] \
-  || { echo "sam-perf fig16-hybrid smoke failed:"; echo "$perf_out"; exit 1; }
+for workload in ctrl-replay fig16-hybrid cache-replay; do
+  perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+    --workload "$workload" --seconds 1)"
+  perf_last="${perf_out##*$'\n'}"
+  [[ "$perf_last" == *'"correct": true'* ]] \
+    || { echo "sam-perf $workload smoke failed:"; echo "$perf_out"; exit 1; }
+done
 
 echo "==> fig12 parallel checked smoke + golden stdout + JSON lint"
 # Golden scale: exercises the sweep workers, the oracle under --jobs, and

@@ -65,7 +65,8 @@ pub struct HierarchyConfig {
     pub l2_bytes: u64,
     /// LLC capacity in bytes.
     pub llc_bytes: u64,
-    /// Associativity at every level (Table 2: 8).
+    /// Associativity at every level (Table 2: 8); 1–8 (one tag row per
+    /// set).
     pub ways: usize,
     /// L1 hit latency (CPU cycles).
     pub l1_latency: u64,

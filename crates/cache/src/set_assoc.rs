@@ -22,15 +22,55 @@ impl Victim {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    sectors: SectorState,
-    /// Monotonic LRU stamp; larger = more recent.
-    stamp: u64,
-    valid: bool,
-    /// Core that installed the line (merging fills keep the installer).
-    owner: u8,
+/// Most ways a set holds: one set's tags fill one 64-byte host line.
+const MAX_WAYS: usize = 8;
+
+/// One set, laid out by field so a probe scans only the tag row and reads
+/// the rest on a match or an allocation. 120 bytes and 8-aligned: a
+/// 64-byte alignment was no faster and raised the peak RSS.
+#[derive(Debug, Clone, Copy, Default)]
+struct Set {
+    /// Tag + 1 per way; 0 marks an invalid way. Ways at or beyond the
+    /// cache's associativity stay 0, so a probe may scan the whole row.
+    tags: [u64; MAX_WAYS],
+    /// LRU stamps; larger = more recent. Meaningful for valid ways only.
+    stamps: [u32; MAX_WAYS],
+    sectors: [SectorState; MAX_WAYS],
+    /// Core that installed each line (merging fills keep the installer).
+    owners: [u8; MAX_WAYS],
+}
+
+impl Set {
+    /// The way holding stored tag `key`, if resident.
+    fn find(&self, key: u64) -> Option<usize> {
+        self.tags.iter().position(|&t| t == key)
+    }
+
+    /// The way an allocation replaces among the first `ways`: the first
+    /// invalid way, else the least-recent stamp.
+    fn victim_way(&self, ways: usize) -> usize {
+        (0..ways)
+            .min_by_key(|&w| {
+                if self.tags[w] == 0 {
+                    0
+                } else {
+                    u64::from(self.stamps[w]) + 1
+                }
+            })
+            .expect("ways is non-empty")
+    }
+
+    /// Replaces each valid way's stamp by its rank in LRU order (0 = least
+    /// recent), keeping the order exact in fewer bits.
+    fn renumber(&mut self) {
+        let old = self.stamps;
+        for w in 0..MAX_WAYS {
+            if self.tags[w] != 0 {
+                let older = (0..MAX_WAYS).filter(|&v| self.tags[v] != 0 && old[v] < old[w]);
+                self.stamps[w] = older.count() as u32;
+            }
+        }
+    }
 }
 
 /// Hit/miss counters for one cache level.
@@ -89,13 +129,19 @@ pub struct LineView {
     pub owner: u8,
 }
 
+/// Byte address of the line stored in set `set` under stored tag `key`.
+fn line_at(set_bits: u32, set: usize, key: u64) -> u64 {
+    (((key - 1) << set_bits) | set as u64) * LINE_BYTES
+}
+
 /// One level of set-associative, write-back, write-allocate sector cache.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: usize,
     ways: usize,
-    data: Vec<Way>,
-    tick: u64,
+    data: Vec<Set>,
+    /// Last LRU stamp handed out; [`Self::next_tick`] renumbers every
+    /// set's stamps by rank before it would overflow.
+    tick: u32,
     stats: CacheStats,
     /// Set on every path that can create a dirty sector (a write access,
     /// [`Self::mark_dirty`], a fill carrying dirty bits) and cleared by
@@ -109,9 +155,13 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not an exact power-of-two set count.
+    /// Panics if `ways` is not in `1..=8` (one set's tags fill one 64-byte
+    /// host line) or the geometry is not an exact power-of-two set count.
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0, "associativity must be positive");
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "associativity {ways} must be in 1..={MAX_WAYS}"
+        );
         let lines = capacity_bytes / LINE_BYTES;
         assert!(
             lines.is_multiple_of(ways as u64),
@@ -123,18 +173,8 @@ impl SetAssocCache {
             "set count {sets} must be a power of two"
         );
         Self {
-            sets,
             ways,
-            data: vec![
-                Way {
-                    tag: 0,
-                    sectors: SectorState::empty(),
-                    stamp: 0,
-                    valid: false,
-                    owner: 0
-                };
-                sets * ways
-            ],
+            data: vec![Set::default(); sets],
             tick: 0,
             stats: CacheStats::default(),
             may_hold_dirty: false,
@@ -143,7 +183,7 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.data.len()
     }
 
     /// Associativity.
@@ -156,55 +196,62 @@ impl SetAssocCache {
         &self.stats
     }
 
+    /// The set `line_addr` maps to and its stored tag (tag + 1).
     fn index(&self, line_addr: u64) -> (usize, u64) {
         let line = line_addr / LINE_BYTES;
-        let set = (line as usize) & (self.sets - 1);
-        let tag = line >> self.sets.trailing_zeros();
-        (set, tag)
+        let set = (line as usize) & (self.data.len() - 1);
+        let tag = line >> self.set_bits();
+        (set, tag + 1)
     }
 
-    fn ways_of(&mut self, set: usize) -> &mut [Way] {
-        &mut self.data[set * self.ways..(set + 1) * self.ways]
+    fn set_bits(&self) -> u32 {
+        self.data.len().trailing_zeros()
+    }
+
+    /// The next LRU stamp. Before the tick would overflow, every set's
+    /// valid stamps are renumbered by rank and the tick restarts above
+    /// the largest rank, so LRU order stays exact.
+    fn next_tick(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.data.iter_mut().for_each(Set::renumber);
+            self.tick = MAX_WAYS as u32;
+        }
+        self.tick += 1;
+        self.tick
     }
 
     /// Probes (and on a hit, touches LRU + optional dirty) the sector at
     /// `line_addr`/`sector`. `write` marks the sector dirty on hit.
     pub fn access(&mut self, line_addr: u64, sector: usize, write: bool) -> Probe {
-        self.tick += 1;
+        let tick = self.next_tick();
         self.may_hold_dirty |= write;
-        let tick = self.tick;
-        let (set, tag) = self.index(line_addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == tag {
-                if way.sectors.is_valid(sector) {
-                    way.stamp = tick;
-                    if write {
-                        way.sectors.mark_dirty(sector);
-                    }
-                    self.stats.hits += 1;
-                    return Probe::Hit;
-                }
-                self.stats.sector_misses += 1;
-                return Probe::SectorMiss;
-            }
+        let (set, key) = self.index(line_addr);
+        let set = &mut self.data[set];
+        let Some(w) = set.find(key) else {
+            self.stats.line_misses += 1;
+            return Probe::LineMiss;
+        };
+        if !set.sectors[w].is_valid(sector) {
+            self.stats.sector_misses += 1;
+            return Probe::SectorMiss;
         }
-        self.stats.line_misses += 1;
-        Probe::LineMiss
+        set.stamps[w] = tick;
+        if write {
+            set.sectors[w].mark_dirty(sector);
+        }
+        self.stats.hits += 1;
+        Probe::Hit
     }
 
     /// Read-only probe without statistics or LRU side effects.
     pub fn peek(&self, line_addr: u64, sector: usize) -> Probe {
-        let (set, tag) = self.index(line_addr);
-        for way in &self.data[set * self.ways..(set + 1) * self.ways] {
-            if way.valid && way.tag == tag {
-                return if way.sectors.is_valid(sector) {
-                    Probe::Hit
-                } else {
-                    Probe::SectorMiss
-                };
-            }
+        let (set, key) = self.index(line_addr);
+        let set = &self.data[set];
+        match set.find(key) {
+            None => Probe::LineMiss,
+            Some(w) if set.sectors[w].is_valid(sector) => Probe::Hit,
+            Some(_) => Probe::SectorMiss,
         }
-        Probe::LineMiss
     }
 
     /// Fills sectors into the line (allocating it if absent), returning an
@@ -223,59 +270,44 @@ impl SetAssocCache {
     /// per-line attribute, not per-sector — so victims (and thus eventual
     /// writebacks) are attributed to whichever core allocated the line.
     pub fn fill_owned(&mut self, line_addr: u64, fill: SectorState, owner: u8) -> Option<Victim> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(line_addr);
-        let sets_bits = self.sets.trailing_zeros();
-        let set_u64 = set as u64;
+        let tick = self.next_tick();
         self.may_hold_dirty |= fill.any_dirty();
+        let (index, key) = self.index(line_addr);
+        let ways = self.ways;
+        let set = &mut self.data[index];
         // Already present: merge valid and dirty bits.
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == tag {
-                way.sectors.merge(fill);
-                way.stamp = tick;
-                return None;
-            }
+        if let Some(w) = set.find(key) {
+            set.sectors[w].merge(fill);
+            set.stamps[w] = tick;
+            return None;
         }
         // Allocate: pick an invalid way or the LRU way.
-        let ways = self.ways_of(set);
-        let victim_idx = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.stamp + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("ways is non-empty");
-        let old = ways[victim_idx];
-        ways[victim_idx] = Way {
-            tag,
-            sectors: fill,
-            stamp: tick,
-            valid: true,
-            owner,
-        };
-        if old.valid {
-            let victim = Victim {
-                line_addr: ((old.tag << sets_bits) | set_u64) * LINE_BYTES,
-                sectors: old.sectors,
-                owner: old.owner,
-            };
-            if victim.needs_writeback() {
-                self.stats.writebacks += 1;
-            }
-            Some(victim)
-        } else {
-            None
+        let w = set.victim_way(ways);
+        let (old_key, old_sectors, old_owner) = (set.tags[w], set.sectors[w], set.owners[w]);
+        set.tags[w] = key;
+        set.stamps[w] = tick;
+        set.sectors[w] = fill;
+        set.owners[w] = owner;
+        if old_key == 0 {
+            return None;
         }
+        let victim = Victim {
+            line_addr: line_at(self.set_bits(), index, old_key),
+            sectors: old_sectors,
+            owner: old_owner,
+        };
+        if victim.needs_writeback() {
+            self.stats.writebacks += 1;
+        }
+        Some(victim)
     }
 
     /// Owner of the line containing `line_addr`, if resident. Read-only;
     /// used by the hierarchy to preserve attribution across promotions.
     pub fn owner_of(&self, line_addr: u64) -> Option<u8> {
-        let (set, tag) = self.index(line_addr);
-        self.data[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| w.owner)
+        let (set, key) = self.index(line_addr);
+        let set = &self.data[set];
+        set.find(key).map(|w| set.owners[w])
     }
 
     /// Marks `sector` of `line_addr` dirty without touching statistics or
@@ -283,14 +315,15 @@ impl SetAssocCache {
     /// Returns `false` if the line or sector is not present/valid.
     pub fn mark_dirty(&mut self, line_addr: u64, sector: usize) -> bool {
         self.may_hold_dirty = true;
-        let (set, tag) = self.index(line_addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == tag && way.sectors.is_valid(sector) {
-                way.sectors.mark_dirty(sector);
-                return true;
+        let (set, key) = self.index(line_addr);
+        let set = &mut self.data[set];
+        match set.find(key) {
+            Some(w) if set.sectors[w].is_valid(sector) => {
+                set.sectors[w].mark_dirty(sector);
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Emits a [`Victim`] for every dirty line and clears their dirty bits
@@ -301,18 +334,18 @@ impl SetAssocCache {
         if !std::mem::take(&mut self.may_hold_dirty) {
             return out;
         }
-        let sets_bits = self.sets.trailing_zeros();
-        let ways = self.ways;
-        for (i, way) in self.data.iter_mut().enumerate() {
-            if way.valid && way.sectors.any_dirty() {
-                let set = (i / ways) as u64;
-                out.push(Victim {
-                    line_addr: ((way.tag << sets_bits) | set) * LINE_BYTES,
-                    sectors: way.sectors,
-                    owner: way.owner,
-                });
-                way.sectors = way.sectors.cleaned();
-                self.stats.writebacks += 1;
+        let set_bits = self.set_bits();
+        for (index, set) in self.data.iter_mut().enumerate() {
+            for w in 0..self.ways {
+                if set.tags[w] != 0 && set.sectors[w].any_dirty() {
+                    out.push(Victim {
+                        line_addr: line_at(set_bits, index, set.tags[w]),
+                        sectors: set.sectors[w],
+                        owner: set.owners[w],
+                    });
+                    set.sectors[w] = set.sectors[w].cleaned();
+                    self.stats.writebacks += 1;
+                }
             }
         }
         out
@@ -321,36 +354,29 @@ impl SetAssocCache {
     /// Enumerates the valid lines currently resident, for external invariant
     /// checking (see the `sam-check` crate). Read-only; no LRU side effects.
     pub fn lines(&self) -> impl Iterator<Item = LineView> + '_ {
-        let sets_bits = self.sets.trailing_zeros();
-        let ways = self.ways;
-        self.data
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.valid)
-            .map(move |(i, w)| {
-                let set = i / ways;
-                LineView {
-                    set,
-                    way: i % ways,
-                    line_addr: ((w.tag << sets_bits) | set as u64) * LINE_BYTES,
-                    tag: w.tag,
-                    sectors: w.sectors,
-                    owner: w.owner,
-                }
-            })
+        let set_bits = self.set_bits();
+        self.data.iter().enumerate().flat_map(move |(index, set)| {
+            (0..self.ways)
+                .filter(|&w| set.tags[w] != 0)
+                .map(move |w| LineView {
+                    set: index,
+                    way: w,
+                    line_addr: line_at(set_bits, index, set.tags[w]),
+                    tag: set.tags[w] - 1,
+                    sectors: set.sectors[w],
+                    owner: set.owners[w],
+                })
+        })
     }
 
     /// Invalidates a line if present, returning its state (for inclusive-
     /// hierarchy back-invalidation).
     pub fn invalidate(&mut self, line_addr: u64) -> Option<SectorState> {
-        let (set, tag) = self.index(line_addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return Some(way.sectors);
-            }
-        }
-        None
+        let (set, key) = self.index(line_addr);
+        let set = &mut self.data[set];
+        let w = set.find(key)?;
+        set.tags[w] = 0;
+        Some(set.sectors[w])
     }
 }
 
@@ -499,6 +525,53 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
         SetAssocCache::new(192, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 9 must be in 1..=8")]
+    fn more_ways_than_one_tag_row_panics() {
+        SetAssocCache::new(9 * LINE_BYTES, 9);
+    }
+
+    #[test]
+    fn a_set_record_is_120_bytes_and_8_aligned() {
+        assert_eq!(std::mem::size_of::<Set>(), 120);
+        assert_eq!(std::mem::align_of::<Set>(), 8);
+    }
+
+    #[test]
+    fn stamps_wrap_without_losing_lru_order() {
+        // One set of 4 ways; `lru` lists the resident lines, least recent
+        // first. The tick starts just below u32::MAX and is pushed there
+        // again mid-way, so two renumberings happen among hits, fills and
+        // an invalid way.
+        let mut c = SetAssocCache::new(4 * LINE_BYTES, 4);
+        c.tick = u32::MAX - 5;
+        let mut lru: Vec<u64> = Vec::new();
+        let mut next = 0u64;
+        for step in 0..40 {
+            if step == 20 {
+                c.tick = u32::MAX - 1;
+            }
+            if step == 4 || step == 19 {
+                let line = lru.remove(1);
+                assert!(c.invalidate(line).is_some());
+            }
+            if step % 3 == 2 && lru.len() > 1 {
+                // Hit the second least recent line.
+                let line = lru.remove(1);
+                assert_eq!(c.access(line, 0, false), Probe::Hit);
+                lru.push(line);
+            } else {
+                let line = next * LINE_BYTES;
+                next += 1;
+                let victim = c.fill(line, SectorState::full()).map(|v| v.line_addr);
+                let lru_line = (lru.len() == 4).then(|| lru.remove(0));
+                assert_eq!(victim, lru_line, "step {step}");
+                lru.push(line);
+            }
+        }
+        assert!(c.tick < 64, "the tick restarted above the ranks");
     }
 
     #[test]
