@@ -47,7 +47,7 @@ impl<'t> Engine<'t> {
             return;
         };
         match record.kind {
-            FillKind::Line { cache_line } => {
+            FillKind::Line { cache_line } | FillKind::Prefetch { cache_line } => {
                 self.pending_lines.remove(&cache_line);
                 let mut wbs = std::mem::take(&mut self.wb_buffer);
                 self.hierarchy
@@ -62,7 +62,10 @@ impl<'t> Engine<'t> {
                 // The whole line is now resident: any core blocked on one
                 // of its sectors hits on retry.
                 self.wake_covering_line(cache_line);
-                self.retire(record.core, c.finish);
+                // A prefetch holds no slot of the core's MLP window.
+                if matches!(record.kind, FillKind::Line { .. }) {
+                    self.retire(record.core, c.finish);
+                }
             }
             FillKind::Sectors { sectors } => {
                 let mut wbs = std::mem::take(&mut self.wb_buffer);
@@ -86,14 +89,6 @@ impl<'t> Engine<'t> {
             FillKind::Traffic => {}
             FillKind::StrideWb { key } => {
                 self.wb_merge.remove(&key);
-            }
-            FillKind::Prefetch { cache_line } => {
-                self.pending_lines.remove(&cache_line);
-                let mut wbs = std::mem::take(&mut self.wb_buffer);
-                self.hierarchy
-                    .fill_line_into(cache_line, record.core as u8, &mut wbs);
-                self.issue_writebacks(wbs, c.finish);
-                self.wake_covering_line(cache_line);
             }
         }
     }

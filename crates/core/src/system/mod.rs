@@ -652,6 +652,21 @@ impl<'t> Engine<'t> {
                 ),
             }
         }
+        // Every fill installed and every merge released: nothing leaks past
+        // the drain.
+        debug_assert!(
+            self.pending_sectors.is_empty()
+                && self.pending_lines.is_empty()
+                && self.pending_dirty.is_empty()
+                && self.fills.is_empty()
+                && self.wb_merge.is_empty(),
+            "MSHR state left after the drain: {} sectors, {} lines, {} dirty, {} fills, {} merges",
+            self.pending_sectors.len(),
+            self.pending_lines.len(),
+            self.pending_dirty.len(),
+            self.fills.len(),
+            self.wb_merge.len()
+        );
 
         let core_mem = self
             .cores
@@ -929,6 +944,27 @@ mod tests {
         let traces = whole_trace(256, 2);
         let r = sys.run(&[table()], &traces);
         assert!(r.line_bursts >= 256 * 16, "at least the demand fills");
+    }
+
+    /// A write that MSHR-merges into an in-flight prefetch dirties the
+    /// line once the prefetch installs: every written line is written
+    /// back exactly once, whatever the prefetch degree.
+    #[test]
+    fn writes_merged_into_a_prefetch_are_written_back() {
+        // 8 records of 128 8-byte fields: 128 whole lines written.
+        let traces = vec![(0..8).map(TraceOp::write_whole).collect::<Vec<_>>()];
+        for prefetch_degree in [0, 2, 4] {
+            let cfg = SystemConfig {
+                cores: 1,
+                prefetch_degree,
+                ..Default::default()
+            };
+            let r = System::new(cfg, commodity(), Store::Row).run(&[TableSpec::ta(0, 64)], &traces);
+            assert_eq!(
+                r.writeback_bursts, 128,
+                "prefetch degree {prefetch_degree}: every written line is written back once"
+            );
+        }
     }
 
     /// Tracing and epoch recording are observational: a traced run returns

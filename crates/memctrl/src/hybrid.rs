@@ -33,7 +33,8 @@
 //! timing-free reimplementation of the same policy whose decision stream
 //! must match the cycle-level controller's exactly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use sam_dram::device::{DeviceConfig, DeviceStats};
 use sam_dram::Cycle;
@@ -217,6 +218,69 @@ struct Txn {
     external_done: bool,
 }
 
+/// The open transactions in admission order, each with the span of inner
+/// ids it owns.
+///
+/// Every inner id is minted inside `DramCacheController::admit`, so a
+/// transaction owns one contiguous span `first_id..end_id` and the spans
+/// ascend in admission order. An inner completion's owner is therefore
+/// the last entry whose span starts at or below its id: one binary search
+/// over the compact run of span starts, with no map entry per inner
+/// request. A retired transaction leaves a tombstone so positions stay
+/// put while later transactions retire out of order; tombstones are
+/// popped once they reach the front.
+#[derive(Debug, Default)]
+struct TxnTable {
+    /// First inner id of each entry's span, ascending.
+    starts: VecDeque<u64>,
+    /// Each entry's transaction; `None` once it has retired.
+    slots: VecDeque<Option<Txn>>,
+    /// End of the newest span (exclusive).
+    end: u64,
+}
+
+impl TxnTable {
+    /// Appends a transaction owning `span`, which must start at or after
+    /// every earlier span's end.
+    fn push(&mut self, span: Range<u64>, txn: Txn) {
+        debug_assert!(
+            self.end <= span.start && span.start < span.end,
+            "spans must be non-empty and ascend in admission order"
+        );
+        self.starts.push_back(span.start);
+        self.slots.push_back(Some(txn));
+        self.end = span.end;
+    }
+
+    /// The position of the open transaction whose span holds `inner_id`.
+    fn position(&self, inner_id: u64) -> Option<usize> {
+        if inner_id >= self.end {
+            return None;
+        }
+        let pos = self
+            .starts
+            .partition_point(|&s| s <= inner_id)
+            .checked_sub(1)?;
+        self.slots[pos].is_some().then_some(pos)
+    }
+
+    fn get_mut(&mut self, pos: usize) -> &mut Txn {
+        self.slots[pos]
+            .as_mut()
+            .expect("position of an open transaction")
+    }
+
+    /// Turns the transaction at `pos` into a tombstone, then pops the
+    /// tombstones at the front.
+    fn retire(&mut self, pos: usize) {
+        self.slots[pos] = None;
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.starts.pop_front();
+        }
+    }
+}
+
 /// The unified DRAM-cache controller (see the module docs).
 #[derive(Debug)]
 pub struct DramCacheController {
@@ -224,8 +288,7 @@ pub struct DramCacheController {
     front: Controller,
     back: Controller,
     tags: Vec<Option<TagEntry>>,
-    txns: BTreeMap<u64, Txn>,
-    inner_to_txn: BTreeMap<u64, u64>,
+    txns: TxnTable,
     /// Inner requests admitted to a full inner queue retry from here, in
     /// issue order (order is part of the determinism contract).
     backlog: VecDeque<(Dest, MemRequest, Cycle)>,
@@ -253,8 +316,7 @@ impl DramCacheController {
             front: Controller::new(ControllerConfig::with_device(DeviceConfig::ddr4_server())),
             back: Controller::new(back_cfg),
             tags: vec![None; cfg.sets() as usize],
-            txns: BTreeMap::new(),
-            inner_to_txn: BTreeMap::new(),
+            txns: TxnTable::default(),
             backlog: VecDeque::new(),
             next_inner_id: INNER_ID_BASE,
             open_externals: 0,
@@ -295,6 +357,8 @@ impl DramCacheController {
         }
     }
 
+    /// Mints the next inner id. Only `admit` calls this, so each
+    /// transaction's ids form one contiguous span ([`TxnTable`]).
     fn fresh_inner_id(&mut self) -> u64 {
         self.next_inner_id += 1;
         self.next_inner_id
@@ -323,6 +387,7 @@ impl DramCacheController {
         let in_frame = frame + (ext.addr - block);
         let lines = self.cfg.lines_per_block();
         let critical_line = (ext.addr - block) / LINE_BYTES;
+        let first_id = self.next_inner_id + 1;
 
         let entry = self.tags[set];
         let hit = matches!(entry, Some(e) if e.base == block);
@@ -474,18 +539,13 @@ impl DramCacheController {
             terminal_id,
             external_done: false,
         };
-        for step in &txn.steps {
-            for (_, req) in step {
-                self.inner_to_txn.insert(req.id, ext.id);
-            }
-        }
         let first = txn.steps.pop_front().expect("every chain has a step");
         txn.outstanding = first.len();
         for (dest, req) in first {
             self.backlog.push_back((dest, req, arrival));
         }
         self.open_externals += 1;
-        self.txns.insert(ext.id, txn);
+        self.txns.push(first_id..self.next_inner_id + 1, txn);
         self.pump();
     }
 
@@ -508,11 +568,11 @@ impl DramCacheController {
     /// and surfaces the external completion when the terminal inner
     /// request finishes.
     fn on_inner_completion(&mut self, c: Completion) -> Option<Completion> {
-        let txn_id = self
-            .inner_to_txn
-            .remove(&c.id)
+        let pos = self
+            .txns
+            .position(c.id)
             .expect("inner completion must belong to a transaction");
-        let txn = self.txns.get_mut(&txn_id).expect("transaction exists");
+        let txn = self.txns.get_mut(pos);
         txn.outstanding -= 1;
         txn.step_finish = txn.step_finish.max(c.finish);
         let mut external = None;
@@ -546,7 +606,7 @@ impl DramCacheController {
                 self.pump();
             } else {
                 debug_assert!(txn.external_done, "chain ended before its terminal");
-                self.txns.remove(&txn_id);
+                self.txns.retire(pos);
             }
         }
         external
@@ -796,7 +856,17 @@ mod tests {
 
     /// Drives a `(addr, is_write)` stream to full completion, spacing
     /// arrivals a few cycles apart, and returns the controller.
-    fn drive(mut h: DramCacheController, stream: &[(u64, bool)]) -> DramCacheController {
+    fn drive(h: DramCacheController, stream: &[(u64, bool)]) -> DramCacheController {
+        drive_completions(h, stream).0
+    }
+
+    /// [`drive`], also returning the external ids in completion order.
+    /// Request `i` of the stream has external id `i + 1`.
+    fn drive_completions(
+        mut h: DramCacheController,
+        stream: &[(u64, bool)],
+    ) -> (DramCacheController, Vec<u64>) {
+        let mut done = Vec::new();
         let mut at = 0;
         for (i, &(addr, w)) in stream.iter().enumerate() {
             let id = i as u64 + 1;
@@ -807,19 +877,22 @@ mod tests {
             };
             while MemLevel::enqueue(&mut h, req, at).is_err() {
                 let now = MemLevel::clock(&h);
-                MemLevel::schedule_one(&mut h, now).expect("full window implies pending work");
+                let c =
+                    MemLevel::schedule_one(&mut h, now).expect("full window implies pending work");
+                done.push(c.id);
             }
             at += 4;
         }
         loop {
             let now = MemLevel::clock(&h);
-            if MemLevel::schedule_one(&mut h, now).is_none() {
-                break;
+            match MemLevel::schedule_one(&mut h, now) {
+                Some(c) => done.push(c.id),
+                None => break,
             }
         }
         assert_eq!(MemLevel::queued(&h), 0, "drain must empty the level");
-        assert!(h.txns.is_empty(), "no transaction may be left open");
-        h
+        assert!(h.txns.slots.is_empty(), "no transaction may be left open");
+        (h, done)
     }
 
     #[test]
@@ -888,6 +961,96 @@ mod tests {
         assert_eq!(total.reads_done, stats.reads_done);
         assert_eq!(total.writes_done, stats.writes_done);
         assert_eq!(total.total_latency, stats.total_latency);
+    }
+
+    /// Inner completions route to their transactions while spans of very
+    /// different lengths interleave and retire out of admission order:
+    /// with 512 B blocks a hit mints 1 inner id and a dirty-victim miss
+    /// 1 + 4 x 8, and the full 32-transaction window stays open.
+    #[test]
+    fn interleaved_spans_route_every_inner_completion() {
+        let block = 512;
+        let h = hybrid(WritePolicy::Writeback, block);
+        assert_eq!(h.hybrid_config().max_transactions, 32);
+        // Three tags per set on the 8 sets: revisits hit, the rest miss,
+        // and a miss evicts a dirty victim when a write reached its frame.
+        let stream: Vec<(u64, bool)> = (0..600u64)
+            .map(|i| {
+                let set = (i * 5) % 8;
+                let tag = (i * 7 / 3) % 3;
+                let line = (i * 3) % 8;
+                (
+                    tag * block * 8 + set * block + line * LINE_BYTES,
+                    i % 3 == 0,
+                )
+            })
+            .collect();
+        let (h, mut done) = drive_completions(h, &stream);
+        let s = h.summary();
+        assert!(s.hits > 0, "the mix must hit");
+        assert!(s.misses > s.dirty_evictions, "the mix must miss clean");
+        assert!(s.dirty_evictions > 0, "the mix must evict dirty victims");
+        assert!(
+            !done.is_sorted(),
+            "externals must complete out of admission order"
+        );
+        assert_eq!(MemLevel::latency_histogram(&h).count(), stream.len() as u64);
+        done.sort_unstable();
+        let expect: Vec<u64> = (1..=stream.len() as u64).collect();
+        assert_eq!(done, expect, "every external completes exactly once");
+    }
+
+    /// Feeds `h` a completion of inner request `id`.
+    fn complete_inner(h: &mut DramCacheController, id: u64) {
+        let _ = h.on_inner_completion(Completion {
+            id,
+            issue: 0,
+            finish: 0,
+            row_hit: false,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "inner completion must belong to a transaction")]
+    fn completion_of_a_popped_inner_id_panics() {
+        let mut h = drive(
+            hybrid(WritePolicy::Writeback, 512),
+            &[(0, false), (64, false)],
+        );
+        // The first inner id minted: its transaction retired long ago.
+        complete_inner(&mut h, INNER_ID_BASE + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inner completion must belong to a transaction")]
+    fn completion_of_a_tombstoned_inner_id_panics() {
+        let mut h = hybrid(WritePolicy::Writeback, 512);
+        // A clean miss (17 inner ids), then a hit on the block it just
+        // allocated (1 id): the hit retires while the miss still installs.
+        MemLevel::enqueue(&mut h, MemRequest::read(1, 0), 0).expect("an empty window admits");
+        MemLevel::enqueue(&mut h, MemRequest::read(2, 64), 4).expect("the window has room");
+        let hit_id = h.next_inner_id;
+        loop {
+            let now = MemLevel::clock(&h);
+            if MemLevel::schedule_one(&mut h, now)
+                .expect("work is pending")
+                .id
+                == 2
+            {
+                break;
+            }
+        }
+        assert!(!h.txns.slots.is_empty(), "the miss must still be open");
+        complete_inner(&mut h, hit_id);
+    }
+
+    #[test]
+    #[should_panic(expected = "inner completion must belong to a transaction")]
+    fn completion_of_an_unminted_inner_id_panics() {
+        let mut h = hybrid(WritePolicy::Writeback, 512);
+        MemLevel::enqueue(&mut h, MemRequest::read(1, 0), 0).expect("an empty window admits");
+        let next = h.next_inner_id + 1;
+        complete_inner(&mut h, next);
     }
 
     #[test]
