@@ -35,9 +35,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
-echo "==> sam-perf tests + ctrl-replay, fig16-hybrid and cache-replay smokes"
+echo "==> sam-perf tests + ctrl-replay, fig16-hybrid, cache-replay and fig12-golden smokes"
 # perf/ is its own cargo workspace, so the run above never builds it. Its
-# tests plus a one-second run of three workloads keep a model change from
+# tests plus a one-second run of each workload keep a model change from
 # silently breaking the benchmark's golden checks: the last stdout line is
 # the result object, and it must report every run correct.
 # - ctrl-replay: the bare controller against sam_stress::run_stream;
@@ -45,9 +45,12 @@ echo "==> sam-perf tests + ctrl-replay, fig16-hybrid and cache-replay smokes"
 #   run against the fig16 goldens;
 # - cache-replay: the hierarchy alone, every run through check_hierarchy
 #   and check_inclusion and its counters against
-#   perf/expected/cache-replay.tsv.
+#   perf/expected/cache-replay.tsv;
+# - fig12-golden: the north-star workload, its first warm-up pass checking
+#   all 162 runs against tests/golden/fig12.json (about 10 s: a run needs
+#   two warm-up and five timed passes).
 cargo test --release --offline --manifest-path perf/Cargo.toml
-for workload in ctrl-replay fig16-hybrid cache-replay; do
+for workload in ctrl-replay fig16-hybrid cache-replay fig12-golden; do
   perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
     --workload "$workload" --seconds 1)"
   perf_last="${perf_out##*$'\n'}"

@@ -25,51 +25,71 @@ impl Victim {
 /// Most ways a set holds: one set's tags fill one 64-byte host line.
 const MAX_WAYS: usize = 8;
 
+/// The recency word of a set no way has been touched in: way `i` at
+/// position `i`. [`Set::order`] stores the word XOR this, so an all-zero
+/// set is the empty set.
+const IDENTITY: u32 = 0x7654_3210;
+
 /// One set, laid out by field so a probe scans only the tag row and reads
-/// the rest on a match or an allocation. 120 bytes and 8-aligned: a
+/// the rest on a match or an allocation. 88 bytes and 8-aligned: a
 /// 64-byte alignment was no faster and raised the peak RSS.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Set {
     /// Tag + 1 per way; 0 marks an invalid way. Ways at or beyond the
     /// cache's associativity stay 0, so a probe may scan the whole row.
     tags: [u64; MAX_WAYS],
-    /// LRU stamps; larger = more recent. Meaningful for valid ways only.
-    stamps: [u32; MAX_WAYS],
+    /// The recency word XOR [`IDENTITY`]: nibble `i` of the word names
+    /// the way at recency position `i` (0 = most recent). Only touches
+    /// reorder it, and only ways below the associativity are touched, so
+    /// those ways always hold the positions below it.
+    order: u32,
     sectors: [SectorState; MAX_WAYS],
     /// Core that installed each line (merging fills keep the installer).
     owners: [u8; MAX_WAYS],
 }
 
 impl Set {
+    /// All ways invalid; all-zero, so an array of them is a zero fill.
+    const EMPTY: Self = Self {
+        tags: [0; MAX_WAYS],
+        order: 0,
+        sectors: [SectorState::empty(); MAX_WAYS],
+        owners: [0; MAX_WAYS],
+    };
+
     /// The way holding stored tag `key`, if resident.
     fn find(&self, key: u64) -> Option<usize> {
         self.tags.iter().position(|&t| t == key)
     }
 
-    /// The way an allocation replaces among the first `ways`: the first
-    /// invalid way, else the least-recent stamp.
-    fn victim_way(&self, ways: usize) -> usize {
-        (0..ways)
-            .min_by_key(|&w| {
-                if self.tags[w] == 0 {
-                    0
-                } else {
-                    u64::from(self.stamps[w]) + 1
-                }
-            })
-            .expect("ways is non-empty")
+    /// The recency word.
+    fn recency(&self) -> u32 {
+        self.order ^ IDENTITY
     }
 
-    /// Replaces each valid way's stamp by its rank in LRU order (0 = least
-    /// recent), keeping the order exact in fewer bits.
-    fn renumber(&mut self) {
-        let old = self.stamps;
-        for w in 0..MAX_WAYS {
-            if self.tags[w] != 0 {
-                let older = (0..MAX_WAYS).filter(|&v| self.tags[v] != 0 && old[v] < old[w]);
-                self.stamps[w] = older.count() as u32;
-            }
-        }
+    /// Moves `way` to recency position 0; the ways ahead of it each move
+    /// back one position and the rest keep theirs.
+    fn touch(&mut self, way: usize) {
+        let order = self.recency();
+        // The position of `way`: the one zero nibble of `order ^ way…way`,
+        // found with the carry trick for zero nibbles (the lowest flag is
+        // exact).
+        let x = order ^ (way as u32 * 0x1111_1111);
+        let flags = x.wrapping_sub(0x1111_1111) & !x & 0x8888_8888;
+        let through = u32::MAX >> (28 - (flags.trailing_zeros() - 3));
+        let moved = (order & !through) | ((order << 4) & through) | way as u32;
+        self.order = moved ^ IDENTITY;
+    }
+
+    /// The way an allocation replaces among the first `ways`: the first
+    /// invalid way, else the least recent. A way turns valid only by a
+    /// fill, which touches it, so with every way valid the recency word
+    /// orders them all by their last touch.
+    fn victim_way(&self, ways: usize) -> usize {
+        self.tags[..ways]
+            .iter()
+            .position(|&t| t == 0)
+            .unwrap_or_else(|| (self.recency() >> (4 * (ways - 1)) & 0xF) as usize)
     }
 }
 
@@ -139,9 +159,6 @@ fn line_at(set_bits: u32, set: usize, key: u64) -> u64 {
 pub struct SetAssocCache {
     ways: usize,
     data: Vec<Set>,
-    /// Last LRU stamp handed out; [`Self::next_tick`] renumbers every
-    /// set's stamps by rank before it would overflow.
-    tick: u32,
     stats: CacheStats,
     /// Set on every path that can create a dirty sector (a write access,
     /// [`Self::mark_dirty`], a fill carrying dirty bits) and cleared by
@@ -174,8 +191,7 @@ impl SetAssocCache {
         );
         Self {
             ways,
-            data: vec![Set::default(); sets],
-            tick: 0,
+            data: vec![Set::EMPTY; sets],
             stats: CacheStats::default(),
             may_hold_dirty: false,
         }
@@ -208,22 +224,9 @@ impl SetAssocCache {
         self.data.len().trailing_zeros()
     }
 
-    /// The next LRU stamp. Before the tick would overflow, every set's
-    /// valid stamps are renumbered by rank and the tick restarts above
-    /// the largest rank, so LRU order stays exact.
-    fn next_tick(&mut self) -> u32 {
-        if self.tick == u32::MAX {
-            self.data.iter_mut().for_each(Set::renumber);
-            self.tick = MAX_WAYS as u32;
-        }
-        self.tick += 1;
-        self.tick
-    }
-
     /// Probes (and on a hit, touches LRU + optional dirty) the sector at
     /// `line_addr`/`sector`. `write` marks the sector dirty on hit.
     pub fn access(&mut self, line_addr: u64, sector: usize, write: bool) -> Probe {
-        let tick = self.next_tick();
         self.may_hold_dirty |= write;
         let (set, key) = self.index(line_addr);
         let set = &mut self.data[set];
@@ -235,7 +238,7 @@ impl SetAssocCache {
             self.stats.sector_misses += 1;
             return Probe::SectorMiss;
         }
-        set.stamps[w] = tick;
+        set.touch(w);
         if write {
             set.sectors[w].mark_dirty(sector);
         }
@@ -270,7 +273,6 @@ impl SetAssocCache {
     /// per-line attribute, not per-sector — so victims (and thus eventual
     /// writebacks) are attributed to whichever core allocated the line.
     pub fn fill_owned(&mut self, line_addr: u64, fill: SectorState, owner: u8) -> Option<Victim> {
-        let tick = self.next_tick();
         self.may_hold_dirty |= fill.any_dirty();
         let (index, key) = self.index(line_addr);
         let ways = self.ways;
@@ -278,14 +280,14 @@ impl SetAssocCache {
         // Already present: merge valid and dirty bits.
         if let Some(w) = set.find(key) {
             set.sectors[w].merge(fill);
-            set.stamps[w] = tick;
+            set.touch(w);
             return None;
         }
         // Allocate: pick an invalid way or the LRU way.
         let w = set.victim_way(ways);
         let (old_key, old_sectors, old_owner) = (set.tags[w], set.sectors[w], set.owners[w]);
         set.tags[w] = key;
-        set.stamps[w] = tick;
+        set.touch(w);
         set.sectors[w] = fill;
         set.owners[w] = owner;
         if old_key == 0 {
@@ -369,8 +371,9 @@ impl SetAssocCache {
         })
     }
 
-    /// Invalidates a line if present, returning its state (for inclusive-
-    /// hierarchy back-invalidation).
+    /// Invalidates a line if present, returning its state. The way keeps
+    /// its recency position until a fill reuses it. No hierarchy path
+    /// calls this: it exists for tests that need a hole in a full set.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<SectorState> {
         let (set, key) = self.index(line_addr);
         let set = &mut self.data[set];
@@ -534,44 +537,141 @@ mod tests {
     }
 
     #[test]
-    fn a_set_record_is_120_bytes_and_8_aligned() {
-        assert_eq!(std::mem::size_of::<Set>(), 120);
+    fn a_set_record_is_88_bytes_and_8_aligned() {
+        assert_eq!(std::mem::size_of::<Set>(), 88);
         assert_eq!(std::mem::align_of::<Set>(), 8);
     }
 
     #[test]
-    fn stamps_wrap_without_losing_lru_order() {
-        // One set of 4 ways; `lru` lists the resident lines, least recent
-        // first. The tick starts just below u32::MAX and is pushed there
-        // again mid-way, so two renumberings happen among hits, fills and
-        // an invalid way.
-        let mut c = SetAssocCache::new(4 * LINE_BYTES, 4);
-        c.tick = u32::MAX - 5;
-        let mut lru: Vec<u64> = Vec::new();
-        let mut next = 0u64;
-        for step in 0..40 {
-            if step == 20 {
-                c.tick = u32::MAX - 1;
+    fn the_empty_set_orders_ways_by_index() {
+        let set = Set::EMPTY;
+        for ways in 1..=MAX_WAYS {
+            assert_eq!(set.victim_way(ways), 0, "first invalid way");
+        }
+        let mut full = Set::EMPTY;
+        full.tags = [1; MAX_WAYS];
+        for ways in 1..=MAX_WAYS {
+            assert_eq!(full.victim_way(ways), ways - 1, "untouched: last way");
+        }
+    }
+
+    /// Every order of the 8 ways, as most-recent-first lists.
+    fn all_orders() -> Vec<Vec<usize>> {
+        let mut orders = vec![vec![]];
+        for _ in 0..MAX_WAYS {
+            let mut longer = Vec::new();
+            for order in &orders {
+                for w in (0..MAX_WAYS).filter(|w| !order.contains(w)) {
+                    longer.push([order.as_slice(), &[w]].concat());
+                }
             }
-            if step == 4 || step == 19 {
-                let line = lru.remove(1);
-                assert!(c.invalidate(line).is_some());
-            }
-            if step % 3 == 2 && lru.len() > 1 {
-                // Hit the second least recent line.
-                let line = lru.remove(1);
-                assert_eq!(c.access(line, 0, false), Probe::Hit);
-                lru.push(line);
-            } else {
-                let line = next * LINE_BYTES;
-                next += 1;
-                let victim = c.fill(line, SectorState::full()).map(|v| v.line_addr);
-                let lru_line = (lru.len() == 4).then(|| lru.remove(0));
-                assert_eq!(victim, lru_line, "step {step}");
-                lru.push(line);
+            orders = longer;
+        }
+        orders
+    }
+
+    fn word_of(order: &[usize]) -> u32 {
+        order
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (w as u32) << (4 * i))
+            .sum()
+    }
+
+    #[test]
+    fn touch_moves_the_way_to_the_front_of_every_order() {
+        let orders = all_orders();
+        assert_eq!(orders.len(), 40320);
+        for order in &orders {
+            for way in 0..MAX_WAYS {
+                let mut set = Set::EMPTY;
+                set.order = word_of(order) ^ IDENTITY;
+                set.touch(way);
+                let mut expected = order.clone();
+                expected.retain(|&w| w != way);
+                expected.insert(0, way);
+                assert_eq!(
+                    set.recency(),
+                    word_of(&expected),
+                    "touch {way} in {order:?}"
+                );
             }
         }
-        assert!(c.tick < 64, "the tick restarted above the ranks");
+    }
+
+    #[test]
+    fn recency_word_matches_a_reference_lru_list() {
+        // One set per cache; `lru` holds the resident lines and their
+        // sector state, most recent first. Lines come from a window of
+        // 2 x ways + 1 so fills evict, and invalidations punch holes that
+        // the next allocation must take before evicting.
+        for ways in [1usize, 2, 4, 8] {
+            let mut c = SetAssocCache::new(ways as u64 * LINE_BYTES, ways);
+            let mut lru: Vec<(u64, SectorState)> = Vec::new();
+            let mut rng = sam_util::rng::SplitMix64::new(ways as u64);
+            let (mut hits, mut sector_misses, mut evictions) = (0, 0, 0);
+            for step in 0..20_000 {
+                let line = rng.next_below(2 * ways as u64 + 1) * LINE_BYTES;
+                let sector = rng.next_below(4) as usize;
+                let pos = lru.iter().position(|&(l, _)| l == line);
+                match rng.next_below(8) {
+                    0..=3 => {
+                        let write = rng.next_below(4) == 0;
+                        let expected = match pos {
+                            None => Probe::LineMiss,
+                            Some(p) if !lru[p].1.is_valid(sector) => Probe::SectorMiss,
+                            Some(p) => {
+                                let (l, mut state) = lru.remove(p);
+                                if write {
+                                    state.mark_dirty(sector);
+                                }
+                                lru.insert(0, (l, state));
+                                Probe::Hit
+                            }
+                        };
+                        hits += usize::from(expected == Probe::Hit);
+                        sector_misses += usize::from(expected == Probe::SectorMiss);
+                        assert_eq!(c.access(line, sector, write), expected, "step {step}");
+                    }
+                    4..=6 => {
+                        let fill = if rng.next_below(2) == 0 {
+                            SectorState::full()
+                        } else {
+                            SectorState::single(sector)
+                        };
+                        let expected = match pos {
+                            Some(p) => {
+                                let (l, mut state) = lru.remove(p);
+                                state.merge(fill);
+                                lru.insert(0, (l, state));
+                                None
+                            }
+                            None => {
+                                let evicted = (lru.len() == ways).then(|| lru.pop().unwrap());
+                                lru.insert(0, (line, fill));
+                                evicted
+                            }
+                        };
+                        evictions += usize::from(expected.is_some());
+                        let victim = c.fill(line, fill).map(|v| (v.line_addr, v.sectors));
+                        assert_eq!(victim, expected, "step {step}");
+                    }
+                    _ => {
+                        let expected = pos.map(|p| lru.remove(p).1);
+                        assert_eq!(c.invalidate(line), expected, "step {step}");
+                    }
+                }
+                let mut resident: Vec<_> = c.lines().map(|v| (v.line_addr, v.sectors)).collect();
+                let mut reference = lru.clone();
+                resident.sort_by_key(|&(l, _)| l);
+                reference.sort_by_key(|&(l, _)| l);
+                assert_eq!(resident, reference, "step {step}");
+            }
+            assert!(
+                hits > 1000 && sector_misses > 100 && evictions > 1000,
+                "{ways} ways: {hits} hits, {sector_misses} sector misses, {evictions} evictions"
+            );
+        }
     }
 
     #[test]

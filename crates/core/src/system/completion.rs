@@ -20,8 +20,6 @@ pub(super) enum FillKind {
     Line { cache_line: u64 },
     /// Stride (or narrow) fill: install these sectors.
     Sectors { sectors: SectorRun },
-    /// Fire-and-forget traffic (ECC bursts, sub-field bursts, writebacks).
-    Traffic,
     /// Stride writeback with a merge key to release.
     StrideWb { key: u64 },
     /// A prefetched line fill: installs on completion but is not tied to a
@@ -86,7 +84,6 @@ impl<'t> Engine<'t> {
                 }
                 self.retire(record.core, c.finish);
             }
-            FillKind::Traffic => {}
             FillKind::StrideWb { key } => {
                 self.wb_merge.remove(&key);
             }

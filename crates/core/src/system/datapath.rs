@@ -80,15 +80,9 @@ impl<'t> Engine<'t> {
                 let id = self.fresh_id();
                 let req = MemRequest::write(id, dram_addr).with_provenance(prov);
                 self.writeback_bursts += 1;
-                if self.ctrl.enqueue(req, when).is_ok() {
-                    self.fills.insert(
-                        id,
-                        FillRecord {
-                            core: wb.owner as usize,
-                            kind: FillKind::Traffic,
-                        },
-                    );
-                } else {
+                // Fire-and-forget: its completion releases nothing, so it
+                // leaves no fill record.
+                if self.ctrl.enqueue(req, when).is_err() {
                     self.wb_backlog.push_back((req, when, None));
                 }
                 if self.design.ecc == EccScheme::Embedded {
@@ -106,19 +100,19 @@ impl<'t> Engine<'t> {
                 break;
             }
             self.wb_backlog.pop_front();
-            let kind = match key {
-                Some(k) => FillKind::StrideWb { key: k },
-                None => FillKind::Traffic,
-            };
-            // Backlogged requests already carry their provenance; the fill
-            // record reuses it so attribution survives the detour.
-            self.fills.insert(
-                req.id,
-                FillRecord {
-                    core: req.prov.core as usize,
-                    kind,
-                },
-            );
+            // Only a stride writeback has a merge key to release on
+            // completion. Backlogged requests already carry their
+            // provenance; the fill record reuses it so attribution survives
+            // the detour.
+            if let Some(key) = key {
+                self.fills.insert(
+                    req.id,
+                    FillRecord {
+                        core: req.prov.core as usize,
+                        kind: FillKind::StrideWb { key },
+                    },
+                );
+            }
         }
     }
 }

@@ -82,15 +82,7 @@ impl<'t> Engine<'t> {
                         let extra = MemRequest::read(id, fill.burst_addr + 64)
                             .with_provenance(Provenance::new(ci as u8, ReqKind::Traffic));
                         self.stride_bursts += 1;
-                        if self.ctrl.enqueue(extra, arrival).is_ok() {
-                            self.fills.insert(
-                                id,
-                                FillRecord {
-                                    core: ci,
-                                    kind: FillKind::Traffic,
-                                },
-                            );
-                        } else {
+                        if self.ctrl.enqueue(extra, arrival).is_err() {
                             self.wb_backlog.push_back((extra, arrival, None));
                         }
                     }
@@ -223,15 +215,7 @@ impl<'t> Engine<'t> {
         }
         .with_provenance(Provenance::new(core as u8, ReqKind::EccExtra));
         self.ecc_bursts += 1;
-        if self.ctrl.enqueue(req, arrival).is_ok() {
-            self.fills.insert(
-                id,
-                FillRecord {
-                    core,
-                    kind: FillKind::Traffic,
-                },
-            );
-        } else {
+        if self.ctrl.enqueue(req, arrival).is_err() {
             self.wb_backlog.push_back((req, arrival, None));
         }
     }

@@ -385,6 +385,10 @@ struct Engine<'t> {
     /// [`SystemConfig::hybrid`] is set.
     ctrl: Box<dyn MemLevel>,
     cores: Vec<CoreState<'t>>,
+    /// In-flight requests whose completion has work to do (install a fill,
+    /// retire an MLP slot, release a stride-writeback merge key), by id.
+    /// Fire-and-forget bursts (plain writebacks, embedded-ECC and RC-NVM-bit
+    /// sub-field bursts) have no record.
     fills: FxHashMap<u64, FillRecord>,
     /// Sectors/lines with a fill in flight (MSHR merge).
     pending_sectors: FxHashSet<u64>,
@@ -445,6 +449,12 @@ impl<'t> Engine<'t> {
         if let Some(lo) = cfg.drain_lo {
             ctrl_cfg.write_low_watermark = lo;
         }
+        // The hierarchy's 1.4 MB of LLC sets is the run's largest
+        // allocation. Made first, it reuses the heap hole the previous
+        // run's array left. Made after the hybrid level's tag array, whose
+        // size follows the block size, it could find that hole split and
+        // grow the heap (DESIGN.md §13, "Allocation order").
+        let hierarchy = Hierarchy::new(cfg.hierarchy);
         let ctrl: Box<dyn MemLevel> = match cfg.hybrid {
             Some(hybrid) => Box::new(DramCacheController::new(ctrl_cfg, hybrid)),
             None => Box::new(Controller::new(ctrl_cfg)),
@@ -459,7 +469,7 @@ impl<'t> Engine<'t> {
             cfg,
             design,
             placements,
-            hierarchy: Hierarchy::new(cfg.hierarchy),
+            hierarchy,
             ctrl,
             cores: traces.iter().map(|t| CoreState::new(t)).collect(),
             fills: FxHashMap::default(),
