@@ -209,6 +209,19 @@ cargo run --release -p sam-bench --bin stress -- \
 [ -f results/stress.json ] || { echo "results/stress.json was not written"; exit 1; }
 cargo run --release -p sam-bench --bin sam-check -- lint-json results/stress.json
 
+echo "==> stress trace smoke + trace lint"
+# The same two patterns traced: the report must match the untraced one
+# byte for byte, the controller must have drawn its commands on bank
+# lanes, and the document must lint.
+rm -f results/stress.trace.json results/stress.traced.json
+./target/release/stress row-hit-flood write-burst --jobs 2 --seed 7 --trace \
+  --out results/stress.traced.json > /dev/null
+cmp results/stress.traced.json results/stress.json \
+  || { echo "--trace changed the stress report"; exit 1; }
+grep -q '"cat": "dram"' results/stress.trace.json \
+  || { echo "results/stress.trace.json has no bank-lane spans"; exit 1; }
+cargo run --release -p sam-bench --bin sam-check -- lint-trace results/stress.trace.json
+
 echo "==> misspelled flags must be rejected"
 if cargo run --release -p sam-bench --bin fig12 -- --cheked >/dev/null 2>&1; then
   echo "fig12 accepted the misspelled flag --cheked"; exit 1

@@ -192,7 +192,7 @@ pub enum Job {
 
 impl Job {
     /// Runs the job with `instr` attached and adds its simulated cycles to
-    /// the heartbeat's tally. Stress cells use only the trace sinks of
+    /// the heartbeat's tally. Stress cells use only the trace recorder of
     /// `instr`; campaigns simulate no memory system and use none of it.
     pub fn run(&self, instr: &mut Instrumentation<'_>) -> Outcome {
         let outcome = match self {
@@ -221,7 +221,6 @@ impl Job {
                 config,
                 &pattern.generate(params),
                 instr.trace.clone(),
-                instr.epochs.clone(),
             )),
             Job::Campaign {
                 layout,

@@ -1,10 +1,10 @@
-//! Traced runs: one plan entry with the `sam-trace` recorders attached.
+//! Traced runs: one plan entry with a `sam-trace` recorder attached.
 //!
-//! Each run builds its **own** ring recorder and epoch recorder (one sink
-//! per run, never shared), so tracing is sweep-safe: the executor fans
-//! traced runs out over `--jobs` workers exactly like bare ones, and the
-//! collected [`RunTrace`]s come back in plan order. The traced path calls
-//! the same simulator as the bare one with a purely observational sink, so
+//! Each run builds its **own** recorder (event ring plus epoch statistics,
+//! never shared), so tracing is sweep-safe: the executor fans traced runs
+//! out over `--jobs` workers exactly like bare ones, and the collected
+//! [`RunTrace`]s come back in plan order. The traced path calls the same
+//! simulator as the bare one with a purely observational recorder, so
 //! tables and `results/<bin>.json` stay byte-identical whether or not
 //! `--trace` was given (covered by tests here and in `sam-core`).
 //!
@@ -13,10 +13,10 @@
 //! process per run, one thread lane per simulator component — see
 //! [`sam_trace::chrome`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sam::system::Instrumentation;
-use sam_trace::{EpochRecorder, RingRecorder, RunTrace};
+use sam_trace::{RunRecorder, RunTrace};
 
 use crate::experiment::{Job, Outcome};
 
@@ -55,32 +55,19 @@ impl Default for TraceOptions {
     }
 }
 
-/// Runs `job` with a fresh ring recorder and epoch recorder attached,
-/// returning the outcome plus its recorded trace under `label`.
+/// Runs `job` with a fresh trace recorder attached, returning the outcome
+/// plus its recorded trace under `label`.
 pub fn run_traced(job: &Job, label: &str, opts: TraceOptions) -> (Outcome, RunTrace) {
-    let ring = Arc::new(Mutex::new(RingRecorder::new(opts.ring_capacity)));
-    let epochs = Arc::new(Mutex::new(EpochRecorder::new(opts.epoch_len)));
+    let recorder = RunRecorder::shared(opts.ring_capacity, opts.epoch_len);
     let outcome = job.run(&mut Instrumentation {
-        trace: Some(ring.clone()),
-        epochs: Some(epochs.clone()),
+        trace: Some(recorder.clone()),
         ..Default::default()
     });
-    let (events, dropped) = Arc::try_unwrap(ring)
-        .expect("run finished, ring is sole owner")
+    let trace = Arc::try_unwrap(recorder)
+        .expect("run finished, recorder is sole owner")
         .into_inner()
-        .expect("ring lock poisoned")
-        .into_events();
-    let recorder = Arc::try_unwrap(epochs)
-        .expect("run finished, epoch recorder is sole owner")
-        .into_inner()
-        .expect("epoch recorder lock poisoned");
-    let trace = RunTrace {
-        label: label.to_string(),
-        events,
-        dropped,
-        epoch_len: opts.epoch_len,
-        epochs: recorder.into_rows(),
-    };
+        .expect("trace recorder lock poisoned")
+        .into_trace(label);
     (outcome, trace)
 }
 
@@ -95,7 +82,7 @@ mod tests {
     use sam_imdb::query::Query;
     use sam_stress::stream::StressConfig;
     use sam_stress::{Pattern, PatternParams};
-    use sam_trace::{chrome_trace, lint_chrome_trace, EpochCounters};
+    use sam_trace::{chrome_trace, lint_chrome_trace, Category, EpochCounters};
     use sam_util::json::Json;
 
     fn query_job(design: sam::design::Design, store: Store) -> Job {
@@ -151,7 +138,8 @@ mod tests {
     }
 
     /// Stress cells record through the same entry point: the bare
-    /// controller takes the trace sinks from the instrumentation.
+    /// controller takes the recorder from the instrumentation, draws its
+    /// commands on bank lanes, and samples its epochs.
     #[test]
     fn traced_stress_cell_matches_untraced_and_records() {
         let job = Job::Stress {
@@ -162,7 +150,28 @@ mod tests {
         let plain = job.run(&mut Instrumentation::default());
         let (traced, trace) = run_traced(&job, "ping-pong/commodity", TraceOptions::new(1_000));
         assert_eq!(traced, plain);
-        assert!(!trace.events.is_empty());
+        assert!(
+            trace.events.iter().any(|e| e.cat == Category::Dram),
+            "the stress controller draws its commands on bank lanes"
+        );
+        let mut sum = EpochCounters::default();
+        for row in &trace.epochs {
+            sum.accumulate(&row.delta);
+        }
+        let Outcome::Stress(s) = &plain else {
+            panic!("a stress job yields a stress outcome")
+        };
+        assert!(sum.reads > 0, "the cell recorded no work");
+        assert_eq!(
+            [
+                sum.reads,
+                sum.writes,
+                sum.row_hits,
+                sum.starved,
+                sum.refreshes
+            ],
+            [s.reads, s.writes, s.row_hits, s.starved, s.refreshes]
+        );
     }
 
     #[test]

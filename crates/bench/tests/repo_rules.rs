@@ -5,9 +5,9 @@
 //!   is documented in README.md or DESIGN.md, and every `--flag` those
 //!   docs mention exists in the code (outside [`DOC_FLAG_ALLOW`]).
 //! - **observer-purity**: `CommandObserver` is implemented only in
-//!   `crates/check` and `crates/trace`, plus the two adapters in
-//!   [`OBSERVER_EXCEPTIONS`]. Observers elsewhere are how side effects
-//!   would sneak into the datapath.
+//!   `crates/check` (outside the empty [`OBSERVER_EXCEPTIONS`]): the
+//!   device tap serves verification alone. Observers elsewhere are how
+//!   side effects would sneak into the datapath.
 //!
 //! A file's test code is everything from its `#[cfg(test)]` line on, and
 //! the rules skip it. Each rule is a function over text; each test holds
@@ -33,17 +33,10 @@ const DOC_FLAG_ALLOW: [&str; 11] = [
     "--seconds",
 ];
 
-/// The `CommandObserver` implementations allowed outside `crates/check`
-/// and `crates/trace`, as (path, implementing type) pairs. Both live in
-/// `crates/dram`, the trait's home.
-const OBSERVER_EXCEPTIONS: [(&str, &str); 2] = [
-    // Fanout multiplexer in the trait's home crate; forwards commands
-    // verbatim, observes nothing itself.
-    ("crates/dram/src/observe.rs", "FanoutObserver"),
-    // Trace-sink adapter; lives in sam-dram only because sam-trace cannot
-    // depend back on Command.
-    ("crates/dram/src/lanes.rs", "CommandLaneTracer"),
-];
+/// The `CommandObserver` implementations allowed outside `crates/check`,
+/// as (path, implementing type) pairs. Empty: tracing reaches the run's
+/// recorder through the controller, not through the device tap.
+const OBSERVER_EXCEPTIONS: [(&str, &str); 0] = [];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -185,9 +178,9 @@ fn flag_doc_findings(code: &BTreeSet<String>, docs: &BTreeSet<String>) -> Vec<St
 
 /// **observer-purity** findings in the non-test code of the file at
 /// `path`: lines starting with `impl` that implement `CommandObserver`
-/// for a type outside `crates/check`, `crates/trace` and the exceptions.
+/// for a type outside `crates/check` and the exceptions.
 fn observer_findings(path: &str, text: &str) -> Vec<String> {
-    if path.starts_with("crates/check/") || path.starts_with("crates/trace/") {
+    if path.starts_with("crates/check/") {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -267,30 +260,29 @@ fn bench_flags_and_docs_agree() {
 }
 
 #[test]
-fn command_observers_live_in_check_and_trace() {
+fn command_observers_live_only_in_check() {
     let findings: Vec<String> = sources()
         .iter()
         .flat_map(|(path, text)| observer_findings(path, text))
         .collect();
     assert!(findings.is_empty(), "{findings:#?}");
 
-    // Known-bad: a datapath observer fires; check/trace, the exact
-    // exception pairs, the trait definition and test code do not.
+    // Known-bad: an observer anywhere but crates/check fires, the
+    // trait's home and the trace crate included; the trait definition
+    // and test code do not.
     let spy = "struct Spy;\nimpl CommandObserver for Spy {\n    fn command(&mut self) {}\n}\n";
-    assert_eq!(
-        observer_findings("crates/memctrl/src/wake.rs", spy).len(),
-        1
-    );
+    for path in [
+        "crates/memctrl/src/wake.rs",
+        "crates/trace/src/lib.rs",
+        "crates/dram/src/observe.rs",
+        "crates/dram/src/lanes.rs",
+    ] {
+        assert_eq!(observer_findings(path, spy).len(), 1, "{path}");
+    }
     assert!(observer_findings("crates/check/src/oracle.rs", spy).is_empty());
-    assert!(observer_findings("crates/trace/src/lib.rs", spy).is_empty());
+    let generic = "impl<'a> CommandObserver for Tap {}\n";
     assert_eq!(
-        observer_findings("crates/dram/src/observe.rs", spy).len(),
-        1
-    );
-    let fanout = "impl<'a> CommandObserver for FanoutObserver {}\n";
-    assert!(observer_findings("crates/dram/src/observe.rs", fanout).is_empty());
-    assert_eq!(
-        observer_findings("crates/dram/src/lanes.rs", fanout).len(),
+        observer_findings("crates/dram/src/observe.rs", generic).len(),
         1
     );
     let def = "pub trait CommandObserver {\n    fn command(&mut self);\n}\n";

@@ -5,7 +5,8 @@
 use sam::designs::{commodity, sam_en};
 use sam::layout::{Store, TableSpec};
 use sam::ops::{partition_records, TraceOp};
-use sam::system::{System, SystemConfig};
+use sam::system::{Instrumentation, System, SystemConfig};
+use sam_check::oracle::{OracleConfig, ProtocolOracle};
 use sam_dram::iobuf::{deserialize_stride, IoBuffer};
 use sam_dram::moderegs::IoMode;
 use sam_dram::subarray::{HffWidth, MatGrid};
@@ -13,6 +14,8 @@ use sam_ecc::codes::SscCode;
 use sam_ecc::layout::{decode_line, encode_line, CodewordLayout};
 use sam_memctrl::controller::{Controller, ControllerConfig};
 use sam_memctrl::request::{MemRequest, StrideSpec};
+use sam_trace::{Category, RunRecorder};
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn stride_data_path_is_bit_exact_end_to_end() {
@@ -125,4 +128,74 @@ fn run_results_are_reproducible_across_invocations() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.device, b.device);
     assert_eq!(a.writeback_bursts, b.writeback_bursts);
+}
+
+/// The device tap serves the protocol oracle while the controller draws
+/// the same commands into the run's trace recorder: one run carries both
+/// without either perturbing the simulation or the other.
+#[test]
+fn oracle_and_trace_recorder_observe_one_run_side_by_side() {
+    let table = TableSpec::tb(0x1_0000_0000, 2048);
+    let traces = partition_records(0..2048, 4, |r, t| {
+        t.push(TraceOp::Fields {
+            table: 0,
+            record: r,
+            fields: vec![2],
+            write: r % 5 == 0,
+        });
+    });
+    let sys = System::new(SystemConfig::default(), sam_en(), Store::Row);
+    let oracle = || {
+        Arc::new(Mutex::new(ProtocolOracle::new(OracleConfig::from_device(
+            &sam_en().device_config(),
+        ))))
+    };
+    let shadowed = |oracle: Arc<Mutex<ProtocolOracle>>| {
+        let oracle = Arc::try_unwrap(oracle).ok().unwrap().into_inner().unwrap();
+        let count = oracle.command_count();
+        assert!(oracle.finish().is_empty(), "the run obeys the protocol");
+        count
+    };
+    let plain = sys.run(&[table], &traces);
+
+    let alone = oracle();
+    let checked = sys.run_instrumented(
+        &[table],
+        &traces,
+        &mut Instrumentation {
+            observer: Some(alone.clone()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(checked, plain);
+    let alone = shadowed(alone);
+
+    let both = oracle();
+    let recorder = RunRecorder::shared(1 << 20, 10_000);
+    let run = sys.run_instrumented(
+        &[table],
+        &traces,
+        &mut Instrumentation {
+            observer: Some(both.clone()),
+            trace: Some(recorder.clone()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(run, plain, "observing must not perturb the simulation");
+    assert_eq!(shadowed(both), alone, "the oracle sees every command");
+
+    let recorder = recorder.lock().unwrap();
+    assert_eq!(recorder.ring.dropped(), 0, "the ring holds the whole run");
+    let lanes = recorder
+        .ring
+        .events()
+        .filter(|e| e.cat == Category::Dram)
+        .count() as u64;
+    let d = &run.device;
+    assert!(d.mode_switches > 0 && d.writes + d.stride_writes > 0);
+    assert_eq!(
+        lanes,
+        d.acts + d.pres + d.column_commands() + d.mode_switches,
+        "one lane span per accepted non-REF command"
+    );
 }

@@ -117,9 +117,9 @@ pub struct Hierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     llc: SetAssocCache,
-    /// Optional trace sink (miss/fill/promote instants). The hierarchy has
-    /// no clock of its own, so the driving engine supplies timestamps via
-    /// [`Self::set_trace_clock`].
+    /// Optional trace recorder (miss/fill/promote instants). The hierarchy
+    /// has no clock of its own, so the driving engine supplies timestamps
+    /// via [`Self::set_trace_clock`].
     trace: sam_trace::SinkSlot,
     trace_now: u64,
 }
@@ -137,13 +137,13 @@ impl Hierarchy {
         }
     }
 
-    /// Attaches a trace sink; miss/fill/sector-promote instants are
-    /// emitted on the cache lane from now on.
-    pub fn attach_trace(&mut self, sink: sam_trace::SharedSink) {
-        self.trace.attach(sink);
+    /// Attaches the run's trace recorder; miss/fill/sector-promote
+    /// instants are emitted on the cache lane from now on.
+    pub fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder) {
+        self.trace.attach(recorder);
     }
 
-    /// Whether a trace sink is attached (drivers skip clock upkeep
+    /// Whether a trace recorder is attached (drivers skip clock upkeep
     /// otherwise).
     pub fn trace_attached(&self) -> bool {
         self.trace.is_attached()

@@ -53,7 +53,6 @@ mod datapath;
 mod lowering;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use sam_util::fxhash::{FxHashMap, FxHashSet};
 
@@ -257,13 +256,11 @@ pub struct Instrumentation<'a> {
     /// Called with the cache hierarchy every 4096 touches (and once at
     /// the end of the run), e.g. to check model invariants.
     pub cache_probe: Option<&'a mut (dyn FnMut(&Hierarchy) + 'a)>,
-    /// Trace sink receiving controller, cache, and (via the device command
-    /// observer) per-bank DRAM events.
-    /// Purely observational — attaching one never changes the simulation.
-    pub trace: Option<sam_trace::SharedSink>,
-    /// Epoch recorder sampling cumulative controller/device counters into
-    /// fixed-length-epoch delta rows, plus an end-of-round MLP gauge.
-    pub epochs: Option<sam_trace::SharedEpochs>,
+    /// The run's trace recorder: controller, cache and per-bank DRAM
+    /// events in its ring; controller/device counters sampled into its
+    /// epoch rows, plus an end-of-round MLP gauge. Purely observational —
+    /// attaching one never changes the simulation.
+    pub trace: Option<sam_trace::SharedRecorder>,
 }
 
 impl std::fmt::Debug for Instrumentation<'_> {
@@ -273,7 +270,6 @@ impl std::fmt::Debug for Instrumentation<'_> {
             .field("backing_observer", &self.backing_observer.is_some())
             .field("cache_probe", &self.cache_probe.is_some())
             .field("trace", &self.trace.is_some())
-            .field("epochs", &self.epochs.is_some())
             .finish()
     }
 }
@@ -327,41 +323,13 @@ impl System {
             .map(|t| Placement::new(*t, self.store, &self.design, self.cfg.granularity))
             .collect();
         let mut engine = Engine::new(&self.cfg, &self.design, placements, traces);
-        if let Some(sink) = &instr.trace {
-            engine.ctrl.attach_trace(sink.clone());
-            engine.hierarchy.attach_trace(sink.clone());
+        if let Some(rec) = &instr.trace {
+            engine.ctrl.attach_trace(rec.clone());
+            engine.hierarchy.attach_trace(rec.clone());
+            engine.trace.attach(rec.clone());
         }
-        if let Some(ep) = &instr.epochs {
-            engine.ctrl.attach_epochs(ep.clone());
-            engine.epochs = Some(ep.clone());
-        }
-        // The device-level tap holds one observer; fan out when both the
-        // conformance checker and the trace lane recorder want it.
-        let mut taps: Vec<sam_dram::observe::SharedObserver> = Vec::new();
         if let Some(obs) = &instr.observer {
-            taps.push(obs.clone());
-        }
-        if let Some(sink) = &instr.trace {
-            // The lane tracer shadows the CPU-facing device: the DDR4
-            // front cache under a hybrid topology, the design's own
-            // device otherwise.
-            let timing = if self.cfg.hybrid.is_some() {
-                sam_dram::device::DeviceConfig::ddr4_server().timing
-            } else {
-                self.design.device_config().timing
-            };
-            taps.push(Arc::new(Mutex::new(
-                sam_dram::lanes::CommandLaneTracer::new(sink.clone(), timing),
-            )));
-        }
-        if taps.len() == 1 {
-            engine.ctrl.attach_observer(taps.pop().expect("one tap"));
-        } else if taps.len() > 1 {
-            let mut fan = sam_dram::observe::FanoutObserver::new();
-            for tap in taps {
-                fan.push(tap);
-            }
-            engine.ctrl.attach_observer(Arc::new(Mutex::new(fan)));
+            engine.ctrl.attach_observer(obs.clone());
         }
         if let Some(obs) = &instr.backing_observer {
             engine.ctrl.attach_backing_observer(obs.clone());
@@ -422,9 +390,9 @@ struct Engine<'t> {
     /// Invariant probe over the cache hierarchy (verification layer).
     probe: Option<&'t mut (dyn FnMut(&Hierarchy) + 't)>,
     probe_ticks: u64,
-    /// Epoch recorder shared with the controller; the engine contributes
-    /// the MLP gauge (outstanding misses across cores).
-    epochs: Option<sam_trace::SharedEpochs>,
+    /// Trace recorder shared with the controller; the engine contributes
+    /// the epochs' MLP gauge (outstanding misses across cores).
+    trace: sam_trace::SinkSlot,
     /// Per core, whether its next step can make progress (all start
     /// runnable). A stalled core's flag clears and is set again only by a
     /// wake publisher matching its registered [`core_engine::Blocker`] —
@@ -492,7 +460,7 @@ impl<'t> Engine<'t> {
             last_finish: 0,
             probe: None,
             probe_ticks: 0,
-            epochs: None,
+            trace: sam_trace::SinkSlot::default(),
             runnable: vec![true; traces.len()],
         }
     }
@@ -569,12 +537,10 @@ impl<'t> Engine<'t> {
                     break;
                 }
             }
-            if let Some(ep) = &self.epochs {
-                let outstanding: u64 = self.cores.iter().map(|c| c.outstanding as u64).sum();
-                ep.lock()
-                    .expect("epoch recorder lock poisoned")
-                    .observe_mlp(outstanding);
-            }
+            self.trace.with(|rec| {
+                let outstanding = self.cores.iter().map(|c| c.outstanding as u64).sum();
+                rec.epochs.observe_mlp(outstanding);
+            });
             self.flush_backlog();
             let all_done = self.cores.iter().all(|c| c.done);
             if all_done && self.ctrl.queued() == 0 && self.wb_backlog.is_empty() {
@@ -987,17 +953,16 @@ mod tests {
         let traces = scan_trace(1024, vec![9], 4);
         let plain = sys.run(&tables, &traces);
 
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 16)));
-        let epochs = Arc::new(Mutex::new(sam_trace::EpochRecorder::new(5_000)));
+        let recorder = sam_trace::RunRecorder::shared(1 << 16, 5_000);
         let mut instr = Instrumentation {
-            trace: Some(ring.clone()),
-            epochs: Some(epochs.clone()),
+            trace: Some(recorder.clone()),
             ..Default::default()
         };
         let traced = sys.run_instrumented(&tables, &traces, &mut instr);
         assert_eq!(traced, plain, "tracing must not perturb the simulation");
 
-        let ring = ring.lock().unwrap();
+        let recorder = recorder.lock().unwrap();
+        let ring = &recorder.ring;
         assert!(!ring.is_empty(), "an active run must produce events");
         assert!(
             ring.events().any(|e| e.name == "miss"),
@@ -1005,9 +970,9 @@ mod tests {
         );
         assert!(
             ring.events().any(|e| e.name == "SRD"),
-            "stride reads must appear on bank lanes via the observer"
+            "stride reads must appear on bank lanes"
         );
-        let epochs = epochs.lock().unwrap();
+        let epochs = &recorder.epochs;
         let sum = epochs.sum();
         assert_eq!(sum.reads, traced.ctrl.reads_done);
         assert_eq!(sum.writes, traced.ctrl.writes_done);

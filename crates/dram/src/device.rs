@@ -155,14 +155,6 @@ impl MemoryDevice {
         self.observers.attach(observer);
     }
 
-    /// Stamps the origin core the observer hook reports with subsequently
-    /// accepted commands; `None` marks background work (refresh). Purely
-    /// observational: device state and timing never read it.
-    #[inline]
-    pub fn set_command_origin(&mut self, origin: Option<u8>) {
-        self.observers.set_origin(origin);
-    }
-
     /// The device geometry/timing.
     pub fn config(&self) -> &DeviceConfig {
         &self.config

@@ -1,108 +1,73 @@
-//! Per-bank command-lane tracing: renders the accepted command stream as
+//! Per-bank command lanes: renders the accepted command stream as
 //! Chrome-trace spans, one lane per bank (and one per rank for MRS).
 //!
-//! [`CommandLaneTracer`] is a [`CommandObserver`]: attach it to a device
-//! (through `Controller::attach_observer`) and every accepted
-//! ACT/PRE/RD/WR/MRS becomes a `Complete` span on the lane of the bank it
-//! occupies, with a nominal duration from the [`TimingParams`] in
-//! effect (tRCD for ACT, tRP for PRE, CAS latency + burst for column
-//! commands, tRTR for MRS). Durations are *nominal occupancy* — the state
-//! machines in [`crate::bank`] enforce the real constraints — but they
-//! make bank-level parallelism and row-cycle gaps visible at a glance in
-//! Perfetto.
+//! [`span`] is a pure function of a command, its issue cycle and the
+//! [`TimingParams`] in effect; the controller calls it after each command
+//! the device accepts and records the result in the run's trace recorder.
+//! Every ACT/PRE/RD/WR/MRS becomes a `Complete` span on the lane of the
+//! bank it occupies, with a nominal duration (tRCD for ACT, tRP for PRE,
+//! CAS latency + burst for column commands, tRTR for MRS). Durations are
+//! *nominal occupancy* — the state machines in [`crate::bank`] enforce the
+//! real constraints — but they make bank-level parallelism and row-cycle
+//! gaps visible at a glance in Perfetto.
 //!
 //! REF commands are deliberately skipped: the controller emits refresh
 //! windows itself (it knows the per-rank schedule), and double-reporting
 //! would clutter the rank lanes.
 
 use crate::command::{CmdKind, Command};
-use crate::observe::CommandObserver;
 use crate::timing::TimingParams;
 use crate::Cycle;
 use sam_trace::event::track;
-use sam_trace::{Category, SharedSink, TraceEvent};
+use sam_trace::{Category, TraceEvent};
 
-/// A [`CommandObserver`] that draws accepted commands on per-bank lanes of
-/// the attached trace sink.
-pub struct CommandLaneTracer {
-    sink: SharedSink,
-    timing: TimingParams,
-}
-
-impl CommandLaneTracer {
-    /// A tracer drawing into `sink` with nominal durations from `timing`.
-    pub fn new(sink: SharedSink, timing: TimingParams) -> Self {
-        Self { sink, timing }
-    }
-}
-
-impl std::fmt::Debug for CommandLaneTracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommandLaneTracer").finish_non_exhaustive()
-    }
-}
-
-impl CommandObserver for CommandLaneTracer {
-    fn on_command(&mut self, cmd: &Command, at: Cycle) {
-        let t = &self.timing;
-        let bank_lane = track::bank(cmd.rank, cmd.bank_group, cmd.bank);
-        let (lane, name, dur, arg) = match cmd.kind {
-            CmdKind::Act => (bank_lane, "ACT", t.rcd, cmd.row),
-            CmdKind::Pre => (bank_lane, "PRE", t.rp, 0),
-            CmdKind::Rd { stride, narrow } => {
-                let name = match (stride, narrow.is_some()) {
-                    (true, _) => "SRD",
-                    (false, true) => "RDn",
-                    (false, false) => "RD",
-                };
-                (bank_lane, name, t.cl + t.burst, cmd.col)
-            }
-            CmdKind::Wr { stride, narrow } => {
-                let name = match (stride, narrow.is_some()) {
-                    (true, _) => "SWR",
-                    (false, true) => "WRn",
-                    (false, false) => "WR",
-                };
-                (bank_lane, name, t.cwl + t.burst, cmd.col)
-            }
-            // The controller emits refresh windows itself.
-            CmdKind::Ref => return,
-            CmdKind::Mrs(_) => (track::rank(cmd.rank), "MRS", t.rtr, 0),
-        };
-        self.sink
-            .lock()
-            .expect("trace sink lock poisoned")
-            .record(TraceEvent::complete(
-                lane,
-                Category::Dram,
-                name,
-                at,
-                dur,
-                arg,
-            ));
-    }
+/// The lane span of `cmd` accepted at `at`, with its nominal duration
+/// under `t`; `None` for REF.
+pub fn span(cmd: &Command, at: Cycle, t: &TimingParams) -> Option<TraceEvent> {
+    let bank_lane = track::bank(cmd.rank, cmd.bank_group, cmd.bank);
+    let (lane, name, dur, arg) = match cmd.kind {
+        CmdKind::Act => (bank_lane, "ACT", t.rcd, cmd.row),
+        CmdKind::Pre => (bank_lane, "PRE", t.rp, 0),
+        CmdKind::Rd { stride, narrow } => {
+            let name = match (stride, narrow.is_some()) {
+                (true, _) => "SRD",
+                (false, true) => "RDn",
+                (false, false) => "RD",
+            };
+            (bank_lane, name, t.cl + t.burst, cmd.col)
+        }
+        CmdKind::Wr { stride, narrow } => {
+            let name = match (stride, narrow.is_some()) {
+                (true, _) => "SWR",
+                (false, true) => "WRn",
+                (false, false) => "WR",
+            };
+            (bank_lane, name, t.cwl + t.burst, cmd.col)
+        }
+        // The controller emits refresh windows itself.
+        CmdKind::Ref => return None,
+        CmdKind::Mrs(_) => (track::rank(cmd.rank), "MRS", t.rtr, 0),
+    };
+    Some(TraceEvent::complete(
+        lane,
+        Category::Dram,
+        name,
+        at,
+        dur,
+        arg,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::moderegs::IoMode;
-    use sam_trace::RingRecorder;
-    use std::sync::{Arc, Mutex};
 
     fn recorded(cmds: &[(Command, Cycle)]) -> Vec<TraceEvent> {
-        let ring = Arc::new(Mutex::new(RingRecorder::new(64)));
-        let mut tracer = CommandLaneTracer::new(ring.clone(), TimingParams::ddr4_2400());
-        for (cmd, at) in cmds {
-            tracer.on_command(cmd, *at);
-        }
-        drop(tracer);
-        Arc::try_unwrap(ring)
-            .expect("sole owner")
-            .into_inner()
-            .unwrap()
-            .into_events()
-            .0
+        let t = TimingParams::ddr4_2400();
+        cmds.iter()
+            .filter_map(|(cmd, at)| span(cmd, *at, &t))
+            .collect()
     }
 
     #[test]

@@ -4,6 +4,18 @@
 use super::*;
 
 impl Controller {
+    /// Issues `cmd` at `at` on the device and, with a trace recorder
+    /// attached, draws the accepted command on its bank lane.
+    pub(super) fn issue(&mut self, cmd: &Command, at: Cycle) -> Result<Cycle, DeviceError> {
+        let done = self.device.issue(cmd, at)?;
+        if self.trace.is_attached() {
+            if let Some(ev) = sam_dram::lanes::span(cmd, at, &self.cfg.device.timing) {
+                self.trace.emit(ev);
+            }
+        }
+        Ok(done)
+    }
+
     /// Picks the FR-FCFS winner within one queue. The policy sees each
     /// request only as its [`sched::SchedView`] (arrival, location,
     /// required mode — never provenance), and the closures hand it
@@ -40,9 +52,6 @@ impl Controller {
     /// Executes the full command sequence for `p`, returning its completion.
     fn execute(&mut self, p: Pending) -> Completion {
         self.service_refresh(self.clock.max(p.arrival));
-        // Every command issued below (MRS/PRE/ACT plus the column access)
-        // serves this request; stamp its origin for the observer fan-out.
-        self.device.set_command_origin(Some(p.req.prov.core));
         let loc = p.loc;
         // Start from the request's own arrival: per-bank state machines and
         // the shared data bus already serialize where physics requires, so
@@ -55,7 +64,7 @@ impl Controller {
         if self.device.io_mode(loc.rank) != want {
             let mrs = Command::mrs(loc.rank, want);
             let at = self.device.earliest_issue(&mrs, cursor);
-            self.device.issue(&mrs, at).expect("MRS always issuable");
+            self.issue(&mrs, at).expect("MRS always issuable");
             cursor = at;
         }
 
@@ -69,24 +78,18 @@ impl Controller {
                 self.stats.row_conflicts += 1;
                 let pre = Command::pre(loc.rank, loc.bank_group, loc.bank);
                 let at = self.device.earliest_issue(&pre, cursor);
-                self.device
-                    .issue(&pre, at)
-                    .expect("PRE follows earliest_issue");
+                self.issue(&pre, at).expect("PRE follows earliest_issue");
                 cursor = at;
                 let act = Command::act(loc.rank, loc.bank_group, loc.bank, loc.row);
                 let at = self.device.earliest_issue(&act, cursor);
-                self.device
-                    .issue(&act, at)
-                    .expect("ACT follows earliest_issue");
+                self.issue(&act, at).expect("ACT follows earliest_issue");
                 cursor = at;
             }
             None => {
                 self.stats.row_misses += 1;
                 let act = Command::act(loc.rank, loc.bank_group, loc.bank, loc.row);
                 let at = self.device.earliest_issue(&act, cursor);
-                self.device
-                    .issue(&act, at)
-                    .expect("ACT follows earliest_issue");
+                self.issue(&act, at).expect("ACT follows earliest_issue");
                 cursor = at;
             }
         }
@@ -119,10 +122,8 @@ impl Controller {
         };
         let at = self.device.earliest_issue(&col_cmd, cursor);
         let finish = self
-            .device
             .issue(&col_cmd, at)
             .expect("column command follows earliest_issue");
-        self.device.set_command_origin(None);
         self.clock = self.clock.max(at);
 
         // A completion earlier than its own arrival means the scheduler (or

@@ -20,13 +20,13 @@
 
 use sam_dram::command::Command;
 use sam_dram::device::{DeviceConfig, DeviceStats, MemoryDevice};
-use sam_dram::Cycle;
+use sam_dram::{Cycle, DeviceError};
 
 use crate::mapping::{AddressMapper, Location};
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 use crate::sched;
 use sam_trace::event::track;
-use sam_trace::{Category, EpochCounters, SharedEpochs, SinkSlot, TraceEvent};
+use sam_trace::{Category, EpochCounters, SharedRecorder, SinkSlot, TraceEvent};
 use sam_util::hist::Histogram;
 
 /// Controller configuration.
@@ -285,7 +285,6 @@ pub struct Controller {
     read_latency_hist: Histogram,
     write_latency_hist: Histogram,
     trace: SinkSlot,
-    epochs: Option<SharedEpochs>,
 }
 
 impl Controller {
@@ -318,7 +317,6 @@ impl Controller {
             read_latency_hist: Histogram::new(),
             write_latency_hist: Histogram::new(),
             trace: SinkSlot::default(),
-            epochs: None,
         }
     }
 
@@ -363,34 +361,29 @@ impl Controller {
         self.device.attach_observer(observer);
     }
 
-    /// Attaches a trace sink; scheduling decisions (enqueues, write-drain
-    /// windows, starvation firings, refresh windows, per-request service
-    /// spans) are recorded as [`TraceEvent`]s. Purely observational: the
-    /// schedule is identical with or without a sink.
-    pub fn attach_trace(&mut self, sink: sam_trace::SharedSink) {
-        self.trace.attach(sink);
+    /// Attaches the run's trace recorder. Scheduling decisions (enqueues,
+    /// write-drain windows, starvation firings, refresh windows,
+    /// per-request service spans) and every accepted DRAM command (on its
+    /// bank lane) are recorded as [`TraceEvent`]s, and cumulative counters
+    /// are sampled at every completion into the recorder's epoch rows.
+    /// Purely observational: the schedule is identical with or without a
+    /// recorder.
+    pub fn attach_trace(&mut self, recorder: SharedRecorder) {
+        self.trace.attach(recorder);
     }
 
-    /// Whether a trace sink is attached.
+    /// Whether a trace recorder is attached.
     pub fn trace_attached(&self) -> bool {
         self.trace.is_attached()
     }
 
-    /// Attaches an epoch recorder; cumulative counters are sampled at every
-    /// completion and folded into per-epoch delta rows.
-    pub fn attach_epochs(&mut self, epochs: SharedEpochs) {
-        self.epochs = Some(epochs);
-    }
-
     /// Closes the final (partial) epoch at `now`. Call once at end of run;
-    /// harmless when no epoch recorder is attached.
+    /// harmless when no recorder is attached.
     pub fn finish_epochs(&mut self, now: Cycle) {
-        if let Some(ep) = &self.epochs {
-            let snap = self.epoch_snapshot();
-            ep.lock()
-                .expect("epoch recorder lock poisoned")
-                .finish(now.max(self.clock), snap);
-        }
+        self.trace.with(|rec| {
+            rec.epochs
+                .finish(now.max(self.clock), self.epoch_snapshot());
+        });
     }
 
     /// Cumulative counter snapshot across controller, device, and data bus.
@@ -413,17 +406,16 @@ impl Controller {
         }
     }
 
-    /// Samples cumulative counters into the epoch recorder at `now`.
-    pub(super) fn note_epoch(&mut self, now: Cycle) {
-        if let Some(ep) = &self.epochs {
-            let snap = self.epoch_snapshot();
-            ep.lock().expect("epoch recorder lock poisoned").tick(
+    /// Samples cumulative counters into the recorder's epochs at `now`.
+    pub(super) fn note_epoch(&self, now: Cycle) {
+        self.trace.with(|rec| {
+            rec.epochs.tick(
                 now,
-                snap,
+                self.epoch_snapshot(),
                 self.readq.len() as u64,
                 self.writeq.len() as u64,
             );
-        }
+        });
     }
 
     /// The address mapper in use.
@@ -456,6 +448,19 @@ mod tests {
     use super::*;
     use crate::request::StrideSpec;
     use sam_dram::timing::TimingParams;
+    use sam_trace::RunRecorder;
+    use std::sync::Arc;
+
+    /// The events `rec` holds, once the controller that wrote them is gone.
+    fn events_of(rec: SharedRecorder) -> Vec<TraceEvent> {
+        Arc::try_unwrap(rec)
+            .expect("sole owner")
+            .into_inner()
+            .unwrap()
+            .ring
+            .into_events()
+            .0
+    }
 
     fn ctrl() -> Controller {
         Controller::new(ControllerConfig::default())
@@ -718,16 +723,15 @@ mod tests {
     /// must equal the untraced one (hooks are observational).
     #[test]
     fn starvation_firings_are_counted_and_traced() {
-        use std::sync::{Arc, Mutex};
         let run = |trace: bool| -> (Vec<u64>, u64, Vec<sam_trace::TraceEvent>) {
             let cfg = ControllerConfig {
                 starvation_cap: 500,
                 ..Default::default()
             };
             let mut c = Controller::new(cfg);
-            let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(4096)));
+            let rec = RunRecorder::shared(4096, 1_000);
             if trace {
-                c.attach_trace(ring.clone());
+                c.attach_trace(rec.clone());
                 assert!(c.trace_attached());
             }
             c.enqueue(MemRequest::read(1, 0), 0).unwrap();
@@ -746,13 +750,7 @@ mod tests {
             }
             let starved = c.stats().starvation_forced;
             drop(c);
-            let events = Arc::try_unwrap(ring)
-                .expect("sole owner")
-                .into_inner()
-                .unwrap()
-                .into_events()
-                .0;
-            (order, starved, events)
+            (order, starved, events_of(rec))
         };
         let (traced_order, starved, events) = run(true);
         let (plain_order, plain_starved, plain_events) = run(false);
@@ -771,22 +769,16 @@ mod tests {
     /// drain must close itself).
     #[test]
     fn write_drain_windows_trace_balanced() {
-        use std::sync::{Arc, Mutex};
         let mut c = ctrl();
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(4096)));
-        c.attach_trace(ring.clone());
+        let rec = RunRecorder::shared(4096, 1_000);
+        c.attach_trace(rec.clone());
         for i in 0..28 {
             c.enqueue(MemRequest::write(i, i * 64), 0).unwrap();
         }
         c.enqueue(MemRequest::read(100, 0x100000), 0).unwrap();
         let _ = c.drain(0);
         drop(c);
-        let events = Arc::try_unwrap(ring)
-            .expect("sole owner")
-            .into_inner()
-            .unwrap()
-            .into_events()
-            .0;
+        let events = events_of(rec);
         let drains: Vec<_> = events.iter().filter(|e| e.name == "write-drain").collect();
         assert_eq!(drains.len(), 2, "one drain window: begin + end");
         assert_eq!(drains[0].kind, sam_trace::EventKind::Begin);
@@ -800,10 +792,9 @@ mod tests {
     /// Epoch rows telescope: summed deltas equal the end-of-run snapshot.
     #[test]
     fn epoch_rows_sum_to_final_stats() {
-        use std::sync::{Arc, Mutex};
         let mut c = ctrl();
-        let epochs = Arc::new(Mutex::new(sam_trace::EpochRecorder::new(200)));
-        c.attach_epochs(epochs.clone());
+        let recorder = RunRecorder::shared(16, 200);
+        c.attach_trace(recorder.clone());
         for i in 0..40 {
             c.enqueue(MemRequest::read(i, i * 256), 0).unwrap();
         }
@@ -815,7 +806,7 @@ mod tests {
         assert_eq!(done.len(), 64);
         let end = done.iter().map(|d| d.finish).max().unwrap();
         c.finish_epochs(end);
-        let rec = epochs.lock().unwrap();
+        let rec = &recorder.lock().unwrap().epochs;
         let sum = rec.sum();
         assert!(rec.rows().len() > 1, "run spans several 200-cycle epochs");
         assert_eq!(sum.reads, c.stats().reads_done);
@@ -848,10 +839,9 @@ mod tests {
     /// a collapsed burst at the read's arrival.
     #[test]
     fn refresh_catch_up_lands_on_original_due_cycles() {
-        use std::sync::{Arc, Mutex};
         let mut c = ctrl();
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 14)));
-        c.attach_trace(ring.clone());
+        let rec = RunRecorder::shared(1 << 14, 1_000);
+        c.attach_trace(rec.clone());
         let cfg = *c.config();
         let refi = cfg.device.timing.refi;
         let arrival = 10 * refi + 123;
@@ -859,12 +849,7 @@ mod tests {
         let done = c.drain(arrival);
         assert_eq!(done.len(), 1);
         drop(c);
-        let events = Arc::try_unwrap(ring)
-            .expect("sole owner")
-            .into_inner()
-            .unwrap()
-            .into_events()
-            .0;
+        let events = events_of(rec);
         // Reconstruct the expected deadline ladder per rank and compare
         // with the observed REF issue cycles, in order.
         for rank in 0..cfg.device.ranks {
@@ -939,15 +924,9 @@ mod tests {
     /// the lazy catch-up inside `execute` would have used.
     #[test]
     fn advance_to_issues_refreshes_in_deadline_order() {
-        use std::sync::{Arc, Mutex};
-        let refs = |c: Controller, ring: Arc<Mutex<sam_trace::RingRecorder>>| {
+        let refs = |c: Controller, rec: SharedRecorder| {
             drop(c);
-            Arc::try_unwrap(ring)
-                .expect("sole owner")
-                .into_inner()
-                .unwrap()
-                .into_events()
-                .0
+            events_of(rec)
                 .into_iter()
                 .filter(|e| e.name == "REF")
                 .map(|e| (e.at, e.arg))
@@ -957,10 +936,10 @@ mod tests {
 
         let mut walked = ctrl();
         assert_eq!(walked.config().device.ranks, 2);
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 12)));
-        walked.attach_trace(ring.clone());
+        let rec = RunRecorder::shared(1 << 12, 1_000);
+        walked.attach_trace(rec.clone());
         walked.advance_to(target);
-        let walked = refs(walked, ring);
+        let walked = refs(walked, rec);
         assert!(
             walked.windows(2).all(|w| w[0].0 <= w[1].0),
             "REFs must issue in non-decreasing cycle order: {walked:?}"
@@ -971,11 +950,11 @@ mod tests {
         assert_eq!(ranks, [0, 1, 0, 1, 0, 1, 0, 1, 0], "{walked:?}");
 
         let mut lazy = ctrl();
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 12)));
-        lazy.attach_trace(ring.clone());
+        let rec = RunRecorder::shared(1 << 12, 1_000);
+        lazy.attach_trace(rec.clone());
         lazy.enqueue(MemRequest::read(1, 0x40), target).unwrap();
         assert_eq!(lazy.drain(target).len(), 1);
-        let mut lazy = refs(lazy, ring);
+        let mut lazy = refs(lazy, rec);
         lazy.sort_unstable();
         assert_eq!(walked, lazy, "same REF cycles as the lazy catch-up");
     }

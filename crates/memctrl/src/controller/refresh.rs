@@ -11,14 +11,11 @@ impl Controller {
         }
         let refi = self.cfg.device.timing.refi;
         let rfc = self.cfg.device.timing.rfc;
-        // Refresh is rank-level background work with no owning request.
-        self.device.set_command_origin(None);
         for rank in 0..self.cfg.device.ranks {
             while self.next_refresh[rank] <= now {
                 let cmd = Command::refresh(rank);
                 let at = self.device.earliest_issue(&cmd, self.next_refresh[rank]);
-                self.device
-                    .issue(&cmd, at)
+                self.issue(&cmd, at)
                     .expect("refresh issue follows earliest_issue");
                 self.stats.refreshes += 1;
                 self.trace.emit(TraceEvent::complete(

@@ -726,13 +726,9 @@ impl MemLevel for DramCacheController {
         &self.write_latency_hist
     }
 
-    fn attach_trace(&mut self, sink: sam_trace::SharedSink) {
-        // One clock domain per sink: the CPU-facing controller only.
-        self.front.attach_trace(sink);
-    }
-
-    fn attach_epochs(&mut self, epochs: sam_trace::SharedEpochs) {
-        self.front.attach_epochs(epochs);
+    fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder) {
+        // One clock domain per recorder: the CPU-facing controller only.
+        self.front.attach_trace(recorder);
     }
 
     fn finish_epochs(&mut self, now: Cycle) {

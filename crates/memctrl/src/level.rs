@@ -23,9 +23,10 @@
 //!
 //! ## Observability contract
 //!
-//! Attachments are forwarded, never duplicated: the trace sink and epoch
-//! recorder go to the level's *front* (CPU-facing) controller so event
-//! streams keep one clock domain, while command observers are per-device
+//! Attachments are forwarded, never duplicated: the run's trace recorder
+//! (events, bank lanes and epochs) goes to the level's *front*
+//! (CPU-facing) controller so event streams keep one clock domain, while
+//! command observers (the verification layer's tap) are per-device
 //! — [`MemLevel::attach_observer`] taps the front device and
 //! [`MemLevel::attach_backing_observer`] taps the backing device of a
 //! composite level (a no-op on flat levels, which have none).
@@ -91,11 +92,9 @@ pub trait MemLevel: Send {
     /// Write-only slice of [`Self::latency_histogram`].
     fn write_latency_histogram(&self) -> &Histogram;
 
-    /// Attaches a trace sink to the front (CPU-facing) controller.
-    fn attach_trace(&mut self, sink: sam_trace::SharedSink);
-
-    /// Attaches an epoch recorder to the front controller.
-    fn attach_epochs(&mut self, epochs: sam_trace::SharedEpochs);
+    /// Attaches the run's trace recorder to the front (CPU-facing)
+    /// controller.
+    fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder);
 
     /// Flushes the final partial epoch at end of run.
     fn finish_epochs(&mut self, now: Cycle);
@@ -170,12 +169,8 @@ impl MemLevel for Controller {
         Controller::write_latency_histogram(self)
     }
 
-    fn attach_trace(&mut self, sink: sam_trace::SharedSink) {
-        Controller::attach_trace(self, sink);
-    }
-
-    fn attach_epochs(&mut self, epochs: sam_trace::SharedEpochs) {
-        Controller::attach_epochs(self, epochs);
+    fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder) {
+        Controller::attach_trace(self, recorder);
     }
 
     fn finish_epochs(&mut self, now: Cycle) {

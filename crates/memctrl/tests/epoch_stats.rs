@@ -3,15 +3,15 @@
 //! their field-wise sum equals the controller's end-of-run totals exactly,
 //! and the rows partition the run into ordered, boundary-aligned spans.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sam_memctrl::controller::{Controller, ControllerConfig};
 use sam_memctrl::request::{MemRequest, StrideSpec};
-use sam_trace::{EpochCounters, EpochRecorder};
+use sam_trace::{EpochCounters, EpochRecorder, RunRecorder};
 
-/// Runs a random request stream with an epoch recorder attached and
-/// returns the recorder alongside the controller's final counters.
+/// Runs a random request stream with a trace recorder attached and
+/// returns its epochs alongside the controller's final counters.
 fn run_stream(
     epoch_len: u64,
     addrs: &[u64],
@@ -40,8 +40,9 @@ fn run_stream_cfg(
     arrivals: &[u64],
 ) -> (EpochRecorder, EpochCounters) {
     let mut ctrl = Controller::new(cfg);
-    let epochs = Arc::new(Mutex::new(EpochRecorder::new(epoch_len)));
-    ctrl.attach_epochs(epochs.clone());
+    // A one-event ring: only the epochs are under test.
+    let recorder = RunRecorder::shared(1, epoch_len);
+    ctrl.attach_trace(recorder.clone());
     for (i, addr) in addrs.iter().enumerate() {
         let id = i as u64 + 1;
         let addr = addr & !63;
@@ -71,11 +72,11 @@ fn run_stream_cfg(
         bus_busy: ctrl.device().channel().busy_cycles,
     };
     drop(ctrl);
-    let recorder = Arc::try_unwrap(epochs)
+    let recorder = Arc::try_unwrap(recorder)
         .expect("controller dropped, recorder is sole owner")
         .into_inner()
-        .expect("epoch recorder lock poisoned");
-    (recorder, totals)
+        .expect("trace recorder lock poisoned");
+    (recorder.epochs, totals)
 }
 
 proptest! {

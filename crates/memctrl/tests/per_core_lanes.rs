@@ -4,12 +4,10 @@
 //! exactly (minus refreshes, which no request owns), and the per-core
 //! rows partition that total. Tagging a stream never moves a completion.
 
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
 use sam_memctrl::controller::{Controller, ControllerConfig, ControllerStats, CoreLanes};
 use sam_memctrl::request::{Completion, MemRequest, Provenance, ReqKind, StrideSpec};
-use sam_trace::EpochRecorder;
+use sam_trace::RunRecorder;
 
 /// Request `i` of a generated stream: stride or regular, read or write, at
 /// the 64B-aligned `addr`.
@@ -237,8 +235,8 @@ proptest! {
         kinds in proptest::collection::vec(any::<u8>(), 40),
     ) {
         let mut ctrl = Controller::new(ControllerConfig::default());
-        let epochs = Arc::new(Mutex::new(EpochRecorder::new(epoch_len)));
-        ctrl.attach_epochs(epochs.clone());
+        let recorder = RunRecorder::shared(1, epoch_len);
+        ctrl.attach_trace(recorder.clone());
         for (i, addr) in addrs.iter().enumerate() {
             let id = i as u64 + 1;
             let addr = addr & !63;
@@ -258,7 +256,7 @@ proptest! {
         ctrl.finish_epochs(end);
         let stats = *ctrl.stats();
         assert_telescopes(ctrl.per_core(), &stats);
-        let epoch_sum = epochs.lock().unwrap().sum();
+        let epoch_sum = recorder.lock().unwrap().epochs.sum();
         let lane_total = ctrl.per_core().total();
         prop_assert_eq!(epoch_sum.reads, lane_total.reads_done);
         prop_assert_eq!(epoch_sum.writes, lane_total.writes_done);

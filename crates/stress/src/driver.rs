@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use sam_dram::Cycle;
 use sam_memctrl::controller::{Controller, ControllerConfig};
-use sam_trace::{SharedEpochs, SharedSink};
+use sam_trace::SharedRecorder;
 
 use crate::invariant::{InvariantKind, Violation};
 use crate::stream::{StressConfig, TimedRequest};
@@ -115,24 +115,20 @@ pub fn read_residency_bound(cfg: &ControllerConfig, stream_writes: u64) -> Cycle
 /// Executes `requests` (arrival order, positional ids) under `cfg`,
 /// checking every invariant. Plain, uninstrumented entry point.
 pub fn run_stream(cfg: &StressConfig, requests: &[TimedRequest]) -> StressOutcome {
-    run_stream_instrumented(cfg, requests, None, None)
+    run_stream_instrumented(cfg, requests, None)
 }
 
-/// [`run_stream`] with optional `sam-trace` recorders attached to the
-/// controller (the `stress --trace` path). The sinks are purely
-/// observational: attaching them must not change the outcome.
+/// [`run_stream`] with an optional `sam-trace` recorder attached to the
+/// controller (the `stress --trace` path). The recorder is purely
+/// observational: attaching it must not change the outcome.
 pub fn run_stream_instrumented(
     cfg: &StressConfig,
     requests: &[TimedRequest],
-    trace: Option<SharedSink>,
-    epochs: Option<SharedEpochs>,
+    trace: Option<SharedRecorder>,
 ) -> StressOutcome {
     let mut ctrl = Controller::new(cfg.controller_config());
-    if let Some(sink) = trace {
-        ctrl.attach_trace(sink);
-    }
-    if let Some(ep) = epochs {
-        ctrl.attach_epochs(ep);
+    if let Some(recorder) = trace {
+        ctrl.attach_trace(recorder);
     }
     let stream_writes = requests.iter().filter(|t| t.req.is_write).count() as u64;
     let bound = read_residency_bound(ctrl.config(), stream_writes);
@@ -404,20 +400,13 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain() {
-        use std::sync::{Arc, Mutex};
         let v = reads(64, 3);
         let cfg = StressConfig::ddr4_default();
         let plain = run_stream(&cfg, &v);
-        let ring = Arc::new(Mutex::new(sam_trace::RingRecorder::new(1 << 12)));
-        let epochs = Arc::new(Mutex::new(sam_trace::EpochRecorder::new(1_000)));
-        let traced = run_stream_instrumented(&cfg, &v, Some(ring.clone()), Some(epochs.clone()));
+        let recorder = sam_trace::RunRecorder::shared(1 << 12, 1_000);
+        let traced = run_stream_instrumented(&cfg, &v, Some(recorder.clone()));
         assert_eq!(plain, traced);
-        let (events, _) = Arc::try_unwrap(ring)
-            .unwrap()
-            .into_inner()
-            .unwrap()
-            .into_events();
-        assert!(!events.is_empty());
+        assert!(!recorder.lock().unwrap().ring.is_empty());
     }
 
     #[test]

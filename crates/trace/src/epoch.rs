@@ -20,8 +20,6 @@
 //!   refresh-interval gaps of a sparse run) are omitted from the row list;
 //!   the telescoping sum is unaffected.
 
-use std::sync::{Arc, Mutex};
-
 use crate::Cycle;
 
 /// A snapshot of the simulator's cumulative (monotonic) counters, taken by
@@ -136,10 +134,6 @@ impl EpochRow {
         }
     }
 }
-
-/// Shared handle to an epoch recorder (one per traced run; the bench
-/// harness extracts it with `Arc::try_unwrap` after the run).
-pub type SharedEpochs = Arc<Mutex<EpochRecorder>>;
 
 /// Folds completion-time counter snapshots into per-epoch rows.
 #[derive(Debug)]
