@@ -29,6 +29,16 @@ if [ "$clippy_status" -eq 0 ] || [ "$denied" -ne 4 ]; then
   echo "$clippy_log"; exit 1
 fi
 
+echo "==> rustdoc is warning-free"
+# -D warnings turns rustdoc's lints (broken or ambiguous intra-doc links,
+# bad code blocks) into errors; cargo's own warnings, such as two targets
+# writing the same doc file, are not lints, so any warning line fails too.
+doc_log="$(RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps 2>&1)" \
+  || { echo "$doc_log"; echo "cargo doc failed"; exit 1; }
+if grep -q '^warning:' <<<"$doc_log"; then
+  echo "$doc_log"; echo "cargo doc printed warnings"; exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

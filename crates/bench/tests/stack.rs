@@ -117,7 +117,7 @@ fn run_results_are_reproducible_across_invocations() {
         t.push(TraceOp::Fields {
             table: 0,
             record: r,
-            fields: vec![2],
+            fields: Arc::from([2]),
             write: r % 7 == 0,
         });
         t.push(TraceOp::compute(3));
@@ -140,7 +140,7 @@ fn oracle_and_trace_recorder_observe_one_run_side_by_side() {
         t.push(TraceOp::Fields {
             table: 0,
             record: r,
-            fields: vec![2],
+            fields: Arc::from([2]),
             write: r % 5 == 0,
         });
     });

@@ -74,7 +74,7 @@ pub fn expand_op(placements: &[Placement], op: &TraceOp, out: &mut Vec<SectorTou
     };
     match op {
         TraceOp::Fields { fields, .. } => {
-            for &f in fields {
+            for &f in fields.iter() {
                 push(u32::from(f));
             }
             // Access-path choice (the sload/sstore decision is made by

@@ -215,7 +215,7 @@ proptest! {
         let op = if whole {
             TraceOp::Whole { table, record, write }
         } else {
-            TraceOp::Fields { table, record, fields: picked, write }
+            TraceOp::Fields { table, record, fields: picked.into(), write }
         };
         // A stale buffer must be replaced, not appended to.
         let mut out = vec![SectorTouch {

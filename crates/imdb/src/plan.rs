@@ -10,6 +10,8 @@
 //! Selection decisions are derived from a hash of `(seed, table, record)`
 //! so that every design sees the identical record set.
 
+use std::sync::Arc;
+
 use sam::layout::TableSpec;
 use sam::ops::{Trace, TraceOp};
 
@@ -128,7 +130,22 @@ pub fn projected_field_list(seed: u64, table_fields: u32, count: u32) -> Vec<u16
     picks.into_iter().map(|i| (i + 1) as u16).collect()
 }
 
+/// A load or store of `fields` of one record. The list is shared with every
+/// other op of the plan that touches it, not copied (see [`TraceOp`]).
+fn fields_op(table: u8, record: u64, fields: &Arc<[u16]>, write: bool) -> TraceOp {
+    TraceOp::Fields {
+        table,
+        record,
+        fields: Arc::clone(fields),
+        write,
+    }
+}
+
 /// Compiles `query` into a [`Plan`].
+///
+/// Each arm builds its field lists once and pushes every record's ops
+/// straight into the trace of the core that owns the record, so compiling
+/// makes no heap allocation per record beyond the traces' own growth.
 pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
     let c = cfg.costs;
     let seed = cfg.seed;
@@ -147,184 +164,116 @@ pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
         let chunk = total.div_ceil(cores as u64).max(1);
         ((i / chunk) as usize).min(cores - 1)
     };
-    let push = |traces: &mut Vec<Trace>, core: usize, ops: &mut Vec<TraceOp>| {
-        traces[core].append(ops);
-    };
 
     // Scan helper: per record of `table`, read `pred_fields`, and when
-    // selected run `then(record, ops)`.
+    // selected run `then(record, trace)` on the owning core's trace.
     let filter_scan = |traces: &mut Vec<Trace>,
                        table: u8,
                        records: u64,
                        pred_fields: &[u16],
                        sel: f64,
-                       then: &mut dyn FnMut(u64, &mut Vec<TraceOp>)| {
+                       then: &mut dyn FnMut(u64, &mut Trace)| {
+        let pred: Arc<[u16]> = pred_fields.into();
         for r in 0..records {
-            let mut ops = Vec::with_capacity(4);
-            ops.push(TraceOp::Fields {
-                table,
-                record: r,
-                fields: pred_fields.to_vec(),
-                write: false,
-            });
-            ops.push(TraceOp::Compute(c.loop_overhead + c.predicate));
+            let t = &mut traces[core_of(r, records)];
+            t.push(fields_op(table, r, &pred, false));
+            t.push(TraceOp::Compute(c.loop_overhead + c.predicate));
             if selected(seed, table, r, sel) {
-                then(r, &mut ops);
+                then(r, t);
             }
-            push(traces, core_of(r, records), &mut ops);
         }
     };
 
     match query {
         Query::Q1 => {
-            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 0,
-                    record: r,
-                    fields: vec![3, 4],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(2 * c.per_field));
+            let proj: Arc<[u16]> = Arc::from([3, 4]);
+            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(0, r, &proj, false));
+                t.push(TraceOp::Compute(2 * c.per_field));
             });
         }
         Query::Q2 => {
             // Predicate mostly false (Section 6.1).
-            filter_scan(&mut traces, 1, tb.records, &[10], 0.01, &mut |r, ops| {
-                ops.push(TraceOp::Whole {
+            filter_scan(&mut traces, 1, tb.records, &[10], 0.01, &mut |r, t| {
+                t.push(TraceOp::Whole {
                     table: 1,
                     record: r,
                     write: false,
                 });
-                ops.push(TraceOp::Compute(16 * c.per_field));
+                t.push(TraceOp::Compute(16 * c.per_field));
             });
         }
         Query::Q3 => {
-            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 0,
-                    record: r,
-                    fields: vec![9],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(c.aggregate));
+            let sum: Arc<[u16]> = Arc::from([9]);
+            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(0, r, &sum, false));
+                t.push(TraceOp::Compute(c.aggregate));
             });
         }
         Query::Q4 => {
-            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 1,
-                    record: r,
-                    fields: vec![9],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(c.aggregate));
+            let sum: Arc<[u16]> = Arc::from([9]);
+            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(1, r, &sum, false));
+                t.push(TraceOp::Compute(c.aggregate));
             });
         }
         Query::Q5 => {
-            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 0,
-                    record: r,
-                    fields: vec![1],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(c.aggregate));
+            let avg: Arc<[u16]> = Arc::from([1]);
+            filter_scan(&mut traces, 0, ta.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(0, r, &avg, false));
+                t.push(TraceOp::Compute(c.aggregate));
             });
         }
         Query::Q6 => {
-            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 1,
-                    record: r,
-                    fields: vec![1],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(c.aggregate));
+            let avg: Arc<[u16]> = Arc::from([1]);
+            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(1, r, &avg, false));
+                t.push(TraceOp::Compute(c.aggregate));
             });
         }
         Query::Q7 | Query::Q8 => {
             // Hash join: build over Tb, probe with Ta; ~25% of probes match.
-            let build_fields: Vec<u16> = if query == Query::Q7 {
-                vec![1, 9, 4]
+            let (build, probe): (Arc<[u16]>, &[u16]) = if query == Query::Q7 {
+                (Arc::from([1, 9, 4]), &[1, 9])
             } else {
-                vec![9, 4]
-            };
-            let probe_fields: Vec<u16> = if query == Query::Q7 {
-                vec![1, 9]
-            } else {
-                vec![9]
+                (Arc::from([9, 4]), &[9])
             };
             for r in 0..tb.records {
-                let mut ops = vec![
-                    TraceOp::Fields {
-                        table: 1,
-                        record: r,
-                        fields: build_fields.clone(),
-                        write: false,
-                    },
-                    TraceOp::Compute(c.loop_overhead + c.probe),
-                ];
-                push(&mut traces, core_of(r, tb.records), &mut ops);
+                let t = &mut traces[core_of(r, tb.records)];
+                t.push(fields_op(1, r, &build, false));
+                t.push(TraceOp::Compute(c.loop_overhead + c.probe));
             }
-            filter_scan(
-                &mut traces,
-                0,
-                ta.records,
-                &probe_fields,
-                0.25,
-                &mut |r, ops| {
-                    ops.push(TraceOp::Compute(c.probe));
-                    ops.push(TraceOp::Fields {
-                        table: 0,
-                        record: r,
-                        fields: vec![3],
-                        write: false,
-                    });
-                    ops.push(TraceOp::Compute(2 * c.per_field));
-                },
-            );
+            let out: Arc<[u16]> = Arc::from([3]);
+            filter_scan(&mut traces, 0, ta.records, probe, 0.25, &mut |r, t| {
+                t.push(TraceOp::Compute(c.probe));
+                t.push(fields_op(0, r, &out, false));
+                t.push(TraceOp::Compute(2 * c.per_field));
+            });
         }
         Query::Q9 | Query::Q10 => {
-            let second: u16 = if query == Query::Q9 { 9 } else { 2 };
-            filter_scan(&mut traces, 0, ta.records, &[1], 0.5, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 0,
-                    record: r,
-                    fields: vec![second],
-                    write: false,
-                });
-                ops.push(TraceOp::Compute(c.predicate));
+            let second: Arc<[u16]> = Arc::from([if query == Query::Q9 { 9 } else { 2 }]);
+            let proj: Arc<[u16]> = Arc::from([3, 4]);
+            filter_scan(&mut traces, 0, ta.records, &[1], 0.5, &mut |r, t| {
+                t.push(fields_op(0, r, &second, false));
+                t.push(TraceOp::Compute(c.predicate));
                 if selected(seed ^ 1, 0, r, 0.5) {
-                    ops.push(TraceOp::Fields {
-                        table: 0,
-                        record: r,
-                        fields: vec![3, 4],
-                        write: false,
-                    });
-                    ops.push(TraceOp::Compute(2 * c.per_field));
+                    t.push(fields_op(0, r, &proj, false));
+                    t.push(TraceOp::Compute(2 * c.per_field));
                 }
             });
         }
         Query::Q11 => {
-            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 1,
-                    record: r,
-                    fields: vec![3, 4],
-                    write: true,
-                });
-                ops.push(TraceOp::Compute(2 * c.per_field));
+            let set: Arc<[u16]> = Arc::from([3, 4]);
+            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(1, r, &set, true));
+                t.push(TraceOp::Compute(2 * c.per_field));
             });
         }
         Query::Q12 => {
-            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, ops| {
-                ops.push(TraceOp::Fields {
-                    table: 1,
-                    record: r,
-                    fields: vec![9],
-                    write: true,
-                });
-                ops.push(TraceOp::Compute(c.per_field));
+            let set: Arc<[u16]> = Arc::from([9]);
+            filter_scan(&mut traces, 1, tb.records, &[10], 0.25, &mut |r, t| {
+                t.push(fields_op(1, r, &set, true));
+                t.push(TraceOp::Compute(c.per_field));
             });
         }
         Query::Qs1 | Query::Qs2 => {
@@ -340,15 +289,13 @@ pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
             let limit = (records / 8).max(1024).min(records);
             for r in 0..limit {
                 let fields = if tid == 0 { ta.fields } else { tb.fields };
-                let mut ops = vec![
-                    TraceOp::Whole {
-                        table: tid,
-                        record: r,
-                        write: false,
-                    },
-                    TraceOp::Compute(c.loop_overhead + fields * c.per_field / 8),
-                ];
-                push(&mut traces, core_of(r, limit), &mut ops);
+                let t = &mut traces[core_of(r, limit)];
+                t.push(TraceOp::Whole {
+                    table: tid,
+                    record: r,
+                    write: false,
+                });
+                t.push(TraceOp::Compute(c.loop_overhead + fields * c.per_field / 8));
             }
         }
         Query::Qs3 | Query::Qs4 => {
@@ -360,18 +307,16 @@ pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
                 (1, tb.records)
             };
             for r in 0..records {
-                let mut ops = vec![
-                    TraceOp::Whole {
-                        table: tid,
-                        record: r,
-                        write: false,
-                    },
-                    TraceOp::Compute(c.loop_overhead + c.predicate),
-                ];
+                let t = &mut traces[core_of(r, records)];
+                t.push(TraceOp::Whole {
+                    table: tid,
+                    record: r,
+                    write: false,
+                });
+                t.push(TraceOp::Compute(c.loop_overhead + c.predicate));
                 if selected(seed, tid, r, 0.25) {
-                    ops.push(TraceOp::Compute(c.per_field));
+                    t.push(TraceOp::Compute(c.per_field));
                 }
-                push(&mut traces, core_of(r, records), &mut ops);
             }
         }
         Query::Qs5 | Query::Qs6 => {
@@ -384,37 +329,30 @@ pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
             let inserts = (records / 8).max(1024).min(records);
             for i in 0..inserts {
                 let r = records - inserts + i; // append region
-                let mut ops = vec![
-                    TraceOp::Whole {
-                        table: tid,
-                        record: r,
-                        write: true,
-                    },
-                    TraceOp::Compute(c.loop_overhead + fields * c.per_field / 8),
-                ];
-                push(&mut traces, core_of(i, inserts), &mut ops);
+                let t = &mut traces[core_of(i, inserts)];
+                t.push(TraceOp::Whole {
+                    table: tid,
+                    record: r,
+                    write: true,
+                });
+                t.push(TraceOp::Compute(c.loop_overhead + fields * c.per_field / 8));
             }
         }
         Query::Arithmetic {
             projectivity,
             selectivity,
         } => {
-            let proj = projected_field_list(seed, ta.fields, projectivity);
+            let proj: Arc<[u16]> = projected_field_list(seed, ta.fields, projectivity).into();
             filter_scan(
                 &mut traces,
                 0,
                 ta.records,
                 &[0],
                 selectivity,
-                &mut |r, ops| {
+                &mut |r, t| {
                     // Record-at-a-time: all projected fields of this record.
-                    ops.push(TraceOp::Fields {
-                        table: 0,
-                        record: r,
-                        fields: proj.clone(),
-                        write: false,
-                    });
-                    ops.push(TraceOp::Compute(proj.len() as u32 * c.per_field));
+                    t.push(fields_op(0, r, &proj, false));
+                    t.push(TraceOp::Compute(proj.len() as u32 * c.per_field));
                 },
             );
         }
@@ -424,31 +362,19 @@ pub fn compile(query: Query, cfg: &PlanConfig) -> Plan {
         } => {
             // Field-at-a-time: predicate pass first, then one pass per field.
             let proj = projected_field_list(seed, ta.fields, projectivity);
+            let pred: Arc<[u16]> = Arc::from([0]);
             for r in 0..ta.records {
-                let mut ops = vec![
-                    TraceOp::Fields {
-                        table: 0,
-                        record: r,
-                        fields: vec![0],
-                        write: false,
-                    },
-                    TraceOp::Compute(c.loop_overhead + c.predicate),
-                ];
-                push(&mut traces, core_of(r, ta.records), &mut ops);
+                let t = &mut traces[core_of(r, ta.records)];
+                t.push(fields_op(0, r, &pred, false));
+                t.push(TraceOp::Compute(c.loop_overhead + c.predicate));
             }
-            for &f in &proj {
+            for f in proj {
+                let field: Arc<[u16]> = Arc::from([f]);
                 for r in 0..ta.records {
                     if selected(seed, 0, r, selectivity) {
-                        let mut ops = vec![
-                            TraceOp::Fields {
-                                table: 0,
-                                record: r,
-                                fields: vec![f],
-                                write: false,
-                            },
-                            TraceOp::Compute(c.aggregate),
-                        ];
-                        push(&mut traces, core_of(r, ta.records), &mut ops);
+                        let t = &mut traces[core_of(r, ta.records)];
+                        t.push(fields_op(0, r, &field, false));
+                        t.push(TraceOp::Compute(c.aggregate));
                     }
                 }
             }
@@ -507,7 +433,7 @@ mod tests {
             .traces
             .iter()
             .flatten()
-            .any(|op| matches!(op, TraceOp::Fields { fields, .. } if fields == &vec![3, 4]));
+            .any(|op| matches!(op, TraceOp::Fields { fields, .. } if **fields == [3, 4]));
         assert!(any_proj);
     }
 

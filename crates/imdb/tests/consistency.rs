@@ -42,7 +42,7 @@ fn q1_projection_trace_matches_executor_rows() {
     let projected = touched_records(
         &plan,
         0,
-        |op| matches!(op, TraceOp::Fields { fields, .. } if fields == &vec![3, 4]),
+        |op| matches!(op, TraceOp::Fields { fields, .. } if **fields == [3, 4]),
     );
     let Answer::Rows(rows) = answer else {
         panic!("Q1 returns rows")

@@ -98,7 +98,7 @@ proptest! {
                 .iter()
                 .flatten()
                 .filter_map(|op| match op {
-                    TraceOp::Fields { fields, .. } => Some(fields.clone()),
+                    TraceOp::Fields { fields, .. } => Some(fields.to_vec()),
                     _ => None,
                 })
                 .flatten()

@@ -198,15 +198,26 @@ enum Dest {
     Back,
 }
 
-/// One external request in flight: the released inner step, the chain of
-/// unreleased steps, and the inner id whose completion surfaces the
+/// The most dependent steps a transaction has: the tag probe, the dirty
+/// victim's front reads and back writes, the fill and the install.
+const MAX_STEPS: usize = 5;
+
+/// One external request in flight: its chain of inner requests, released
+/// one step at a time, and the inner id whose completion surfaces the
 /// external one.
 #[derive(Debug)]
 struct Txn {
     ext_id: u64,
     is_write: bool,
     arrival: Cycle,
-    steps: VecDeque<Vec<(Dest, MemRequest)>>,
+    /// Every inner request of the chain in minting order, step after
+    /// step, in one allocation.
+    reqs: Vec<(Dest, MemRequest)>,
+    /// End offset in `reqs` of each of the first `steps` steps.
+    step_ends: [usize; MAX_STEPS],
+    steps: usize,
+    /// Steps released so far.
+    released: usize,
     outstanding: usize,
     /// Latest inner-completion finish seen so far; the next step's
     /// arrival anchor, so a step never starts before every request of
@@ -216,6 +227,30 @@ struct Txn {
     step_finish: Cycle,
     terminal_id: u64,
     external_done: bool,
+}
+
+impl Txn {
+    /// Closes the step made of the requests pushed since the last one.
+    fn end_step(&mut self) {
+        self.step_ends[self.steps] = self.reqs.len();
+        self.steps += 1;
+    }
+
+    /// Releases the next step: its requests become the outstanding ones.
+    /// `None` once every step has been released.
+    fn release_next(&mut self) -> Option<&[(Dest, MemRequest)]> {
+        if self.released == self.steps {
+            return None;
+        }
+        let start = match self.released {
+            0 => 0,
+            k => self.step_ends[k - 1],
+        };
+        let end = self.step_ends[self.released];
+        self.released += 1;
+        self.outstanding = end - start;
+        Some(&self.reqs[start..end])
+    }
 }
 
 /// The open transactions in admission order, each with the span of inner
@@ -393,21 +428,34 @@ impl DramCacheController {
         let hit = matches!(entry, Some(e) if e.base == block);
         let mut dirty_evict = false;
         let mut wrote_through = false;
-        let mut steps: VecDeque<Vec<(Dest, MemRequest)>> = VecDeque::new();
-        let terminal_id;
+        let mut txn = Txn {
+            ext_id: ext.id,
+            is_write: ext.is_write,
+            arrival,
+            // A hit has at most two requests; a miss at most the probe
+            // and four steps of `lines` each.
+            reqs: Vec::with_capacity(if hit { 2 } else { 1 + 4 * lines as usize }),
+            step_ends: [0; MAX_STEPS],
+            steps: 0,
+            released: 0,
+            outstanding: 0,
+            step_finish: arrival,
+            terminal_id: 0,
+            external_done: false,
+        };
 
         if hit {
             self.hits += 1;
             let id = self.fresh_inner_id();
-            terminal_id = id;
-            let mut step = vec![(
+            txn.terminal_id = id;
+            txn.reqs.push((
                 Dest::Front,
                 MemRequest {
                     id,
                     addr: in_frame,
                     ..ext
                 },
-            )];
+            ));
             if ext.is_write {
                 match self.cfg.policy {
                     WritePolicy::Writeback => {
@@ -419,7 +467,7 @@ impl DramCacheController {
                         wrote_through = true;
                         self.writethroughs += 1;
                         let tid = self.fresh_inner_id();
-                        step.push((
+                        txn.reqs.push((
                             Dest::Back,
                             MemRequest {
                                 id: tid,
@@ -430,15 +478,16 @@ impl DramCacheController {
                     }
                 }
             }
-            steps.push_back(step);
+            txn.end_step();
         } else {
             self.misses += 1;
             // The tag probe: the front access that discovers the miss.
             let probe_id = self.fresh_inner_id();
-            steps.push_back(vec![(
+            txn.reqs.push((
                 Dest::Front,
                 MemRequest::read(probe_id, frame).with_provenance(ext.prov),
-            )]);
+            ));
+            txn.end_step();
 
             let allocate = !(ext.is_write && self.cfg.policy == WritePolicy::Writethrough);
             if allocate {
@@ -451,52 +500,46 @@ impl DramCacheController {
                         // Two dependent steps: the victim data must be
                         // read out of the cache before its substrate
                         // writeback can issue.
-                        let mut extract_reads = Vec::new();
                         for i in 0..lines {
                             let rid = self.fresh_inner_id();
-                            extract_reads
+                            txn.reqs
                                 .push((Dest::Front, MemRequest::read(rid, frame + i * LINE_BYTES)));
                         }
-                        steps.push_back(extract_reads);
-                        let mut extract_writes = Vec::new();
+                        txn.end_step();
                         for i in 0..lines {
                             let wid = self.fresh_inner_id();
-                            extract_writes.push((
+                            txn.reqs.push((
                                 Dest::Back,
                                 MemRequest::write(wid, victim.base + i * LINE_BYTES)
                                     .with_provenance(prov),
                             ));
                         }
-                        steps.push_back(extract_writes);
+                        txn.end_step();
                     }
                 }
                 // Fill: back reads charged to the installing core; the
                 // external request completes critical-line-first.
                 self.fills += 1;
-                let mut fill = Vec::new();
-                let mut term = 0;
                 for i in 0..lines {
                     let rid = self.fresh_inner_id();
                     if i == critical_line {
-                        term = rid;
+                        txn.terminal_id = rid;
                     }
-                    fill.push((
+                    txn.reqs.push((
                         Dest::Back,
                         MemRequest::read(rid, block + i * LINE_BYTES).with_provenance(ext.prov),
                     ));
                 }
-                terminal_id = term;
-                steps.push_back(fill);
+                txn.end_step();
                 // Install into the frame.
-                let mut install = Vec::new();
                 for i in 0..lines {
                     let wid = self.fresh_inner_id();
-                    install.push((
+                    txn.reqs.push((
                         Dest::Front,
                         MemRequest::write(wid, frame + i * LINE_BYTES).with_provenance(ext.prov),
                     ));
                 }
-                steps.push_back(install);
+                txn.end_step();
                 self.tags[set] = Some(TagEntry {
                     base: block,
                     dirty: ext.is_write && self.cfg.policy == WritePolicy::Writeback,
@@ -507,15 +550,16 @@ impl DramCacheController {
                 wrote_through = true;
                 self.writethroughs += 1;
                 let tid = self.fresh_inner_id();
-                terminal_id = tid;
-                steps.push_back(vec![(
+                txn.terminal_id = tid;
+                txn.reqs.push((
                     Dest::Back,
                     MemRequest {
                         id: tid,
                         prov: Provenance::new(ext.prov.core, ReqKind::Writeback),
                         ..ext
                     },
-                )]);
+                ));
+                txn.end_step();
             }
         }
 
@@ -529,21 +573,9 @@ impl DramCacheController {
             });
         }
 
-        let mut txn = Txn {
-            ext_id: ext.id,
-            is_write: ext.is_write,
-            arrival,
-            steps,
-            outstanding: 0,
-            step_finish: arrival,
-            terminal_id,
-            external_done: false,
-        };
-        let first = txn.steps.pop_front().expect("every chain has a step");
-        txn.outstanding = first.len();
-        for (dest, req) in first {
-            self.backlog.push_back((dest, req, arrival));
-        }
+        let first = txn.release_next().expect("every chain has a step");
+        self.backlog
+            .extend(first.iter().map(|&(dest, req)| (dest, req, arrival)));
         self.open_externals += 1;
         self.txns.push(first_id..self.next_inner_id + 1, txn);
         self.pump();
@@ -594,15 +626,13 @@ impl DramCacheController {
             });
         }
         if txn.outstanding == 0 {
-            if let Some(step) = txn.steps.pop_front() {
-                txn.outstanding = step.len();
-                // Anchor to the step's *latest* finish, not this
-                // completion's: the two may differ when inner
-                // completions were consumed out of timestamp order.
-                let release = txn.step_finish;
-                for (dest, req) in step {
-                    self.backlog.push_back((dest, req, release));
-                }
+            // Anchor to the step's *latest* finish, not this
+            // completion's: the two may differ when inner
+            // completions were consumed out of timestamp order.
+            let release = txn.step_finish;
+            if let Some(step) = txn.release_next() {
+                self.backlog
+                    .extend(step.iter().map(|&(dest, req)| (dest, req, release)));
                 self.pump();
             } else {
                 debug_assert!(txn.external_done, "chain ended before its terminal");

@@ -170,7 +170,7 @@ pub mod track {
     pub const RANK0: u32 = 8;
     /// First bank lane; see [`bank`].
     pub const BANK0: u32 = 32;
-    /// First per-core provenance lane; see [`core`]. Sits above the bank
+    /// First per-core provenance lane; see [`core()`]. Sits above the bank
     /// block (DDR4 server geometry tops out at `BANK0 + 63`), leaving room
     /// for denser bank geometries without moving the core lanes.
     pub const CORE0: u32 = 256;
