@@ -50,7 +50,15 @@ echo "==> sam-perf tests + ctrl-replay, fig16-hybrid, cache-replay and fig12-gol
 # tests plus a one-second run of each workload keep a model change from
 # silently breaking the benchmark's golden checks: the last stdout line is
 # the result object, and it must report every run correct.
-# - ctrl-replay: the bare controller against sam_stress::run_stream;
+# - ctrl-replay: the bare controller against sam_stress::run_stream,
+#   with one traced pass (--trace 1) that records every command the
+#   controller issued (each at its earliest cycle, evaluated once) and
+#   re-issues it into a fresh device through the full-check
+#   MemoryDevice::issue. sam-perf does not count a rejection as a failed
+#   run, but a stream's re-issue stops after its first rejected command,
+#   so the re-issue count (dram.issue.calls) must equal what the
+#   controller issued: ACTs + column commands + mode switches + refreshes
+#   + one PRE per row conflict;
 # - fig16-hybrid: the full system through the DRAM-cache composite, every
 #   run against the fig16 goldens;
 # - cache-replay: the hierarchy alone, every run through check_hierarchy
@@ -60,12 +68,24 @@ echo "==> sam-perf tests + ctrl-replay, fig16-hybrid, cache-replay and fig12-gol
 #   all 162 runs against tests/golden/fig12.json (about 10 s: a run needs
 #   two warm-up and five timed passes).
 cargo test --release --offline --manifest-path perf/Cargo.toml
+metric() { grep -o "\"$1\": {\"value\": [0-9]*" <<<"$perf_last" | grep -o '[0-9]*$'; }
 for workload in ctrl-replay fig16-hybrid cache-replay fig12-golden; do
+  trace=0
+  if [ "$workload" = ctrl-replay ]; then trace=1; fi
   perf_out="$(cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
-    --workload "$workload" --seconds 1)"
+    --workload "$workload" --seconds 1 --trace "$trace")"
   perf_last="${perf_out##*$'\n'}"
   [[ "$perf_last" == *'"correct": true'* ]] \
     || { echo "sam-perf $workload smoke failed:"; echo "$perf_out"; exit 1; }
+  if [ "$trace" = 1 ]; then
+    reissued="$(metric dram.issue.calls)"
+    issued="$(( $(metric dram.acts) + $(metric dram.column_cmds) \
+      + $(metric dram.mode_switches) + $(metric dram.refreshes) \
+      + $(metric memctrl.row_conflicts) ))"
+    [ "$reissued" = "$issued" ] \
+      || { echo "traced $workload re-issued $reissued of $issued commands:"
+           echo "the device rejected one"; echo "$perf_out"; exit 1; }
+  fi
 done
 
 echo "==> fig12 parallel checked smoke + golden stdout + JSON lint"

@@ -200,7 +200,7 @@ fn injected_tfaw_bug_is_caught_by_name() {
     buggy.timing.faw = 8;
     let (mut ctrl, oracle) = shadowed(buggy, &truth);
     let mapper = *ctrl.mapper();
-    for i in 0..12usize {
+    for i in 0..12u8 {
         let loc = Location {
             rank: 0,
             bank_group: i % 4,
@@ -226,7 +226,7 @@ fn injected_tfaw_bug_is_caught_by_name() {
     // Control: the identical workload on the correct device is clean.
     let (mut ctrl, oracle) = shadowed(truth, &truth);
     let mapper = *ctrl.mapper();
-    for i in 0..12usize {
+    for i in 0..12u8 {
         let loc = Location {
             rank: 0,
             bank_group: i % 4,

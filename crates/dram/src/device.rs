@@ -123,8 +123,11 @@ impl DeviceStats {
 pub struct MemoryDevice {
     config: DeviceConfig,
     ranks: Vec<RankState>,
-    /// `banks[rank][bank_group * banks_per_group + bank]`.
-    banks: Vec<Vec<BankState>>,
+    /// Every bank of the channel, rank-major: the bank at (`rank`,
+    /// `bank_group`, `bank`) sits at `(rank * bank_groups + bank_group) *
+    /// banks_per_group + bank` (see [`Self::bank_slot`]), so a rank's
+    /// banks are one contiguous slice.
+    banks: Vec<BankState>,
     channel: ChannelState,
     stats: DeviceStats,
     observers: ObserverSlot,
@@ -136,9 +139,7 @@ impl MemoryDevice {
         let ranks = (0..config.ranks)
             .map(|_| RankState::new(config.bank_groups))
             .collect();
-        let banks = (0..config.ranks)
-            .map(|_| vec![BankState::new(); config.banks_per_rank()])
-            .collect();
+        let banks = vec![BankState::new(); config.ranks * config.banks_per_rank()];
         Self {
             config,
             ranks,
@@ -177,17 +178,32 @@ impl MemoryDevice {
 
     /// Row currently open in the addressed bank, if any.
     pub fn open_row(&self, rank: usize, bank_group: usize, bank: usize) -> Option<u64> {
-        self.banks[rank][bank_group * self.config.banks_per_group + bank].open_row()
+        self.banks[self.bank_slot(rank, bank_group, bank)].open_row()
     }
 
-    fn bank_index(&self, cmd: &Command) -> usize {
-        cmd.bank_group * self.config.banks_per_group + cmd.bank
+    /// Index of the addressed bank in the flat `banks` array.
+    fn bank_slot(&self, rank: usize, bank_group: usize, bank: usize) -> usize {
+        (rank * self.config.bank_groups + bank_group) * self.config.banks_per_group + bank
+    }
+
+    /// The slots of `rank`'s banks in the flat `banks` array.
+    fn rank_slots(&self, rank: usize) -> std::ops::Range<usize> {
+        let n = self.config.banks_per_rank();
+        rank * n..(rank + 1) * n
+    }
+
+    /// Whether (`rank`, `bank_group`, `bank`) names a bank of this device.
+    /// With one flat bank array an out-of-range group or bank would index
+    /// another rank's bank instead of panicking, so every path that
+    /// indexes checks this first.
+    fn bank_in_range(&self, rank: usize, bank_group: usize, bank: usize) -> bool {
+        rank < self.config.ranks
+            && bank_group < self.config.bank_groups
+            && bank < self.config.banks_per_group
     }
 
     fn validate_address(&self, cmd: &Command) -> Result<(), DeviceError> {
-        if cmd.rank >= self.config.ranks
-            || cmd.bank_group >= self.config.bank_groups
-            || cmd.bank >= self.config.banks_per_group
+        if !self.bank_in_range(cmd.rank, cmd.bank_group, cmd.bank)
             || cmd.row >= self.config.rows_per_bank
             || cmd.col >= self.config.cols_per_row
         {
@@ -201,9 +217,15 @@ impl MemoryDevice {
     /// For commands that are illegal in the current *state* (e.g. RD with no
     /// open row) this still returns a time — state legality is enforced by
     /// [`Self::issue`]; the controller is expected to open rows itself.
+    /// The address must be in range (checked in debug builds only; the
+    /// issuing methods return [`DeviceError::OutOfRange`] instead).
     pub fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle {
+        debug_assert!(
+            self.validate_address(cmd).is_ok(),
+            "earliest_issue: {cmd:?} is outside the device geometry"
+        );
         let t = &self.config.timing;
-        let bank = &self.banks[cmd.rank][self.bank_index(cmd)];
+        let bank = &self.banks[self.bank_slot(cmd.rank, cmd.bank_group, cmd.bank)];
         match cmd.kind {
             CmdKind::Act => {
                 let rank_at = self.ranks[cmd.rank].earliest_act(cmd.bank_group, now, t);
@@ -221,7 +243,7 @@ impl MemoryDevice {
             CmdKind::Ref => {
                 // All banks of the rank must be precharge-able and idle.
                 let mut at = now;
-                for b in &self.banks[cmd.rank] {
+                for b in &self.banks[self.rank_slots(cmd.rank)] {
                     at = at.max(if b.open_row().is_some() {
                         b.next_pre() + t.rp
                     } else {
@@ -234,10 +256,16 @@ impl MemoryDevice {
         }
     }
 
-    /// Issues `cmd` at cycle `at`.
+    /// Issues `cmd` at cycle `at`, checking every timing and state rule.
     ///
     /// Returns the completion cycle: for data commands, the cycle after the
     /// last data beat on the bus; for others, `at`.
+    ///
+    /// This is the full-check form for a caller that chose `at` itself:
+    /// the tests and the host-speed benchmark's traced pass, which
+    /// re-issues a recorded command stream into a fresh device. The controller, which always issues at the
+    /// earliest legal cycle, uses [`Self::issue_earliest`] and evaluates
+    /// each command's timing once instead of twice.
     ///
     /// # Errors
     ///
@@ -258,19 +286,45 @@ impl MemoryDevice {
         Ok(done)
     }
 
-    /// State update for a validated, timing-legal command.
+    /// Issues `cmd` at its earliest legal cycle not before `not_before`,
+    /// returning `(at, done)`: the issue cycle and the completion cycle
+    /// [`Self::issue`] would return for it.
+    ///
+    /// Equivalent to `issue(cmd, earliest_issue(cmd, not_before))` with the
+    /// timing evaluated once: the earliest cycle is legal by construction,
+    /// so only the address and the bank and mode state are checked.
+    ///
+    /// # Errors
+    ///
+    /// * [`DeviceError::OutOfRange`] if the address exceeds the geometry.
+    /// * [`DeviceError::StateViolation`] under the same conditions as
+    ///   [`Self::issue`]. A rejected command leaves the device unchanged.
+    pub fn issue_earliest(
+        &mut self,
+        cmd: &Command,
+        not_before: Cycle,
+    ) -> Result<(Cycle, Cycle), DeviceError> {
+        self.validate_address(cmd)?;
+        let at = self.earliest_issue(cmd, not_before);
+        let done = self.apply(cmd, at)?;
+        self.observers.notify(cmd, at);
+        Ok((at, done))
+    }
+
+    /// State update for a validated, timing-legal command. A state error
+    /// is returned before anything is changed.
     fn apply(&mut self, cmd: &Command, at: Cycle) -> Result<Cycle, DeviceError> {
-        let t = self.config.timing;
-        let bank_idx = self.bank_index(cmd);
+        let slot = self.bank_slot(cmd.rank, cmd.bank_group, cmd.bank);
+        let t = &self.config.timing;
         match cmd.kind {
             CmdKind::Act => {
-                self.banks[cmd.rank][bank_idx].activate(cmd.row, at, &t)?;
+                self.banks[slot].activate(cmd.row, at, t)?;
                 self.ranks[cmd.rank].record_act(cmd.bank_group, at);
                 self.stats.acts += 1;
                 Ok(at)
             }
             CmdKind::Pre => {
-                self.banks[cmd.rank][bank_idx].precharge(at, &t)?;
+                self.banks[slot].precharge(at, t)?;
                 self.stats.pres += 1;
                 Ok(at)
             }
@@ -278,9 +332,9 @@ impl MemoryDevice {
                 if stride != self.ranks[cmd.rank].io_mode().is_stride() {
                     return Err(DeviceError::StateViolation);
                 }
-                self.banks[cmd.rank][bank_idx].read(at, &t)?;
-                self.ranks[cmd.rank].record_col(cmd.bank_group, false, at, &t);
-                self.channel.record_data_cmd(cmd.rank, true, narrow, at, &t);
+                self.banks[slot].read(at, t)?;
+                self.ranks[cmd.rank].record_col(cmd.bank_group, false, at, t);
+                self.channel.record_data_cmd(cmd.rank, true, narrow, at, t);
                 if stride {
                     self.stats.stride_reads += 1;
                 } else {
@@ -292,10 +346,9 @@ impl MemoryDevice {
                 if stride != self.ranks[cmd.rank].io_mode().is_stride() {
                     return Err(DeviceError::StateViolation);
                 }
-                self.banks[cmd.rank][bank_idx].write(at, &t)?;
-                self.ranks[cmd.rank].record_col(cmd.bank_group, true, at, &t);
-                self.channel
-                    .record_data_cmd(cmd.rank, false, narrow, at, &t);
+                self.banks[slot].write(at, t)?;
+                self.ranks[cmd.rank].record_col(cmd.bank_group, true, at, t);
+                self.channel.record_data_cmd(cmd.rank, false, narrow, at, t);
                 if stride {
                     self.stats.stride_writes += 1;
                 } else {
@@ -304,14 +357,15 @@ impl MemoryDevice {
                 Ok(at + t.cwl + t.burst)
             }
             CmdKind::Ref => {
-                for b in &mut self.banks[cmd.rank] {
-                    b.refresh(at, &t);
+                let slots = self.rank_slots(cmd.rank);
+                for b in &mut self.banks[slots] {
+                    b.refresh(at, t);
                 }
                 self.stats.refreshes += 1;
                 Ok(at + t.rfc)
             }
             CmdKind::Mrs(mode) => {
-                if self.ranks[cmd.rank].apply_mrs(mode, at, &t) {
+                if self.ranks[cmd.rank].apply_mrs(mode, at, t) {
                     self.stats.mode_switches += 1;
                 }
                 Ok(at)
@@ -330,9 +384,12 @@ impl MemoryDevice {
         row: u64,
         now: Cycle,
     ) -> Cycle {
-        let t = &self.config.timing;
-        let b = &self.banks[rank][bank_group * self.config.banks_per_group + bank];
-        b.earliest_column_for_row(row, now, t)
+        debug_assert!(
+            self.bank_in_range(rank, bank_group, bank),
+            "earliest_column_for_row: bank ({rank}, {bank_group}, {bank}) is outside the device geometry"
+        );
+        let b = &self.banks[self.bank_slot(rank, bank_group, bank)];
+        b.earliest_column_for_row(row, now, &self.config.timing)
     }
 
     /// Whether a column access to `row` would hit the open row.
@@ -387,6 +444,44 @@ mod tests {
         assert_eq!(d.issue(&bad, 0), Err(DeviceError::OutOfRange));
         let bad_row = Command::act(0, 0, 0, u64::MAX);
         assert_eq!(d.issue(&bad_row, 0), Err(DeviceError::OutOfRange));
+    }
+
+    #[test]
+    fn issue_earliest_issues_at_the_earliest_cycle() {
+        let mut d = dev();
+        let t = d.config().timing;
+        assert_eq!(d.issue_earliest(&Command::act(0, 1, 2, 99), 5), Ok((5, 5)));
+        let rd = Command::read(0, 1, 2, 99, 5, false);
+        let at = 5 + t.rcd;
+        assert_eq!(d.issue_earliest(&rd, 0), Ok((at, at + t.cl + t.burst)));
+        assert_eq!(d.stats().reads, 1);
+    }
+
+    /// In the flat bank array, bank group 4 of rank 0 would be slot 16:
+    /// rank 1's first bank. The issuing paths reject the address before
+    /// indexing, so rank 1 stays untouched.
+    #[test]
+    fn out_of_range_group_does_not_reach_another_rank() {
+        let mut d = dev();
+        let bad = Command::act(0, 4, 0, 1);
+        assert_eq!(d.issue_earliest(&bad, 0), Err(DeviceError::OutOfRange));
+        assert_eq!(d.issue(&bad, 0), Err(DeviceError::OutOfRange));
+        assert_eq!(d.open_row(1, 0, 0), None);
+        assert_eq!(d.stats().acts, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the device geometry")]
+    fn earliest_issue_checks_the_address_in_debug_builds() {
+        dev().earliest_issue(&Command::act(0, 4, 0, 1), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the device geometry")]
+    fn earliest_column_for_row_checks_the_bank_in_debug_builds() {
+        dev().earliest_column_for_row(0, 0, 4, 1, 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Command-stream observation hook for external conformance checkers.
 //!
 //! The device model exposes a single narrow tap: every command that
-//! [`crate::device::MemoryDevice::issue`] *accepts* is reported to an
-//! attached [`CommandObserver`] together with its issue cycle. Rejected
+//! [`crate::device::MemoryDevice::issue`] or
+//! [`crate::device::MemoryDevice::issue_earliest`] *accepts* is reported
+//! to an attached [`CommandObserver`] together with its issue cycle. Rejected
 //! commands (timing/state/geometry errors) are never reported — the
 //! observer sees exactly the command stream the device executed.
 //!

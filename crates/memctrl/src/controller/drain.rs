@@ -4,16 +4,22 @@
 use super::*;
 
 impl Controller {
-    /// Issues `cmd` at `at` on the device and, with a trace recorder
-    /// attached, draws the accepted command on its bank lane.
-    pub(super) fn issue(&mut self, cmd: &Command, at: Cycle) -> Result<Cycle, DeviceError> {
-        let done = self.device.issue(cmd, at)?;
+    /// Issues `cmd` on the device at its earliest legal cycle not before
+    /// `not_before` and, with a trace recorder attached, draws the
+    /// accepted command on its bank lane. Returns `(at, done)` as
+    /// [`MemoryDevice::issue_earliest`] does.
+    pub(super) fn issue(
+        &mut self,
+        cmd: &Command,
+        not_before: Cycle,
+    ) -> Result<(Cycle, Cycle), DeviceError> {
+        let (at, done) = self.device.issue_earliest(cmd, not_before)?;
         if self.trace.is_attached() {
             if let Some(ev) = sam_dram::lanes::span(cmd, at, &self.cfg.device.timing) {
                 self.trace.emit(ev);
             }
         }
-        Ok(done)
+        Ok((at, done))
     }
 
     /// Picks the FR-FCFS winner within one queue. The policy sees each
@@ -32,7 +38,13 @@ impl Controller {
         };
         let device = &self.device;
         let est = |loc: Location, base: Cycle| {
-            device.earliest_column_for_row(loc.rank, loc.bank_group, loc.bank, loc.row, base)
+            device.earliest_column_for_row(
+                usize::from(loc.rank),
+                usize::from(loc.bank_group),
+                usize::from(loc.bank),
+                u64::from(loc.row),
+                base,
+            )
         };
         let mode = |rank: usize| device.io_mode(rank);
         let cap = self.cfg.starvation_cap;
@@ -52,7 +64,14 @@ impl Controller {
     /// Executes the full command sequence for `p`, returning its completion.
     fn execute(&mut self, p: Pending) -> Completion {
         self.service_refresh(self.clock.max(p.arrival));
+        // The queued location is compact; the device API takes full words.
         let loc = p.loc;
+        let (rank, bank_group, bank) = (
+            usize::from(loc.rank),
+            usize::from(loc.bank_group),
+            usize::from(loc.bank),
+        );
+        let (row, col) = (u64::from(loc.row), u64::from(loc.col));
         // Start from the request's own arrival: per-bank state machines and
         // the shared data bus already serialize where physics requires, so
         // a later-selected request's PRE/ACT may overlap earlier requests'
@@ -61,69 +80,46 @@ impl Controller {
 
         // I/O mode switch if needed (MRS; tRTR charged by the rank state).
         let want = p.req.required_mode();
-        if self.device.io_mode(loc.rank) != want {
-            let mrs = Command::mrs(loc.rank, want);
-            let at = self.device.earliest_issue(&mrs, cursor);
-            self.issue(&mrs, at).expect("MRS always issuable");
-            cursor = at;
+        if self.device.io_mode(rank) != want {
+            let mrs = Command::mrs(rank, want);
+            (cursor, _) = self.issue(&mrs, cursor).expect("MRS always issuable");
         }
 
         // Row state handling (open-page policy).
-        let open = self.device.open_row(loc.rank, loc.bank_group, loc.bank);
+        let open = self.device.open_row(rank, bank_group, bank);
         match open {
-            Some(row) if row == loc.row => {
+            Some(r) if r == row => {
                 self.stats.row_hits += 1;
             }
             Some(_) => {
                 self.stats.row_conflicts += 1;
-                let pre = Command::pre(loc.rank, loc.bank_group, loc.bank);
-                let at = self.device.earliest_issue(&pre, cursor);
-                self.issue(&pre, at).expect("PRE follows earliest_issue");
-                cursor = at;
-                let act = Command::act(loc.rank, loc.bank_group, loc.bank, loc.row);
-                let at = self.device.earliest_issue(&act, cursor);
-                self.issue(&act, at).expect("ACT follows earliest_issue");
-                cursor = at;
+                let pre = Command::pre(rank, bank_group, bank);
+                (cursor, _) = self.issue(&pre, cursor).expect("PRE on an open bank");
+                let act = Command::act(rank, bank_group, bank, row);
+                (cursor, _) = self.issue(&act, cursor).expect("ACT on a precharged bank");
             }
             None => {
                 self.stats.row_misses += 1;
-                let act = Command::act(loc.rank, loc.bank_group, loc.bank, loc.row);
-                let at = self.device.earliest_issue(&act, cursor);
-                self.issue(&act, at).expect("ACT follows earliest_issue");
-                cursor = at;
+                let act = Command::act(rank, bank_group, bank, row);
+                (cursor, _) = self.issue(&act, cursor).expect("ACT on a precharged bank");
             }
         }
 
         // The column access itself.
         let stride = p.req.stride.is_some();
         let col_cmd = match (p.req.narrow, p.req.is_write) {
-            (true, false) => Command::read_narrow(
-                loc.rank,
-                loc.bank_group,
-                loc.bank,
-                loc.row,
-                loc.col,
-                p.req.sub_lane(),
-            ),
-            (true, true) => Command::write_narrow(
-                loc.rank,
-                loc.bank_group,
-                loc.bank,
-                loc.row,
-                loc.col,
-                p.req.sub_lane(),
-            ),
-            (false, true) => {
-                Command::write(loc.rank, loc.bank_group, loc.bank, loc.row, loc.col, stride)
+            (true, false) => {
+                Command::read_narrow(rank, bank_group, bank, row, col, p.req.sub_lane())
             }
-            (false, false) => {
-                Command::read(loc.rank, loc.bank_group, loc.bank, loc.row, loc.col, stride)
+            (true, true) => {
+                Command::write_narrow(rank, bank_group, bank, row, col, p.req.sub_lane())
             }
+            (false, true) => Command::write(rank, bank_group, bank, row, col, stride),
+            (false, false) => Command::read(rank, bank_group, bank, row, col, stride),
         };
-        let at = self.device.earliest_issue(&col_cmd, cursor);
-        let finish = self
-            .issue(&col_cmd, at)
-            .expect("column command follows earliest_issue");
+        let (at, finish) = self
+            .issue(&col_cmd, cursor)
+            .expect("column command on the open row in the required mode");
         self.clock = self.clock.max(at);
 
         // A completion earlier than its own arrival means the scheduler (or
@@ -152,7 +148,7 @@ impl Controller {
         // increment above (plus the row outcome), so lanes telescope.
         let lane = self.lanes.lane_mut(p.req.prov);
         match open {
-            Some(row) if row == loc.row => lane.row_hits += 1,
+            Some(r) if r == row => lane.row_hits += 1,
             Some(_) => lane.row_conflicts += 1,
             None => lane.row_misses += 1,
         }
@@ -188,7 +184,7 @@ impl Controller {
             id: p.req.id,
             issue: at,
             finish,
-            row_hit: matches!(open, Some(r) if r == loc.row),
+            row_hit: open == Some(row),
         }
     }
 

@@ -14,9 +14,9 @@ impl Controller {
         for rank in 0..self.cfg.device.ranks {
             while self.next_refresh[rank] <= now {
                 let cmd = Command::refresh(rank);
-                let at = self.device.earliest_issue(&cmd, self.next_refresh[rank]);
-                self.issue(&cmd, at)
-                    .expect("refresh issue follows earliest_issue");
+                let (at, _) = self
+                    .issue(&cmd, self.next_refresh[rank])
+                    .expect("REF always issuable");
                 self.stats.refreshes += 1;
                 self.trace.emit(TraceEvent::complete(
                     track::rank(rank),

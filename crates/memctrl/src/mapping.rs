@@ -17,20 +17,25 @@
 use sam_dram::device::DeviceConfig;
 
 /// A fully decoded DRAM location.
+///
+/// Every queued request carries one, so the fields are as narrow as the
+/// geometry allows: 12 bytes in all. [`AddressMapper::new`] checks that
+/// the geometry fits them; the controller widens them to the device's
+/// `usize`/`u64` command fields when it issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Location {
     /// Rank index.
-    pub rank: usize,
+    pub rank: u8,
     /// Bank group within the rank.
-    pub bank_group: usize,
+    pub bank_group: u8,
     /// Bank within the group.
-    pub bank: usize,
+    pub bank: u8,
     /// Row within the bank.
-    pub row: u64,
+    pub row: u32,
     /// Cacheline-sized column within the row.
-    pub col: u64,
+    pub col: u32,
     /// Byte offset within the cacheline.
-    pub offset: u64,
+    pub offset: u8,
 }
 
 /// Maps physical byte addresses onto the geometry of a [`DeviceConfig`]
@@ -51,12 +56,25 @@ impl AddressMapper {
     /// # Panics
     ///
     /// Panics if any geometry dimension is not a power of two (hardware
-    /// address decoders require it).
+    /// address decoders require it), or if an index does not fit its
+    /// [`Location`] field: ranks, bank groups and banks per group above
+    /// 256, rows per bank or columns per row above 2^32.
     pub fn new(config: &DeviceConfig) -> Self {
         let pow2 = |v: u64, what: &str| -> u32 {
             assert!(v.is_power_of_two(), "{what} ({v}) must be a power of two");
             v.trailing_zeros()
         };
+        let fits = |count: u64, field_bits: u32, what: &str| {
+            assert!(
+                count <= 1 << field_bits,
+                "{what} ({count}) does not fit a {field_bits}-bit location field"
+            );
+        };
+        fits(config.ranks as u64, 8, "ranks");
+        fits(config.bank_groups as u64, 8, "bank_groups");
+        fits(config.banks_per_group as u64, 8, "banks_per_group");
+        fits(config.rows_per_bank, 32, "rows_per_bank");
+        fits(config.cols_per_row, 32, "cols_per_row");
         Self {
             line_bits: 6, // 64B lines
             col_bits: pow2(config.cols_per_row, "cols_per_row"),
@@ -88,16 +106,18 @@ impl AddressMapper {
         let mut combined = take(&mut a, combined_bits);
         let row = a % self.rows_per_bank;
         combined ^= row & ((1u64 << combined_bits) - 1);
-        let bank = (combined & ((1 << self.bank_bits) - 1)) as usize;
-        let bank_group = ((combined >> self.bank_bits) & ((1 << self.group_bits) - 1)) as usize;
-        let rank = (combined >> (self.bank_bits + self.group_bits)) as usize;
+        // `new` checked that every index fits its field, and the 64B line
+        // offset fits a byte.
+        let bank = (combined & ((1 << self.bank_bits) - 1)) as u8;
+        let bank_group = ((combined >> self.bank_bits) & ((1 << self.group_bits) - 1)) as u8;
+        let rank = (combined >> (self.bank_bits + self.group_bits)) as u8;
         Location {
             rank,
             bank_group,
             bank,
-            row,
-            col,
-            offset,
+            row: row as u32,
+            col: col as u32,
+            offset: offset as u8,
         }
     }
 
@@ -105,14 +125,15 @@ impl AddressMapper {
     /// [`Self::decode`] for in-range rows).
     pub fn encode(&self, loc: &Location) -> u64 {
         let combined_bits = self.bank_bits + self.group_bits + self.rank_bits;
-        let mut combined = ((loc.rank as u64) << (self.bank_bits + self.group_bits))
-            | ((loc.bank_group as u64) << self.bank_bits)
-            | loc.bank as u64;
-        combined ^= loc.row & ((1u64 << combined_bits) - 1);
-        let mut a = loc.row;
+        let mut combined = (u64::from(loc.rank) << (self.bank_bits + self.group_bits))
+            | (u64::from(loc.bank_group) << self.bank_bits)
+            | u64::from(loc.bank);
+        let row = u64::from(loc.row);
+        combined ^= row & ((1u64 << combined_bits) - 1);
+        let mut a = row;
         a = (a << combined_bits) | combined;
-        a = (a << self.col_bits) | loc.col;
-        (a << self.line_bits) | loc.offset
+        a = (a << self.col_bits) | u64::from(loc.col);
+        (a << self.line_bits) | u64::from(loc.offset)
     }
 
     /// Number of bytes per row (all columns).
@@ -187,7 +208,7 @@ mod tests {
         let base = m.decode(0);
         for i in 1..128u64 {
             let loc = m.decode(i * 64);
-            assert_eq!(loc.col, i);
+            assert_eq!(u64::from(loc.col), i);
             assert_eq!(
                 (loc.rank, loc.bank_group, loc.bank, loc.row),
                 (base.rank, base.bank_group, base.bank, base.row)
@@ -215,7 +236,7 @@ mod tests {
         // Addresses 256KB apart (same bank field, consecutive rows) land in
         // different physical banks thanks to the XOR swizzle.
         let m = mapper();
-        let banks: std::collections::BTreeSet<(usize, usize, usize)> = (0..8u64)
+        let banks: std::collections::BTreeSet<(u8, u8, u8)> = (0..8u64)
             .map(|i| {
                 let l = m.decode(i * 256 * 1024);
                 (l.rank, l.bank_group, l.bank)
@@ -303,6 +324,63 @@ mod tests {
     fn non_pow2_geometry_rejected() {
         let mut cfg = DeviceConfig::ddr4_server();
         cfg.cols_per_row = 100;
+        AddressMapper::new(&cfg);
+    }
+
+    #[test]
+    fn a_location_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<Location>(), 12);
+    }
+
+    #[test]
+    fn largest_fitting_geometries_are_accepted() {
+        let mut wide = DeviceConfig::ddr4_server();
+        (wide.ranks, wide.bank_groups, wide.banks_per_group) = (256, 256, 256);
+        let mut tall = DeviceConfig::ddr4_server();
+        tall.rows_per_bank = 1 << 32;
+        for cfg in [wide, tall] {
+            let m = AddressMapper::new(&cfg);
+            let loc = Location {
+                rank: (cfg.ranks - 1) as u8,
+                bank_group: (cfg.bank_groups - 1) as u8,
+                bank: (cfg.banks_per_group - 1) as u8,
+                row: (cfg.rows_per_bank - 1) as u32,
+                col: 127,
+                offset: 63,
+            };
+            assert_eq!(m.decode(m.encode(&loc)), loc);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranks (512) does not fit")]
+    fn too_many_ranks_rejected() {
+        let mut cfg = DeviceConfig::ddr4_server();
+        cfg.ranks = 512;
+        AddressMapper::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank_groups (512) does not fit")]
+    fn too_many_bank_groups_rejected() {
+        let mut cfg = DeviceConfig::ddr4_server();
+        cfg.bank_groups = 512;
+        AddressMapper::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "banks_per_group (512) does not fit")]
+    fn too_many_banks_rejected() {
+        let mut cfg = DeviceConfig::ddr4_server();
+        cfg.banks_per_group = 512;
+        AddressMapper::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_per_bank (8589934592) does not fit")]
+    fn too_many_rows_rejected() {
+        let mut cfg = DeviceConfig::ddr4_server();
+        cfg.rows_per_bank = 1 << 33;
         AddressMapper::new(&cfg);
     }
 }

@@ -83,25 +83,26 @@ pub struct Ticket {
 const NIL: u32 = u32::MAX;
 
 /// What makes two requests interchangeable to the estimate: same bank,
-/// row, and required mode (`col` never enters the estimate).
+/// row, and required mode (`col` never enters the estimate). Packed into
+/// one word, so filing a request hashes a single `u64`: the row in the
+/// high 32 bits, then one byte each for bank, bank group, rank and the
+/// mode's register bit (0..7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GroupKey {
-    rank: usize,
-    bank_group: usize,
-    bank: usize,
-    row: u64,
-    mode: IoMode,
-}
+struct GroupKey(u64);
 
 impl GroupKey {
     fn of(v: &SchedView) -> Self {
-        Self {
-            rank: v.loc.rank,
-            bank_group: v.loc.bank_group,
-            bank: v.loc.bank,
-            row: v.loc.row,
-            mode: v.mode,
-        }
+        // `register_bit` asserts a stride lane below 4, so the seven modes
+        // keep seven distinct codes.
+        let mode = v.mode.register_bit();
+        let loc = &v.loc;
+        Self(
+            u64::from(loc.row) << 32
+                | u64::from(loc.bank) << 24
+                | u64::from(loc.bank_group) << 16
+                | u64::from(loc.rank) << 8
+                | u64::from(mode),
+        )
     }
 }
 
@@ -525,7 +526,7 @@ fn estimate(
 ) -> Cycle {
     let base = now.max(v.arrival);
     let mut est = earliest_column(v.loc, base);
-    if rank_mode(v.loc.rank) != v.mode {
+    if rank_mode(usize::from(v.loc.rank)) != v.mode {
         est += trtr;
     }
     est
@@ -602,7 +603,7 @@ pub fn serve_writes(readq_empty: bool, writeq_empty: bool, draining: bool) -> bo
 mod tests {
     use super::*;
 
-    fn view(arrival: Cycle, row: u64) -> SchedView {
+    fn view(arrival: Cycle, row: u32) -> SchedView {
         SchedView {
             arrival,
             loc: Location {
@@ -774,10 +775,10 @@ mod tests {
             let rows = 1 + next() % 60;
             for _ in 0..(next() % 300) {
                 if next() % 5 < 3 && queue.len() < 96 {
-                    let mut v = view(next() % 64, next() % rows);
-                    v.loc.bank = (next() % 4) as usize;
-                    v.loc.bank_group = (next() % 4) as usize;
-                    v.loc.rank = (next() % 2) as usize;
+                    let mut v = view(next() % 64, (next() % rows) as u32);
+                    v.loc.bank = (next() % 4) as u8;
+                    v.loc.bank_group = (next() % 4) as u8;
+                    v.loc.rank = (next() % 2) as u8;
                     if next() % 3 == 0 {
                         v.mode = IoMode::Sx4((next() % 4) as u8);
                     }
@@ -797,6 +798,52 @@ mod tests {
                 .audit(|v| *v)
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
+    }
+
+    /// The packed key tells apart every (rank, bank group, bank) with the
+    /// edge rows and every mode, on both shipped geometries.
+    #[test]
+    fn group_key_is_injective() {
+        use sam_dram::device::DeviceConfig;
+        for cfg in [DeviceConfig::ddr4_server(), DeviceConfig::rram_server()] {
+            let last_row = (cfg.rows_per_bank - 1) as u32;
+            let mut seen = std::collections::BTreeMap::new();
+            for rank in 0..cfg.ranks as u8 {
+                for bank_group in 0..cfg.bank_groups as u8 {
+                    for bank in 0..cfg.banks_per_group as u8 {
+                        for row in [0, 1, last_row] {
+                            for mode in IoMode::ALL {
+                                let loc = Location {
+                                    rank,
+                                    bank_group,
+                                    bank,
+                                    row,
+                                    ..Location::default()
+                                };
+                                let v = SchedView {
+                                    arrival: 0,
+                                    loc,
+                                    mode,
+                                };
+                                let key = GroupKey::of(&v).0;
+                                if let Some(prev) = seen.insert(key, (loc, mode)) {
+                                    panic!("{prev:?} and {:?} share key {key:#x}", (loc, mode));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(seen.len(), cfg.ranks * cfg.banks_per_rank() * 3 * 7);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane id 4 out of range")]
+    fn group_key_rejects_a_fifth_stride_lane() {
+        let mut v = view(0, 0);
+        v.mode = IoMode::Sx4(4);
+        GroupKey::of(&v);
     }
 
     #[test]

@@ -24,11 +24,11 @@ proptest! {
         let cfg = DeviceConfig::ddr4_server();
         let m = AddressMapper::new(&cfg);
         let loc = m.decode(addr);
-        prop_assert!(loc.rank < cfg.ranks);
-        prop_assert!(loc.bank_group < cfg.bank_groups);
-        prop_assert!(loc.bank < cfg.banks_per_group);
-        prop_assert!(loc.row < cfg.rows_per_bank);
-        prop_assert!(loc.col < cfg.cols_per_row);
+        prop_assert!(usize::from(loc.rank) < cfg.ranks);
+        prop_assert!(usize::from(loc.bank_group) < cfg.bank_groups);
+        prop_assert!(usize::from(loc.bank) < cfg.banks_per_group);
+        prop_assert!(u64::from(loc.row) < cfg.rows_per_bank);
+        prop_assert!(u64::from(loc.col) < cfg.cols_per_row);
         prop_assert!(loc.offset < 64);
     }
 

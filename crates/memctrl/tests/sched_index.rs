@@ -53,7 +53,7 @@ impl Coverage {
 
 /// A request's group as the test sees it: (rank, bank group, bank, row,
 /// stride lane + 1, or 0 for a regular access).
-type GroupKey = (usize, usize, usize, u64, u8);
+type GroupKey = (u8, u8, u8, u32, u8);
 
 /// Both controllers, plus the test's own record of what is queued.
 #[derive(Debug)]
@@ -90,12 +90,12 @@ impl Lockstep {
     fn enqueue(&mut self, id: u64, bits: u64, rows: u64, now: Cycle) {
         let field = |shift: u32, modulo: u64| (bits >> shift) % modulo;
         let loc = Location {
-            rank: field(3, 2) as usize,
-            bank_group: field(4, 4) as usize,
-            bank: field(6, 4) as usize,
-            row: field(8, rows),
-            col: field(20, 128),
-            offset: field(27, 4) * 16,
+            rank: field(3, 2) as u8,
+            bank_group: field(4, 4) as u8,
+            bank: field(6, 4) as u8,
+            row: field(8, rows) as u32,
+            col: field(20, 128) as u32,
+            offset: (field(27, 4) * 16) as u8,
         };
         let addr = self.indexed.mapper().encode(&loc);
         let write = field(29, 2) == 1;
