@@ -227,6 +227,16 @@ cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig12.perc
   || { echo "results/fig12.percore.rollup.json was not written"; exit 1; }
 grep -q '"folded"' results/fig12.percore.rollup.json \
   || { echo "cycles rollup has no folded stacks"; exit 1; }
+# The hybrid's lanes: fig16 merges its front and back controllers' lanes,
+# and the lint re-checks that the merged lanes add up to the totals.
+rm -f results/fig16.percore.json
+./target/release/fig16 --rows 2048 --tb-rows 8192 --jobs 2 --per-core \
+  --out results/fig16.percore.json > /tmp/fig16.percore.out
+cmp /tmp/fig16.percore.out tests/golden/fig16.out \
+  || { echo "--per-core changed fig16 stdout"; exit 1; }
+grep -q '"per_core"' results/fig16.percore.json \
+  || { echo "fig16 --per-core emitted no per_core sections"; exit 1; }
+cargo run --release -p sam-bench --bin sam-check -- lint-json results/fig16.percore.json
 
 echo "==> adversarial stress smoke + JSON lint"
 # Two patterns against the full differential case matrix (both devices,

@@ -31,7 +31,7 @@ use sam::layout::Store;
 use sam::system::RunResult;
 use sam_imdb::exec::QueryRun;
 use sam_imdb::plan::PlanConfig;
-use sam_memctrl::controller::{CoreLanes, LaneStats};
+use sam_memctrl::controller::{ControllerStats, CoreLanes};
 use sam_memctrl::request::ReqKind;
 use sam_power::{energy_uj, ActivityCounts, PowerParams};
 use sam_util::json::Json;
@@ -59,8 +59,6 @@ pub struct RunMetrics {
     pub write_latency_mean: f64,
     /// p99 write-latency upper bound (power-of-two bucket).
     pub write_latency_p99: u64,
-    /// Refreshes issued.
-    pub refreshes: u64,
     /// Total run energy in microjoules (substrate power model).
     pub energy_uj: f64,
     /// Check violations (protocol + cache); 0 on unchecked runs.
@@ -71,10 +69,11 @@ pub struct RunMetrics {
     /// ([`MetricsReport::with_per_core`], the `--per-core` flag) — the
     /// default `results/<bin>.json` stays byte-identical.
     pub per_core: CoreLanes,
-    /// The controller's aggregate counters, projected onto the lane
-    /// fields. Serialized next to the lanes as `per_core.totals` so the
-    /// telescoping invariant is checkable from the JSON alone.
-    pub lane_totals: LaneStats,
+    /// The controller's aggregate counters: `refreshes` is serialized on
+    /// its own, and the rest next to the lanes as `per_core.totals`,
+    /// through the same seven keys as each lane (no lane owns a refresh),
+    /// so the telescoping invariant is checkable from the JSON alone.
+    pub ctrl: ControllerStats,
 }
 
 impl RunMetrics {
@@ -114,19 +113,10 @@ impl RunMetrics {
             read_latency_p99: r.read_latency_p99,
             write_latency_mean: r.write_latency_mean,
             write_latency_p99: r.write_latency_p99,
-            refreshes: r.ctrl.refreshes,
             energy_uj: energy_uj(&params, design, &activity),
             check_violations: 0,
             per_core: r.per_core.clone(),
-            lane_totals: LaneStats {
-                row_hits: r.ctrl.row_hits,
-                row_misses: r.ctrl.row_misses,
-                row_conflicts: r.ctrl.row_conflicts,
-                reads_done: r.ctrl.reads_done,
-                writes_done: r.ctrl.writes_done,
-                total_latency: r.ctrl.total_latency,
-                starvation_forced: r.ctrl.starvation_forced,
-            },
+            ctrl: r.ctrl,
         }
     }
 
@@ -142,7 +132,7 @@ impl RunMetrics {
             ("read_latency_p99", Json::UInt(self.read_latency_p99)),
             ("write_latency_mean", Json::Float(self.write_latency_mean)),
             ("write_latency_p99", Json::UInt(self.write_latency_p99)),
-            ("refreshes", Json::UInt(self.refreshes)),
+            ("refreshes", Json::UInt(self.ctrl.refreshes)),
             ("energy_uj", Json::Float(self.energy_uj)),
             ("check_violations", Json::UInt(self.check_violations)),
         ];
@@ -171,14 +161,15 @@ impl RunMetrics {
             }
         }
         Json::object([
-            ("totals", Json::object(lane_stat_pairs(&self.lane_totals))),
+            ("totals", Json::object(lane_stat_pairs(&self.ctrl))),
             ("lanes", Json::Array(lanes)),
         ])
     }
 }
 
-/// The serialized field set of one [`LaneStats`] (shared by `totals` and
-/// each lane entry, so the lint can sum them field-by-field).
+/// The serialized field set of one [`ControllerStats`], `refreshes` left
+/// out (shared by `totals` and each lane entry, so the lint can sum them
+/// field-by-field).
 const LANE_STAT_KEYS: [&str; 7] = [
     "row_hits",
     "row_misses",
@@ -189,7 +180,7 @@ const LANE_STAT_KEYS: [&str; 7] = [
     "starved",
 ];
 
-fn lane_stat_pairs(lane: &LaneStats) -> Vec<(&'static str, Json)> {
+fn lane_stat_pairs(lane: &ControllerStats) -> Vec<(&'static str, Json)> {
     vec![
         ("row_hits", Json::UInt(lane.row_hits)),
         ("row_misses", Json::UInt(lane.row_misses)),
@@ -563,7 +554,7 @@ mod tests {
     #[test]
     fn lint_rejects_lanes_that_do_not_telescope() {
         let mut report = sample_report().with_per_core(true);
-        report.runs[0].lane_totals.reads_done += 1;
+        report.runs[0].ctrl.reads_done += 1;
         let doc = Json::parse(&report.to_json().to_string()).unwrap();
         let e = lint_metrics_json(&doc).unwrap_err();
         assert!(e.contains("telescope"), "{e}");
@@ -596,7 +587,7 @@ mod tests {
                 cycles.parse::<u64>().expect("count parses")
             })
             .sum();
-        assert_eq!(total, report.runs[0].lane_totals.total_latency);
+        assert_eq!(total, report.runs[0].ctrl.total_latency);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! size and [`FxHasher`] line in `json.digest`), and they are
 //! byte-identical at `--jobs 1` and `--jobs 3`. A second test pins each experiment's accepted flags to the
 //! per-binary table the registry replaced, so moving a binary into the
-//! registry can neither widen nor narrow its command line.
+//! registry can neither widen nor narrow its command line. A third pins
+//! the `--per-core` metrics JSON and cycles rollup of fig12–fig16 in
+//! `percore.digest`.
 
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -210,5 +212,52 @@ fn every_experiment_is_jobs_identical_and_matches_its_goldens() {
         "registry identity: {} experiments in {:.1} s",
         EXPERIMENTS.len(),
         start.elapsed().as_secs_f64()
+    );
+}
+
+/// The experiments that accept `--per-core`.
+const PER_CORE: &[&str] = &["fig12", "fig13", "fig14", "fig15", "fig16"];
+
+/// `--per-core` at the smallest scale: stdout is still the plain golden,
+/// and the metrics JSON (with its `per_core` sections) plus the cycles
+/// rollup, where the experiment writes one, match the size and
+/// [`FxHasher`] lines in `percore.digest` (`<name>` for the JSON,
+/// `<name>.rollup` for the rollup).
+#[test]
+fn per_core_outputs_match_their_digests() {
+    let dir = std::env::temp_dir().join(format!("sam-percore-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let digests =
+        std::fs::read_to_string(golden_dir().join("percore.digest")).expect("read percore.digest");
+    let mut have = Vec::new();
+    for &name in PER_CORE {
+        let out = dir.join(format!("{name}.json"));
+        let rollup = out.with_extension("rollup.json");
+        let out_arg = out.to_string_lossy().into_owned();
+        let mut args = smallest(name);
+        args.extend(["--jobs", "1", "--per-core", "--out", &out_arg]);
+        let o = run_ok(&bin_dir().join(name), &args);
+        let golden = golden_dir().join(format!("{name}.out"));
+        assert!(
+            std::fs::read(&golden).ok() == Some(o.stdout),
+            "{name}: --per-core changed stdout against {}",
+            golden.display()
+        );
+        let json = std::fs::read(&out).expect("metrics json written");
+        assert!(
+            std::str::from_utf8(&json).is_ok_and(|s| s.contains("\"per_core\"")),
+            "{name}: --per-core emitted no per_core section"
+        );
+        have.push(digest_line(name, &json));
+        if let Ok(doc) = std::fs::read(&rollup) {
+            have.push(digest_line(&format!("{name}.rollup"), &doc));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let have = have.join("\n");
+    assert!(
+        have == digests.trim_end(),
+        "--per-core outputs drifted from tests/golden/smallest/percore.digest; if the change \
+         is intended, the file should read:\n{have}"
     );
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sam_check::oracle::{OracleConfig, ProtocolOracle};
 use sam_check::Violation;
 use sam_dram::device::DeviceConfig;
-use sam_memctrl::controller::{Controller, ControllerConfig};
+use sam_memctrl::controller::{Controller, ControllerConfig, ControllerStats};
 use sam_memctrl::mapping::Location;
 use sam_memctrl::request::{MemRequest, Provenance, ReqKind, StrideSpec};
 
@@ -180,13 +180,22 @@ fn tagged_provenance_is_timing_invisible_and_lane_conserved() {
     assert_eq!(plain_lanes.cores(), 1);
     assert_eq!(tagged_lanes.cores(), 7);
     let total = tagged_lanes.total();
-    assert_eq!(total.reads_done, stats.reads_done);
-    assert_eq!(total.writes_done, stats.writes_done);
-    assert_eq!(total.row_hits, stats.row_hits);
-    assert_eq!(total.row_misses, stats.row_misses);
-    assert_eq!(total.row_conflicts, stats.row_conflicts);
-    assert_eq!(total.total_latency, stats.total_latency);
-    assert_eq!(total.starvation_forced, stats.starvation_forced);
+    assert_eq!(
+        ControllerStats {
+            refreshes: stats.refreshes,
+            ..total
+        },
+        stats
+    );
+    for core in 0..tagged_lanes.cores() as u8 {
+        for kind in ReqKind::ALL {
+            assert_eq!(
+                tagged_lanes.lane(core, kind).refreshes,
+                0,
+                "no lane owns a refresh"
+            );
+        }
+    }
     assert_eq!(plain_lanes.total(), total);
 }
 

@@ -197,12 +197,6 @@ pub struct RunResult {
     pub writeback_bursts: u64,
     /// Busy cycles on the data bus.
     pub bus_busy: Cycle,
-    /// Mean request latency (arrival to last beat), memory cycles.
-    pub latency_mean: f64,
-    /// p50 request-latency upper bound (power-of-two bucket).
-    pub latency_p50: Cycle,
-    /// p99 request-latency upper bound (power-of-two bucket).
-    pub latency_p99: Cycle,
     /// Mean read latency, memory cycles (0.0 when no reads completed).
     pub read_latency_mean: f64,
     /// p99 read-latency upper bound (power-of-two bucket).
@@ -668,28 +662,23 @@ impl<'t> Engine<'t> {
             p(&self.hierarchy);
         }
         let (l1, l2, llc) = self.hierarchy.stats();
-        let hist = self.ctrl.latency_histogram();
-        let read_hist = self.ctrl.read_latency_histogram();
-        let write_hist = self.ctrl.write_latency_histogram();
+        let report = self.ctrl.report();
         RunResult {
             cycles,
-            ctrl: self.ctrl.stats(),
-            device: self.ctrl.device_stats(),
+            ctrl: report.ctrl,
+            device: report.device,
             cache: (*l1, *l2, *llc),
             stride_bursts: self.stride_bursts,
             line_bursts: self.line_bursts,
             ecc_bursts: self.ecc_bursts,
             writeback_bursts: self.writeback_bursts,
-            bus_busy: self.ctrl.bus_busy(),
-            latency_mean: hist.mean().unwrap_or(0.0),
-            latency_p50: hist.percentile(0.5),
-            latency_p99: hist.percentile(0.99),
-            read_latency_mean: read_hist.mean().unwrap_or(0.0),
-            read_latency_p99: read_hist.percentile(0.99),
-            write_latency_mean: write_hist.mean().unwrap_or(0.0),
-            write_latency_p99: write_hist.percentile(0.99),
-            per_core: self.ctrl.per_core(),
-            hybrid: self.ctrl.hybrid_summary(),
+            bus_busy: report.bus_busy,
+            read_latency_mean: report.read_latency.mean().unwrap_or(0.0),
+            read_latency_p99: report.read_latency.percentile(0.99),
+            write_latency_mean: report.write_latency.mean().unwrap_or(0.0),
+            write_latency_p99: report.write_latency.percentile(0.99),
+            per_core: report.per_core,
+            hybrid: report.hybrid,
         }
     }
 }
@@ -888,13 +877,13 @@ mod tests {
         let sys = System::new(SystemConfig::default(), commodity(), Store::Row);
         let traces = scan_trace(512, vec![0], 2);
         let r = sys.run(&[table()], &traces);
-        assert!(r.latency_mean > 0.0);
-        assert!(r.latency_p50 <= r.latency_p99);
-        assert!(r.latency_p99 > 0);
-        // Read-side percentiles are populated for a read-only scan; the
+        // Read-side statistics are populated for a read-only scan; the
         // write-side ones stay empty.
+        assert!(r.ctrl.reads_done > 0);
+        assert_eq!(r.ctrl.writes_done, 0);
         assert!(r.read_latency_mean > 0.0);
         assert!(r.read_latency_p99 > 0);
+        assert_eq!(r.write_latency_mean, 0.0);
         assert_eq!(r.write_latency_p99, 0);
     }
 
@@ -1022,14 +1011,22 @@ mod tests {
             t.push(TraceOp::read_fields(r, vec![9]));
         });
         let r = sys.run(&[TableSpec::ta(0, 4096)], &traces);
-        let total = r.per_core.total();
-        assert_eq!(total.reads_done, r.ctrl.reads_done);
-        assert_eq!(total.writes_done, r.ctrl.writes_done);
-        assert_eq!(total.row_hits, r.ctrl.row_hits);
-        assert_eq!(total.row_misses, r.ctrl.row_misses);
-        assert_eq!(total.row_conflicts, r.ctrl.row_conflicts);
-        assert_eq!(total.total_latency, r.ctrl.total_latency);
-        assert_eq!(total.starvation_forced, r.ctrl.starvation_forced);
+        assert_eq!(
+            ControllerStats {
+                refreshes: r.ctrl.refreshes,
+                ..r.per_core.total()
+            },
+            r.ctrl
+        );
+        for core in 0..r.per_core.cores() as u8 {
+            for kind in ReqKind::ALL {
+                assert_eq!(
+                    r.per_core.lane(core, kind).refreshes,
+                    0,
+                    "no lane owns a refresh"
+                );
+            }
+        }
         // All four cores issued demand traffic...
         let active = (0..4)
             .filter(|&c| r.per_core.lane(c, ReqKind::Demand).reads_done > 0)

@@ -116,6 +116,18 @@ impl DeviceStats {
     pub fn column_commands(&self) -> u64 {
         self.reads + self.stride_reads + self.writes + self.stride_writes
     }
+
+    /// Adds `other` field-wise.
+    pub fn accumulate(&mut self, other: &DeviceStats) {
+        self.acts += other.acts;
+        self.pres += other.pres;
+        self.reads += other.reads;
+        self.stride_reads += other.stride_reads;
+        self.writes += other.writes;
+        self.stride_writes += other.stride_writes;
+        self.refreshes += other.refreshes;
+        self.mode_switches += other.mode_switches;
+    }
 }
 
 /// A cycle-accurate model of one memory channel's devices.

@@ -22,6 +22,13 @@ impl Controller {
         Ok((at, done))
     }
 
+    /// Applies one per-request count to the aggregate and to `prov`'s
+    /// lane, so the lanes add up to the aggregate by construction.
+    fn count(&mut self, prov: Provenance, f: impl Fn(&mut ControllerStats)) {
+        f(&mut self.stats);
+        f(self.lanes.lane_mut(prov));
+    }
+
     /// Picks the FR-FCFS winner within one queue. The policy sees each
     /// request only as its [`sched::SchedView`] (arrival, location,
     /// required mode — never provenance), and the closures hand it
@@ -85,24 +92,16 @@ impl Controller {
             (cursor, _) = self.issue(&mrs, cursor).expect("MRS always issuable");
         }
 
-        // Row state handling (open-page policy).
+        // Row state handling (open-page policy): a conflict closes the
+        // open row, and any miss opens the requested one.
         let open = self.device.open_row(rank, bank_group, bank);
-        match open {
-            Some(r) if r == row => {
-                self.stats.row_hits += 1;
-            }
-            Some(_) => {
-                self.stats.row_conflicts += 1;
+        if open != Some(row) {
+            if open.is_some() {
                 let pre = Command::pre(rank, bank_group, bank);
                 (cursor, _) = self.issue(&pre, cursor).expect("PRE on an open bank");
-                let act = Command::act(rank, bank_group, bank, row);
-                (cursor, _) = self.issue(&act, cursor).expect("ACT on a precharged bank");
             }
-            None => {
-                self.stats.row_misses += 1;
-                let act = Command::act(rank, bank_group, bank, row);
-                (cursor, _) = self.issue(&act, cursor).expect("ACT on a precharged bank");
-            }
+            let act = Command::act(rank, bank_group, bank, row);
+            (cursor, _) = self.issue(&act, cursor).expect("ACT on a precharged bank");
         }
 
         // The column access itself.
@@ -135,29 +134,24 @@ impl Controller {
         let latency = finish
             .checked_sub(p.arrival)
             .expect("completion must not precede arrival");
+        self.count(p.req.prov, |s| {
+            match open {
+                Some(r) if r == row => s.row_hits += 1,
+                Some(_) => s.row_conflicts += 1,
+                None => s.row_misses += 1,
+            }
+            if p.req.is_write {
+                s.writes_done += 1;
+            } else {
+                s.reads_done += 1;
+            }
+            s.total_latency += latency;
+        });
         if p.req.is_write {
-            self.stats.writes_done += 1;
             self.write_latency_hist.add(latency);
         } else {
-            self.stats.reads_done += 1;
             self.read_latency_hist.add(latency);
         }
-        self.stats.total_latency += latency;
-        self.latency_hist.add(latency);
-        // The per-(core, kind) lane mirrors every per-request aggregate
-        // increment above (plus the row outcome), so lanes telescope.
-        let lane = self.lanes.lane_mut(p.req.prov);
-        match open {
-            Some(r) if r == row => lane.row_hits += 1,
-            Some(_) => lane.row_conflicts += 1,
-            None => lane.row_misses += 1,
-        }
-        if p.req.is_write {
-            lane.writes_done += 1;
-        } else {
-            lane.reads_done += 1;
-        }
-        lane.total_latency += latency;
         if self.trace.is_attached() {
             self.trace.emit(TraceEvent::complete(
                 track::REQUESTS,
@@ -219,8 +213,7 @@ impl Controller {
             self.readq.remove(pick.ticket)
         };
         if pick.starved {
-            self.stats.starvation_forced += 1;
-            self.lanes.lane_mut(pending.req.prov).starvation_forced += 1;
+            self.count(pending.req.prov, |s| s.starvation_forced += 1);
             self.trace.emit(TraceEvent::instant(
                 track::CTRL,
                 Category::Ctrl,

@@ -102,6 +102,11 @@ impl std::fmt::Display for QueueFull {
 impl std::error::Error for QueueFull {}
 
 /// Row-buffer outcome counters and latency accounting.
+///
+/// The one record the controller counts into: the aggregate and every
+/// per-(core, kind) lane of [`CoreLanes`] are values of this type. A
+/// lane's `refreshes` stays 0, because refresh is rank-level background
+/// work that no request owns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Column accesses that hit the open row.
@@ -136,66 +141,43 @@ impl ControllerStats {
         let n = self.row_hits + self.row_misses + self.row_conflicts;
         (n > 0).then(|| self.row_hits as f64 / n as f64)
     }
-}
 
-/// One provenance lane's slice of the aggregate [`ControllerStats`].
-///
-/// Lanes cover every counter that is attributable to a single request:
-/// row-buffer outcomes, completions, service latency, and starvation
-/// firings. Refreshes are rank-level background work with no originating
-/// request, so they stay aggregate-only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Column accesses that hit the open row.
-    pub row_hits: u64,
-    /// Column accesses to a closed bank.
-    pub row_misses: u64,
-    /// Column accesses that required closing another row first.
-    pub row_conflicts: u64,
-    /// Completed reads.
-    pub reads_done: u64,
-    /// Completed writes.
-    pub writes_done: u64,
-    /// Sum over completions of (finish - arrival).
-    pub total_latency: u64,
-    /// Scheduling decisions forced by the starvation cap.
-    pub starvation_forced: u64,
-}
-
-impl LaneStats {
     /// Adds `other` field-wise.
-    pub fn accumulate(&mut self, other: &LaneStats) {
+    pub fn accumulate(&mut self, other: &ControllerStats) {
         self.row_hits += other.row_hits;
         self.row_misses += other.row_misses;
         self.row_conflicts += other.row_conflicts;
         self.reads_done += other.reads_done;
         self.writes_done += other.writes_done;
         self.total_latency += other.total_latency;
+        self.refreshes += other.refreshes;
         self.starvation_forced += other.starvation_forced;
     }
 
     /// Whether every counter is zero.
     pub fn is_zero(&self) -> bool {
-        *self == LaneStats::default()
+        *self == ControllerStats::default()
     }
 }
 
-/// Per-core × per-kind stat lanes that telescope to the aggregate
-/// [`ControllerStats`]: summing every lane reproduces the aggregate
-/// counters exactly (minus `refreshes`, which no request owns). The lane
-/// table grows on demand to the highest core id observed, so untagged
-/// streams cost one 5-lane row for core 0 and nothing else.
+/// Per-core × per-kind [`ControllerStats`] lanes. The controller applies
+/// every per-request count to the aggregate and to the request's lane
+/// through one function, so summing every lane reproduces the aggregate
+/// exactly, but for `refreshes`, which no request owns and every lane
+/// leaves at 0. The lane table grows on demand to the highest core id
+/// observed, so untagged streams cost one 5-lane row for core 0 and
+/// nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreLanes {
-    lanes: Vec<[LaneStats; ReqKind::COUNT]>,
+    lanes: Vec<[ControllerStats; ReqKind::COUNT]>,
 }
 
 impl CoreLanes {
-    pub(super) fn lane_mut(&mut self, prov: Provenance) -> &mut LaneStats {
+    fn lane_mut(&mut self, prov: Provenance) -> &mut ControllerStats {
         let core = prov.core as usize;
         if core >= self.lanes.len() {
             self.lanes
-                .resize(core + 1, [LaneStats::default(); ReqKind::COUNT]);
+                .resize(core + 1, [ControllerStats::default(); ReqKind::COUNT]);
         }
         &mut self.lanes[core][prov.kind.index()]
     }
@@ -203,8 +185,10 @@ impl CoreLanes {
     /// Adds `other` lane-wise, growing to its core count.
     pub(crate) fn accumulate(&mut self, other: &CoreLanes) {
         if other.lanes.len() > self.lanes.len() {
-            self.lanes
-                .resize(other.lanes.len(), [LaneStats::default(); ReqKind::COUNT]);
+            self.lanes.resize(
+                other.lanes.len(),
+                [ControllerStats::default(); ReqKind::COUNT],
+            );
         }
         for (row, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
             for (lane, their) in row.iter_mut().zip(theirs) {
@@ -219,15 +203,15 @@ impl CoreLanes {
     }
 
     /// The lane for (`core`, `kind`); all-zero for cores never observed.
-    pub fn lane(&self, core: u8, kind: ReqKind) -> LaneStats {
+    pub fn lane(&self, core: u8, kind: ReqKind) -> ControllerStats {
         self.lanes
             .get(core as usize)
-            .map_or_else(LaneStats::default, |row| row[kind.index()])
+            .map_or_else(ControllerStats::default, |row| row[kind.index()])
     }
 
     /// Sum of all kinds for one core.
-    pub fn core_total(&self, core: u8) -> LaneStats {
-        let mut total = LaneStats::default();
+    pub fn core_total(&self, core: u8) -> ControllerStats {
+        let mut total = ControllerStats::default();
         if let Some(row) = self.lanes.get(core as usize) {
             for lane in row {
                 total.accumulate(lane);
@@ -236,10 +220,10 @@ impl CoreLanes {
         total
     }
 
-    /// Sum over every (core, kind) lane — must equal the aggregate
-    /// [`ControllerStats`] counters (the telescoping invariant).
-    pub fn total(&self) -> LaneStats {
-        let mut total = LaneStats::default();
+    /// Sum over every (core, kind) lane: the aggregate
+    /// [`ControllerStats`] with `refreshes` at 0.
+    pub fn total(&self) -> ControllerStats {
+        let mut total = ControllerStats::default();
         for row in &self.lanes {
             for lane in row {
                 total.accumulate(lane);
@@ -281,7 +265,6 @@ pub struct Controller {
     clock: Cycle,
     stats: ControllerStats,
     lanes: CoreLanes,
-    latency_hist: Histogram,
     read_latency_hist: Histogram,
     write_latency_hist: Histogram,
     trace: SinkSlot,
@@ -313,19 +296,14 @@ impl Controller {
             clock: 0,
             stats: ControllerStats::default(),
             lanes: CoreLanes::default(),
-            latency_hist: Histogram::new(),
             read_latency_hist: Histogram::new(),
             write_latency_hist: Histogram::new(),
             trace: SinkSlot::default(),
         }
     }
 
-    /// Per-request latency histogram (arrival to last data beat).
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
-    }
-
-    /// Latency histogram over completed reads only.
+    /// Latency histogram (arrival to last data beat) over completed
+    /// reads only.
     pub fn read_latency_histogram(&self) -> &Histogram {
         &self.read_latency_hist
     }
@@ -598,9 +576,9 @@ mod tests {
         let _ = c.drain(0);
         assert_eq!(c.read_latency_histogram().count(), 2);
         assert_eq!(c.write_latency_histogram().count(), 1);
-        assert_eq!(c.latency_histogram().count(), 3);
-        let merged = c.read_latency_histogram().count() + c.write_latency_histogram().count();
-        assert_eq!(merged, c.latency_histogram().count());
+        let s = c.stats();
+        assert_eq!(c.read_latency_histogram().count(), s.reads_done);
+        assert_eq!(c.write_latency_histogram().count(), s.writes_done);
     }
 
     /// The sweep runner builds controllers inside worker threads; the run
@@ -912,11 +890,15 @@ mod tests {
             "the gap spans {ladder} refreshes, saw {}",
             ticked.stats().refreshes
         );
-        assert_eq!(ticked.latency_histogram(), jumped.latency_histogram());
         assert_eq!(
             ticked.read_latency_histogram(),
             jumped.read_latency_histogram()
         );
+        assert_eq!(
+            ticked.write_latency_histogram(),
+            jumped.write_latency_histogram()
+        );
+        assert_eq!(ticked.read_latency_histogram().count(), 1);
     }
 
     /// `advance_to` issues REFs in deadline order, interleaving the

@@ -40,8 +40,8 @@ use sam_dram::device::{DeviceConfig, DeviceStats};
 use sam_dram::Cycle;
 use sam_util::hist::Histogram;
 
-use crate::controller::{Controller, ControllerConfig, ControllerStats, CoreLanes, QueueFull};
-use crate::level::MemLevel;
+use crate::controller::{Controller, ControllerConfig, QueueFull};
+use crate::level::{LevelReport, MemLevel};
 use crate::request::{Completion, MemRequest, Provenance, ReqKind};
 
 /// Cache-line transfer unit within a block (one 64B burst).
@@ -147,9 +147,9 @@ pub struct HybridDecision {
     pub wrote_through: bool,
 }
 
-/// End-of-run hybrid counters surfaced through
-/// [`MemLevel::hybrid_summary`] into `RunResult` (fig16's per-point
-/// energy split needs the per-device command counts).
+/// End-of-run hybrid counters surfaced through [`MemLevel::report`] into
+/// `RunResult` (fig16's per-point energy split needs the per-device
+/// command counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HybridSummary {
     /// External requests that hit the DRAM cache.
@@ -335,7 +335,6 @@ pub struct DramCacheController {
     dirty_evictions: u64,
     writethroughs: u64,
     decisions: Vec<HybridDecision>,
-    latency_hist: Histogram,
     read_latency_hist: Histogram,
     write_latency_hist: Histogram,
 }
@@ -361,7 +360,6 @@ impl DramCacheController {
             dirty_evictions: 0,
             writethroughs: 0,
             decisions: Vec::new(),
-            latency_hist: Histogram::new(),
             read_latency_hist: Histogram::new(),
             write_latency_hist: Histogram::new(),
         }
@@ -378,8 +376,8 @@ impl DramCacheController {
         &self.decisions
     }
 
-    /// End-of-run counters (also reachable through the trait's
-    /// [`MemLevel::hybrid_summary`]).
+    /// End-of-run counters (also part of the trait's
+    /// [`MemLevel::report`]).
     pub fn summary(&self) -> HybridSummary {
         HybridSummary {
             hits: self.hits,
@@ -612,7 +610,6 @@ impl DramCacheController {
             txn.external_done = true;
             self.open_externals -= 1;
             let latency = c.finish.saturating_sub(txn.arrival);
-            self.latency_hist.add(latency);
             if txn.is_write {
                 self.write_latency_hist.add(latency);
             } else {
@@ -640,38 +637,6 @@ impl DramCacheController {
             }
         }
         external
-    }
-
-    fn merged_lanes(&self) -> CoreLanes {
-        let mut lanes = self.front.per_core().clone();
-        lanes.accumulate(self.back.per_core());
-        lanes
-    }
-}
-
-fn add_ctrl(a: ControllerStats, b: ControllerStats) -> ControllerStats {
-    ControllerStats {
-        row_hits: a.row_hits + b.row_hits,
-        row_misses: a.row_misses + b.row_misses,
-        row_conflicts: a.row_conflicts + b.row_conflicts,
-        reads_done: a.reads_done + b.reads_done,
-        writes_done: a.writes_done + b.writes_done,
-        total_latency: a.total_latency + b.total_latency,
-        refreshes: a.refreshes + b.refreshes,
-        starvation_forced: a.starvation_forced + b.starvation_forced,
-    }
-}
-
-fn add_device(a: DeviceStats, b: DeviceStats) -> DeviceStats {
-    DeviceStats {
-        acts: a.acts + b.acts,
-        pres: a.pres + b.pres,
-        reads: a.reads + b.reads,
-        stride_reads: a.stride_reads + b.stride_reads,
-        writes: a.writes + b.writes,
-        stride_writes: a.stride_writes + b.stride_writes,
-        refreshes: a.refreshes + b.refreshes,
-        mode_switches: a.mode_switches + b.mode_switches,
     }
 }
 
@@ -727,33 +692,23 @@ impl MemLevel for DramCacheController {
         self.back.advance_to(target);
     }
 
-    fn stats(&self) -> ControllerStats {
-        add_ctrl(*self.front.stats(), *self.back.stats())
-    }
-
-    fn per_core(&self) -> CoreLanes {
-        self.merged_lanes()
-    }
-
-    fn device_stats(&self) -> DeviceStats {
-        add_device(*self.front.device_stats(), *self.back.device_stats())
-    }
-
-    fn bus_busy(&self) -> Cycle {
-        // The CPU-facing data bus is the front channel.
-        self.front.device().channel().busy_cycles
-    }
-
-    fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
-    }
-
-    fn read_latency_histogram(&self) -> &Histogram {
-        &self.read_latency_hist
-    }
-
-    fn write_latency_histogram(&self) -> &Histogram {
-        &self.write_latency_hist
+    fn report(&self) -> LevelReport {
+        let mut ctrl = *self.front.stats();
+        ctrl.accumulate(self.back.stats());
+        let mut per_core = self.front.per_core().clone();
+        per_core.accumulate(self.back.per_core());
+        let mut device = *self.front.device_stats();
+        device.accumulate(self.back.device_stats());
+        LevelReport {
+            ctrl,
+            per_core,
+            device,
+            // The CPU-facing data bus is the front channel.
+            bus_busy: self.front.device().channel().busy_cycles,
+            read_latency: self.read_latency_hist.clone(),
+            write_latency: self.write_latency_hist.clone(),
+            hybrid: Some(self.summary()),
+        }
     }
 
     fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder) {
@@ -771,10 +726,6 @@ impl MemLevel for DramCacheController {
 
     fn attach_backing_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         self.back.attach_observer(observer);
-    }
-
-    fn hybrid_summary(&self) -> Option<HybridSummary> {
-        Some(self.summary())
     }
 }
 
@@ -867,6 +818,7 @@ impl MirrorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerStats;
     use proptest::prelude::*;
 
     fn hybrid(policy: WritePolicy, block_bytes: u64) -> DramCacheController {
@@ -948,7 +900,7 @@ mod tests {
         // Victim extraction: 4 front reads + 4 back writes...
         assert_eq!(s.back.writes, 4);
         // ...attributed to the Writeback lane of the owning core.
-        let lanes = h.merged_lanes();
+        let lanes = MemLevel::report(&h).per_core;
         assert_eq!(lanes.lane(0, ReqKind::Writeback).writes_done, 4);
     }
 
@@ -971,22 +923,54 @@ mod tests {
             hybrid(WritePolicy::Writeback, 128),
             &[(0, false), (64, true), (8192, false)],
         );
-        assert_eq!(MemLevel::latency_histogram(&h).count(), 3);
-        assert_eq!(MemLevel::read_latency_histogram(&h).count(), 2);
-        assert_eq!(MemLevel::write_latency_histogram(&h).count(), 1);
+        let report = MemLevel::report(&h);
+        assert_eq!(report.read_latency.count(), 2);
+        assert_eq!(report.write_latency.count(), 1);
     }
 
+    /// A level's report carries lanes that add up to its aggregate, on
+    /// the hybrid (front and back merged) and on a flat DDR4 controller
+    /// whose stream spans several refreshes, which no lane owns.
     #[test]
     fn lanes_telescope_to_summed_stats() {
-        let h = drive(
-            hybrid(WritePolicy::Writeback, 256),
-            &[(0, true), (2048, false), (0, false), (2048 * 8, true)],
-        );
-        let stats = MemLevel::stats(&h);
-        let total = MemLevel::per_core(&h).total();
-        assert_eq!(total.reads_done, stats.reads_done);
-        assert_eq!(total.writes_done, stats.writes_done);
-        assert_eq!(total.total_latency, stats.total_latency);
+        let stream = [(0, true), (2048, false), (0, false), (2048 * 8, true)];
+        let h = drive(hybrid(WritePolicy::Writeback, 256), &stream);
+        let mut flat = Controller::new(ControllerConfig::default());
+        let refi = flat.config().device.timing.refi;
+        for (i, &(addr, w)) in stream.iter().enumerate() {
+            let id = i as u64 + 1;
+            let req = if w {
+                MemRequest::write(id, addr)
+            } else {
+                MemRequest::read(id, addr)
+            };
+            let prov = Provenance::new(i as u8, ReqKind::ALL[i % ReqKind::COUNT]);
+            flat.enqueue(req.with_provenance(prov), i as u64 * refi)
+                .unwrap();
+        }
+        assert_eq!(flat.drain(0).len(), stream.len());
+        let flat = MemLevel::report(&flat);
+        assert!(flat.ctrl.refreshes > 0, "the flat stream spans refreshes");
+        for report in [MemLevel::report(&h), flat] {
+            let lanes = &report.per_core;
+            let agg = report.ctrl;
+            assert_eq!(
+                ControllerStats {
+                    refreshes: agg.refreshes,
+                    ..lanes.total()
+                },
+                agg
+            );
+            for core in 0..lanes.cores() as u8 {
+                for kind in ReqKind::ALL {
+                    assert_eq!(
+                        lanes.lane(core, kind).refreshes,
+                        0,
+                        "no lane owns a refresh"
+                    );
+                }
+            }
+        }
     }
 
     /// Inner completions route to their transactions while spans of very
@@ -1020,7 +1004,9 @@ mod tests {
             !done.is_sorted(),
             "externals must complete out of admission order"
         );
-        assert_eq!(MemLevel::latency_histogram(&h).count(), stream.len() as u64);
+        let report = MemLevel::report(&h);
+        let completed = report.read_latency.count() + report.write_latency.count();
+        assert_eq!(completed, stream.len() as u64);
         done.sort_unstable();
         let expect: Vec<u64> = (1..=stream.len() as u64).collect();
         assert_eq!(done, expect, "every external completes exactly once");

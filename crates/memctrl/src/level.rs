@@ -21,6 +21,17 @@
 //! `advance_to` changes only *when* refreshes are issued, never which
 //! commands are issued or at what cycles.
 //!
+//! ## Reporting contract
+//!
+//! A level hands over its counters once, at the end of a run:
+//! [`MemLevel::report`] returns one [`LevelReport`] holding the
+//! aggregate [`ControllerStats`], the per-(core, kind) lanes, the device
+//! command counts, the CPU-facing bus's busy cycles, the read and write
+//! latency histograms and, on a DRAM-cache front end, its
+//! [`HybridSummary`]. A composite level sums its inner levels' counters
+//! with their `accumulate` methods and reports its own external
+//! latencies; the engine builds its run result from the report alone.
+//!
 //! ## Observability contract
 //!
 //! Attachments are forwarded, never duplicated: the run's trace recorder
@@ -38,6 +49,29 @@ use sam_util::hist::Histogram;
 use crate::controller::{Controller, ControllerStats, CoreLanes, QueueFull};
 use crate::hybrid::HybridSummary;
 use crate::request::{Completion, MemRequest};
+
+/// A level's end-of-run counters, in one record (see
+/// [`MemLevel::report`]).
+#[derive(Debug, Clone)]
+pub struct LevelReport {
+    /// Aggregate controller counters, summed over inner levels.
+    pub ctrl: ControllerStats,
+    /// Per-(core, kind) lanes, merged over inner levels; they add up to
+    /// `ctrl` but for its `refreshes`.
+    pub per_core: CoreLanes,
+    /// Device command counts, summed over inner levels' devices.
+    pub device: DeviceStats,
+    /// Busy cycles on the CPU-facing data bus.
+    pub bus_busy: Cycle,
+    /// End-to-end latency of completed reads, as seen from above.
+    pub read_latency: Histogram,
+    /// End-to-end latency of completed writes, as seen from above.
+    pub write_latency: Histogram,
+    /// Hybrid-topology counters, when the level is a DRAM-cache front
+    /// end ([`crate::hybrid::DramCacheController`]); `None` on flat
+    /// levels.
+    pub hybrid: Option<HybridSummary>,
+}
 
 /// One composable stage of the memory hierarchy (see the module docs).
 ///
@@ -70,27 +104,9 @@ pub trait MemLevel: Send {
     /// deadlines (refresh) at their original due cycles on the way.
     fn advance_to(&mut self, target: Cycle);
 
-    /// Aggregate controller counters (summed over inner levels).
-    fn stats(&self) -> ControllerStats;
-
-    /// Per-(core, kind) lanes, telescoping to [`Self::stats`] (merged
-    /// over inner levels; refreshes stay aggregate-only).
-    fn per_core(&self) -> CoreLanes;
-
-    /// Device command counts (summed over inner levels' devices).
-    fn device_stats(&self) -> DeviceStats;
-
-    /// Busy cycles on the CPU-facing data bus.
-    fn bus_busy(&self) -> Cycle;
-
-    /// End-to-end request-latency histogram as seen from above this level.
-    fn latency_histogram(&self) -> &Histogram;
-
-    /// Read-only slice of [`Self::latency_histogram`].
-    fn read_latency_histogram(&self) -> &Histogram;
-
-    /// Write-only slice of [`Self::latency_histogram`].
-    fn write_latency_histogram(&self) -> &Histogram;
+    /// Everything the level counted over the run, handed over once at
+    /// its end (inner levels' counters summed).
+    fn report(&self) -> LevelReport;
 
     /// Attaches the run's trace recorder to the front (CPU-facing)
     /// controller.
@@ -106,13 +122,6 @@ pub trait MemLevel: Send {
     /// level. Flat levels have no backing device and ignore the call.
     fn attach_backing_observer(&mut self, observer: sam_dram::observe::SharedObserver) {
         let _ = observer;
-    }
-
-    /// Hybrid-topology counters, when this level is a DRAM-cache front
-    /// end ([`crate::hybrid::DramCacheController`]); `None` on flat
-    /// levels.
-    fn hybrid_summary(&self) -> Option<HybridSummary> {
-        None
     }
 }
 
@@ -141,32 +150,16 @@ impl MemLevel for Controller {
         Controller::advance_to(self, target);
     }
 
-    fn stats(&self) -> ControllerStats {
-        *Controller::stats(self)
-    }
-
-    fn per_core(&self) -> CoreLanes {
-        Controller::per_core(self).clone()
-    }
-
-    fn device_stats(&self) -> DeviceStats {
-        *Controller::device_stats(self)
-    }
-
-    fn bus_busy(&self) -> Cycle {
-        self.device().channel().busy_cycles
-    }
-
-    fn latency_histogram(&self) -> &Histogram {
-        Controller::latency_histogram(self)
-    }
-
-    fn read_latency_histogram(&self) -> &Histogram {
-        Controller::read_latency_histogram(self)
-    }
-
-    fn write_latency_histogram(&self) -> &Histogram {
-        Controller::write_latency_histogram(self)
+    fn report(&self) -> LevelReport {
+        LevelReport {
+            ctrl: *self.stats(),
+            per_core: self.per_core().clone(),
+            device: *self.device_stats(),
+            bus_busy: self.device().channel().busy_cycles,
+            read_latency: self.read_latency_histogram().clone(),
+            write_latency: self.write_latency_histogram().clone(),
+            hybrid: None,
+        }
     }
 
     fn attach_trace(&mut self, recorder: sam_trace::SharedRecorder) {
