@@ -149,6 +149,18 @@ cmp /tmp/table2.out tests/golden/table2.out \
 cmp results/table2.json tests/golden/table2.json \
   || { echo "results/table2.json drifted from tests/golden/table2.json"; exit 1; }
 
+echo "==> paper-scale fig12 byte-identity gate (starvation cap lifted)"
+# Default scale (Ta 16384, Tb 131072 records), where the write-heavy
+# queries end with the largest writeback drains: GS-DRAM-ecc on Qs5
+# flushes 32,768 dirty lines, 163,840 requests with their ECC extras. With
+# the cap lifted, stdout reproduces the committed results/fig12.txt byte
+# for byte (about 7 s at --jobs 2). --out keeps the run from overwriting
+# results/fig12.json.
+./target/release/fig12 --jobs 2 --starvation-cap 1000000000000 \
+  --out /tmp/fig12.paper.json > /tmp/fig12.paper.out
+cmp /tmp/fig12.paper.out results/fig12.txt \
+  || { echo "paper-scale fig12 stdout drifted from results/fig12.txt"; exit 1; }
+
 echo "==> fig16 hybrid sweep gates (checked, jobs identity, lint)"
 # The DRAM-cache hybrid figure, held to the same bar as fig12: every
 # hybrid point under --checked shadows BOTH device command streams (DDR4

@@ -90,11 +90,14 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// Issues the writebacks a fill displaced, in order, then hands the
-    /// emptied buffer back for the next fill.
+    /// Issues the writebacks a fill displaced, in order, each claimed and
+    /// emitted at once, then hands the emptied buffer back for the next
+    /// fill.
     fn issue_writebacks(&mut self, mut wbs: Vec<sam_cache::hierarchy::Writeback>, when: Cycle) {
         for wb in wbs.drain(..) {
-            self.issue_writeback(wb, when);
+            if let Some(claimed) = self.claim_writeback(&wb) {
+                self.emit_writeback(claimed, when);
+            }
         }
         self.wb_buffer = wbs;
     }

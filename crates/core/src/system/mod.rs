@@ -36,8 +36,9 @@
 //!   sector touches, the MLP sliding window);
 //! * [`lowering`](self) — design lowering of missing touches into tagged
 //!   memory requests (stride / narrow / line fills, prefetch, ECC extras);
-//! * [`datapath`](self) — writeback issue, stride write-combining, and the
-//!   overflow backlog;
+//! * [`datapath`](self) — writeback issue (a merge decision, then the
+//!   request emission), stride write-combining, and the overflow backlog,
+//!   which the end-of-run drain keeps one writeback deep;
 //! * [`completion`](self) — completion handling, fill installation, and
 //!   MLP-slot retirement.
 //!
@@ -368,7 +369,9 @@ struct Engine<'t> {
     /// Reused buffer for the writebacks a fill displaces.
     wb_buffer: Vec<sam_cache::hierarchy::Writeback>,
     /// Writebacks that did not fit the write queue yet (with their stride
-    /// merge key, if any — the key stays held while backlogged).
+    /// merge key, if any — the key stays held while backlogged). The final
+    /// drain builds a writeback's requests only once this is empty, so it
+    /// never holds more than `1 + ecc_write_extra` of them then.
     wb_backlog: VecDeque<(MemRequest, Cycle, Option<u64>)>,
     next_id: u64,
     ecc_stride_count: u32,
@@ -599,25 +602,44 @@ impl<'t> Engine<'t> {
                 }
             }
         }
-        // Final dirty data leaves the LLC.
-        let wbs = self.hierarchy.flush_dirty();
+        // Final dirty data leaves the LLC. Nothing is in flight, so every
+        // merge is decided here: a flush writeback merges exactly when an
+        // earlier one claimed its burst key. The survivors' requests are
+        // built only once the backlog is empty, all at this arrival cycle,
+        // so ids, enqueue order and every completion match issuing them
+        // all at once, while the backlog stays one writeback deep
+        // (DESIGN.md §13, "Bounded writeback drain"). A claim is as large
+        // as a `Writeback`, so the survivors reuse the flush's allocation.
+        let mut survivors = self
+            .hierarchy
+            .flush_dirty()
+            .into_iter()
+            .filter_map(|wb| self.claim_writeback(&wb))
+            .collect::<Vec<_>>()
+            .into_iter();
         let when = self.last_finish;
-        for wb in wbs {
-            self.issue_writeback(wb, when);
-        }
         loop {
-            let backlogged = self.wb_backlog.len();
+            let stalled = (self.wb_backlog.len(), self.next_id);
             self.flush_backlog();
+            while self.wb_backlog.is_empty() {
+                let Some(wb) = survivors.next() else { break };
+                self.emit_writeback(wb, when);
+            }
+            debug_assert!(
+                self.wb_backlog.len() <= 1 + self.cfg.ecc_write_extra as usize,
+                "writeback backlog holds {} requests, more than one writeback's",
+                self.wb_backlog.len()
+            );
             match self.ctrl.schedule_one(self.ctrl.clock()) {
                 Some(c) => self.handle_completion(c),
                 None if self.wb_backlog.is_empty() => break,
                 // An idle controller with a non-empty backlog must mean this
-                // round's flush made room (and the next schedule_one will
-                // complete something). If the backlog did not shrink either,
-                // the drain can never finish — fail loudly like the main
-                // loop instead of busy-spinning forever.
+                // round moved a request into the controller or built new
+                // ones (and the next schedule_one will complete something).
+                // If neither happened, the drain can never finish — fail
+                // loudly like the main loop instead of busy-spinning forever.
                 None => assert!(
-                    self.wb_backlog.len() < backlogged,
+                    (self.wb_backlog.len(), self.next_id) != stalled,
                     "writeback backlog stalled against an idle controller: simulator deadlock"
                 ),
             }
@@ -825,12 +847,43 @@ mod tests {
             t.push(TraceOp::write_fields(r, vec![3]));
         });
         let r = sys.run(&[table()], &traces);
-        // 2048 records / 8 per group = 256 groups; one read + ~one write
-        // burst per group (merging may slightly exceed due to timing).
-        assert!(
-            r.writeback_bursts <= 2048 / 8 * 2,
-            "writeback bursts {} not combined",
-            r.writeback_bursts
+        // 2048 records / 8 per group = 256 groups, each filled by one
+        // stride read. The 2048 dirty lines fit the LLC, so every
+        // writeback leaves in the final flush, whose merge decisions are
+        // all taken before any burst completes: a group's 8 dirty lines
+        // share one stride write.
+        assert_eq!(r.stride_bursts, 2048 / 8);
+        assert_eq!(
+            r.writeback_bursts, r.stride_bursts,
+            "writeback bursts not combined per stride burst"
+        );
+    }
+
+    #[test]
+    fn gs_dram_ecc_write_flood_drains_in_closed_form() {
+        // 32 whole 1 KB records dirty 512 lines, 16x the write queue. They
+        // fit the LLC, so all of them leave in the final flush, whose
+        // drain's debug assertion holds the backlog to one writeback.
+        let cfg = SystemConfig::default();
+        let design = gs_dram_ecc();
+        let write_queue =
+            ControllerConfig::with_device(design.device_config()).write_queue_capacity;
+        let sys = System::new(cfg, design, Store::Row);
+        let records = 32;
+        let traces = partition_records(0..records, 4, |r, t| {
+            t.push(TraceOp::write_whole(r));
+        });
+        let r = sys.run(&[table()], &traces);
+        let lines = records * 1024 / 64;
+        assert!(lines >= 10 * write_queue as u64);
+        // Write-allocate fills every line; each leaves fully dirty as one
+        // regular write with its ECC read-modify-write extras, and every
+        // `ecc_seq_period`-th fill reads an ECC word.
+        assert_eq!(r.line_bursts, lines);
+        assert_eq!(r.writeback_bursts, lines);
+        assert_eq!(
+            r.ecc_bursts,
+            lines * cfg.ecc_write_extra as u64 + lines / cfg.ecc_seq_period as u64
         );
     }
 
