@@ -45,6 +45,20 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> debug-build fig12 + fig16 at golden scale"
+# The engine's debug assertions (MSHR state empty after the drain, the
+# one-writeback backlog bound, outstanding > 0 on retire) run here at
+# golden scale, not only at the tests' smallest one, and stdout must still
+# be the golden. About 6 s on two cores. --out keeps the runs from
+# overwriting results/.
+cargo build -p sam-bench --bin fig12 --bin fig16
+for fig in fig12 fig16; do
+  ./target/debug/"$fig" --rows 2048 --tb-rows 8192 --jobs 2 \
+    --out "/tmp/$fig.debug.json" > "/tmp/$fig.debug.out"
+  cmp "/tmp/$fig.debug.out" "tests/golden/$fig.out" \
+    || { echo "debug-build $fig stdout drifted from tests/golden/$fig.out"; exit 1; }
+done
+
 echo "==> sam-perf tests + ctrl-replay, fig16-hybrid, cache-replay and fig12-golden smokes"
 # perf/ is its own cargo workspace, so the run above never builds it. Its
 # tests plus a one-second run of each workload keep a model change from

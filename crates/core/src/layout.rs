@@ -139,11 +139,26 @@ impl SectorRun {
         self.first & !63
     }
 
+    /// The run's sectors in its first line. A stride run's other lines
+    /// share their pending keys (see [`Placement::pending_key`]).
+    pub fn head(&self) -> SectorRun {
+        SectorRun { lines: 1, ..*self }
+    }
+
     /// The sector addresses, line by line.
     pub fn iter(&self) -> impl Iterator<Item = u64> {
         let (first, per_line) = (self.first, u64::from(self.per_line));
         (0..u64::from(self.lines))
             .flat_map(move |r| (0..per_line).map(move |s| first + r * 64 + s * 16))
+    }
+
+    /// Whether [`Self::iter`] yields `sector`, without walking the run.
+    /// Exact for the runs placements build, whose `per_line` is at most 4.
+    pub fn contains(&self, sector: u64) -> bool {
+        let d = sector.wrapping_sub(self.first);
+        d < u64::from(self.lines) * 64
+            && d % 64 < u64::from(self.per_line) * 16
+            && d.is_multiple_of(16)
     }
 }
 
@@ -155,6 +170,10 @@ pub struct StrideBurst {
     pub burst_addr: u64,
     /// I/O-buffer lane the units travel on (selects the `Sx4_n` mode).
     pub lane: u8,
+    /// Which of the K units of each line of its gather block the burst
+    /// gathers (`0..K`). With the block it names the burst: see
+    /// [`Placement::block_burst`].
+    pub unit: u8,
     /// Cache-visible sectors the burst fills.
     pub sectors: SectorRun,
 }
@@ -318,21 +337,54 @@ impl Placement {
         let byte = field as u64 * FIELD_BYTES;
         let u = byte >> us;
         let b = u >> ks;
-        let unit_off = (u & (k - 1)) << us;
+        let unit = (u & (k - 1)) as u8;
 
         // Cache sectors: the same unit offset in each of the K group lines,
         // clipped at table end (the last partial group gathers dead lines).
         let first_line = self.spec.base + group_first * rb + ((b << ks) << 6);
-        let sector_off = unit_off & !15;
         let sectors = SectorRun {
-            first: first_line + sector_off,
+            first: first_line + self.unit_sector_off(unit),
             lines: (self.spec.records - group_first).min(k) as u32,
             per_line: (self.unit_bytes >> 4).max(1) as u32,
         };
+        let (burst_addr, lane) = self.burst_in_block(first_line, b, unit);
+        Some(StrideBurst {
+            burst_addr,
+            lane,
+            unit,
+            sectors,
+        })
+    }
 
-        // DRAM address: linear designs gather inside the row (the burst's
-        // own lines); vertical designs use the orthogonal column space where
-        // one field-block's bursts are sequential and a field switch jumps.
+    /// Offset within a line of the first 16B sector holding `unit`.
+    fn unit_sector_off(&self, unit: u8) -> u64 {
+        (u64::from(unit) << self.unit_bytes.trailing_zeros()) & !15
+    }
+
+    /// DRAM-schedule address and lane of the stride burst that gathers
+    /// `unit` from every line of the gather block `block` (named by its
+    /// first line, as [`Self::gather_block`] gives it): the form the
+    /// engine's stride writebacks use, through the same address formula as
+    /// [`Self::stride_burst`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is not grouped.
+    pub fn block_burst(&self, block: u64, unit: u8) -> (u64, u8) {
+        // Block i of the table is field block i mod (lines per record) of
+        // its group (see `field_addr`'s grouped layout).
+        let lines_per_record = self.spec.record_bytes().div_ceil(64);
+        let b = self.gather_block_index(block) as u64 % lines_per_record;
+        self.burst_in_block(block, b, unit)
+    }
+
+    /// The stride-burst address formula: the burst gathering `unit` from
+    /// the lines of gather block `block`, which holds field block `b`.
+    fn burst_in_block(&self, block: u64, b: u64, unit: u8) -> (u64, u8) {
+        let sector_addr = block + self.unit_sector_off(unit);
+        // Linear designs gather inside the row (the burst's own lines);
+        // vertical designs use the orthogonal column space where one
+        // field-block's bursts are sequential and a field switch jumps.
         // Stride bursts ride the gathered lines themselves: along a scan of
         // one field, the column-wise access of SAM-sub/RC-NVM enjoys the
         // same buffer locality as the row-wise gathers of SAM-IO/SAM-en
@@ -345,17 +397,11 @@ impl Placement {
         // switch penalty.
         let burst_addr = if self.field_switch {
             const BLOCK_REGION: u64 = 8 * 1024 * 1024;
-            first_line + sector_off + 512 * 1024 * 1024 + b * BLOCK_REGION
+            sector_addr + 512 * 1024 * 1024 + b * BLOCK_REGION
         } else {
-            first_line + sector_off
+            sector_addr
         };
-
-        let lane = (u & (k - 1) & 3) as u8;
-        Some(StrideBurst {
-            burst_addr,
-            lane,
-            sectors,
-        })
+        (burst_addr, unit & 3)
     }
 
     /// The gather block holding cacheline `line`, named by its first line:
@@ -366,8 +412,41 @@ impl Placement {
         let k = self.gather?;
         let rel = line.checked_sub(self.spec.base)?;
         let rb = self.spec.record_bytes().next_multiple_of(64);
-        let span = self.spec.records.next_multiple_of(k) * rb;
+        // Whole groups: K is a power of two, so this rounds with a mask.
+        let span = ((self.spec.records + k - 1) & !(k - 1)) * rb;
         (rel < span).then(|| self.spec.base + (rel & !(k * 64 - 1)))
+    }
+
+    /// Number of gather blocks in the table's grouped span (0 when the
+    /// table is not grouped): the length of a per-block record.
+    pub fn gather_blocks(&self) -> usize {
+        self.gather.map_or(0, |k| {
+            let lines = self.spec.record_bytes().div_ceil(64);
+            (self.spec.records.div_ceil(k) * lines) as usize
+        })
+    }
+
+    /// Index among [`Self::gather_blocks`] of the gather block `block`,
+    /// named by its first line as [`Self::gather_block`] gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is not grouped.
+    pub fn gather_block_index(&self, block: u64) -> usize {
+        let k = self.gather.expect("only grouped tables have gather blocks");
+        ((block - self.spec.base) >> (k.trailing_zeros() + 6)) as usize
+    }
+
+    /// The MSHR key of `sector` (16B aligned): a fill in flight covers the
+    /// sector exactly when its key is pending. In a grouped table the key
+    /// is the sector at the same offset of the gather block's first line,
+    /// which every line of one stride burst shares, so a burst registers
+    /// one key per sector offset rather than one per gathered sector.
+    /// Elsewhere, as for narrow fills, it is the sector itself.
+    pub fn pending_key(&self, sector: u64) -> u64 {
+        let line = sector & !63;
+        self.gather_block(line)
+            .map_or(sector, |block| block + (sector - line))
     }
 
     /// Gather factor, if striding is available.
@@ -504,6 +583,33 @@ mod tests {
         let p = Placement::new(spec, Store::Row, &sam_en(), Granularity::Bits4);
         let fill = p.stride_fill(9, 0).unwrap();
         assert_eq!(fill.sector_addrs.len(), 2);
+    }
+
+    #[test]
+    fn sector_run_contains_exactly_what_it_iterates() {
+        let line = 0x1000;
+        for lines in 0..=8u32 {
+            for per_line in 0..=4u32 {
+                for offset in (0..64).step_by(16) {
+                    let run = SectorRun {
+                        first: line + offset,
+                        lines,
+                        per_line,
+                    };
+                    let members: std::collections::BTreeSet<u64> = run.iter().collect();
+                    // Two lines before the run to two lines past it, at
+                    // half-sector steps: misaligned probes are never in.
+                    let end = line + (u64::from(lines) + 2) * 64;
+                    for probe in (line - 128..end).step_by(8) {
+                        assert_eq!(
+                            run.contains(probe),
+                            members.contains(&probe),
+                            "{run:?} probe {probe:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@ pub(super) const CWF_EARLY_BEATS: Cycle = 3;
 pub(super) enum FillKind {
     /// Regular line fill: install the whole line at `cache_line`.
     Line { cache_line: u64 },
-    /// Stride (or narrow) fill: install these sectors.
-    Sectors { sectors: SectorRun },
+    /// Stride (or narrow) fill of table `table`: install the run's
+    /// sectors and release the pending keys
+    /// ([`crate::layout::Placement::pending_key`]) of its first line,
+    /// which stand for all of them.
+    Sectors { sectors: SectorRun, table: u8 },
     /// Stride writeback with a merge key to release.
     StrideWb { key: u64 },
     /// A prefetched line fill: installs on completion but is not tied to a
@@ -52,7 +55,7 @@ impl<'t> Engine<'t> {
                     .fill_line_into(cache_line, record.core as u8, &mut wbs);
                 for s in 0..4u64 {
                     let sector = cache_line + 16 * s;
-                    if self.pending_dirty.remove(&sector) {
+                    if self.take_pending_dirty(sector) {
                         self.hierarchy.mark_dirty(sector);
                     }
                 }
@@ -65,29 +68,37 @@ impl<'t> Engine<'t> {
                     self.retire(record.core, c.finish);
                 }
             }
-            FillKind::Sectors { sectors } => {
+            FillKind::Sectors { sectors, table } => {
+                let p = &self.placements[table as usize];
+                for s in sectors.head().iter() {
+                    self.pending_sectors.remove(&p.pending_key(s));
+                }
                 let mut wbs = std::mem::take(&mut self.wb_buffer);
                 for s in sectors.iter() {
-                    self.pending_sectors.remove(&s);
                     self.hierarchy
                         .fill_sector_into(s, record.core as u8, &mut wbs);
-                    if self.pending_dirty.remove(&s) {
+                    if self.take_pending_dirty(s) {
                         self.hierarchy.mark_dirty(s);
                     }
                 }
                 self.issue_writebacks(wbs, c.finish);
-                // Sector fills install exactly these 16B sectors; other
-                // sectors of the same lines stay invalid, so the wake is
-                // per-sector, not per-line.
-                for s in sectors.iter() {
-                    self.wake_covering_sector(s);
-                }
+                // A sector fill installs exactly the run's 16B sectors;
+                // other sectors of the same lines stay invalid, so the
+                // wake covers the run, not its lines.
+                self.wake_covering_run(sectors);
                 self.retire(record.core, c.finish);
             }
             FillKind::StrideWb { key } => {
                 self.wb_merge.remove(&key);
             }
         }
+    }
+
+    /// Whether `sector` was written while its fill was in flight, clearing
+    /// the mark. Read-only runs never mark one, so an empty set answers
+    /// without a probe.
+    fn take_pending_dirty(&mut self, sector: u64) -> bool {
+        !self.pending_dirty.is_empty() && self.pending_dirty.remove(&sector)
     }
 
     /// Issues the writebacks a fill displaced, in order, each claimed and

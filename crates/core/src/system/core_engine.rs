@@ -240,9 +240,8 @@ impl<'t> Engine<'t> {
                 self.cores[ci].time_cpu += self.cfg.llc_extra_cpu;
                 let line = t.cache_sector & !63;
                 // MSHR merge: a fill in flight already covers this touch.
-                if self.pending_sectors.contains(&t.cache_sector)
-                    || self.pending_lines.contains(&line)
-                {
+                let key = self.placements[t.table as usize].pending_key(t.cache_sector);
+                if self.pending_sectors.contains(&key) || self.pending_lines.contains(&line) {
                     if t.write {
                         self.pending_dirty.insert(t.cache_sector);
                     }

@@ -57,8 +57,12 @@ impl<'t> Engine<'t> {
         } else {
             self.placements
                 .iter()
-                .find_map(|p| p.gather_block(wb.line_addr))
-                .and_then(|block| self.block_to_burst.get(&block).copied())
+                .zip(&self.block_to_burst)
+                .find_map(|(p, units)| p.gather_block(wb.line_addr).map(|b| (p, units, b)))
+                .and_then(|(p, units, block)| {
+                    let unit = units[p.gather_block_index(block)].checked_sub(1)?;
+                    Some(p.block_burst(block, unit))
+                })
         };
         match stride {
             Some((burst_addr, lane)) => self.wb_merge.insert(burst_addr).then_some(ClaimedWb {

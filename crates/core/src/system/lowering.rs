@@ -51,27 +51,10 @@ impl<'t> Engine<'t> {
                     return false;
                 }
                 self.stride_bursts += 1;
-                for s in fill.sectors.iter() {
-                    self.pending_sectors.insert(s);
-                }
-                self.block_to_burst
-                    .insert(fill.sectors.first_line(), (fill.burst_addr, fill.lane));
-                // Another core blocked on one of these sectors now MSHR-
-                // merges instead of missing.
-                for s in fill.sectors.iter() {
-                    self.wake_covering_sector(s);
-                }
-                self.fills.insert(
-                    id,
-                    FillRecord {
-                        core: ci,
-                        kind: FillKind::Sectors {
-                            sectors: fill.sectors,
-                        },
-                    },
-                );
-                self.cores[ci].outstanding += 1;
-                self.consume_slot(ci);
+                let table = t.table as usize;
+                let block = self.placements[table].gather_block_index(fill.sectors.first_line());
+                self.block_to_burst[table][block] = fill.unit + 1;
+                self.book_sector_fill(ci, id, t.table, fill.sectors);
                 // RC-NVM-bit gathers bit-level sub-fields: an extra column
                 // burst every `extra_burst_period` stride bursts.
                 if caps.extra_burst_period > 0 {
@@ -112,19 +95,7 @@ impl<'t> Engine<'t> {
                     return false;
                 }
                 self.line_bursts += 1;
-                self.pending_sectors.insert(t.cache_sector);
-                self.wake_covering_sector(t.cache_sector);
-                self.fills.insert(
-                    id,
-                    FillRecord {
-                        core: ci,
-                        kind: FillKind::Sectors {
-                            sectors: SectorRun::single(t.cache_sector),
-                        },
-                    },
-                );
-                self.cores[ci].outstanding += 1;
-                self.consume_slot(ci);
+                self.book_sector_fill(ci, id, t.table, SectorRun::single(t.cache_sector));
                 true
             }
             None => {
@@ -187,6 +158,27 @@ impl<'t> Engine<'t> {
                 true
             }
         }
+    }
+
+    /// Books an enqueued sector fill of `table`: one pending key per
+    /// sector offset (a stride run's other lines share its first line's
+    /// keys), one wake for cores blocked on any of its sectors (they now
+    /// MSHR-merge instead of missing), its fill record and an MLP slot.
+    fn book_sector_fill(&mut self, ci: usize, id: u64, table: u8, sectors: SectorRun) {
+        let p = &self.placements[table as usize];
+        for s in sectors.head().iter() {
+            self.pending_sectors.insert(p.pending_key(s));
+        }
+        self.wake_covering_run(sectors);
+        self.fills.insert(
+            id,
+            FillRecord {
+                core: ci,
+                kind: FillKind::Sectors { sectors, table },
+            },
+        );
+        self.cores[ci].outstanding += 1;
+        self.consume_slot(ci);
     }
 
     /// DRAM-schedule address of the line holding a touch, for a regular

@@ -67,7 +67,7 @@ use sam_memctrl::level::MemLevel;
 use sam_memctrl::request::MemRequest;
 
 use crate::design::{Design, Granularity};
-use crate::layout::{Placement, Store, TableSpec};
+use crate::layout::{Placement, SectorRun, Store, TableSpec};
 use crate::ops::Trace;
 
 use completion::FillRecord;
@@ -353,19 +353,24 @@ struct Engine<'t> {
     /// Fire-and-forget bursts (plain writebacks, embedded-ECC and RC-NVM-bit
     /// sub-field bursts) have no record.
     fills: FxHashMap<u64, FillRecord>,
-    /// Sectors/lines with a fill in flight (MSHR merge).
+    /// Pending keys of the sector fills in flight (MSHR merge), from
+    /// [`Placement::pending_key`]: a stride burst holds one per sector
+    /// offset of its gather block, which all K of its lines share; a narrow
+    /// fill holds its one sector.
     pending_sectors: FxHashSet<u64>,
+    /// Lines with a whole-line fill or prefetch in flight (MSHR merge).
     pending_lines: FxHashSet<u64>,
     /// Sectors written while their fill was in flight: marked dirty once
     /// the fill installs (write-allocate completion).
     pending_dirty: FxHashSet<u64>,
     /// Outstanding stride-writeback merge keys.
     wb_merge: FxHashSet<u64>,
-    /// Stride-burst address and lane recorded per gather block at fill
-    /// time, so dirty evictions can be written back as stride bursts. A
-    /// burst fills the same sector offset in all K lines of its block, so
-    /// the block's first line keys every line's entry.
-    block_to_burst: FxHashMap<u64, (u64, u8)>,
+    /// Per table, one byte per gather block ([`Placement::gather_blocks`];
+    /// none for ungrouped tables): the unit + 1 of the last stride burst
+    /// that filled the block, 0 before any did. A dirty eviction rebuilds
+    /// that burst's address and lane with [`Placement::block_burst`] to be
+    /// written back as a stride burst.
+    block_to_burst: Vec<Vec<u8>>,
     /// Reused buffer for the writebacks a fill displaces.
     wb_buffer: Vec<sam_cache::hierarchy::Writeback>,
     /// Writebacks that did not fit the write queue yet (with their stride
@@ -418,7 +423,12 @@ impl<'t> Engine<'t> {
         // allocation. Made first, it reuses the heap hole the previous
         // run's array left. Made after the hybrid level's tag array, whose
         // size follows the block size, it could find that hole split and
-        // grow the heap (DESIGN.md §13, "Allocation order").
+        // grow the heap (DESIGN.md §13, "Allocation order"). The small
+        // per-table burst records go before it for the same reason.
+        let block_to_burst = placements
+            .iter()
+            .map(|p| vec![0; p.gather_blocks()])
+            .collect();
         let hierarchy = Hierarchy::new(cfg.hierarchy);
         let ctrl: Box<dyn MemLevel> = match cfg.hybrid {
             Some(hybrid) => Box::new(DramCacheController::new(ctrl_cfg, hybrid)),
@@ -442,7 +452,7 @@ impl<'t> Engine<'t> {
             pending_lines: FxHashSet::default(),
             pending_dirty: FxHashSet::default(),
             wb_merge: FxHashSet::default(),
-            block_to_burst: FxHashMap::default(),
+            block_to_burst,
             wb_buffer: Vec::new(),
             wb_backlog: VecDeque::new(),
             next_id: 0,
@@ -462,12 +472,13 @@ impl<'t> Engine<'t> {
         }
     }
 
-    /// Wakes every core whose blocked touch addresses exactly `sector`
-    /// (published when a fill covering that sector is issued or installs).
-    fn wake_covering_sector(&mut self, sector: u64) {
+    /// Wakes every core whose blocked touch addresses a sector of `run`
+    /// (published when a sector fill is issued or installs): one scan for
+    /// all of a stride burst's sectors.
+    fn wake_covering_run(&mut self, run: SectorRun) {
         for ci in 0..self.cores.len() {
             if let Some(b) = self.cores[ci].blocked {
-                if b.sector == sector {
+                if run.contains(b.sector) {
                     self.runnable[ci] = true;
                 }
             }

@@ -1,0 +1,103 @@
+//! The engine's stride MSHR entries, checked exhaustively on small tables
+//! for every Figure 12 design, both stores and every granularity: a
+//! stride burst books one pending key per (gather block, sector offset),
+//! and a stride writeback rebuilds its burst from (gather block, unit).
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use sam::design::Granularity;
+use sam::designs::all_designs;
+use sam::layout::{Placement, Store, TableSpec};
+
+/// Ta- and Tb-shaped tables at the query plans' bases. 21 records leave
+/// the last K-group partial at every gather factor (8, 4 and 2).
+fn tables() -> [TableSpec; 2] {
+    [
+        TableSpec::ta(0x4000_0000, 21),
+        TableSpec::tb(0x1_0000_0000, 21),
+    ]
+}
+
+fn check_placement(p: &Placement, what: &str) {
+    let spec = *p.spec();
+    // Every sector a live record's field occupies, with the first
+    // (record, field) landing in it.
+    let mut live = BTreeMap::new();
+    for r in 0..spec.records {
+        for f in 0..spec.fields {
+            live.entry(p.field_addr(r, f) & !15).or_insert((r, f));
+        }
+    }
+    let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for &s in live.keys() {
+        by_key.entry(p.pending_key(s)).or_default().push(s);
+    }
+
+    let mut bursts = 0;
+    for r in 0..spec.records {
+        for f in 0..spec.fields {
+            let Some(burst) = p.stride_burst(r, f) else {
+                continue;
+            };
+            bursts += 1;
+            let run = burst.sectors;
+            assert!(run.contains(p.field_addr(r, f) & !15), "{what} ({r},{f})");
+            // (a) Every sector of the run maps to one of the keys the
+            // engine books for it: those of the run's first line.
+            let keys: BTreeSet<u64> = run.head().iter().map(|s| p.pending_key(s)).collect();
+            assert_eq!(keys.len(), run.per_line as usize, "{what} ({r},{f})");
+            for s in run.iter() {
+                assert!(
+                    keys.contains(&p.pending_key(s)),
+                    "{what} ({r},{f}): sector {s:#x} maps off the burst's keys"
+                );
+            }
+            // (c) The writeback path's (block, unit) form names the same
+            // burst.
+            let block = p.gather_block(run.first_line()).expect("a burst's block");
+            assert_eq!(block, run.first_line(), "{what} ({r},{f})");
+            assert!(p.gather_block_index(block) < p.gather_blocks());
+            assert_eq!(
+                p.block_burst(block, burst.unit),
+                (burst.burst_addr, burst.lane),
+                "{what} ({r},{f})"
+            );
+        }
+    }
+    assert_eq!(bursts > 0, p.gather().is_some(), "{what}");
+
+    // (b) Live sectors share a key only when one burst covers them all.
+    for (key, sectors) in &by_key {
+        if sectors.len() == 1 {
+            continue;
+        }
+        let (r, f) = live[&sectors[0]];
+        let burst = p
+            .stride_burst(r, f)
+            .unwrap_or_else(|| panic!("{what}: sectors {sectors:x?} share key {key:#x}"));
+        let covered: BTreeSet<u64> = burst.sectors.iter().collect();
+        for s in sectors {
+            assert!(
+                covered.contains(s),
+                "{what}: sector {s:#x} shares key {key:#x} outside ({r},{f})'s burst"
+            );
+        }
+    }
+}
+
+#[test]
+fn stride_bursts_book_one_pending_key_per_sector_offset() {
+    for design in all_designs() {
+        for store in [Store::Row, Store::Column] {
+            for gran in [Granularity::Bits4, Granularity::Bits8, Granularity::Bits16] {
+                for spec in tables() {
+                    let p = Placement::new(spec, store, &design, gran);
+                    check_placement(
+                        &p,
+                        &format!("{} {store} {gran:?} {} fields", design.name, spec.fields),
+                    );
+                }
+            }
+        }
+    }
+}
