@@ -163,6 +163,23 @@ cmp /tmp/table2.out tests/golden/table2.out \
 cmp results/table2.json tests/golden/table2.json \
   || { echo "results/table2.json drifted from tests/golden/table2.json"; exit 1; }
 
+echo "==> scheduler overrides: defaults spelled out + table2 zero cap"
+# The three scheduler flags fill one override record that the engine,
+# table2 and the stress matrix apply through one function. Spelled at the
+# controller defaults they must reproduce the fig12 goldens byte for byte,
+# and table2 must print the cap it was given (with a valid drain pair).
+./target/release/fig12 --rows 2048 --tb-rows 8192 --jobs 2 \
+  --starvation-cap 4096 --drain-hi 28 --drain-lo 8 \
+  --out /tmp/fig12.overrides.json > /tmp/fig12.overrides.out
+cmp /tmp/fig12.overrides.out tests/golden/fig12.out \
+  || { echo "fig12 with default-valued overrides drifted from tests/golden/fig12.out"; exit 1; }
+cmp /tmp/fig12.overrides.json tests/golden/fig12.json \
+  || { echo "fig12 with default-valued overrides drifted from tests/golden/fig12.json"; exit 1; }
+./target/release/table2 --starvation-cap 0 --drain-hi 20 --drain-lo 4 \
+  --out /tmp/table2.overrides.json > /tmp/table2.overrides.out
+grep -qxF '  FR-FCFS starvation cap: 0 cycles (pure FCFS)' /tmp/table2.overrides.out \
+  || { echo "table2 --starvation-cap 0 did not print a zero cap"; cat /tmp/table2.overrides.out; exit 1; }
+
 echo "==> paper-scale fig12 byte-identity gate (starvation cap lifted)"
 # Default scale (Ta 16384, Tb 131072 records), where the write-heavy
 # queries end with the largest writeback drains: GS-DRAM-ecc on Qs5

@@ -28,8 +28,7 @@ fn params(ctx: &Ctx) -> PatternParams {
 }
 
 fn cases(ctx: &Ctx) -> Vec<DiffCase> {
-    let args = ctx.args;
-    standard_cases(args.starvation_cap, args.drain_hi, args.drain_lo)
+    standard_cases(ctx.args.sched)
 }
 
 /// Every (pattern, case) cell of the selected patterns.

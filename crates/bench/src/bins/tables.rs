@@ -6,8 +6,7 @@
 
 use sam::designs::{gs_dram, rc_nvm_bit, rc_nvm_wd, sam_en, sam_io, sam_sub};
 use sam::properties::properties;
-use sam::system::SystemConfig;
-use sam_cache::hierarchy::HierarchyConfig;
+use sam::system::CPU_MHZ;
 use sam_dram::device::DeviceConfig;
 use sam_imdb::query::Query;
 use sam_memctrl::controller::ControllerConfig;
@@ -106,28 +105,17 @@ pub fn table1(ctx: &Ctx, _results: Results) -> Rendered {
 /// Table 2: simulated system parameters, with the scheduler-knob
 /// overrides applied to the controller rows.
 pub fn table2(ctx: &Ctx, _results: Results) -> Rendered {
-    let args = ctx.args;
-    let sys = SystemConfig::default();
-    let h = HierarchyConfig::table2();
+    let h = ctx.system.hierarchy;
     let dram = DeviceConfig::ddr4_server();
     let rram = DeviceConfig::rram_server();
-    let mut ctrl = ControllerConfig::default();
-    if let Some(cap) = args.starvation_cap {
-        ctrl.starvation_cap = cap;
-    }
-    if let Some(hi) = args.drain_hi {
-        ctrl.write_high_watermark = hi;
-    }
-    if let Some(lo) = args.drain_lo {
-        ctrl.write_low_watermark = lo;
-    }
+    let ctrl = ctx.system.sched.apply(ControllerConfig::default());
 
     println!("Table 2: simulated system parameters\n");
     println!("Processor");
     println!(
         "  {} cores, x86-class issue model, {:.1} GHz",
-        sys.cores,
-        sys.cpu_mhz as f64 / 1000.0
+        ctx.args.plan.cores,
+        CPU_MHZ as f64 / 1000.0
     );
     println!(
         "  L1: {}KB, L2: {}KB, LLC: {}MB",
@@ -140,14 +128,13 @@ pub fn table2(ctx: &Ctx, _results: Results) -> Rendered {
     println!("  Write queue capacity: {}", ctrl.write_queue_capacity);
     println!("  Address mapping: rw:rk:bk:ch:cl:offset (XOR bank permutation)");
     println!("  Page management: open-page, FR-FCFS");
+    let fcfs = match ctrl.starvation_cap {
+        0 => " (pure FCFS)",
+        _ => "",
+    };
     println!(
-        "  FR-FCFS starvation cap: {} cycles{}",
-        ctrl.starvation_cap,
-        if ctrl.starvation_cap == 0 {
-            " (pure FCFS)"
-        } else {
-            ""
-        }
+        "  FR-FCFS starvation cap: {} cycles{fcfs}",
+        ctrl.starvation_cap
     );
     for (name, cfg) in [("DRAM", dram), ("RRAM", rram)] {
         let t = cfg.timing;

@@ -19,7 +19,10 @@
 //!   simulate
 //! * `--drain-hi N` / `--drain-lo N` — write-drain hysteresis watermark
 //!   overrides; the pair (after filling in controller defaults) must
-//!   satisfy `lo < hi <= 32` (the Table 2 write-queue depth)
+//!   satisfy `lo < hi <= 32`, the Table 2 write-queue depth
+//!   ([`ControllerConfig::check_watermarks`], the stress runs' rule too);
+//!   the three scheduler flags fill one [`BenchArgs::sched`] record, which
+//!   every simulating binary applies with [`SchedOverrides::apply`]
 //! * `--checked` — only on binaries that support the verification oracle
 //! * `--trace[=PATH]` / `--epoch-len N` — only on binaries that support
 //!   the `sam-trace` recorder (default trace path:
@@ -37,7 +40,7 @@
 use std::path::PathBuf;
 
 use sam_imdb::plan::{PlanConfig, TA_BASE, TB_BASE};
-use sam_memctrl::controller::ControllerConfig;
+use sam_memctrl::controller::{ControllerConfig, SchedOverrides};
 
 use crate::sweep::default_jobs;
 
@@ -153,13 +156,9 @@ pub struct BenchArgs {
     pub epoch_len: u64,
     /// Heartbeat interval in seconds when `--heartbeat[=SECS]` was given.
     pub heartbeat: Option<u64>,
-    /// FR-FCFS starvation-cap override in memory cycles (`Some(0)` forces
-    /// pure FCFS); `None` keeps the controller default.
-    pub starvation_cap: Option<u64>,
-    /// Write-drain high-watermark override (`--drain-hi N`).
-    pub drain_hi: Option<usize>,
-    /// Write-drain low-watermark override (`--drain-lo N`).
-    pub drain_lo: Option<usize>,
+    /// The `--starvation-cap`, `--drain-hi` and `--drain-lo` overrides;
+    /// the watermark pair they leave the controller with is valid.
+    pub sched: SchedOverrides,
     /// Extra boolean flags that were given, in spec order semantics
     /// (each at most once; see [`ArgSpec::extra_flags`]).
     pub flags: Vec<String>,
@@ -221,9 +220,7 @@ pub fn try_parse_args(
     let mut trace: Option<PathBuf> = None;
     let mut epoch_len = DEFAULT_EPOCH_LEN;
     let mut heartbeat: Option<u64> = None;
-    let mut starvation_cap = None;
-    let mut drain_hi: Option<usize> = None;
-    let mut drain_lo: Option<usize> = None;
+    let mut sched = SchedOverrides::default();
     let mut trials = DEFAULT_TRIALS;
     let mut panels = Vec::new();
     let mut flags = Vec::new();
@@ -266,15 +263,24 @@ pub fn try_parse_args(
             }
             "--starvation-cap" => {
                 let v = value_of(&mut i)?;
-                starvation_cap = Some(parse_num(arg, &v)?);
+                sched = SchedOverrides {
+                    starvation_cap: Some(parse_num(arg, &v)?),
+                    ..sched
+                };
             }
             "--drain-hi" => {
                 let v = value_of(&mut i)?;
-                drain_hi = Some(parse_num(arg, &v)? as usize);
+                sched = SchedOverrides {
+                    drain_hi: Some(parse_num(arg, &v)? as usize),
+                    ..sched
+                };
             }
             "--drain-lo" => {
                 let v = value_of(&mut i)?;
-                drain_lo = Some(parse_num(arg, &v)? as usize);
+                sched = SchedOverrides {
+                    drain_lo: Some(parse_num(arg, &v)? as usize),
+                    ..sched
+                };
             }
             "--checked" if spec.accepts_checked => checked = true,
             "--trace" if spec.accepts_trace => {
@@ -334,24 +340,15 @@ pub fn try_parse_args(
         ));
     }
 
-    if drain_hi.is_some() || drain_lo.is_some() {
-        // Validate the *effective* pair: a lone override combines with the
-        // controller default for the other watermark.
-        let ctrl = ControllerConfig::default();
-        let hi = drain_hi.unwrap_or(ctrl.write_high_watermark);
-        let lo = drain_lo.unwrap_or(ctrl.write_low_watermark);
-        let depth = ctrl.write_queue_capacity;
-        if lo >= hi || hi > depth {
-            let flag = if drain_hi.is_some() {
-                "--drain-hi"
-            } else {
-                "--drain-lo"
-            };
-            return Err(CliError::BadValue(
-                flag.to_string(),
-                format!("lo={lo} hi={hi} (need lo < hi <= {depth})"),
-            ));
-        }
+    // A lone watermark override combines with the controller default for
+    // the other one; the pair the controller would run with is checked.
+    if let Err(e) = sched.apply(ControllerConfig::default()).check_watermarks() {
+        let flag = if sched.drain_hi.is_some() {
+            "--drain-hi"
+        } else {
+            "--drain-lo"
+        };
+        return Err(CliError::BadValue(flag.to_string(), e));
     }
 
     Ok(BenchArgs {
@@ -361,9 +358,7 @@ pub fn try_parse_args(
         trace,
         epoch_len,
         heartbeat,
-        starvation_cap,
-        drain_hi,
-        drain_lo,
+        sched,
         trials,
         panels,
         flags,
@@ -441,7 +436,7 @@ mod tests {
         assert!(!a.checked);
         assert_eq!(a.trace, None);
         assert_eq!(a.epoch_len, DEFAULT_EPOCH_LEN);
-        assert_eq!(a.starvation_cap, None);
+        assert_eq!(a.sched, SchedOverrides::default());
         assert_eq!(a.trials, DEFAULT_TRIALS);
         assert_eq!(a.out, PathBuf::from("results/fig12.json"));
     }
@@ -523,38 +518,50 @@ mod tests {
             &argv(&["--starvation-cap", "0"]),
         )
         .unwrap();
-        assert_eq!(a.starvation_cap, Some(0));
+        assert_eq!(a.sched.starvation_cap, Some(0));
         let a = try_parse_args(
             &ArgSpec::new("table2"),
             PlanConfig::tiny(),
             &argv(&["--starvation-cap", "512"]),
         )
         .unwrap();
-        assert_eq!(a.starvation_cap, Some(512));
+        assert_eq!(a.sched.starvation_cap, Some(512));
     }
 
     #[test]
     fn drain_watermarks_shared_and_validated() {
+        use sam_stress::stream::{DeviceKind, StressConfig};
         let a = try_parse_args(
             &spec(),
             PlanConfig::tiny(),
             &argv(&["--drain-hi", "20", "--drain-lo", "4"]),
         )
         .unwrap();
-        assert_eq!(a.drain_hi, Some(20));
-        assert_eq!(a.drain_lo, Some(4));
+        assert_eq!(a.sched.drain_hi, Some(20));
+        assert_eq!(a.sched.drain_lo, Some(4));
         // A lone override is validated against the default for the other
-        // watermark: lo=30 >= default hi=28 is rejected.
-        let e =
-            try_parse_args(&spec(), PlanConfig::tiny(), &argv(&["--drain-lo", "30"])).unwrap_err();
-        assert!(matches!(e, CliError::BadValue(f, _) if f == "--drain-lo"));
-        // Inverted margins and hi beyond the queue depth are rejected.
-        for bad in [
-            &["--drain-hi", "8", "--drain-lo", "28"][..],
-            &["--drain-hi", "33"][..],
-            &["--drain-hi", "10", "--drain-lo", "10"][..],
-        ] {
-            assert!(try_parse_args(&spec(), PlanConfig::tiny(), &argv(bad)).is_err());
+        // watermark (hi 28, lo 8), and the error names the flag given.
+        for (flag, v) in [("--drain-lo", "30"), ("--drain-hi", "33")] {
+            let e = try_parse_args(&spec(), PlanConfig::tiny(), &argv(&[flag, v])).unwrap_err();
+            assert!(
+                matches!(e, CliError::BadValue(f, _) if f == flag),
+                "{flag} {v}"
+            );
+        }
+        // Inverted and equal margins and hi beyond the queue depth are
+        // rejected, with the verdict and message a stress run's
+        // configuration gets on either device: both check one rule.
+        for (hi, lo) in [(33, 8), (10, 10), (8, 28), (20, 4), (32, 31)] {
+            let (hi_arg, lo_arg) = (hi.to_string(), lo.to_string());
+            let args = argv(&["--drain-hi", &hi_arg, "--drain-lo", &lo_arg]);
+            let cli = try_parse_args(&spec(), PlanConfig::tiny(), &args).map(|_| ());
+            assert_eq!(cli.is_ok(), lo < hi && hi <= 32, "hi={hi} lo={lo}");
+            for device in [DeviceKind::Ddr4, DeviceKind::Rram] {
+                let stress = StressConfig::new(device, 4096, hi, lo)
+                    .map(|_| ())
+                    .map_err(|e| CliError::BadValue("--drain-hi".to_string(), e));
+                assert_eq!(cli, stress, "{device:?} hi={hi} lo={lo}");
+            }
         }
     }
 

@@ -83,9 +83,7 @@ impl<'a> Ctx<'a> {
     /// The context `exp`'s plan and render see under `args`.
     pub fn new(exp: &'a Experiment, args: &'a BenchArgs) -> Self {
         let system = SystemConfig {
-            starvation_cap: args.starvation_cap,
-            drain_hi: args.drain_hi,
-            drain_lo: args.drain_lo,
+            sched: args.sched,
             debug_cores: args.has_flag("--debug-cores"),
             ..SystemConfig::default()
         };

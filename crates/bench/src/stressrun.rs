@@ -15,6 +15,7 @@
 //! so one run exercises both the per-run invariants and the cross-run
 //! oracles (cap monotonicity, semantic identity) on every named pattern.
 
+use sam_memctrl::controller::SchedOverrides;
 use sam_stress::diff::{cross_check, DiffCase, DiffReport, DiffRun};
 use sam_stress::pattern::{Pattern, PatternParams};
 use sam_stress::report::PatternReport;
@@ -25,21 +26,8 @@ use crate::experiment::{Job, Run};
 /// Builds the standard differential case matrix. CLI overrides replace
 /// the *base* (commodity) knobs — the variant cases keep their fixed
 /// settings so the differential axes survive an override.
-pub fn standard_cases(
-    cap: Option<u64>,
-    drain_hi: Option<usize>,
-    drain_lo: Option<usize>,
-) -> Vec<DiffCase> {
-    let mut base = StressConfig::ddr4_default();
-    if let Some(cap) = cap {
-        base.starvation_cap = cap;
-    }
-    if let Some(hi) = drain_hi {
-        base.drain_hi = hi;
-    }
-    if let Some(lo) = drain_lo {
-        base.drain_lo = lo;
-    }
+pub fn standard_cases(overrides: SchedOverrides) -> Vec<DiffCase> {
+    let base = StressConfig::ddr4(overrides);
     let case = |label: &str, config: StressConfig| DiffCase {
         label: label.into(),
         config,
@@ -227,7 +215,7 @@ mod tests {
     /// The grid through the experiment executor, with `argv`'s `--jobs`
     /// and `--trace` flags.
     fn run_grid(patterns: &[Pattern], argv: &[&str]) -> (Vec<PatternReport>, Vec<RunTrace>) {
-        let cases = standard_cases(None, None, None);
+        let cases = standard_cases(SchedOverrides::default());
         let spec = ArgSpec::new("stress").with_trace();
         let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
         let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();
@@ -240,7 +228,7 @@ mod tests {
 
     #[test]
     fn standard_cases_cover_both_devices_and_honor_overrides() {
-        let cases = standard_cases(None, None, None);
+        let cases = standard_cases(SchedOverrides::default());
         assert_eq!(cases.len(), 6);
         assert_eq!(cases[0].config, cases[1].config, "identity twin");
         assert_eq!(cases[2].config.starvation_cap, 0);
@@ -250,7 +238,11 @@ mod tests {
             (20, 4)
         );
         assert_eq!(cases[5].config.device, DeviceKind::Rram);
-        let cases = standard_cases(Some(512), Some(24), Some(6));
+        let cases = standard_cases(SchedOverrides {
+            starvation_cap: Some(512),
+            drain_hi: Some(24),
+            drain_lo: Some(6),
+        });
         assert_eq!(cases[0].config.starvation_cap, 512);
         assert_eq!(
             (cases[0].config.drain_hi, cases[0].config.drain_lo),
@@ -293,7 +285,10 @@ mod tests {
             &["--jobs", "2", "--trace", "--epoch-len", "1000"],
         );
         assert_eq!(plain, traced);
-        assert_eq!(traces.len(), standard_cases(None, None, None).len());
+        assert_eq!(
+            traces.len(),
+            standard_cases(SchedOverrides::default()).len()
+        );
         assert_eq!(traces[0].label, "ping-pong/commodity");
         assert!(traces.iter().any(|t| !t.events.is_empty()));
     }

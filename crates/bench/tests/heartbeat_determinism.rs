@@ -17,6 +17,7 @@ use sam_bench::stressrun::{assemble_reports, cells, render_report, standard_case
 use sam_bench::{assemble_grid_chunk, bins, grid_chunk_len, grid_runs, heartbeat};
 use sam_imdb::plan::PlanConfig;
 use sam_imdb::query::Query;
+use sam_memctrl::controller::SchedOverrides;
 use sam_stress::report::json_report;
 use sam_stress::{Pattern, PatternParams};
 
@@ -54,7 +55,7 @@ fn fig12_bits(jobs: usize) -> Vec<(String, Vec<u64>)> {
 /// heartbeat's cycle tally and the sum of its cells' last completions.
 fn stress_outputs() -> (String, String, (u64, u64)) {
     let params = PatternParams::small(41);
-    let cases = standard_cases(None, None, None);
+    let cases = standard_cases(SchedOverrides::default());
     let tally = heartbeat::cycles();
     let (results, _, _) = execute(&cells(&Pattern::ALL, &params, &cases), &jobs_args(2));
     let grown = heartbeat::cycles() - tally;

@@ -8,6 +8,7 @@ use sam_bench::cli::{try_parse_args, ArgSpec};
 use sam_bench::experiment::execute;
 use sam_bench::stressrun::{assemble_reports, cells, render_report, standard_cases};
 use sam_imdb::plan::PlanConfig;
+use sam_memctrl::controller::SchedOverrides;
 use sam_stress::report::{json_report, PatternReport};
 use sam_stress::{Pattern, PatternParams};
 use sam_trace::{chrome_trace, RunTrace};
@@ -16,7 +17,7 @@ use sam_trace::{chrome_trace, RunTrace};
 /// `--jobs`/`--trace` flags.
 fn grid(argv: &[&str]) -> (Vec<PatternReport>, Vec<RunTrace>) {
     let params = PatternParams::small(41);
-    let cases = standard_cases(None, None, None);
+    let cases = standard_cases(SchedOverrides::default());
     let spec = ArgSpec::new("stress").with_trace();
     let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
     let args = try_parse_args(&spec, PlanConfig::tiny(), &argv).unwrap();

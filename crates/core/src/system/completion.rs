@@ -36,7 +36,7 @@ pub(super) struct FillRecord {
     pub(super) kind: FillKind,
 }
 
-use super::Engine;
+use super::{mem_to_cpu, Engine};
 
 impl<'t> Engine<'t> {
     pub(super) fn handle_completion(&mut self, c: sam_memctrl::request::Completion) {
@@ -124,8 +124,7 @@ impl<'t> Engine<'t> {
         let c = &mut self.cores[core];
         debug_assert!(c.outstanding > 0);
         c.outstanding -= 1;
-        c.freed
-            .push(std::cmp::Reverse(self.cfg.mem_to_cpu(visible)));
+        c.freed.push(std::cmp::Reverse(mem_to_cpu(visible)));
         // The MLP window has a free slot again: the publisher that wakes a
         // window-stalled core.
         self.runnable[core] = true;

@@ -7,7 +7,16 @@ use sam_cache::hierarchy::{AccessKind, HitLevel};
 use crate::layout::Placement;
 use crate::ops::TraceOp;
 
-use super::Engine;
+use super::{cpu_to_mem, Engine};
+
+/// CPU cycles charged per 16B touch (issue bandwidth).
+const TOUCH_COST_CPU: u64 = 1;
+
+/// Extra CPU cycles for an L2 hit.
+const L2_EXTRA_CPU: u64 = 2;
+
+/// Extra CPU cycles for an LLC hit, and for discovering a miss.
+const LLC_EXTRA_CPU: u64 = 4;
 
 /// One 16B sector an op touches, as the core issues it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,7 +224,7 @@ impl<'t> Engine<'t> {
     /// Performs one 16B touch; `Stalled` means MLP or queue pressure.
     fn touch(&mut self, ci: usize, t: SectorTouch) -> Step {
         self.probe_tick();
-        self.cores[ci].time_cpu += self.cfg.touch_cost_cpu;
+        self.cores[ci].time_cpu += TOUCH_COST_CPU;
         let kind = if t.write {
             AccessKind::Write
         } else {
@@ -223,21 +232,21 @@ impl<'t> Engine<'t> {
         };
         if self.hierarchy.trace_attached() {
             self.hierarchy
-                .set_trace_clock(self.cfg.cpu_to_mem(self.cores[ci].time_cpu));
+                .set_trace_clock(cpu_to_mem(self.cores[ci].time_cpu));
         }
         let result = self.hierarchy.access(t.cache_sector, kind);
         match result.level {
             HitLevel::L1 => Step::Progress,
             HitLevel::L2 => {
-                self.cores[ci].time_cpu += self.cfg.l2_extra_cpu;
+                self.cores[ci].time_cpu += L2_EXTRA_CPU;
                 Step::Progress
             }
             HitLevel::Llc => {
-                self.cores[ci].time_cpu += self.cfg.llc_extra_cpu;
+                self.cores[ci].time_cpu += LLC_EXTRA_CPU;
                 Step::Progress
             }
             HitLevel::Memory => {
-                self.cores[ci].time_cpu += self.cfg.llc_extra_cpu;
+                self.cores[ci].time_cpu += LLC_EXTRA_CPU;
                 let line = t.cache_sector & !63;
                 // MSHR merge: a fill in flight already covers this touch.
                 let key = self.placements[t.table as usize].pending_key(t.cache_sector);
@@ -250,7 +259,7 @@ impl<'t> Engine<'t> {
                 if self.cores[ci].outstanding >= self.cfg.mlp {
                     // Undo the speculative miss-discovery charge: the touch
                     // will be retried once a slot frees up.
-                    self.cores[ci].time_cpu -= self.cfg.llc_extra_cpu + self.cfg.touch_cost_cpu;
+                    self.cores[ci].time_cpu -= LLC_EXTRA_CPU + TOUCH_COST_CPU;
                     self.cores[ci].blocked = Some(Blocker {
                         sector: t.cache_sector,
                         line,
@@ -266,7 +275,7 @@ impl<'t> Engine<'t> {
                         Step::Progress
                     }
                     false => {
-                        self.cores[ci].time_cpu -= self.cfg.llc_extra_cpu + self.cfg.touch_cost_cpu;
+                        self.cores[ci].time_cpu -= LLC_EXTRA_CPU + TOUCH_COST_CPU;
                         self.cores[ci].blocked = Some(Blocker {
                             sector: t.cache_sector,
                             line,

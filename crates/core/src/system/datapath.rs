@@ -10,7 +10,7 @@
 //! whatever does not fit. Evictions during the run take both steps back
 //! to back. The end-of-run flush takes every merge decision at once and
 //! emits each survivor only once the backlog is empty, so the backlog
-//! never holds more than one writeback's `1 + ecc_write_extra` requests
+//! never holds more than one writeback's `1 + ECC_WRITE_EXTRA` requests
 //! (DESIGN.md §13, "Bounded writeback drain").
 //!
 //! Victims arrive from the cache hierarchy carrying the core that
@@ -28,6 +28,10 @@ use crate::design::EccScheme;
 
 use super::completion::{FillKind, FillRecord};
 use super::Engine;
+
+/// Embedded ECC: extra bursts (read-modify-write of ECC words) per write
+/// burst (Section 3.3.1: one write transfer can update five ECC words).
+pub(super) const ECC_WRITE_EXTRA: u32 = 4;
 
 /// A writeback that claimed its burst, with everything its emission
 /// needs (16 bytes, the size of a [`Writeback`]): the stride burst
@@ -132,7 +136,7 @@ impl<'t> Engine<'t> {
                     self.wb_backlog.push_back((req, when, None));
                 }
                 if self.design.ecc == EccScheme::Embedded {
-                    for _ in 0..self.cfg.ecc_write_extra {
+                    for _ in 0..ECC_WRITE_EXTRA {
                         self.issue_ecc_burst(wb.owner as usize, dram_addr, when, true);
                     }
                 }

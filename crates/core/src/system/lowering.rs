@@ -15,13 +15,20 @@ use crate::design::EccScheme;
 use crate::layout::SectorRun;
 
 use super::completion::{FillKind, FillRecord};
-use super::{Engine, SectorTouch};
+use super::{cpu_to_mem, Engine, SectorTouch};
+
+/// Embedded ECC: one extra ECC read per this many stride bursts (gathered
+/// lines come from scattered rows, defeating ECC locality).
+const ECC_STRIDE_PERIOD: u32 = 2;
+
+/// Embedded ECC: one extra ECC read per this many sequential line fills.
+pub(super) const ECC_SEQ_PERIOD: u32 = 8;
 
 impl<'t> Engine<'t> {
     /// Builds and enqueues the memory request(s) for a missing touch.
     /// Returns `false` when the controller queue is full.
     pub(super) fn issue_fill(&mut self, ci: usize, t: SectorTouch) -> bool {
-        let arrival = self.cfg.cpu_to_mem(self.cores[ci].time_cpu);
+        let arrival = cpu_to_mem(self.cores[ci].time_cpu);
         let p = &self.placements[t.table as usize];
         let stride = if t.field_access {
             p.stride_burst(t.record, t.field as u32)
@@ -73,7 +80,7 @@ impl<'t> Engine<'t> {
                 // Embedded ECC cannot co-fetch codes for scattered rows.
                 if self.design.ecc == EccScheme::Embedded {
                     self.ecc_stride_count += 1;
-                    if self.ecc_stride_count >= self.cfg.ecc_stride_period {
+                    if self.ecc_stride_count >= ECC_STRIDE_PERIOD {
                         self.ecc_stride_count = 0;
                         self.issue_ecc_burst(ci, fill.burst_addr, arrival, false);
                     }
@@ -150,7 +157,7 @@ impl<'t> Engine<'t> {
                 }
                 if self.design.ecc == EccScheme::Embedded {
                     self.ecc_seq_count += 1;
-                    if self.ecc_seq_count >= self.cfg.ecc_seq_period {
+                    if self.ecc_seq_count >= ECC_SEQ_PERIOD {
                         self.ecc_seq_count = 0;
                         self.issue_ecc_burst(ci, dram_addr, arrival, false);
                     }

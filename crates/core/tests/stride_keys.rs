@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sam::design::Granularity;
+use sam::design::{Design, Granularity};
 use sam::designs::all_designs;
 use sam::layout::{Placement, Store, TableSpec};
 
@@ -96,6 +96,29 @@ fn stride_bursts_book_one_pending_key_per_sector_offset() {
                         &p,
                         &format!("{} {store} {gran:?} {} fields", design.name, spec.fields),
                     );
+                }
+            }
+        }
+    }
+}
+
+/// At 4-bit granularity a stride burst gathers one 8 B unit per line, but
+/// the sector cache installs whole 16 B sectors, so fields `2j` and
+/// `2j + 1` travel on different lanes yet fill the same sectors: whichever
+/// burst is issued first installs both fields (DESIGN.md §4, "Sector
+/// install unit").
+#[test]
+fn bits4_field_pairs_share_one_sector_run_on_two_lanes() {
+    for design in all_designs().into_iter().filter(Design::supports_stride) {
+        for spec in tables() {
+            let p = Placement::new(spec, Store::Row, &design, Granularity::Bits4);
+            for r in 0..spec.records {
+                for f in (0..spec.fields - 1).step_by(2) {
+                    let what = format!("{} {} fields ({r},{f})", design.name, spec.fields);
+                    let even = p.stride_burst(r, f).expect("a grouped table");
+                    let odd = p.stride_burst(r, f + 1).expect("a grouped table");
+                    assert_eq!(even.sectors, odd.sectors, "{what}");
+                    assert_ne!(even.lane, odd.lane, "{what}");
                 }
             }
         }

@@ -5,7 +5,7 @@
 use sam::design::Design;
 use sam::designs::commodity;
 use sam::layout::Store;
-use sam::system::{RunResult, System, SystemConfig};
+use sam::system::{Instrumentation, RunResult, System, SystemConfig};
 
 use crate::plan::{compile, Plan, PlanConfig};
 use crate::query::Query;
@@ -17,7 +17,7 @@ pub struct Workload {
     pub query: Query,
     /// Scaling/seed configuration.
     pub plan: PlanConfig,
-    /// System configuration (cores, MLP, granularity...).
+    /// System configuration (MLP, granularity, scheduler overrides...).
     pub system: SystemConfig,
 }
 
@@ -58,24 +58,16 @@ pub struct QueryRun {
 
 /// Runs `workload` on `design` with tables organized as `store`.
 pub fn run_query(workload: &Workload, design: &Design, store: Store) -> QueryRun {
-    let plan = workload.compile();
-    let system = System::new(workload.system, design.clone(), store);
-    let result = system.run(&plan.tables, &plan.traces);
-    QueryRun {
-        query: workload.query,
-        design: design.name,
-        store,
-        result,
-    }
+    run_query_instrumented(workload, design, store, &mut Instrumentation::default())
 }
 
 /// Like [`run_query`], with verification hooks attached (see
-/// [`sam::system::Instrumentation`]).
+/// [`Instrumentation`]).
 pub fn run_query_instrumented(
     workload: &Workload,
     design: &Design,
     store: Store,
-    instr: &mut sam::system::Instrumentation<'_>,
+    instr: &mut Instrumentation<'_>,
 ) -> QueryRun {
     let plan = workload.compile();
     let system = System::new(workload.system, design.clone(), store);

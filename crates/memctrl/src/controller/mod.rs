@@ -74,11 +74,53 @@ impl ControllerConfig {
     pub fn refresh_enabled(&self) -> bool {
         self.device.timing.needs_refresh()
     }
+
+    /// Checks the write-drain hysteresis rule `lo < hi <= write queue
+    /// depth`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the broken constraint.
+    pub fn check_watermarks(&self) -> Result<(), String> {
+        let (hi, lo) = (self.write_high_watermark, self.write_low_watermark);
+        let depth = self.write_queue_capacity;
+        if lo >= hi || hi > depth {
+            return Err(format!("lo={lo} hi={hi} (need lo < hi <= {depth})"));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         Self::with_device(DeviceConfig::ddr4_server())
+    }
+}
+
+/// Overrides of the three scheduler knobs an experiment varies: the
+/// starvation cap and the write-drain watermark pair (the
+/// `--starvation-cap`, `--drain-hi` and `--drain-lo` flags). `None` keeps
+/// the controller's default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedOverrides {
+    /// Starvation cap in memory cycles (`Some(0)` forces pure FCFS).
+    pub starvation_cap: Option<Cycle>,
+    /// Write-drain high watermark.
+    pub drain_hi: Option<usize>,
+    /// Write-drain low watermark.
+    pub drain_lo: Option<usize>,
+}
+
+impl SchedOverrides {
+    /// `cfg` with every given override applied. The result may break the
+    /// watermark rule; see [`ControllerConfig::check_watermarks`].
+    pub fn apply(self, cfg: ControllerConfig) -> ControllerConfig {
+        ControllerConfig {
+            starvation_cap: self.starvation_cap.unwrap_or(cfg.starvation_cap),
+            write_high_watermark: self.drain_hi.unwrap_or(cfg.write_high_watermark),
+            write_low_watermark: self.drain_lo.unwrap_or(cfg.write_low_watermark),
+            ..cfg
+        }
     }
 }
 
@@ -1024,5 +1066,27 @@ mod tests {
         assert_eq!(done_t, done_r);
         assert_eq!(stats_t, stats_r);
         assert_eq!(lanes_t, lanes_r);
+    }
+
+    /// Each of the eight `Some`/`None` combinations sets exactly the
+    /// fields it names and leaves every other field at the base value.
+    #[test]
+    fn sched_overrides_set_exactly_the_given_fields() {
+        let base = ControllerConfig::with_device(sam_dram::device::DeviceConfig::rram_server());
+        for mask in 0..8u8 {
+            let o = SchedOverrides {
+                starvation_cap: (mask & 1 != 0).then_some(7),
+                drain_hi: (mask & 2 != 0).then_some(20),
+                drain_lo: (mask & 4 != 0).then_some(3),
+            };
+            let want = ControllerConfig {
+                starvation_cap: if mask & 1 != 0 { 7 } else { 4096 },
+                write_high_watermark: if mask & 2 != 0 { 20 } else { 28 },
+                write_low_watermark: if mask & 4 != 0 { 3 } else { 8 },
+                ..base
+            };
+            assert_eq!(o.apply(base), want, "mask {mask:03b}");
+        }
+        assert_eq!(SchedOverrides::default().apply(base), base);
     }
 }

@@ -29,7 +29,7 @@
 
 use sam_dram::device::DeviceConfig;
 use sam_dram::Cycle;
-use sam_memctrl::controller::ControllerConfig;
+use sam_memctrl::controller::{ControllerConfig, SchedOverrides};
 use sam_memctrl::request::{MemRequest, StrideSpec};
 
 /// First line of every stress trace; `sam-check replay` requires it.
@@ -109,13 +109,18 @@ impl StressConfig {
 
     /// The DDR4 defaults every design ships with: cap 4096, hi 28, lo 8.
     pub fn ddr4_default() -> Self {
-        let base = ControllerConfig::default();
+        Self::ddr4(SchedOverrides::default())
+    }
+
+    /// The DDR4 defaults with `overrides` applied, unvalidated.
+    pub fn ddr4(overrides: SchedOverrides) -> Self {
+        let ctrl = overrides.apply(ControllerConfig::default());
         Self {
             device: DeviceKind::Ddr4,
-            starvation_cap: base.starvation_cap,
-            drain_hi: base.write_high_watermark,
-            drain_lo: base.write_low_watermark,
-            reference_scheduler: base.reference_scheduler,
+            starvation_cap: ctrl.starvation_cap,
+            drain_hi: ctrl.write_high_watermark,
+            drain_lo: ctrl.write_low_watermark,
+            reference_scheduler: ctrl.reference_scheduler,
         }
     }
 
@@ -146,30 +151,27 @@ impl StressConfig {
         }
     }
 
-    /// Checks `lo < hi <= write queue depth`.
+    /// Checks `lo < hi <= write queue depth`
+    /// ([`ControllerConfig::check_watermarks`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the broken constraint.
     pub fn validate(&self) -> Result<(), String> {
-        let depth = ControllerConfig::with_device(self.device.config()).write_queue_capacity;
-        if self.drain_lo >= self.drain_hi || self.drain_hi > depth {
-            return Err(format!(
-                "drain watermarks lo={} hi={} violate lo < hi <= {depth}",
-                self.drain_lo, self.drain_hi
-            ));
-        }
-        Ok(())
+        self.controller_config().check_watermarks()
     }
 
     /// The full controller configuration this run executes under.
     pub fn controller_config(&self) -> ControllerConfig {
-        let mut cfg = ControllerConfig::with_device(self.device.config());
-        cfg.starvation_cap = self.starvation_cap;
-        cfg.write_high_watermark = self.drain_hi;
-        cfg.write_low_watermark = self.drain_lo;
-        cfg.reference_scheduler = self.reference_scheduler;
-        cfg
+        let knobs = SchedOverrides {
+            starvation_cap: Some(self.starvation_cap),
+            drain_hi: Some(self.drain_hi),
+            drain_lo: Some(self.drain_lo),
+        };
+        ControllerConfig {
+            reference_scheduler: self.reference_scheduler,
+            ..knobs.apply(ControllerConfig::with_device(self.device.config()))
+        }
     }
 }
 
